@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
+from .features import strip_enumeration
 from .structure import Section
 
 YEAR_RANGE = (1500, 2100)
@@ -83,20 +84,13 @@ class CitationLink:
     ambiguous: bool = False
 
 
-def _strip_enumeration(heading_text: str) -> str:
-    words = heading_text.split()
-    if words and re.match(r"^(\d+(\.\d+)*\.?|[IVXLCDM]+\.?|[A-Z]\.)$", words[0]):
-        words = words[1:]
-    return " ".join(words)
-
-
 def locate_reference_section(sections: list[Section]):
     """The References/Bibliography section plus trailing chunks, and the rest."""
     ref_idx = None
     for i, section in enumerate(sections):
         if section.heading is None:
             continue
-        head = _strip_enumeration(section.heading.text).lower()
+        head = strip_enumeration(section.heading.text).lower()
         if head.startswith("references") or head.startswith("bibliography"):
             ref_idx = i
             break
@@ -108,7 +102,7 @@ def locate_reference_section(sections: list[Section]):
     remainder = sections[:ref_idx]
     folding = True
     for section in sections[ref_idx + 1:]:
-        head = "" if section.heading is None else _strip_enumeration(
+        head = "" if section.heading is None else strip_enumeration(
             section.heading.text).lower()
         if head.startswith("appendix"):
             folding = False
@@ -127,15 +121,6 @@ _YEAR_TOKEN = re.compile(r"\b(1[5-9]\d\d|20\d\d|2100)\b")
 _CAP_TOKEN = re.compile(r"\b[A-Z][A-Za-z'\-]*\b")
 
 
-def _line_parts(line):
-    if isinstance(line, str):
-        return line, 0.0
-    if hasattr(line, "text"):
-        return line.text, getattr(line, "x", 0.0)
-    text, x = line
-    return text, x
-
-
 def _finish(index, text_parts) -> Reference:
     raw = " ".join(text_parts).strip()
     year = None
@@ -151,14 +136,13 @@ def _finish(index, text_parts) -> Reference:
 
 
 def split_references(ref_text_lines) -> list[Reference]:
-    """Split reference-section lines into individual references.
+    """Split (text, x-origin) reference-section lines into references.
 
     Rule cascade: bracketed "[n]" starts, then increasing "n." starts, then
     the hanging-indent heuristic on line x-origins.  When no line is
     indented, every margin line starts its own reference.
     """
-    lines = [_line_parts(l) for l in ref_text_lines]
-    lines = [(t, x) for t, x in lines if t.strip()]
+    lines = [(t, x) for t, x in ref_text_lines if t.strip()]
     if not lines:
         raise ValueError("empty reference line list")
 

@@ -19,10 +19,6 @@ COLUMN_GAP_FRACTION = 0.2
 MIN_COLUMN_LINES = 2
 
 
-class EmptyDocumentError(ValueError):
-    """Raised when a first chunk is requested from a document with no tokens."""
-
-
 @dataclass(frozen=True)
 class ChunkParams:
     gap_factor: float = 1.5
@@ -108,12 +104,3 @@ def chunk_document(doc: Document, params: ChunkParams = ChunkParams()) -> list[C
     for page in doc.pages:
         chunks.extend(chunk_page(page, params))
     return chunks
-
-
-def first_chunk(doc: Document, params: ChunkParams = ChunkParams()) -> Chunk:
-    """First chunk of page 1 in reading order."""
-    for page in doc.pages:
-        chunks = chunk_page(page, params)
-        if chunks:
-            return chunks[0]
-    raise EmptyDocumentError("no content")

@@ -22,7 +22,7 @@ from .pipeline import (MODEL_FILES, load_default_models, load_models_from_dir,
                        extract_document)
 from .synth import STYLES, generate_synthetic_document
 from .tei import export_tei
-from .training import TASKS, load_corpus, train_task
+from .training import TASKS, load_corpus, train_task, training_examples
 from .usecases import curate_dataset_links, section_citation_distribution
 
 
@@ -73,12 +73,12 @@ def cmd_extract(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load_config(args)
-    pairs = load_corpus(args.corpus)
+    examples = training_examples(load_corpus(args.corpus), cfg.chunk_params())
     tasks = TASKS if args.task == "all" else (args.task,)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for task in tasks:
-        model = train_task(task, pairs, cfg.train_config(), cfg.chunk_params())
+        model = train_task(task, examples, cfg.train_config())
         (out_dir / MODEL_FILES[task]).write_bytes(save_model(model))
         print(f"trained {task}: {len(model.unary_weights)} unary weights",
               file=sys.stderr)

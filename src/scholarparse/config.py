@@ -18,8 +18,6 @@ class PipelineConfig:
     l2_lambda: float = 1.0
     max_iterations: int = 200
     convergence_tol: float = 1e-5
-    train_fraction: float = 0.2
-    seed: int = 0
 
     def chunk_params(self) -> ChunkParams:
         return ChunkParams(gap_factor=self.gap_factor,
@@ -29,8 +27,7 @@ class PipelineConfig:
     def train_config(self) -> TrainConfig:
         return TrainConfig(l2_lambda=self.l2_lambda,
                            max_iterations=self.max_iterations,
-                           convergence_tol=self.convergence_tol,
-                           seed=self.seed)
+                           convergence_tol=self.convergence_tol)
 
 
 _BOOL_VALUES = {"true": True, "false": False, "yes": True, "no": False,

@@ -1,0 +1,59 @@
+"""The per-document view every extraction stage and training builder reads.
+
+A document is chunked and its body font sizes are estimated once, here;
+extractors and the training-set builders take the resulting context instead
+of re-deriving chunks, fonts or token positions for themselves, so decoding
+and training see the same values.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from .chunker import ChunkParams, chunk_document
+from .features import body_font_size, token_features
+from .model import Chunk, Document, Page, Token
+
+
+@dataclass(frozen=True)
+class PageContext:
+    """One page with its chunks and its own body font size."""
+
+    page: Page
+    chunks: tuple[Chunk, ...]  # the page's chunks in reading order
+    body_font: float  # body font size of this page alone
+
+
+@dataclass(frozen=True)
+class DocumentContext:
+    """What every stage reads of one document; made by build_context."""
+
+    chunks: tuple[Chunk, ...]  # all chunks in reading order
+    body_font: float  # body font size of the whole document
+    pages: tuple[PageContext, ...]  # one per page, in document order
+    positions: dict[int, int]  # id(token) -> index in the chunk token order
+    token_count: int
+
+    def token_features(self, tokens: list[Token]) -> list[tuple[str, ...]]:
+        """Title/author features of tokens taken from this context's chunks."""
+        return token_features(tokens, [self.positions[id(t)] for t in tokens],
+                              self.token_count, self.body_font)
+
+
+def build_context(doc: Document,
+                  params: ChunkParams = ChunkParams()) -> DocumentContext:
+    """Chunk ``doc`` and estimate its body fonts, once."""
+    chunks = tuple(chunk_document(doc, params))
+    positions: dict[int, int] = {}
+    by_page: dict[int, list[Chunk]] = {}
+    for chunk in chunks:
+        by_page.setdefault(chunk.page_no, []).append(chunk)
+        for tok in chunk.tokens:
+            positions[id(tok)] = len(positions)
+    pages = tuple(PageContext(page=page,
+                              chunks=tuple(by_page.get(page.number, ())),
+                              body_font=body_font_size(page))
+                  for page in doc.pages)
+    return DocumentContext(chunks=chunks, body_font=body_font_size(doc),
+                           pages=pages, positions=positions,
+                           token_count=len(positions))

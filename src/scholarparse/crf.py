@@ -56,7 +56,6 @@ class TrainConfig:
     l2_lambda: float = 1.0
     max_iterations: int = 200
     convergence_tol: float = 1e-5
-    seed: int = 0
 
     def __post_init__(self):
         if self.l2_lambda <= 0:

@@ -15,6 +15,13 @@ from .model import Chunk, Page, Token
 ARABIC_ENUM = re.compile(r"^\d+(\.\d+)*\.?$")
 ROMAN_ENUM = re.compile(r"^[IVXLCDM]+\.?$")
 ALPHA_ENUM = re.compile(r"^[A-Z]\.(\d+)?$")
+# A leading heading or list enumeration: arabic, roman or single-letter.
+# Unlike ALPHA_ENUM it does not accept "A.1".
+ENUM_PREFIX = re.compile(r"\d+(\.\d+)*\.?|[IVXLCDM]+\.?|[A-Z]\.")
+
+# Footnote and affiliation markers: superscript digits, then symbols.
+MARKER_GLYPHS = "¹²³⁴⁵⁶⁷⁸⁹⁰*†‡§"
+SUPERSCRIPT_TO_ASCII = str.maketrans(MARKER_GLYPHS[:10], "1234567890")
 
 
 def _decile(value: float) -> int:
@@ -98,6 +105,14 @@ def enumeration_kind(token_text: str) -> str:
     return "none"
 
 
+def strip_enumeration(text: str) -> str:
+    """Text without a leading enumeration word, whitespace normalized."""
+    words = text.split()
+    if words and ENUM_PREFIX.fullmatch(words[0]):
+        words = words[1:]
+    return " ".join(words)
+
+
 def _word_feature(text: str) -> str:
     return re.sub(r"\W+", "", text.lower()) or "_"
 
@@ -129,12 +144,9 @@ FOOTNOTE_TEMPLATES = (
     FeatureTemplate("ntok", "bucketed-real", "chunk length bucket"),
 )
 
-SUPERSCRIPT_GLYPHS = "¹²³⁴⁵⁶⁷⁸⁹⁰*†‡§"
-
-
-def starts_with_marker(chunk: Chunk) -> bool:
-    lead = chunk.tokens[0]
-    return lead.sup_flag or lead.text[0] in SUPERSCRIPT_GLYPHS
+def is_marker(tok: Token) -> bool:
+    """Raised by the ingest geometry test, or starting with a marker glyph."""
+    return tok.sup_flag or tok.text[0] in MARKER_GLYPHS
 
 
 def footnote_chunk_features(chunks: list[Chunk], page: Page,
@@ -149,7 +161,7 @@ def footnote_chunk_features(chunks: list[Chunk], page: Page,
             f"ypos:{_decile(y_top / max(page.height, 1.0))}",
             f"ntok:{min(5, len(chunk.tokens) // 3)}",
         ]
-        if starts_with_marker(chunk):
+        if is_marker(chunk.tokens[0]):
             feats.append("sup_lead")
         out.append(tuple(feats))
     return out

@@ -4,7 +4,10 @@ Expected schema: root DOCUMENT, PAGE @number @width @height, TEXT (one per
 visual line), TOKEN @x @y @width @height @font-size @bold @italic @font-name
 with the word as text content.  bold/italic are literal "yes"/"no".  Unknown
 elements are skipped and counted; a TOKEN missing x, y or font-size is
-skipped with a warning, never a fatal error.
+skipped with a warning, never a fatal error.  A PAGE number that is not a
+positive integer, or that repeats an earlier page's, becomes one more than
+the largest number used so far, with a warning, so that page numbers
+identify pages.
 """
 
 from __future__ import annotations
@@ -48,6 +51,13 @@ def _get_float(elem, name):
         return None
 
 
+def _page_number(raw: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        return 0
+
+
 def parse_rich_xml(data: bytes, *, dehyphenate: bool = False,
                    source_id: str = "") -> tuple[Document, IngestReport]:
     """Parse rich XML bytes into a Document plus an ingest report."""
@@ -60,11 +70,19 @@ def parse_rich_xml(data: bytes, *, dehyphenate: bool = False,
         raise RichXmlParseError(str(exc), offset) from exc
 
     pages = []
+    used: set[int] = set()
     for page_elem in root:
         if page_elem.tag != "PAGE":
             report.skipped_elements += 1
             continue
-        number = int(page_elem.get("number", str(len(pages) + 1)))
+        raw_number = page_elem.get("number", str(len(pages) + 1))
+        number = _page_number(raw_number)
+        if number < 1 or number in used:
+            number = max(used, default=0) + 1
+            report.warnings.append(
+                f"PAGE number {raw_number!r} is not a positive integer or "
+                f"repeats an earlier page; renumbered {number}")
+        used.add(number)
         width = _get_float(page_elem, "width") or 612.0
         height = _get_float(page_elem, "height") or 792.0
         lines = []

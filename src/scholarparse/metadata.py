@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import functools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
+from .context import DocumentContext
 from .crf import CrfModel, viterbi_decode
-from .features import body_font_size, token_features
-from .model import Chunk, Document, Token
+from .features import SUPERSCRIPT_TO_ASCII, is_marker
+from .model import Chunk, Token
 
 TITLE_LABEL = "TITLE"
 AUTHOR_LABEL = "AUTHOR"
@@ -27,9 +29,6 @@ department college research laboratories corporation email abstract
 """.split())
 
 NAME_TOKEN = re.compile(r"^[A-Z][A-Za-z'\-]*$")
-
-SUPERSCRIPT_TO_ASCII = str.maketrans("¹²³⁴⁵⁶⁷⁸⁹⁰", "1234567890")
-SUPERSCRIPT_MARKS = "¹²³⁴⁵⁶⁷⁸⁹⁰*†‡§"
 
 
 @dataclass(frozen=True)
@@ -80,29 +79,12 @@ def load_lexicon(name: str) -> list[str]:
     return entries
 
 
-def _doc_positions(chunks: list[Chunk]) -> dict[int, int]:
-    pos = {}
-    i = 0
-    for chunk in chunks:
-        for tok in chunk.tokens:
-            pos[id(tok)] = i
-            i += 1
-    return pos
-
-
-def extract_title(doc: Document, chunks: list[Chunk],
-                  title_model: CrfModel) -> list[Token]:
+def extract_title(ctx: DocumentContext, title_model: CrfModel) -> list[Token]:
     """Tokens the title labeler marks in the first chunk; may be empty."""
-    if not chunks:
+    if not ctx.chunks:
         return []
-    first = chunks[0]
-    positions = _doc_positions(chunks)
-    total = len(positions)
-    body_font = body_font_size(doc)
-    feats = token_features(list(first.tokens),
-                           [positions[id(t)] for t in first.tokens],
-                           total, body_font)
-    labels = viterbi_decode(title_model, feats)
+    first = ctx.chunks[0]
+    labels = viterbi_decode(title_model, ctx.token_features(list(first.tokens)))
     return [t for t, lab in zip(first.tokens, labels) if lab == TITLE_LABEL]
 
 
@@ -172,9 +154,8 @@ def _run_to_name(run: list[Token]) -> AuthorName | None:
                       last=words[-1], source_tokens=tuple(run))
 
 
-def author_candidate_window(chunks: list[Chunk], title_span,
-                            window: int = AUTHOR_WINDOW) -> list[Token]:
-    """First-chunk region plus the tokens within `window` after the title."""
+def author_candidate_window(chunks: list[Chunk], title_span) -> list[Token]:
+    """First-chunk region plus the AUTHOR_WINDOW tokens after the title."""
     if not chunks:
         return []
     stream = [t for c in chunks if c.page_no == 1 for t in c.tokens]
@@ -184,27 +165,18 @@ def author_candidate_window(chunks: list[Chunk], title_span,
         if id(tok) in title_ids:
             title_end = i + 1
     window_ids = {id(t) for t in chunks[0].tokens}
-    window_ids.update(id(t) for t in stream[title_end: title_end + window])
+    window_ids.update(id(t) for t in stream[title_end: title_end + AUTHOR_WINDOW])
     return [t for t in stream if id(t) in window_ids]
 
 
-def extract_author_names(doc: Document, chunks: list[Chunk],
-                         title_span: list[Token],
-                         author_model: CrfModel,
-                         window: int = AUTHOR_WINDOW) -> list[AuthorName]:
+def extract_author_names(ctx: DocumentContext, title_span: list[Token],
+                         author_model: CrfModel) -> list[AuthorName]:
     """Author names from the first-chunk region and the post-title window."""
-    candidates = author_candidate_window(chunks, title_span, window)
+    candidates = author_candidate_window(ctx.chunks, title_span)
     if not candidates:
         return []
     title_ids = {id(t) for t in title_span}
-
-    positions = _doc_positions(chunks)
-    total = len(positions)
-    body_font = body_font_size(doc)
-    feats = token_features(candidates,
-                           [positions[id(t)] for t in candidates],
-                           total, body_font)
-    labels = viterbi_decode(author_model, feats)
+    labels = viterbi_decode(author_model, ctx.token_features(candidates))
 
     names: list[AuthorName] = []
     run: list[Token] = []
@@ -275,23 +247,15 @@ def _expand_subdomain_group(m) -> list[EmailAddress]:
     return out
 
 
-def extract_emails(doc: Document,
-                   chunks: list[Chunk] | None = None) -> list[EmailAddress]:
+def extract_emails(ctx: DocumentContext) -> list[EmailAddress]:
     """All addresses found on page 1, de-duplicated in occurrence order.
 
-    When chunks are given, each page-1 chunk is scanned as one text so that
-    bracket groups wrapped over several lines still expand; otherwise the
-    scan is per line.
+    Each page-1 chunk is scanned as one text so that bracket groups wrapped
+    over several lines still expand.
     """
-    if not doc.pages:
-        return []
-    if chunks is not None:
-        texts = [c.text for c in chunks if c.page_no == 1]
-    else:
-        texts = [line.text for line in doc.pages[0].lines]
     seen = set()
     out = []
-    for text in texts:
+    for text in (c.text for c in ctx.chunks if c.page_no == 1):
         if "@" not in text:
             continue
         for email in expand_email_group(text):
@@ -301,22 +265,20 @@ def extract_emails(doc: Document,
     return out
 
 
-def extract_affiliations(doc: Document, chunks: list[Chunk],
-                         cues: list[str] | None = None,
-                         countries: list[str] | None = None,
-                         header_limit: int | None = None) -> list[Affiliation]:
-    """Header-region chunks on page 1 carrying an institution or country cue."""
-    if cues is None:
-        cues = load_lexicon("affiliation_cues.txt")
-    if countries is None:
-        countries = load_lexicon("countries.txt")
-    cue_set = {c.lower() for c in cues} | {c.lower() for c in countries}
+@functools.cache
+def _affiliation_cues() -> frozenset[str]:
+    """Lower-cased institution cues and country names."""
+    return frozenset(entry.lower()
+                     for name in ("affiliation_cues.txt", "countries.txt")
+                     for entry in load_lexicon(name))
 
+
+def extract_affiliations(ctx: DocumentContext) -> list[Affiliation]:
+    """Header-region chunks on page 1 carrying an institution or country cue."""
+    cue_set = _affiliation_cues()
     out = []
-    for i, chunk in enumerate(chunks):
+    for chunk in ctx.chunks:
         if chunk.page_no != 1:
-            break
-        if header_limit is not None and i >= header_limit:
             break
         words = [t.text.strip(",.;") for t in chunk.tokens]
         matched = sorted({w for w in words if w.lower() in cue_set},
@@ -326,7 +288,7 @@ def extract_affiliations(doc: Document, chunks: list[Chunk],
         marker = None
         text_tokens = chunk.tokens
         lead = chunk.tokens[0]
-        if lead.sup_flag or lead.text[0] in SUPERSCRIPT_MARKS:
+        if is_marker(lead):
             marker = lead.text.translate(SUPERSCRIPT_TO_ASCII).strip()
             if len(lead.text) == 1 or lead.sup_flag:
                 text_tokens = chunk.tokens[1:]

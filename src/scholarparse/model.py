@@ -95,15 +95,6 @@ class Chunk:
         return " ".join(t.text for t in self.tokens)
 
 
-def token_stream(doc: Document) -> list[Token]:
-    """Flatten a document in reading order: pages, then lines by y, tokens by x."""
-    out: list[Token] = []
-    for page in doc.pages:
-        for line in page.lines:
-            out.extend(line.tokens)
-    return out
-
-
 def chunk_stats(tokens) -> tuple[float, float, tuple[float, float, float, float]]:
     """Mean font size, bold fraction and tight bounding box of a token group."""
     tokens = list(tokens)

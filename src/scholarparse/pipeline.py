@@ -17,9 +17,9 @@ from pathlib import Path
 from .bibliography import (NoReferenceSectionError, extract_citations,
                            locate_reference_section,
                            map_citations_to_references, split_references)
-from .chunker import ChunkParams, chunk_document
+from .chunker import ChunkParams
+from .context import build_context
 from .crf import CrfModel, load_model
-from .features import body_font_size
 from .metadata import (extract_affiliations, extract_author_names,
                        extract_emails, extract_title, map_authors_to_emails,
                        title_fallback)
@@ -87,26 +87,26 @@ def _attach_affiliations(records, affiliations):
 def extract_document(doc: Document, models: PipelineModels,
                      params: ChunkParams = ChunkParams()) -> ExtractionResult:
     """Run the full extraction pipeline over one parsed document."""
-    chunks = chunk_document(doc, params)
+    ctx = build_context(doc, params)
+    chunks = ctx.chunks
     result = ExtractionResult(source_id=doc.source_id)
     if not chunks:
         return result
 
-    title_span = extract_title(doc, chunks, models.title)
+    title_span = extract_title(ctx, models.title)
     if not title_span:
         title_span = title_fallback(chunks)
     result.title = " ".join(t.text for t in title_span)
 
-    names = extract_author_names(doc, chunks, title_span, models.author)
-    emails = extract_emails(doc, chunks)
+    names = extract_author_names(ctx, title_span, models.author)
+    emails = extract_emails(ctx)
     records = map_authors_to_emails(names, emails)
-    _attach_affiliations(records, extract_affiliations(doc, chunks))
+    _attach_affiliations(records, extract_affiliations(ctx))
     result.authors = records
 
-    headings = label_headings(chunks, models.heading, body_font_size(doc))
+    headings = label_headings(ctx, models.heading)
     sections = map_sections(chunks, headings)
-    result.footnotes = extract_footnotes(list(doc.pages), chunks,
-                                         models.footnote)
+    result.footnotes = extract_footnotes(ctx, models.footnote)
     result.captions = extract_caption_headings(chunks)
 
     try:

@@ -5,10 +5,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from .context import DocumentContext
 from .crf import CrfModel, viterbi_decode
-from .features import (body_font_size, enumeration_kind,
-                       footnote_chunk_features, heading_chunk_features)
-from .model import Chunk, Document, Page
+from .features import (SUPERSCRIPT_TO_ASCII, enumeration_kind,
+                       footnote_chunk_features, heading_chunk_features,
+                       is_marker)
+from .model import Chunk
 
 HEADING_LABEL = "HEADING"
 FOOTNOTE_LABEL = "FOOTNOTE"
@@ -23,9 +25,6 @@ URL_PATTERN = re.compile(
     r"https?://(?:[a-zA-Z0-9]|[$-_@.&+]|[!*(),]|%[0-9a-fA-F]{2})+")
 
 ROMAN_VALUES = {"I": 1, "V": 5, "X": 10, "L": 50, "C": 100, "D": 500, "M": 1000}
-
-SUPERSCRIPT_TO_ASCII = str.maketrans("¹²³⁴⁵⁶⁷⁸⁹⁰", "1234567890")
-MARKER_GLYPHS = "¹²³⁴⁵⁶⁷⁸⁹⁰*†‡§"
 
 
 @dataclass(frozen=True)
@@ -88,18 +87,18 @@ def parse_enumeration(first_token: str):
     return "alpha", stripped, len(parts)
 
 
-def label_headings(chunks: list[Chunk], heading_model: CrfModel,
-                   body_font: float | None = None) -> list[SectionHeading]:
-    """Chunks the heading labeler marks, with parsed enumeration and level."""
-    if not chunks:
+def label_headings(ctx: DocumentContext,
+                   heading_model: CrfModel) -> list[SectionHeading]:
+    """Chunks the heading labeler marks, with parsed enumeration and level.
+
+    ``chunk_index`` counts in ``ctx.chunks``.
+    """
+    if not ctx.chunks:
         return []
-    if body_font is None:
-        sizes = sorted(c.avg_font_size for c in chunks for _ in c.tokens)
-        body_font = sizes[len(sizes) // 2]
-    feats = heading_chunk_features(chunks, body_font)
+    feats = heading_chunk_features(ctx.chunks, ctx.body_font)
     labels = viterbi_decode(heading_model, feats)
     out = []
-    for i, (chunk, lab) in enumerate(zip(chunks, labels)):
+    for i, (chunk, lab) in enumerate(zip(ctx.chunks, labels)):
         if lab != HEADING_LABEL:
             continue
         parsed = parse_enumeration(chunk.tokens[0].text)
@@ -153,22 +152,18 @@ def extract_urls(text: str) -> list[str]:
     return out
 
 
-def _page_chunks(chunks: list[Chunk], page_no: int) -> list[Chunk]:
-    return [c for c in chunks if c.page_no == page_no]
-
-
-def extract_footnotes(pages: list[Page], chunks: list[Chunk],
+def extract_footnotes(ctx: DocumentContext,
                       footnote_model: CrfModel) -> list[Footnote]:
     """Footnote-labeled chunks from the lower half of each page."""
     out = []
-    for page in pages:
-        page_chunks = _page_chunks(chunks, page.number)
-        if not page_chunks:
+    for page_ctx in ctx.pages:
+        if not page_ctx.chunks:
             continue
-        body_font = body_font_size(page)
-        feats = footnote_chunk_features(page_chunks, page, body_font)
+        page = page_ctx.page
+        feats = footnote_chunk_features(page_ctx.chunks, page,
+                                        page_ctx.body_font)
         labels = viterbi_decode(footnote_model, feats)
-        for chunk, lab in zip(page_chunks, labels):
+        for chunk, lab in zip(page_ctx.chunks, labels):
             if lab != FOOTNOTE_LABEL:
                 continue
             if chunk.bbox[1] <= page.height / 2:
@@ -177,18 +172,14 @@ def extract_footnotes(pages: list[Page], chunks: list[Chunk],
     return out
 
 
-def _is_marker(tok) -> bool:
-    return tok.sup_flag or tok.text[0] in MARKER_GLYPHS
-
-
 def _split_footnote_chunk(chunk: Chunk, page_no: int) -> list[Footnote]:
     """One Footnote per raised marker; a markerless chunk yields one note."""
     groups: list[tuple[str | None, list]] = []
     for tok in chunk.tokens:
-        if _is_marker(tok) or not groups:
+        if is_marker(tok) or not groups:
             marker = None
             body: list = []
-            if _is_marker(tok):
+            if is_marker(tok):
                 marker = tok.text.translate(SUPERSCRIPT_TO_ASCII)
             else:
                 body.append(tok)

@@ -1,8 +1,9 @@
 """Training-set construction and model fitting for the four labeling tasks.
 
-Each builder turns (Document, GroundTruth) pairs into LabeledSequence lists
-using exactly the feature code the extractors run at decode time, so a
-trained model sees the same indicator space in both directions.
+Each builder turns (DocumentContext, GroundTruth) examples into
+LabeledSequence lists using exactly the feature code the extractors run at
+decode time, so a trained model sees the same indicator space in both
+directions.
 """
 
 from __future__ import annotations
@@ -10,12 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .chunker import ChunkParams, chunk_document
+from .chunker import ChunkParams
+from .context import DocumentContext, build_context
 from .crf import CrfModel, LabeledSequence, TrainConfig, train
 from .evaluate import GroundTruth, ground_truth_from_text
 from .features import (FOOTNOTE_TEMPLATES, HEADING_TEMPLATES, TOKEN_TEMPLATES,
-                       body_font_size, footnote_chunk_features,
-                       heading_chunk_features, token_features)
+                       footnote_chunk_features, heading_chunk_features)
 from .ingest import parse_rich_xml
 from .metadata import (AUTHOR_LABEL, OTHER_LABEL, TITLE_LABEL,
                        author_candidate_window)
@@ -48,14 +49,12 @@ def load_corpus(directory) -> list[TrainingPair]:
     return pairs
 
 
-def _doc_positions(chunks: list[Chunk]) -> dict[int, int]:
-    pos = {}
-    i = 0
-    for chunk in chunks:
-        for tok in chunk.tokens:
-            pos[id(tok)] = i
-            i += 1
-    return pos
+def training_examples(pairs, params: ChunkParams = ChunkParams()
+                      ) -> list[tuple[DocumentContext, GroundTruth]]:
+    """One (context, truth) example per pair; each document is chunked once
+    and the examples serve every task."""
+    return [(build_context(pair.document, params), pair.truth)
+            for pair in pairs]
 
 
 def _gold_title_tokens(chunks: list[Chunk], truth: GroundTruth):
@@ -71,43 +70,35 @@ def _gold_title_tokens(chunks: list[Chunk], truth: GroundTruth):
     return out
 
 
-def build_title_sequences(pairs, params: ChunkParams = ChunkParams()):
+def build_title_sequences(examples):
     """One sequence per document: the tokens of the first chunk."""
     sequences = []
-    for pair in pairs:
-        chunks = chunk_document(pair.document, params)
-        if not chunks:
+    for ctx, truth in examples:
+        if not ctx.chunks:
             continue
-        first = chunks[0]
-        gold = {id(t) for t in _gold_title_tokens(chunks, pair.truth)}
-        positions = _doc_positions(chunks)
-        feats = token_features(list(first.tokens),
-                               [positions[id(t)] for t in first.tokens],
-                               len(positions), body_font_size(pair.document))
+        first = ctx.chunks[0]
+        gold = {id(t) for t in _gold_title_tokens(ctx.chunks, truth)}
+        feats = ctx.token_features(list(first.tokens))
         labels = [TITLE_LABEL if id(t) in gold else OTHER_LABEL
                   for t in first.tokens]
         sequences.append(LabeledSequence(items=list(zip(feats, labels))))
     return sequences
 
 
-def build_author_sequences(pairs, params: ChunkParams = ChunkParams()):
+def build_author_sequences(examples):
     """One sequence per document over the author candidate window."""
     sequences = []
-    for pair in pairs:
-        chunks = chunk_document(pair.document, params)
-        if not chunks:
+    for ctx, truth in examples:
+        if not ctx.chunks:
             continue
-        title_span = _gold_title_tokens(chunks, pair.truth)
-        candidates = author_candidate_window(chunks, title_span)
+        title_span = _gold_title_tokens(ctx.chunks, truth)
+        candidates = author_candidate_window(ctx.chunks, title_span)
         if not candidates:
             continue
-        name_parts = {p for first, middle, last in pair.truth.authors
+        name_parts = {p for first, middle, last in truth.authors
                       for p in (first, middle, last) if p}
         title_ids = {id(t) for t in title_span}
-        positions = _doc_positions(chunks)
-        feats = token_features(candidates,
-                               [positions[id(t)] for t in candidates],
-                               len(positions), body_font_size(pair.document))
+        feats = ctx.token_features(candidates)
         labels = [AUTHOR_LABEL
                   if tok.text.rstrip(",") in name_parts and id(tok) not in title_ids
                   else OTHER_LABEL
@@ -116,17 +107,16 @@ def build_author_sequences(pairs, params: ChunkParams = ChunkParams()):
     return sequences
 
 
-def build_heading_sequences(pairs, params: ChunkParams = ChunkParams()):
+def build_heading_sequences(examples):
     """One sequence per document over all chunks."""
     sequences = []
-    for pair in pairs:
-        chunks = chunk_document(pair.document, params)
-        if not chunks:
+    for ctx, truth in examples:
+        if not ctx.chunks:
             continue
-        gold = set(pair.truth.section_headings)
-        feats = heading_chunk_features(chunks, body_font_size(pair.document))
+        gold = set(truth.section_headings)
+        feats = heading_chunk_features(ctx.chunks, ctx.body_font)
         labels = [HEADING_LABEL if c.text in gold else OTHER_LABEL
-                  for c in chunks]
+                  for c in ctx.chunks]
         sequences.append(LabeledSequence(items=list(zip(feats, labels))))
     return sequences
 
@@ -136,22 +126,20 @@ def _strip_marker(text: str) -> str:
     return " ".join(words[1:]) if len(words) > 1 else text
 
 
-def build_footnote_sequences(pairs, params: ChunkParams = ChunkParams()):
+def build_footnote_sequences(examples):
     """One sequence per page over that page's chunks."""
     sequences = []
-    for pair in pairs:
-        chunks = chunk_document(pair.document, params)
-        gold = set(pair.truth.footnotes)
-        for page in pair.document.pages:
-            page_chunks = [c for c in chunks if c.page_no == page.number]
-            if not page_chunks:
+    for ctx, truth in examples:
+        gold = set(truth.footnotes)
+        for page_ctx in ctx.pages:
+            if not page_ctx.chunks:
                 continue
-            feats = footnote_chunk_features(page_chunks, page,
-                                            body_font_size(page))
+            feats = footnote_chunk_features(page_ctx.chunks, page_ctx.page,
+                                            page_ctx.body_font)
             labels = [FOOTNOTE_LABEL
                       if c.text in gold or _strip_marker(c.text) in gold
                       else OTHER_LABEL
-                      for c in page_chunks]
+                      for c in page_ctx.chunks]
             sequences.append(LabeledSequence(items=list(zip(feats, labels))))
     return sequences
 
@@ -164,17 +152,18 @@ _BUILDERS = {
 }
 
 
-def train_task(task: str, pairs, config: TrainConfig = TrainConfig(),
-               params: ChunkParams = ChunkParams()) -> CrfModel:
-    """Fit the CRF for one task name on (Document, GroundTruth) pairs."""
+def train_task(task: str, examples,
+               config: TrainConfig = TrainConfig()) -> CrfModel:
+    """Fit the CRF for one task name on examples from training_examples."""
     if task not in _BUILDERS:
         raise ValueError(f"unknown task {task!r}")
     builder, labels, templates = _BUILDERS[task]
-    dataset = builder(pairs, params)
+    dataset = builder(examples)
     return train(dataset, labels, templates, config, task_name=task)
 
 
 def train_all(pairs, config: TrainConfig = TrainConfig(),
               params: ChunkParams = ChunkParams()) -> dict[str, CrfModel]:
     """All four task models, keyed by task name."""
-    return {task: train_task(task, pairs, config, params) for task in TASKS}
+    examples = training_examples(pairs, params)
+    return {task: train_task(task, examples, config) for task in TASKS}

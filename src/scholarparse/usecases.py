@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from importlib import resources
 
+from .features import strip_enumeration
 from .structure import extract_urls
 from .tei import ExtractionResult
 
@@ -22,11 +22,9 @@ GENERIC_SECTIONS = (
 # of the section they appear in.
 DATASET_URL_TOKENS = ("datasets", "data", "dumps")
 
-_ENUM_PREFIX = re.compile(r"^(\d+(\.\d+)*\.?|[IVXLCDM]+\.?|[A-Z]\.)\s+")
-
 
 def _normalize_heading(text: str) -> str:
-    return _ENUM_PREFIX.sub("", text).strip().lower()
+    return strip_enumeration(text).lower()
 
 
 @dataclass

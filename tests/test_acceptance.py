@@ -28,7 +28,8 @@ from scholarparse.pipeline import PipelineModels, extract_document
 from scholarparse.structure import Section, SectionHeading
 from scholarparse.synth import STYLES, generate_synthetic_document
 from scholarparse.tei import ExtractionResult, export_tei
-from scholarparse.training import TrainingPair, train_all
+from scholarparse.training import (TrainingPair, train_all, train_task,
+                                   training_examples)
 from scholarparse.usecases import curate_dataset_links
 
 CORPUS_SIZE = 100
@@ -298,11 +299,10 @@ class TestCriterion10Determinism:
 
     def test_training_bytes(self, corpus, split):
         train_ids, _ = split
-        pairs = [corpus[i] for i in train_ids[:4]]
+        examples = training_examples([corpus[i] for i in train_ids[:4]])
         cfg = TrainConfig(max_iterations=5)
-        from scholarparse.training import train_task
-        a = save_model(train_task("title", pairs, cfg))
-        b = save_model(train_task("title", pairs, cfg))
+        a = save_model(train_task("title", examples, cfg))
+        b = save_model(train_task("title", examples, cfg))
         assert a == b
 
     def test_extraction_bytes(self, corpus, models):

@@ -4,8 +4,7 @@ from collections import Counter
 
 import pytest
 
-from scholarparse.chunker import (ChunkParams, EmptyDocumentError,
-                                  chunk_document, chunk_page, first_chunk)
+from scholarparse.chunker import ChunkParams, chunk_document, chunk_page
 from scholarparse.model import Document, Line, Page, Token
 
 
@@ -103,15 +102,6 @@ class TestDocumentLevel:
             page([line(["two"], 100, page_no=2)], number=2)))
         chunks = chunk_document(doc)
         assert [(c.text, c.page_no) for c in chunks] == [("one", 1), ("two", 2)]
-
-    def test_first_chunk_skips_empty_pages(self):
-        doc = Document(source_id="d", pages=(
-            page([], number=1), page([line(["x"], 100, page_no=2)], number=2)))
-        assert first_chunk(doc).text == "x"
-
-    def test_empty_document_raises(self):
-        with pytest.raises(EmptyDocumentError, match="no content"):
-            first_chunk(Document(source_id="d", pages=()))
 
     def test_empty_page_yields_no_chunks(self):
         assert chunk_page(page([])) == []

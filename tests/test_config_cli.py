@@ -12,15 +12,16 @@ class TestConfig:
     def test_defaults(self):
         cfg = PipelineConfig()
         assert cfg.gap_factor == 1.5
-        assert cfg.train_fraction == 0.2
+        assert cfg.max_iterations == 200
 
     def test_parse_values(self):
         cfg = parse_config("gap_factor = 2.0\nmax_iterations=10\n"
-                           "boldness_break = no\n# comment\n\nseed=5\n")
+                           "boldness_break = no\n# comment\n\n"
+                           "convergence_tol=1e-4\n")
         assert cfg.gap_factor == 2.0
         assert cfg.max_iterations == 10
         assert cfg.boldness_break is False
-        assert cfg.seed == 5
+        assert cfg.convergence_tol == 1e-4
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown key"):

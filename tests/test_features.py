@@ -2,8 +2,8 @@
 
 from scholarparse.features import (_case, _decile, _size_bucket, body_font_size,
                                    enumeration_kind, footnote_chunk_features,
-                                   heading_chunk_features, starts_with_marker,
-                                   token_features)
+                                   heading_chunk_features, is_marker,
+                                   strip_enumeration, token_features)
 from scholarparse.model import Document, Line, Page, Token, make_chunk
 
 
@@ -52,6 +52,14 @@ class TestEnumerationKind:
         for text in ("Introduction", "a.", "1a", "-"):
             assert enumeration_kind(text) == "none"
 
+    def test_strip_enumeration(self):
+        assert strip_enumeration("3.1 Related  Work") == "Related Work"
+        assert strip_enumeration("IV. Results") == "Results"
+        assert strip_enumeration("B. Datasets") == "Datasets"
+        # a heading enumeration, unlike enumeration_kind, excludes "A.1"
+        assert strip_enumeration("A.1 Proofs") == "A.1 Proofs"
+        assert strip_enumeration("1a Intro") == "1a Intro"
+
 
 class TestTokenFeatures:
     def test_expected_indicators(self):
@@ -91,8 +99,9 @@ class TestChunkFeatures:
         assert "ypos:9" in feats
 
     def test_starts_with_marker_glyph(self):
-        assert starts_with_marker(make_chunk([tok("*note")]))
-        assert not starts_with_marker(make_chunk([tok("note")]))
+        assert is_marker(tok("*note"))
+        assert is_marker(tok("²note"))
+        assert not is_marker(tok("note"))
 
 
 class TestBodyFont:

@@ -64,6 +64,33 @@ class TestParse:
         assert doc.pages[0].lines[0].text == "first second"
 
 
+def pages_numbered(*numbers: bytes) -> bytes:
+    pages = b"".join(
+        b'<PAGE number="' + n + b'" width="612" height="792"><TEXT>'
+        b'<TOKEN x="0" y="50" width="5" height="10" font-size="10">w</TOKEN>'
+        b"</TEXT></PAGE>" for n in numbers)
+    return b"<DOCUMENT>" + pages + b"</DOCUMENT>"
+
+
+class TestPageNumbers:
+    @pytest.mark.parametrize("bad", [b"x", b"0", b"-3", b""])
+    def test_invalid_number_renumbered_with_warning(self, bad):
+        doc, report = parse_rich_xml(pages_numbered(b"1", bad, b"3"))
+        assert [p.number for p in doc.pages] == [1, 2, 3]
+        assert [t.page_no for p in doc.pages for t in p.tokens()] == [1, 2, 3]
+        assert len(report.warnings) == 1
+
+    def test_repeated_numbers_made_unique(self):
+        doc, report = parse_rich_xml(pages_numbered(b"2", b"2", b"2"))
+        assert [p.number for p in doc.pages] == [2, 3, 4]
+        assert len(report.warnings) == 2
+
+    def test_valid_numbers_kept_silently(self):
+        doc, report = parse_rich_xml(pages_numbered(b"3", b"1", b"2"))
+        assert [p.number for p in doc.pages] == [3, 1, 2]
+        assert report.warnings == []
+
+
 class TestSuperscript:
     def _line(self):
         # Body token at baseline 100; a 6pt marker raised 3pt above it.

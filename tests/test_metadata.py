@@ -1,5 +1,6 @@
 """Unit tests for metadata extraction helpers."""
 
+from scholarparse.context import build_context
 from scholarparse.metadata import (Affiliation, AuthorName, EmailAddress,
                                    _run_to_name, _split_runs,
                                    expand_email_group, extract_affiliations,
@@ -46,7 +47,8 @@ class TestEmailPatterns:
                  Line(tokens=(tok("a@x.org", 0, bold=False),), baseline_y=113.0))
         doc = Document(source_id="d", pages=(
             Page(number=1, width=612, height=792, lines=lines),))
-        assert [e.address for e in extract_emails(doc)] == ["a@x.org"]
+        assert [e.address for e in extract_emails(build_context(doc))] == [
+            "a@x.org"]
 
 
 class TestRunSplitting:
@@ -147,20 +149,30 @@ class TestAuthorEmailMapping:
         assert records[1].email is None
 
 
+def context_of(*lines):
+    """Context of a one-page document, one Line per token list."""
+    page = Page(number=1, width=612, height=792, lines=tuple(
+        Line(tokens=tuple(toks), baseline_y=toks[0].baseline_y)
+        for toks in lines))
+    return build_context(Document(source_id="d", pages=(page,)))
+
+
 class TestAffiliations:
-    def _chunks(self):
+    def _context(self):
         inst = [tok("Indian", 0, bold=False, size=10.0),
                 tok("Institute", 40, bold=False, size=10.0),
                 tok("of", 95, bold=False, size=10.0),
                 tok("Technology,", 110, bold=False, size=10.0),
                 tok("India", 175, bold=False, size=10.0)]
-        other = [tok("random", 0, bold=False, size=10.0),
-                 tok("text", 40, bold=False, size=10.0)]
-        return [make_chunk(inst), make_chunk(other)]
+        # bold, so the chunker starts a second chunk here
+        other = [tok("random", 0, baseline=113.0, size=10.0),
+                 tok("text", 40, baseline=113.0, size=10.0)]
+        ctx = context_of(inst, other)
+        assert len(ctx.chunks) == 2
+        return ctx
 
     def test_cue_and_country_match(self):
-        doc = Document(source_id="d", pages=())
-        out = extract_affiliations(doc, self._chunks())
+        out = extract_affiliations(self._context())
         assert len(out) == 1
         assert "Institute" in out[0].matched_cues
         assert "India" in out[0].matched_cues
@@ -171,8 +183,7 @@ class TestAffiliations:
                   tok("State", 60, bold=False, size=10.0),
                   tok("College,", 95, bold=False, size=10.0),
                   tok("USA", 140, bold=False, size=10.0)]
-        doc = Document(source_id="d", pages=())
-        out = extract_affiliations(doc, [make_chunk(marked)])
+        out = extract_affiliations(context_of(marked))
         assert out[0].marker == "1"
         assert out[0].text.startswith("Mountain")
 

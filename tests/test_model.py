@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scholarparse.model import (Chunk, Document, EmptyChunkError, Line, Page,
-                                Token, chunk_stats, make_chunk, token_stream)
+from scholarparse.model import (Chunk, EmptyChunkError, Line, Token,
+                                chunk_stats, make_chunk)
 
 
 def tok(text="w", x=0.0, y=0.0, w=10.0, h=10.0, size=10.0, **kw):
@@ -71,14 +71,3 @@ class TestMakeChunk:
         chunk = make_chunk([tok("hello"), tok("world", x=40.0)])
         assert chunk.text == "hello world"
         assert chunk.page_no == 1
-
-
-class TestTokenStream:
-    def test_reading_order(self):
-        p1 = Page(number=1, width=100, height=100, lines=(
-            Line(tokens=(tok("a"),), baseline_y=10.0),
-            Line(tokens=(tok("b"),), baseline_y=20.0)))
-        p2 = Page(number=2, width=100, height=100, lines=(
-            Line(tokens=(tok("c", page_no=2),), baseline_y=10.0),))
-        doc = Document(source_id="d", pages=(p1, p2))
-        assert [t.text for t in token_stream(doc)] == ["a", "b", "c"]

@@ -1,5 +1,7 @@
 """Integration tests for the end-to-end pipeline with the bundled models."""
 
+import re
+
 import pytest
 
 from scholarparse.chunker import chunk_document
@@ -83,6 +85,15 @@ class TestExtraction:
         from scholarparse.tei import export_tei
         assert export_tei(extract_document(doc, models)) == export_tei(
             extract_document(doc, models))
+
+    def test_repeated_page_numbers_keep_footnotes_once(self, models):
+        xml, _ = generate_synthetic_document("two-col-indexed", 4242)
+        renumbered = re.sub(rb'<PAGE number="\d+"', b'<PAGE number="2"', xml)
+        notes = [(f.marker, f.text) for f in extract_document(
+            parse_rich_xml(xml)[0], models).footnotes]
+        again = [(f.marker, f.text) for f in extract_document(
+            parse_rich_xml(renumbered)[0], models).footnotes]
+        assert notes and again == notes
 
     def test_empty_document(self, models):
         from scholarparse.model import Document

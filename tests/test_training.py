@@ -11,7 +11,7 @@ from scholarparse.training import (TASKS, TrainingPair,
                                    build_footnote_sequences,
                                    build_heading_sequences,
                                    build_title_sequences, load_corpus,
-                                   train_task)
+                                   train_task, training_examples)
 
 
 @pytest.fixture(scope="module")
@@ -24,46 +24,51 @@ def pairs():
     return out
 
 
+@pytest.fixture(scope="module")
+def examples(pairs):
+    return training_examples(pairs)
+
+
 class TestBuilders:
-    def test_title_sequences_label_title_tokens(self, pairs):
-        seqs = build_title_sequences(pairs)
+    def test_title_sequences_label_title_tokens(self, pairs, examples):
+        seqs = build_title_sequences(examples)
         assert len(seqs) == len(pairs)
         for seq, pair in zip(seqs, pairs):
             titled = [lab for _, lab in seq.items if lab == "TITLE"]
             assert len(titled) == len(pair.truth.title.split())
 
-    def test_author_sequences_cover_name_parts(self, pairs):
-        seqs = build_author_sequences(pairs)
+    def test_author_sequences_cover_name_parts(self, pairs, examples):
+        seqs = build_author_sequences(examples)
         for seq, pair in zip(seqs, pairs):
             n_parts = sum(1 for a in pair.truth.authors for p in a if p)
             labeled = sum(1 for _, lab in seq.items if lab == "AUTHOR")
             assert labeled == n_parts
 
-    def test_heading_sequences_match_gold_count(self, pairs):
-        seqs = build_heading_sequences(pairs)
+    def test_heading_sequences_match_gold_count(self, pairs, examples):
+        seqs = build_heading_sequences(examples)
         for seq, pair in zip(seqs, pairs):
             labeled = sum(1 for _, lab in seq.items if lab == "HEADING")
             assert labeled == len(pair.truth.section_headings)
 
-    def test_footnote_sequences_match_gold_count(self, pairs):
-        for pair in pairs:
-            seqs = build_footnote_sequences([pair])
+    def test_footnote_sequences_match_gold_count(self, examples):
+        for example in examples:
+            seqs = build_footnote_sequences([example])
             labeled = sum(1 for seq in seqs for _, lab in seq.items
                           if lab == "FOOTNOTE")
-            assert labeled == len(pair.truth.footnotes)
+            assert labeled == len(example[1].footnotes)
 
 
 class TestTrainTask:
-    def test_trained_title_model_decodes_training_doc(self, pairs):
-        model = train_task("title", pairs, TrainConfig(max_iterations=25))
+    def test_trained_title_model_decodes_training_doc(self, examples):
+        model = train_task("title", examples, TrainConfig(max_iterations=25))
         assert model.task_name == "title"
-        seq = build_title_sequences(pairs)[0]
+        seq = build_title_sequences(examples)[0]
         decoded = viterbi_decode(model, seq.features())
         assert decoded == seq.labels()
 
-    def test_unknown_task_rejected(self, pairs):
+    def test_unknown_task_rejected(self, examples):
         with pytest.raises(ValueError):
-            train_task("paragraph", pairs)
+            train_task("paragraph", examples)
 
     def test_task_list(self):
         assert TASKS == ("title", "author", "heading", "footnote")
