@@ -13,6 +13,8 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
+import numpy as np
+
 from .config import PipelineConfig, load_config
 from .crf import save_model
 from .evaluate import (aggregate, evaluate_extraction, ground_truth_to_text,
@@ -45,9 +47,14 @@ def _extract_one(path: Path, models, cfg: PipelineConfig):
     return extract_document(doc, models, cfg.chunk_params())
 
 
-def _extract_to_tei(task) -> tuple[str, str]:
+def _extract_to_tei(task) -> tuple[str | None, str | None]:
+    """(TEI, None) for one input, or (None, message) when it failed, so one
+    bad input loses no other."""
     path, models, cfg = task
-    return path.stem, export_tei(_extract_one(path, models, cfg))
+    try:
+        return export_tei(_extract_one(path, models, cfg)), None
+    except Exception as exc:  # noqa: BLE001 - reported per input
+        return None, str(exc)
 
 
 def cmd_extract(args) -> int:
@@ -63,12 +70,16 @@ def cmd_extract(args) -> int:
             outputs = list(pool.map(_extract_to_tei, tasks))
     else:
         outputs = [_extract_to_tei(t) for t in tasks]
-    for stem, tei in outputs:
-        if out_dir:
-            (out_dir / (stem + ".tei.xml")).write_text(tei, "utf-8")
+    failed = False
+    for path, (tei, error) in zip(inputs, outputs):
+        if error is not None:
+            print(f"error: {path}: {error}", file=sys.stderr)
+            failed = True
+        elif out_dir:
+            (out_dir / (path.stem + ".tei.xml")).write_text(tei, "utf-8")
         else:
             sys.stdout.write(tei)
-    return 0
+    return 1 if failed else 0
 
 
 def cmd_train(args) -> int:
@@ -80,7 +91,7 @@ def cmd_train(args) -> int:
     for task in tasks:
         model = train_task(task, examples, cfg.train_config())
         (out_dir / MODEL_FILES[task]).write_bytes(save_model(model))
-        print(f"trained {task}: {len(model.unary_weights)} unary weights",
+        print(f"trained {task}: {np.count_nonzero(model.unary)} unary weights",
               file=sys.stderr)
     return 0
 

@@ -34,6 +34,11 @@ class DocumentContext:
     positions: dict[int, int]  # id(token) -> index in the chunk token order
     token_count: int
 
+    @property
+    def first_page_chunks(self) -> tuple[Chunk, ...]:
+        """Chunks of the document's first page, whatever its number."""
+        return self.pages[0].chunks if self.pages else ()
+
     def token_features(self, tokens: list[Token]) -> list[tuple[str, ...]]:
         """Title/author features of tokens taken from this context's chunks."""
         return token_features(tokens, [self.positions[id(t)] for t in tokens],

@@ -1,19 +1,21 @@
 """Linear-chain CRF: scoring, Viterbi decoding, training, serialization.
 
 The model is linear in indicator features: each position of a sequence
-carries a set of active feature ids, and a path is scored by summing unary
+carries a set of active features, and a path is scored by summing unary
 (feature, label) weights plus (label, label) transition weights over
 adjacent pairs.  Training maximizes the L2-regularized conditional
-log-likelihood by batch gradient ascent with backtracking line search;
-forward-backward runs in log space throughout.
+log-likelihood of the flat vector ``[unary.ravel(), transitions.ravel()]``
+by batch gradient ascent with backtracking line search; forward-backward
+runs in log space throughout.  Every sum adds its terms in one fixed order
+(by sequence, position, then feature), so trained models are byte-stable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
-from scipy.special import logsumexp
 
 MODEL_MAGIC = "OCRPP-CRF"
 MODEL_VERSION = 1
@@ -62,13 +64,35 @@ class TrainConfig:
             raise ValueError("l2_lambda must be positive")
 
 
-@dataclass
+@dataclass(eq=False)
 class CrfModel:
+    """``unary[i, j]`` weighs feature ``features[i]`` under ``labels[j]``;
+    ``transitions[a, b]`` weighs label a followed by label b."""
+
     labels: tuple[str, ...]
-    unary_weights: dict[tuple[str, str], float]
-    transition_weights: dict[tuple[str, str], float]
+    features: tuple[str, ...]
+    unary: np.ndarray
+    transitions: np.ndarray
     templates: tuple[FeatureTemplate, ...] = ()
     task_name: str = ""
+    feature_rows: dict[str, int] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.feature_rows = {f: i for i, f in enumerate(self.features)}
+
+    @classmethod
+    def from_weights(cls, labels, unary_weights, transition_weights,
+                     templates=(), task_name: str = "") -> CrfModel:
+        """Model from {(feature, label): w} and {(label, label): w} dicts."""
+        labels = tuple(labels)
+        features = tuple(sorted({f for f, _ in unary_weights}))
+        model = cls(labels, features, np.zeros((len(features), len(labels))),
+                    np.zeros((len(labels),) * 2), tuple(templates), task_name)
+        for (f, label), w in unary_weights.items():
+            model.unary[model.feature_rows[f], model.label_index(label)] = w
+        for (a, b), w in transition_weights.items():
+            model.transitions[model.label_index(a), model.label_index(b)] = w
+        return model
 
     def label_index(self, label: str) -> int:
         try:
@@ -77,47 +101,61 @@ class CrfModel:
             raise CrfError(f"unknown label {label!r}") from None
 
 
+def _occurrences(model: CrfModel, sequence_features):
+    """Positions and unary rows of the active features the model knows, in
+    sequence order; unknown features weigh nothing and are left out."""
+    positions, rows = [], []
+    get = model.feature_rows.get
+    for t, feats in enumerate(sequence_features):
+        for row in map(get, feats):
+            if row is not None:
+                positions.append(t)
+                rows.append(row)
+    return np.array(positions, dtype=np.intp), np.array(rows, dtype=np.intp)
+
+
+def _emissions(unary, positions, rows, n: int) -> np.ndarray:
+    """Per-position label scores, each position's rows added in order."""
+    L = unary.shape[1]
+    em = np.zeros(n * L)
+    np.add.at(em, positions[:, None] * L + np.arange(L), unary[rows])
+    return em.reshape(n, L)
+
+
+def _path_score(unary, transitions, positions, rows, gold) -> float:
+    """Unary then transition terms, summed left to right from 0.0."""
+    terms = np.concatenate(([0.0], unary[rows, gold[positions]],
+                            transitions[gold[:-1], gold[1:]]))
+    return float(np.cumsum(terms)[-1])
+
+
+def _logsumexp(a: np.ndarray, axis: int):
+    """log(sum(exp(a))) along an axis as scipy.special.logsumexp computes it:
+    log1p(s / m) + log(m) + max, the m maximal entries left out of s."""
+    a_max = np.maximum.reduce(a, axis=axis, keepdims=True)
+    is_max = a == a_max
+    m = np.add.reduce(is_max, axis=axis, dtype=float, keepdims=True)
+    s = np.add.reduce(np.exp(np.where(is_max, -np.inf, a) - a_max), axis=axis,
+                      keepdims=True)
+    return np.squeeze(np.log1p(s / m) + np.log(m) + a_max, axis=axis)[()]
+
+
 def score(model: CrfModel, sequence_features, label_path) -> float:
     """Score one label path: unary terms plus adjacent transition terms."""
     if len(sequence_features) != len(label_path):
         raise CrfError("path length must match sequence length")
-    for label in label_path:
-        model.label_index(label)
-    total = 0.0
-    for feats, label in zip(sequence_features, label_path):
-        for f in feats:
-            total += model.unary_weights.get((f, label), 0.0)
-    for a, b in zip(label_path, label_path[1:]):
-        total += model.transition_weights.get((a, b), 0.0)
-    return total
-
-
-def _emissions(model: CrfModel, sequence_features) -> np.ndarray:
-    n, L = len(sequence_features), len(model.labels)
-    em = np.zeros((n, L))
-    for t, feats in enumerate(sequence_features):
-        for f in feats:
-            for j, label in enumerate(model.labels):
-                w = model.unary_weights.get((f, label))
-                if w:
-                    em[t, j] += w
-    return em
-
-
-def _transition_matrix(model: CrfModel) -> np.ndarray:
-    L = len(model.labels)
-    T = np.zeros((L, L))
-    for (a, b), w in model.transition_weights.items():
-        T[model.label_index(a), model.label_index(b)] = w
-    return T
+    gold = np.array([*map(model.label_index, label_path)], dtype=np.intp)
+    return _path_score(model.unary, model.transitions,
+                       *_occurrences(model, sequence_features), gold)
 
 
 def viterbi_decode(model: CrfModel, sequence_features) -> list[str]:
     """Argmax label path; ties prefer the earlier label at each backtrack step."""
     if not sequence_features:
         raise CrfError("empty sequence")
-    em = _emissions(model, sequence_features)
-    T = _transition_matrix(model)
+    em = _emissions(model.unary, *_occurrences(model, sequence_features),
+                    len(sequence_features))
+    T = model.transitions
     n, L = em.shape
     delta = np.empty((n, L))
     back = np.zeros((n, L), dtype=int)
@@ -133,166 +171,129 @@ def viterbi_decode(model: CrfModel, sequence_features) -> list[str]:
     return [model.labels[i] for i in path]
 
 
-def forward_backward(model: CrfModel, sequence_features):
-    """Log partition, per-position marginals, and pairwise marginals."""
-    em = _emissions(model, sequence_features)
-    T = _transition_matrix(model)
-    n, L = em.shape
-    log_alpha = np.empty((n, L))
-    log_beta = np.empty((n, L))
+def _forward(em: np.ndarray, T: np.ndarray):
+    """Log forward scores per position, and the log partition."""
+    log_alpha = np.empty_like(em)
     log_alpha[0] = em[0]
-    for t in range(1, n):
-        log_alpha[t] = em[t] + logsumexp(log_alpha[t - 1][:, None] + T, axis=0)
-    log_beta[-1] = 0.0
-    for t in range(n - 2, -1, -1):
-        log_beta[t] = logsumexp(T + (em[t + 1] + log_beta[t + 1])[None, :], axis=1)
-    log_z = logsumexp(log_alpha[-1])
-    if not np.isfinite(log_z):
-        raise CrfNumericError("numeric overflow")
+    for t in range(1, len(em)):
+        log_alpha[t] = em[t] + _logsumexp(log_alpha[t - 1][:, None] + T, axis=0)
+    return log_alpha, _logsumexp(log_alpha[-1], axis=0)
+
+
+def _forward_backward(em: np.ndarray, T: np.ndarray):
+    log_alpha, log_z = _forward(em, T)
+    log_beta = np.zeros_like(em)
+    for t in range(len(em) - 2, -1, -1):
+        log_beta[t] = _logsumexp(T + (em[t + 1] + log_beta[t + 1])[None, :],
+                                 axis=1)
     marginals = np.exp(log_alpha + log_beta - log_z)
-    pairwise = np.zeros((max(n - 1, 0), L, L))
-    for t in range(n - 1):
-        lp = (log_alpha[t][:, None] + T
-              + (em[t + 1] + log_beta[t + 1])[None, :] - log_z)
-        pairwise[t] = np.exp(lp)
-    if not (np.isfinite(marginals).all() and np.isfinite(pairwise).all()):
+    pairwise = np.exp(log_alpha[:-1, :, None] + T
+                      + (em[1:] + log_beta[1:])[:, None, :] - log_z)
+    if not (np.isfinite(log_z) and np.isfinite(marginals).all()
+            and np.isfinite(pairwise).all()):
         raise CrfNumericError("numeric overflow")
     return log_z, marginals, pairwise
 
 
-def _feature_universe(model: CrfModel, dataset) -> list[str]:
-    feats = {f for (f, _) in model.unary_weights}
-    for seq in dataset:
-        for fv, _ in seq.items:
-            feats.update(fv)
-    return sorted(feats)
+def forward_backward(model: CrfModel, sequence_features):
+    """Log partition, per-position marginals, and pairwise marginals."""
+    em = _emissions(model.unary, *_occurrences(model, sequence_features),
+                    len(sequence_features))
+    return _forward_backward(em, model.transitions)
 
 
-def pack_weights(model: CrfModel, features) -> np.ndarray:
-    """Flatten weights into [unary (f x label), transitions (L x L)] order."""
-    L = len(model.labels)
-    vec = np.zeros(len(features) * L + L * L)
-    for i, f in enumerate(features):
-        for j, label in enumerate(model.labels):
-            vec[i * L + j] = model.unary_weights.get((f, label), 0.0)
-    base = len(features) * L
-    for a_i, a in enumerate(model.labels):
-        for b_i, b in enumerate(model.labels):
-            vec[base + a_i * L + b_i] = model.transition_weights.get((a, b), 0.0)
-    return vec
+class CompiledDataset(NamedTuple):
+    """Training sequences as arrays over one model's rows and labels."""
+
+    n_labels: int
+    # Per sequence: feature positions and rows, gold labels, and the flat
+    # gradient index of each count in the order it is added: per feature its
+    # gold label, then every label; per transition its pair; then all pairs.
+    sequences: tuple[tuple[np.ndarray, ...], ...]
 
 
-def unpack_weights(model: CrfModel, features, vec: np.ndarray) -> CrfModel:
-    """Inverse of pack_weights; returns a new model with the given weights."""
-    L = len(model.labels)
-    unary = {}
-    for i, f in enumerate(features):
-        for j, label in enumerate(model.labels):
-            w = float(vec[i * L + j])
-            if w != 0.0:
-                unary[(f, label)] = w
-    base = len(features) * L
-    trans = {}
-    for a_i, a in enumerate(model.labels):
-        for b_i, b in enumerate(model.labels):
-            w = float(vec[base + a_i * L + b_i])
-            if w != 0.0:
-                trans[(a, b)] = w
-    return CrfModel(labels=model.labels, unary_weights=unary,
-                    transition_weights=trans, templates=model.templates,
-                    task_name=model.task_name)
-
-
-def log_likelihood_and_gradient(model: CrfModel, dataset, l2_lambda: float):
-    """L2-regularized conditional log-likelihood and its gradient.
-
-    The gradient is laid out as pack_weights over the union of model and
-    dataset features (sorted) followed by the L x L transition block.
-    """
+def compile_dataset(model: CrfModel, dataset) -> CompiledDataset:
+    """Resolve every feature and label of a dataset against a model once."""
     if not dataset:
         raise CrfError("empty dataset")
-    features = _feature_universe(model, dataset)
-    feat_idx = {f: i for i, f in enumerate(features)}
-    L = len(model.labels)
-    w = pack_weights(model, features)
-    grad = np.zeros_like(w)
-    ll = 0.0
-    base = len(features) * L
+    L, base = len(model.labels), model.unary.size
+    sequences = []
     for seq in dataset:
-        fv = seq.features()
-        path = seq.labels()
-        ll += score(model, fv, path)
-        log_z, marginals, pairwise = forward_backward(model, fv)
+        positions, rows = _occurrences(model, seq.features())
+        gold = np.array([*map(model.label_index, seq.labels())],
+                        dtype=np.intp)
+        per_feature = np.column_stack(
+            (rows * L + gold[positions], rows[:, None] * L + np.arange(L)))
+        sequences.append((positions, rows, gold, np.concatenate(
+            (per_feature.ravel(), base + gold[:-1] * L + gold[1:],
+             base + np.arange(L * L)))))
+    return CompiledDataset(L, tuple(sequences))
+
+
+def _split(weights: np.ndarray, L: int):
+    """The unary and transition blocks of a flat weight vector, as views."""
+    return weights[:-L * L].reshape(-1, L), weights[-L * L:].reshape(L, L)
+
+
+def _objective(weights, data: CompiledDataset, penalty: float,
+               grad=None) -> float:
+    """Gold path scores minus log partitions minus the L2 penalty; given
+    ``grad``, also adds observed minus expected counts into it."""
+    unary, T = _split(weights, data.n_labels)
+    ll = 0.0
+    for positions, rows, gold, counts in data.sequences:
+        em = _emissions(unary, positions, rows, len(gold))
+        ll += _path_score(unary, T, positions, rows, gold)
+        if grad is None:
+            ll -= _forward(em, T)[1]
+            continue
+        log_z, marginals, pairwise = _forward_backward(em, T)
         ll -= log_z
-        for t, (feats, label) in enumerate(seq.items):
-            j_gold = model.label_index(label)
-            for f in feats:
-                i = feat_idx[f]
-                grad[i * L + j_gold] += 1.0
-                grad[i * L: i * L + L] -= marginals[t]
-        for t in range(len(path) - 1):
-            a = model.label_index(path[t])
-            b = model.label_index(path[t + 1])
-            grad[base + a * L + b] += 1.0
-        if len(path) > 1:
-            grad[base:] -= pairwise.sum(axis=0).ravel()
-    ll -= 0.5 * l2_lambda * float(w @ w)
-    grad -= l2_lambda * w
-    if not np.isfinite(ll):
-        raise CrfNumericError("numeric overflow")
-    return ll, grad
-
-
-def log_likelihood(model: CrfModel, dataset, l2_lambda: float) -> float:
-    """Objective value only; cheaper than the gradient (no backward pass)."""
-    if not dataset:
-        raise CrfError("empty dataset")
-    ll = 0.0
-    T = _transition_matrix(model)
-    for seq in dataset:
-        fv = seq.features()
-        ll += score(model, fv, seq.labels())
-        em = _emissions(model, fv)
-        log_alpha = em[0]
-        for t in range(1, len(fv)):
-            log_alpha = em[t] + logsumexp(log_alpha[:, None] + T, axis=0)
-        ll -= float(logsumexp(log_alpha))
-    norm2 = (sum(w * w for w in model.unary_weights.values())
-             + sum(w * w for w in model.transition_weights.values()))
-    ll -= 0.5 * l2_lambda * norm2
+        per_feature = np.column_stack((np.ones(len(rows)),
+                                       -marginals[positions]))
+        np.add.at(grad, counts, np.concatenate(
+            (per_feature.ravel(), np.ones(len(gold) - 1),
+             -pairwise.sum(axis=0).ravel())))
+    ll -= penalty
     if not np.isfinite(ll):
         raise CrfNumericError("numeric overflow")
     return ll
 
 
+def log_likelihood_and_gradient(weights: np.ndarray, data: CompiledDataset,
+                                l2_lambda: float):
+    """L2-regularized conditional log-likelihood and its gradient."""
+    grad = np.zeros_like(weights)
+    penalty = 0.5 * l2_lambda * float(weights @ weights)
+    ll = _objective(weights, data, penalty, grad)
+    grad -= l2_lambda * weights
+    return ll, grad
+
+
+def log_likelihood(weights: np.ndarray, data: CompiledDataset,
+                   l2_lambda: float) -> float:
+    """Objective value only; cheaper than the gradient (no backward pass)."""
+    squares = (weights * weights).tolist()
+    n_unary = len(squares) - data.n_labels ** 2
+    norm2 = sum(squares[:n_unary]) + sum(squares[n_unary:])
+    return _objective(weights, data, 0.5 * l2_lambda * norm2)
+
+
 def train(dataset, labels, templates, config: TrainConfig = TrainConfig(),
           task_name: str = "") -> CrfModel:
     """Batch gradient ascent from zero weights with backtracking line search."""
-    if not dataset:
-        raise CrfError("empty dataset")
     labels = tuple(labels)
-    observed = {label for seq in dataset for label in seq.labels()}
-    missing = observed - set(labels)
-    if missing:
-        raise CrfError(f"labels outside label set: {sorted(missing)}")
-
-    model = CrfModel(labels=labels, unary_weights={}, transition_weights={},
-                     templates=tuple(templates), task_name=task_name)
-    features = _feature_universe(model, dataset)
-    w = np.zeros(len(features) * len(labels) + len(labels) ** 2)
-
-    def objective(vec):
-        return log_likelihood_and_gradient(
-            unpack_weights(model, features, vec), dataset, config.l2_lambda)
-
-    def value(vec):
-        return log_likelihood(unpack_weights(model, features, vec),
-                              dataset, config.l2_lambda)
+    features = tuple(sorted({f for seq in dataset for feats in seq.features()
+                             for f in feats}))
+    w = np.zeros((len(features) + len(labels)) * len(labels))
+    model = CrfModel(labels, features, *_split(w, len(labels)),
+                     tuple(templates), task_name)
+    data = compile_dataset(model, dataset)
 
     step = 1.0
     prev_ll = None
     for _ in range(config.max_iterations):
-        ll, grad = objective(w)
+        ll, grad = log_likelihood_and_gradient(w, data, config.l2_lambda)
         if prev_ll is not None and abs(ll - prev_ll) < config.convergence_tol:
             break
         prev_ll = ll
@@ -303,7 +304,7 @@ def train(dataset, labels, templates, config: TrainConfig = TrainConfig(),
         accepted = False
         while s > 1e-12:
             trial = w + s * grad
-            trial_ll = value(trial)
+            trial_ll = log_likelihood(trial, data, config.l2_lambda)
             if trial_ll > ll + 1e-4 * s * gnorm2:
                 w = trial
                 step = s * 2.0
@@ -312,19 +313,25 @@ def train(dataset, labels, templates, config: TrainConfig = TrainConfig(),
             s *= 0.5
         if not accepted:
             break
-    return unpack_weights(model, features, w)
+    model.unary, model.transitions = _split(w, len(labels))
+    return model
 
 
 def save_model(model: CrfModel) -> bytes:
-    """Serialize to a versioned, deterministic key-value text format."""
+    """Serialize to a versioned, deterministic key-value text format: records
+    sorted by name, zero weights left out."""
     lines = [f"{MODEL_MAGIC} {MODEL_VERSION}", f"task\t{model.task_name}",
              "labels\t" + "\t".join(model.labels)]
     for tpl in model.templates:
         lines.append(f"template\t{tpl.id}\t{tpl.kind}\t{tpl.description}")
-    for (f, label), wgt in sorted(model.unary_weights.items()):
-        lines.append(f"unary\t{f}\t{label}\t{wgt!r}")
-    for (a, b), wgt in sorted(model.transition_weights.items()):
-        lines.append(f"trans\t{a}\t{b}\t{wgt!r}")
+    names = model.labels
+    by_name = sorted(range(len(names)), key=names.__getitem__)
+    unary, trans = model.unary.tolist(), model.transitions.tolist()
+    for f, i in sorted(model.feature_rows.items()):
+        lines += [f"unary\t{f}\t{names[j]}\t{unary[i][j]!r}"
+                  for j in by_name if unary[i][j] != 0.0]
+    lines += [f"trans\t{names[a]}\t{names[b]}\t{trans[a][b]!r}"
+              for a in by_name for b in by_name if trans[a][b] != 0.0]
     lines.append("end")
     return ("\n".join(lines) + "\n").encode("utf-8")
 
@@ -346,27 +353,19 @@ def load_model(data: bytes) -> CrfModel:
     if lines[-1] != "end":
         raise ModelFormatError("truncated payload")
 
-    task_name = ""
-    labels: tuple[str, ...] = ()
-    templates = []
-    unary = {}
-    trans = {}
+    task_name, labels = "", ()
+    templates, unary, trans = [], {}, {}
     for line in lines[1:-1]:
-        parts = line.split("\t")
-        kind = parts[0]
+        kind, *fields = line.split("\t")
         if kind == "task":
-            task_name = parts[1] if len(parts) > 1 else ""
+            task_name = fields[0] if fields else ""
         elif kind == "labels":
-            labels = tuple(parts[1:])
+            labels = tuple(fields)
         elif kind == "template":
-            templates.append(FeatureTemplate(id=parts[1], kind=parts[2],
-                                             description=parts[3]))
-        elif kind == "unary":
-            unary[(parts[1], parts[2])] = float(parts[3])
-        elif kind == "trans":
-            trans[(parts[1], parts[2])] = float(parts[3])
+            templates.append(FeatureTemplate(*fields[:3]))
+        elif kind in ("unary", "trans"):
+            weights = unary if kind == "unary" else trans
+            weights[(fields[0], fields[1])] = float(fields[2])
         else:
             raise ModelFormatError(f"unknown record {kind!r}")
-    return CrfModel(labels=labels, unary_weights=unary,
-                    transition_weights=trans, templates=tuple(templates),
-                    task_name=task_name)
+    return CrfModel.from_weights(labels, unary, trans, templates, task_name)

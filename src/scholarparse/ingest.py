@@ -3,15 +3,17 @@
 Expected schema: root DOCUMENT, PAGE @number @width @height, TEXT (one per
 visual line), TOKEN @x @y @width @height @font-size @bold @italic @font-name
 with the word as text content.  bold/italic are literal "yes"/"no".  Unknown
-elements are skipped and counted; a TOKEN missing x, y or font-size is
-skipped with a warning, never a fatal error.  A PAGE number that is not a
-positive integer, or that repeats an earlier page's, becomes one more than
-the largest number used so far, with a warning, so that page numbers
-identify pages.
+elements are skipped and counted.  A TOKEN missing x, y or font-size, or
+with a non-finite coordinate or size, a negative width or height, or a
+font-size that is not positive, is skipped with a warning, never a fatal
+error.  A PAGE number that is not a positive integer, or that repeats an
+earlier page's, becomes one more than the largest number used so far, with
+a warning, so that page numbers identify pages.
 """
 
 from __future__ import annotations
 
+import math
 import statistics
 from dataclasses import dataclass, field, replace
 from xml.etree import ElementTree as ET
@@ -99,18 +101,29 @@ def parse_rich_xml(data: bytes, *, dehyphenate: bool = False,
                 y = _get_float(tok_elem, "y")
                 font_size = _get_float(tok_elem, "font-size")
                 text = (tok_elem.text or "").strip()
+                tok_width = _get_float(tok_elem, "width") or 0.0
+                tok_height = _get_float(tok_elem, "height") or 0.0
                 if x is None or y is None or font_size is None or not text:
+                    problem = "missing attributes"
+                elif not all(map(math.isfinite,
+                                 (x, y, tok_width, tok_height, font_size))):
+                    problem = "a non-finite coordinate or size"
+                elif tok_width < 0 or tok_height < 0 or font_size <= 0:
+                    problem = "a negative extent or non-positive font-size"
+                else:
+                    problem = ""
+                if problem:
                     report.skipped_elements += 1
                     report.warnings.append(
-                        f"page {number}: skipped TOKEN {text!r} with missing attributes")
+                        f"page {number}: skipped TOKEN {text!r} with {problem}")
                     continue
                 tokens.append(Token(
                     text=text,
                     page_no=number,
                     x=x,
                     y=y,
-                    width=_get_float(tok_elem, "width") or 0.0,
-                    height=_get_float(tok_elem, "height") or 0.0,
+                    width=tok_width,
+                    height=tok_height,
                     font_size=font_size,
                     bold=tok_elem.get("bold") == "yes",
                     italic=tok_elem.get("italic") == "yes",

@@ -10,7 +10,7 @@ from importlib import resources
 from .context import DocumentContext
 from .crf import CrfModel, viterbi_decode
 from .features import SUPERSCRIPT_TO_ASCII, is_marker
-from .model import Chunk, Token
+from .model import Token
 
 TITLE_LABEL = "TITLE"
 AUTHOR_LABEL = "AUTHOR"
@@ -88,12 +88,12 @@ def extract_title(ctx: DocumentContext, title_model: CrfModel) -> list[Token]:
     return [t for t, lab in zip(first.tokens, labels) if lab == TITLE_LABEL]
 
 
-def title_fallback(chunks: list[Chunk]) -> list[Token]:
-    """Largest-font chunk on page 1, used when the labeler returns nothing."""
-    page1 = [c for c in chunks if c.page_no == 1]
-    if not page1:
+def title_fallback(first_page_chunks) -> list[Token]:
+    """Largest-font chunk of the first page, used when the labeler returns
+    nothing."""
+    if not first_page_chunks:
         return []
-    best = max(page1, key=lambda c: c.avg_font_size)
+    best = max(first_page_chunks, key=lambda c: c.avg_font_size)
     return list(best.tokens)
 
 
@@ -154,17 +154,18 @@ def _run_to_name(run: list[Token]) -> AuthorName | None:
                       last=words[-1], source_tokens=tuple(run))
 
 
-def author_candidate_window(chunks: list[Chunk], title_span) -> list[Token]:
-    """First-chunk region plus the AUTHOR_WINDOW tokens after the title."""
-    if not chunks:
+def author_candidate_window(ctx: DocumentContext, title_span) -> list[Token]:
+    """First-chunk region plus the AUTHOR_WINDOW first-page tokens after the
+    title."""
+    if not ctx.chunks:
         return []
-    stream = [t for c in chunks if c.page_no == 1 for t in c.tokens]
+    stream = [t for c in ctx.first_page_chunks for t in c.tokens]
     title_ids = {id(t) for t in title_span}
     title_end = 0
     for i, tok in enumerate(stream):
         if id(tok) in title_ids:
             title_end = i + 1
-    window_ids = {id(t) for t in chunks[0].tokens}
+    window_ids = {id(t) for t in ctx.chunks[0].tokens}
     window_ids.update(id(t) for t in stream[title_end: title_end + AUTHOR_WINDOW])
     return [t for t in stream if id(t) in window_ids]
 
@@ -172,7 +173,7 @@ def author_candidate_window(chunks: list[Chunk], title_span) -> list[Token]:
 def extract_author_names(ctx: DocumentContext, title_span: list[Token],
                          author_model: CrfModel) -> list[AuthorName]:
     """Author names from the first-chunk region and the post-title window."""
-    candidates = author_candidate_window(ctx.chunks, title_span)
+    candidates = author_candidate_window(ctx, title_span)
     if not candidates:
         return []
     title_ids = {id(t) for t in title_span}
@@ -248,14 +249,15 @@ def _expand_subdomain_group(m) -> list[EmailAddress]:
 
 
 def extract_emails(ctx: DocumentContext) -> list[EmailAddress]:
-    """All addresses found on page 1, de-duplicated in occurrence order.
+    """All addresses found on the first page, de-duplicated in occurrence
+    order.
 
-    Each page-1 chunk is scanned as one text so that bracket groups wrapped
-    over several lines still expand.
+    Each first-page chunk is scanned as one text so that bracket groups
+    wrapped over several lines still expand.
     """
     seen = set()
     out = []
-    for text in (c.text for c in ctx.chunks if c.page_no == 1):
+    for text in (c.text for c in ctx.first_page_chunks):
         if "@" not in text:
             continue
         for email in expand_email_group(text):
@@ -274,12 +276,10 @@ def _affiliation_cues() -> frozenset[str]:
 
 
 def extract_affiliations(ctx: DocumentContext) -> list[Affiliation]:
-    """Header-region chunks on page 1 carrying an institution or country cue."""
+    """First-page chunks carrying an institution or country cue."""
     cue_set = _affiliation_cues()
     out = []
-    for chunk in ctx.chunks:
-        if chunk.page_no != 1:
-            break
+    for chunk in ctx.first_page_chunks:
         words = [t.text.strip(",.;") for t in chunk.tokens]
         matched = sorted({w for w in words if w.lower() in cue_set},
                          key=lambda w: words.index(w))

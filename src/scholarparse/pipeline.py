@@ -95,7 +95,7 @@ def extract_document(doc: Document, models: PipelineModels,
 
     title_span = extract_title(ctx, models.title)
     if not title_span:
-        title_span = title_fallback(chunks)
+        title_span = title_fallback(ctx.first_page_chunks)
     result.title = " ".join(t.text for t in title_span)
 
     names = extract_author_names(ctx, title_span, models.author)

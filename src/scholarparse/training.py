@@ -92,7 +92,7 @@ def build_author_sequences(examples):
         if not ctx.chunks:
             continue
         title_span = _gold_title_tokens(ctx.chunks, truth)
-        candidates = author_candidate_window(ctx.chunks, title_span)
+        candidates = author_candidate_window(ctx, title_span)
         if not candidates:
             continue
         name_parts = {p for first, middle, last in truth.authors

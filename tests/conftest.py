@@ -22,9 +22,7 @@ def random_instance(rng: random.Random, max_len: int = 8, max_labels: int = 4,
     unary = {(f, lab): draw() for f in pool for lab in labels
              if rng.random() < 0.8}
     trans = {(a, b): draw() for a in labels for b in labels}
-    model = CrfModel(labels=labels, unary_weights=unary,
-                     transition_weights=trans)
-    return model, feats
+    return CrfModel.from_weights(labels, unary, trans), feats
 
 
 def enumerate_paths(model: CrfModel, feats):
@@ -44,18 +42,17 @@ def brute_force_decode(model: CrfModel, feats, tol: float = 1e-9):
     lowest label index at every tie, which selects the path minimal under
     reverse-lexicographic comparison of label indices.  Scores every path
     exhaustively; the scoring itself is vectorized so the oracle stays
-    usable on hundreds of instances.
+    usable on hundreds of instances.  It reads the weight arrays directly,
+    without the model's own emission or scoring code.
     """
     n, n_labels = len(feats), len(model.labels)
     emit = np.zeros((n, n_labels))
     for t, active in enumerate(feats):
-        for j, lab in enumerate(model.labels):
-            emit[t, j] = sum(model.unary_weights.get((f, lab), 0.0)
-                             for f in active)
-    trans = np.zeros((n_labels, n_labels))
-    for a, la in enumerate(model.labels):
-        for b, lb in enumerate(model.labels):
-            trans[a, b] = model.transition_weights.get((la, lb), 0.0)
+        for j in range(n_labels):
+            emit[t, j] = sum(float(model.unary[i, j])
+                             for i, f in enumerate(model.features)
+                             if f in active)
+    trans = np.array(model.transitions, dtype=float)
 
     grids = np.meshgrid(*[np.arange(n_labels)] * n, indexing="ij")
     paths = np.stack([g.ravel() for g in grids], axis=1)

@@ -15,9 +15,8 @@ import numpy as np
 import pytest
 
 from conftest import brute_force_decode, random_instance
-from scholarparse.crf import (LabeledSequence, TrainConfig, _feature_universe,
-                              log_likelihood_and_gradient, pack_weights,
-                              save_model, score, unpack_weights,
+from scholarparse.crf import (LabeledSequence, TrainConfig, compile_dataset,
+                              log_likelihood_and_gradient, save_model, score,
                               viterbi_decode)
 from scholarparse.evaluate import (aggregate, evaluate_extraction,
                                    split_corpus)
@@ -98,17 +97,16 @@ class TestCriterion2GradientFiniteDifferences:
                 _, fv = random_instance(rng, max_len=6, max_labels=3)
                 labels = [rng.choice(model.labels) for _ in fv]
                 seqs.append(LabeledSequence(items=list(zip(fv, labels))))
-            features = _feature_universe(model, seqs)
-            _, grad = log_likelihood_and_gradient(model, seqs, lam)
-            w = pack_weights(model, features)
+            data = compile_dataset(model, seqs)
+            w = np.concatenate((model.unary.ravel(), model.transitions.ravel()))
+            _, grad = log_likelihood_and_gradient(w, data, lam)
             h = 1e-6
             fd = np.zeros_like(w)
             for i in range(len(w)):
                 for sign in (1, -1):
                     vec = w.copy()
                     vec[i] += sign * h
-                    ll, _ = log_likelihood_and_gradient(
-                        unpack_weights(model, features, vec), seqs, lam)
+                    ll, _ = log_likelihood_and_gradient(vec, data, lam)
                     fd[i] += sign * ll
                 fd[i] /= 2 * h
             rel = np.linalg.norm(fd - grad) / max(1.0, np.linalg.norm(grad))

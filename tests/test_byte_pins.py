@@ -1,7 +1,9 @@
-"""Byte pins for refactors: the TEI of one fixed article per style, and the
-four training-sequence sets built from the same articles.
+"""Byte pins for refactors: the TEI of one fixed article per style, the
+four training-sequence sets built from the same articles, and the four
+models trained on them.
 
-Code that keeps the extraction and feature behaviour keeps these digests;
+Code that keeps the extraction, feature and training behaviour keeps these
+digests;
 a change that alters either on purpose records new digests here and says
 why.
 """
@@ -10,6 +12,7 @@ import hashlib
 
 import pytest
 
+from scholarparse.crf import TrainConfig, save_model
 from scholarparse.ingest import parse_rich_xml
 from scholarparse.pipeline import extract_document, load_default_models
 from scholarparse.synth import STYLES, generate_synthetic_document
@@ -17,7 +20,8 @@ from scholarparse.tei import export_tei
 from scholarparse.training import (TrainingPair, build_author_sequences,
                                    build_footnote_sequences,
                                    build_heading_sequences,
-                                   build_title_sequences, training_examples)
+                                   build_title_sequences, train_all,
+                                   training_examples)
 
 ARTICLE_SEED = 4242
 
@@ -37,6 +41,15 @@ SEQUENCES_SHA256 = {
     "footnote": "8097dd83a20b0363901c18c9ec7982de932b63eb32a2e6a68124f5bac6106053",
     "heading": "f0f2fe306d923d1349877be2ca8a129c77ad2c0ff12e4a79c9e4b0f804e18074",
     "title": "ff0f065e81468f0988880d9b62ec68c80def2d09970058db075815034e81fd3a",
+}
+
+# save_model bytes of train_all(pairs, TrainConfig(max_iterations=6)): the
+# trained weights, bit for bit.
+MODEL_SHA256 = {
+    "author": "2bd1ebd7d1688355717c7971075d549468b771554f60b89f0ee65004a6f5b0b0",
+    "footnote": "cbffbb128219b6ce83d3ee98d081583b6a2736624ba0943ff8f51ab475e5b740",
+    "heading": "c7e78f9824e356bdec3efaddb3678d6ca4e489c6e2474a1e67ba5f6c0f513602",
+    "title": "e3506172e196341f795779cdb050c5bb335c957af65cc9f217cf6c3242ef6505",
 }
 
 BUILDERS = {
@@ -73,3 +86,14 @@ def test_training_sequence_bytes(pairs, task):
     sequences = BUILDERS[task](training_examples(pairs))
     assert sha256(repr([seq.items for seq in sequences])) == \
         SEQUENCES_SHA256[task]
+
+
+@pytest.fixture(scope="module")
+def trained(pairs):
+    return train_all(pairs, TrainConfig(max_iterations=6))
+
+
+@pytest.mark.parametrize("task", sorted(MODEL_SHA256))
+def test_trained_model_bytes(trained, task):
+    digest = hashlib.sha256(save_model(trained[task])).hexdigest()
+    assert digest == MODEL_SHA256[task]

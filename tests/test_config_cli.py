@@ -1,5 +1,6 @@
 """Unit tests for configuration parsing and the command-line interface."""
 
+from pathlib import Path
 from xml.etree import ElementTree as ET
 
 import pytest
@@ -117,6 +118,22 @@ class TestCli:
         bad = tmp_path / "bad.xml"
         bad.write_bytes(b"<DOCUMENT><PAGE>")
         assert main(["extract", str(bad)]) == 1
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_extract_failure_loses_no_other_input(self, corpus_dir, tmp_path,
+                                                  capsys, jobs):
+        good = sorted(str(p) for p in corpus_dir.glob("*.xml"))[:2]
+        bad = tmp_path / "bad.xml"
+        bad.write_bytes(b"<DOCUMENT><PAGE>")
+        missing = tmp_path / "absent.xml"
+        out = tmp_path / "tei"
+        assert main(["extract", good[0], str(bad), good[1], str(missing),
+                     "--out", str(out), "--jobs", jobs]) == 1
+        written = sorted(p.name for p in out.glob("*.tei.xml"))
+        assert written == sorted(Path(g).stem + ".tei.xml" for g in good)
+        err = capsys.readouterr().err.splitlines()
+        assert [line.split(": ")[1] for line in err] == [str(bad), str(missing)]
+        assert all(line.startswith("error: ") for line in err)
 
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as err:

@@ -2,29 +2,37 @@
 
 import math
 import random
+from importlib import resources
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import logsumexp
 
 from conftest import brute_force_decode, enumerate_paths, random_instance
 from scholarparse.crf import (CrfError, CrfModel, LabeledSequence,
-                              ModelFormatError, TrainConfig,
-                              _feature_universe, forward_backward,
-                              load_model, log_likelihood,
-                              log_likelihood_and_gradient, pack_weights,
-                              save_model, score, train, unpack_weights,
-                              viterbi_decode)
+                              ModelFormatError, TrainConfig, compile_dataset,
+                              forward_backward, load_model, log_likelihood,
+                              log_likelihood_and_gradient, save_model, score,
+                              train, viterbi_decode)
+from scholarparse.pipeline import MODEL_FILES
 
 
 def tiny_model():
-    return CrfModel(
-        labels=("A", "B"),
-        unary_weights={("x", "A"): 1.0, ("x", "B"): -1.0, ("y", "B"): 2.0},
-        transition_weights={("A", "A"): 0.5, ("A", "B"): -0.5},
+    return CrfModel.from_weights(
+        ("A", "B"),
+        {("x", "A"): 1.0, ("x", "B"): -1.0, ("y", "B"): 2.0},
+        {("A", "A"): 0.5, ("A", "B"): -0.5},
     )
+
+
+def flat_weights(model):
+    return np.concatenate((model.unary.ravel(), model.transitions.ravel()))
+
+
+def plain_logsumexp(values):
+    top = max(values)
+    return top + math.log(sum(math.exp(v - top) for v in values))
 
 
 class TestScore:
@@ -46,6 +54,23 @@ class TestScore:
         with pytest.raises(CrfError):
             score(tiny_model(), [("x",)], ["C"])
 
+    def test_adds_terms_left_to_right(self, rng):
+        # The fixed summation order that keeps trained models byte-stable:
+        # unary terms position by position, feature by feature, then the
+        # transitions, each added to a running total.
+        for _ in range(50):
+            model, feats = random_instance(rng)
+            path = [rng.choice(model.labels) for _ in feats]
+            gold = [model.labels.index(label) for label in path]
+            total = 0.0
+            for active, j in zip(feats, gold):
+                for f in active:
+                    if f in model.features:
+                        total += float(model.unary[model.features.index(f), j])
+            for a, b in zip(gold, gold[1:]):
+                total += float(model.transitions[a, b])
+            assert score(model, feats, path) == total
+
 
 class TestViterbi:
     def test_matches_enumeration_random(self, rng):
@@ -66,8 +91,7 @@ class TestViterbi:
             assert decoded == oracle
 
     def test_all_zero_weights_decodes_first_label(self):
-        model = CrfModel(labels=("A", "B"), unary_weights={},
-                         transition_weights={})
+        model = CrfModel.from_weights(("A", "B"), {}, {})
         assert viterbi_decode(model, [("f",)] * 4) == ["A"] * 4
 
     def test_empty_sequence_raises(self):
@@ -80,7 +104,8 @@ class TestForwardBackward:
         for _ in range(25):
             model, feats = random_instance(rng)
             log_z, _, _ = forward_backward(model, feats)
-            expected = logsumexp([s for _, _, s in enumerate_paths(model, feats)])
+            expected = plain_logsumexp(
+                [s for _, _, s in enumerate_paths(model, feats)])
             assert log_z == pytest.approx(expected, abs=1e-9)
 
     def test_marginals_match_enumeration(self, rng):
@@ -132,16 +157,15 @@ class TestGradient:
         lam = 0.7
         for _ in range(5):
             model, dataset = self._dataset(rng)
-            features = _feature_universe(model, dataset)
-            _, grad = log_likelihood_and_gradient(model, dataset, lam)
-            w = pack_weights(model, features)
+            data = compile_dataset(model, dataset)
+            w = flat_weights(model)
+            _, grad = log_likelihood_and_gradient(w, data, lam)
             h = 1e-6
             fd = np.zeros_like(w)
             for i in range(len(w)):
                 for sign, vec in ((1, w.copy()), (-1, w.copy())):
                     vec[i] += sign * h
-                    m = unpack_weights(model, features, vec)
-                    ll, _ = log_likelihood_and_gradient(m, dataset, lam)
+                    ll, _ = log_likelihood_and_gradient(vec, data, lam)
                     fd[i] += sign * ll
                 fd[i] /= 2 * h
             rel = np.linalg.norm(fd - grad) / max(1.0, np.linalg.norm(grad))
@@ -149,24 +173,14 @@ class TestGradient:
 
     def test_likelihood_only_agrees_with_gradient_version(self, rng):
         model, dataset = self._dataset(rng)
-        ll_full, _ = log_likelihood_and_gradient(model, dataset, 1.0)
-        assert log_likelihood(model, dataset, 1.0) == pytest.approx(ll_full)
+        data = compile_dataset(model, dataset)
+        w = flat_weights(model)
+        ll_full, _ = log_likelihood_and_gradient(w, data, 1.0)
+        assert log_likelihood(w, data, 1.0) == pytest.approx(ll_full)
 
     def test_empty_dataset_raises(self):
         with pytest.raises(CrfError):
-            log_likelihood_and_gradient(tiny_model(), [], 1.0)
-
-
-class TestPackUnpack:
-    def test_round_trip(self, rng):
-        model, _ = random_instance(rng)
-        features = sorted({f for f, _ in model.unary_weights})
-        vec = pack_weights(model, features)
-        back = unpack_weights(model, features, vec)
-        assert back.unary_weights == {k: v for k, v in model.unary_weights.items()
-                                      if v != 0.0}
-        assert back.transition_weights == {
-            k: v for k, v in model.transition_weights.items() if v != 0.0}
+            compile_dataset(tiny_model(), [])
 
 
 class TestTrain:
@@ -185,8 +199,8 @@ class TestTrain:
     def test_zero_iterations_gives_zero_weights(self):
         model = train(self._separable(), ("X", "Y"), (),
                       TrainConfig(max_iterations=0))
-        assert model.unary_weights == {}
-        assert model.transition_weights == {}
+        assert not model.unary.any()
+        assert not model.transitions.any()
 
     def test_deterministic(self):
         cfg = TrainConfig(max_iterations=15)
@@ -210,15 +224,19 @@ class TestTrain:
 class TestSerialization:
     def test_round_trip_field_for_field(self, rng):
         model, _ = random_instance(rng)
-        model = CrfModel(labels=model.labels,
-                         unary_weights=model.unary_weights,
-                         transition_weights=model.transition_weights,
-                         task_name="demo")
+        model.task_name = "demo"
         back = load_model(save_model(model))
         assert back.labels == model.labels
-        assert back.unary_weights == model.unary_weights
-        assert back.transition_weights == model.transition_weights
+        assert back.features == model.features
+        assert np.array_equal(back.unary, model.unary)
+        assert np.array_equal(back.transitions, model.transitions)
         assert back.task_name == "demo"
+
+    @pytest.mark.parametrize("name", sorted(MODEL_FILES.values()))
+    def test_bundled_model_bytes_round_trip(self, name):
+        models = resources.files("scholarparse.data").joinpath("models")
+        payload = models.joinpath(name).read_bytes()
+        assert save_model(load_model(payload)) == payload
 
     def test_payload_is_deterministic(self, rng):
         model, _ = random_instance(rng)

@@ -1,5 +1,7 @@
 """Unit tests for rich XML ingestion."""
 
+import re
+
 import pytest
 
 from scholarparse.ingest import (RichXmlParseError, detect_superscript,
@@ -35,6 +37,21 @@ class TestParse:
         assert report.token_count == 1
         assert report.skipped_elements == 1
         assert report.warnings
+
+    @pytest.mark.parametrize("attr, value", [
+        ("font-size", "0"), ("font-size", "-2"), ("width", "-30"),
+        ("height", "-1"), ("x", "nan"), ("y", "inf"), ("width", "nan"),
+        ("height", "-inf"), ("font-size", "inf"),
+    ])
+    def test_invalid_token_geometry_skipped_with_warning(self, attr, value):
+        world = SIMPLE.split(b"<TOKEN")[2]
+        bad = re.sub(rb' %s="[^"]*"' % attr.encode(),
+                     b' %s="%s"' % (attr.encode(), value.encode()), world)
+        doc, report = parse_rich_xml(SIMPLE.replace(world, bad))
+        assert doc.pages[0].lines[0].text == "Hello"
+        assert report.token_count == 1
+        assert report.skipped_elements == 1
+        assert len(report.warnings) == 1 and "world" in report.warnings[0]
 
     def test_unknown_elements_counted_not_fatal(self):
         data = SIMPLE.replace(b"</TEXT>", b"</TEXT><NOISE/>")

@@ -1,11 +1,17 @@
 """Integration tests for the end-to-end pipeline with the bundled models."""
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from scholarparse.chunker import chunk_document
+from scholarparse.context import build_context
 from scholarparse.ingest import parse_rich_xml
+from scholarparse.metadata import extract_affiliations, extract_emails
 from scholarparse.pipeline import (chunk_to_lines, extract_document,
                                    load_default_models, load_models_from_dir)
 from scholarparse.synth import STYLES, generate_synthetic_document
@@ -39,7 +45,40 @@ class TestDefaultModels:
         for task, name in MODEL_FILES.items():
             (tmp_path / name).write_bytes(save_model(getattr(models, task)))
         again = load_models_from_dir(tmp_path)
-        assert again.title.unary_weights == models.title.unary_weights
+        for task in MODEL_FILES:
+            assert (save_model(getattr(again, task))
+                    == save_model(getattr(models, task)))
+
+
+def test_import_and_default_models_need_no_scipy():
+    code = ("import sys; sys.modules['scipy'] = None; import scholarparse; "
+            "scholarparse.load_default_models()")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_front_matter_read_from_first_page_whatever_its_number(models):
+    xml, _ = generate_synthetic_document("two-col-indexed", 4242)
+    renumbered = re.sub(rb'<PAGE number="(\d+)"',
+                        lambda m: b'<PAGE number="%d"' % (int(m[1]) + 100), xml)
+    docs = [parse_rich_xml(data)[0] for data in (xml, renumbered)]
+    assert [p.number for p in docs[1].pages] == [101, 102, 103]
+    original, moved = (extract_document(doc, models) for doc in docs)
+    def front(result):  # the source tokens carry their page numbers
+        return [(r.name.full, r.email, r.affiliation) for r in result.authors]
+
+    assert len(original.authors) == 3
+    assert moved.title == original.title
+    assert front(moved) == front(original)
+    original_ctx, moved_ctx = (build_context(doc) for doc in docs)
+    assert extract_emails(original_ctx)
+    assert extract_emails(moved_ctx) == extract_emails(original_ctx)
+    assert extract_affiliations(original_ctx)
+    assert (extract_affiliations(moved_ctx)
+            == extract_affiliations(original_ctx))
 
 
 class TestExtraction:
