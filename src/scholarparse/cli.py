@@ -47,14 +47,28 @@ def _extract_one(path: Path, models, cfg: PipelineConfig):
     return extract_document(doc, models, cfg.chunk_params())
 
 
-def _extract_to_tei(task) -> tuple[str | None, str | None]:
+def _extract_to_tei(path: Path, models, cfg: PipelineConfig
+                    ) -> tuple[str | None, str | None]:
     """(TEI, None) for one input, or (None, message) when it failed, so one
     bad input loses no other."""
-    path, models, cfg = task
     try:
         return export_tei(_extract_one(path, models, cfg)), None
     except Exception as exc:  # noqa: BLE001 - reported per input
         return None, str(exc)
+
+
+# The models and configuration of an extract worker process, set once by the
+# pool's initializer so they cross to each worker once, not with every input.
+_worker_setup = None
+
+
+def _init_worker(models, cfg: PipelineConfig) -> None:
+    global _worker_setup
+    _worker_setup = (models, cfg)
+
+
+def _extract_in_worker(path: Path) -> tuple[str | None, str | None]:
+    return _extract_to_tei(path, *_worker_setup)
 
 
 def cmd_extract(args) -> int:
@@ -64,12 +78,13 @@ def cmd_extract(args) -> int:
     out_dir = Path(args.out) if args.out else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
-    tasks = [(path, models, cfg) for path in inputs]
     if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            outputs = list(pool.map(_extract_to_tei, tasks))
+        with ProcessPoolExecutor(max_workers=args.jobs,
+                                 initializer=_init_worker,
+                                 initargs=(models, cfg)) as pool:
+            outputs = list(pool.map(_extract_in_worker, inputs))
     else:
-        outputs = [_extract_to_tei(t) for t in tasks]
+        outputs = [_extract_to_tei(path, models, cfg) for path in inputs]
     failed = False
     for path, (tei, error) in zip(inputs, outputs):
         if error is not None:

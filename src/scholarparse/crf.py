@@ -6,8 +6,9 @@ carries a set of active features, and a path is scored by summing unary
 adjacent pairs.  Training maximizes the L2-regularized conditional
 log-likelihood of the flat vector ``[unary.ravel(), transitions.ravel()]``
 by batch gradient ascent with backtracking line search; forward-backward
-runs in log space throughout.  Every sum adds its terms in one fixed order
-(by sequence, position, then feature), so trained models are byte-stable.
+runs in log space throughout, over all sequences of a dataset at once,
+padded to the longest.  Every sum adds its terms in one fixed order (by
+sequence, position, then feature), so trained models are byte-stable.
 """
 
 from __future__ import annotations
@@ -114,12 +115,13 @@ def _occurrences(model: CrfModel, sequence_features):
     return np.array(positions, dtype=np.intp), np.array(rows, dtype=np.intp)
 
 
-def _emissions(unary, positions, rows, n: int) -> np.ndarray:
-    """Per-position label scores, each position's rows added in order."""
+def _emissions(unary, cells, rows, shape: tuple[int, ...]) -> np.ndarray:
+    """Label scores per cell of ``shape`` (positions, or sequences by
+    positions), each cell's rows added in order."""
     L = unary.shape[1]
-    em = np.zeros(n * L)
-    np.add.at(em, positions[:, None] * L + np.arange(L), unary[rows])
-    return em.reshape(n, L)
+    em = np.zeros((*shape, L))
+    np.add.at(em.reshape(-1), cells[:, None] * L + np.arange(L), unary[rows])
+    return em
 
 
 def _path_score(unary, transitions, positions, rows, gold) -> float:
@@ -154,7 +156,7 @@ def viterbi_decode(model: CrfModel, sequence_features) -> list[str]:
     if not sequence_features:
         raise CrfError("empty sequence")
     em = _emissions(model.unary, *_occurrences(model, sequence_features),
-                    len(sequence_features))
+                    (len(sequence_features),))
     T = model.transitions
     n, L = em.shape
     delta = np.empty((n, L))
@@ -171,25 +173,33 @@ def viterbi_decode(model: CrfModel, sequence_features) -> list[str]:
     return [model.labels[i] for i in path]
 
 
-def _forward(em: np.ndarray, T: np.ndarray):
-    """Log forward scores per position, and the log partition."""
+def _forward(em: np.ndarray, T: np.ndarray, last: np.ndarray):
+    """Log forward scores of a (B, N, L) batch of sequences padded to one
+    length, and each sequence's log partition, read at its last position."""
     log_alpha = np.empty_like(em)
-    log_alpha[0] = em[0]
-    for t in range(1, len(em)):
-        log_alpha[t] = em[t] + _logsumexp(log_alpha[t - 1][:, None] + T, axis=0)
-    return log_alpha, _logsumexp(log_alpha[-1], axis=0)
+    log_alpha[:, 0] = em[:, 0]
+    for t in range(1, em.shape[1]):
+        log_alpha[:, t] = em[:, t] + _logsumexp(
+            log_alpha[:, t - 1, :, None] + T, axis=1)
+    return log_alpha, _logsumexp(log_alpha[np.arange(len(em)), last], axis=1)
 
 
-def _forward_backward(em: np.ndarray, T: np.ndarray):
-    log_alpha, log_z = _forward(em, T)
+def _forward_backward(em: np.ndarray, T: np.ndarray, last: np.ndarray):
+    """Log partitions, marginals and pairwise marginals of a padded batch;
+    both marginals are zero past each sequence's last position."""
+    log_alpha, log_z = _forward(em, T, last)
+    past = np.arange(em.shape[1]) > last[:, None]
     log_beta = np.zeros_like(em)
-    for t in range(len(em) - 2, -1, -1):
-        log_beta[t] = _logsumexp(T + (em[t + 1] + log_beta[t + 1])[None, :],
-                                 axis=1)
-    marginals = np.exp(log_alpha + log_beta - log_z)
-    pairwise = np.exp(log_alpha[:-1, :, None] + T
-                      + (em[1:] + log_beta[1:])[:, None, :] - log_z)
-    if not (np.isfinite(log_z) and np.isfinite(marginals).all()
+    for t in range(em.shape[1] - 2, -1, -1):
+        log_beta[:, t] = np.where(past[:, t + 1, None], 0.0, _logsumexp(
+            T + (em[:, t + 1] + log_beta[:, t + 1])[:, None, :], axis=2))
+    log_alpha[past] = log_beta[past] = -np.inf
+    shift = log_z[:, None, None]
+    marginals = np.exp(log_alpha + log_beta - shift)
+    pairwise = np.exp(log_alpha[:, :-1, :, None] + T
+                      + (em[:, 1:] + log_beta[:, 1:])[:, :, None, :]
+                      - shift[..., None])
+    if not (np.isfinite(log_z).all() and np.isfinite(marginals).all()
             and np.isfinite(pairwise).all()):
         raise CrfNumericError("numeric overflow")
     return log_z, marginals, pairwise
@@ -197,15 +207,26 @@ def _forward_backward(em: np.ndarray, T: np.ndarray):
 
 def forward_backward(model: CrfModel, sequence_features):
     """Log partition, per-position marginals, and pairwise marginals."""
+    if not sequence_features:
+        raise CrfError("empty sequence")
+    n = len(sequence_features)
     em = _emissions(model.unary, *_occurrences(model, sequence_features),
-                    len(sequence_features))
-    return _forward_backward(em, model.transitions)
+                    (1, n))
+    log_z, marginals, pairwise = _forward_backward(
+        em, model.transitions, np.array([n - 1]))
+    return log_z[0], marginals[0], pairwise[0]
 
 
 class CompiledDataset(NamedTuple):
     """Training sequences as arrays over one model's rows and labels."""
 
     n_labels: int
+    # The batch: sequences by positions up to the longest, the flat cell and
+    # unary row of every feature occurrence in order, and each last position.
+    shape: tuple[int, int]
+    cells: np.ndarray
+    rows: np.ndarray
+    last: np.ndarray
     # Per sequence: feature positions and rows, gold labels, and the flat
     # gradient index of each count in the order it is added: per feature its
     # gold label, then every label; per transition its pair; then all pairs.
@@ -216,7 +237,10 @@ def compile_dataset(model: CrfModel, dataset) -> CompiledDataset:
     """Resolve every feature and label of a dataset against a model once."""
     if not dataset:
         raise CrfError("empty dataset")
+    if not all(seq.items for seq in dataset):
+        raise CrfError("empty sequence")
     L, base = len(model.labels), model.unary.size
+    width = max(len(seq.items) for seq in dataset)
     sequences = []
     for seq in dataset:
         positions, rows = _occurrences(model, seq.features())
@@ -227,7 +251,12 @@ def compile_dataset(model: CrfModel, dataset) -> CompiledDataset:
         sequences.append((positions, rows, gold, np.concatenate(
             (per_feature.ravel(), base + gold[:-1] * L + gold[1:],
              base + np.arange(L * L)))))
-    return CompiledDataset(L, tuple(sequences))
+    positions, rows, gold, _ = zip(*sequences)
+    return CompiledDataset(
+        L, (len(sequences), width),
+        np.concatenate([b * width + p for b, p in enumerate(positions)]),
+        np.concatenate(rows), np.array([len(g) - 1 for g in gold]),
+        tuple(sequences))
 
 
 def _split(weights: np.ndarray, L: int):
@@ -238,22 +267,25 @@ def _split(weights: np.ndarray, L: int):
 def _objective(weights, data: CompiledDataset, penalty: float,
                grad=None) -> float:
     """Gold path scores minus log partitions minus the L2 penalty; given
-    ``grad``, also adds observed minus expected counts into it."""
+    ``grad``, also adds observed minus expected counts into it.  One forward
+    (and backward) pass serves all sequences; the sums stay per sequence."""
     unary, T = _split(weights, data.n_labels)
+    em = _emissions(unary, data.cells, data.rows, data.shape)
+    if grad is None:
+        log_z = _forward(em, T, data.last)[1]
+    else:
+        log_z, marginals, pairwise = _forward_backward(em, T, data.last)
     ll = 0.0
-    for positions, rows, gold, counts in data.sequences:
-        em = _emissions(unary, positions, rows, len(gold))
+    for b, (positions, rows, gold, counts) in enumerate(data.sequences):
         ll += _path_score(unary, T, positions, rows, gold)
+        ll -= log_z[b]
         if grad is None:
-            ll -= _forward(em, T)[1]
             continue
-        log_z, marginals, pairwise = _forward_backward(em, T)
-        ll -= log_z
         per_feature = np.column_stack((np.ones(len(rows)),
-                                       -marginals[positions]))
+                                       -marginals[b, positions]))
         np.add.at(grad, counts, np.concatenate(
             (per_feature.ravel(), np.ones(len(gold) - 1),
-             -pairwise.sum(axis=0).ravel())))
+             -pairwise[b, :len(gold) - 1].sum(axis=0).ravel())))
     ll -= penalty
     if not np.isfinite(ll):
         raise CrfNumericError("numeric overflow")
@@ -361,11 +393,19 @@ def load_model(data: bytes) -> CrfModel:
             task_name = fields[0] if fields else ""
         elif kind == "labels":
             labels = tuple(fields)
-        elif kind == "template":
+        elif kind == "template" and len(fields) >= 2:
             templates.append(FeatureTemplate(*fields[:3]))
         elif kind in ("unary", "trans"):
             weights = unary if kind == "unary" else trans
-            weights[(fields[0], fields[1])] = float(fields[2])
+            try:
+                first, second, weight = fields
+                weights[(first, second)] = float(weight)
+            except ValueError:
+                raise ModelFormatError(f"malformed record {line!r}") from None
         else:
-            raise ModelFormatError(f"unknown record {kind!r}")
-    return CrfModel.from_weights(labels, unary, trans, templates, task_name)
+            raise ModelFormatError(f"unknown or malformed record {kind!r}")
+    try:
+        return CrfModel.from_weights(labels, unary, trans, templates,
+                                     task_name)
+    except CrfError as exc:
+        raise ModelFormatError(str(exc)) from None

@@ -8,7 +8,9 @@ with a non-finite coordinate or size, a negative width or height, or a
 font-size that is not positive, is skipped with a warning, never a fatal
 error.  A PAGE number that is not a positive integer, or that repeats an
 earlier page's, becomes one more than the largest number used so far, with
-a warning, so that page numbers identify pages.
+a warning, so that page numbers identify pages.  A PAGE width or height that
+is not a finite positive number becomes US Letter's 612 or 792, with a
+warning.
 """
 
 from __future__ import annotations
@@ -60,6 +62,21 @@ def _page_number(raw: str) -> int:
         return 0
 
 
+def _page_extent(page_elem, name: str, default: float, number: int,
+                 report: IngestReport) -> float:
+    """A PAGE width or height; a missing one is the US Letter default, and
+    so, with a warning, is one that is not a finite positive number."""
+    raw = page_elem.get(name)
+    if raw is None:
+        return default
+    value = _get_float(page_elem, name)
+    if value is not None and math.isfinite(value) and value > 0:
+        return value
+    report.warnings.append(f"page {number}: PAGE {name} {raw!r} is not a "
+                           f"finite positive number; using {default:g}")
+    return default
+
+
 def parse_rich_xml(data: bytes, *, dehyphenate: bool = False,
                    source_id: str = "") -> tuple[Document, IngestReport]:
     """Parse rich XML bytes into a Document plus an ingest report."""
@@ -85,8 +102,8 @@ def parse_rich_xml(data: bytes, *, dehyphenate: bool = False,
                 f"PAGE number {raw_number!r} is not a positive integer or "
                 f"repeats an earlier page; renumbered {number}")
         used.add(number)
-        width = _get_float(page_elem, "width") or 612.0
-        height = _get_float(page_elem, "height") or 792.0
+        width = _page_extent(page_elem, "width", 612.0, number, report)
+        height = _page_extent(page_elem, "height", 792.0, number, report)
         lines = []
         for text_elem in page_elem:
             if text_elem.tag != "TEXT":

@@ -4,7 +4,8 @@ import random
 import numpy as np
 import pytest
 
-from scholarparse.crf import CrfModel, score
+from scholarparse.crf import (CrfModel, _emissions, _logsumexp, _path_score,
+                              _split, score)
 
 
 def random_instance(rng: random.Random, max_len: int = 8, max_labels: int = 4,
@@ -65,6 +66,40 @@ def brute_force_decode(model: CrfModel, feats, tol: float = 1e-9):
     idx = min((tuple(int(v) for v in row) for row in candidates),
               key=lambda tup: tuple(reversed(tup)))
     return [model.labels[i] for i in idx], best
+
+
+def per_sequence_objective(weights, data, penalty: float, grad=None):
+    """Oracle for ``crf._objective``: the same sums in the same order, with
+    one forward (and backward) recursion per sequence over its own
+    positions, as the objective ran before the sequences were batched."""
+    unary, T = _split(weights, data.n_labels)
+    ll = 0.0
+    for positions, rows, gold, counts in data.sequences:
+        n = len(gold)
+        em = _emissions(unary, positions, rows, (n,))
+        ll += _path_score(unary, T, positions, rows, gold)
+        log_alpha = np.empty_like(em)
+        log_alpha[0] = em[0]
+        for t in range(1, n):
+            log_alpha[t] = em[t] + _logsumexp(log_alpha[t - 1][:, None] + T,
+                                              axis=0)
+        log_z = _logsumexp(log_alpha[-1], axis=0)
+        ll -= log_z
+        if grad is None:
+            continue
+        log_beta = np.zeros_like(em)
+        for t in range(n - 2, -1, -1):
+            log_beta[t] = _logsumexp(T + (em[t + 1] + log_beta[t + 1])[None, :],
+                                     axis=1)
+        marginals = np.exp(log_alpha + log_beta - log_z)
+        pairwise = np.exp(log_alpha[:-1, :, None] + T
+                          + (em[1:] + log_beta[1:])[:, None, :] - log_z)
+        per_feature = np.column_stack((np.ones(len(rows)),
+                                       -marginals[positions]))
+        np.add.at(grad, counts, np.concatenate(
+            (per_feature.ravel(), np.ones(n - 1),
+             -pairwise.sum(axis=0).ravel())))
+    return ll - penalty
 
 
 @pytest.fixture

@@ -7,6 +7,7 @@ import pytest
 
 from scholarparse.cli import main
 from scholarparse.config import PipelineConfig, load_config, parse_config
+from scholarparse.pipeline import PipelineModels
 
 
 class TestConfig:
@@ -134,6 +135,33 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert [line.split(": ")[1] for line in err] == [str(bad), str(missing)]
         assert all(line.startswith("error: ") for line in err)
+
+    def test_extract_jobs_write_the_same_tei(self, corpus_dir, tmp_path):
+        inputs = sorted(str(p) for p in corpus_dir.glob("*.xml"))
+        written = {}
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            assert main(["extract", *inputs, "--out", str(out),
+                         "--jobs", jobs]) == 0
+            written[jobs] = {p.name: p.read_bytes()
+                             for p in out.glob("*.tei.xml")}
+        assert len(written["1"]) == len(inputs)
+        assert written["2"] == written["1"]
+
+    def test_extract_jobs_send_models_once_per_worker(self, corpus_dir,
+                                                      tmp_path, monkeypatch):
+        pickled = []
+
+        def counting_reduce(self, protocol):
+            pickled.append(protocol)
+            return object.__reduce_ex__(self, protocol)
+
+        monkeypatch.setattr(PipelineModels, "__reduce_ex__", counting_reduce)
+        inputs = sorted(str(p) for p in corpus_dir.glob("*.xml"))
+        assert len(inputs) > 2
+        assert main(["extract", *inputs, "--out", str(tmp_path),
+                     "--jobs", "2"]) == 0
+        assert len(pickled) <= 2
 
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as err:

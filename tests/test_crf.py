@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_decode, enumerate_paths, random_instance
+from conftest import (brute_force_decode, enumerate_paths,
+                      per_sequence_objective, random_instance)
+from scholarparse import crf
 from scholarparse.crf import (CrfError, CrfModel, LabeledSequence,
                               ModelFormatError, TrainConfig, compile_dataset,
                               forward_backward, load_model, log_likelihood,
@@ -133,6 +135,10 @@ class TestForwardBackward:
             for t in range(len(feats) - 1):
                 assert pairwise[t].sum() == pytest.approx(1.0)
 
+    def test_empty_sequence_raises(self):
+        with pytest.raises(CrfError, match="empty sequence"):
+            forward_backward(tiny_model(), [])
+
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=25, deadline=None)
     def test_partition_dominates_any_path(self, seed):
@@ -181,6 +187,55 @@ class TestGradient:
     def test_empty_dataset_raises(self):
         with pytest.raises(CrfError):
             compile_dataset(tiny_model(), [])
+
+    def test_empty_sequence_raises(self):
+        with pytest.raises(CrfError, match="empty sequence"):
+            compile_dataset(tiny_model(), [
+                LabeledSequence(items=[(("x",), "A")]),
+                LabeledSequence(items=[])])
+
+
+class TestBatchedObjective:
+    """One recursion over all sequences of a dataset, padded to the longest,
+    gives the per-sequence objective and gradient bit for bit."""
+
+    LENGTHS = {
+        "one of length 1": (1, 4, 7, 3),
+        "only length 1": (1,),
+        "all equal": (5, 5, 5),
+        "one much longer": (3, 2, 60, 4),
+    }
+
+    def _dataset(self, rng, lengths, n_labels):
+        labels = tuple(f"L{i}" for i in range(n_labels))
+        pool = [f"f{i}" for i in range(8)]
+        # f6 and f7 are unknown to the model, so they weigh nothing.
+        unary = {(f, lab): rng.uniform(-3.0, 3.0)
+                 for f in pool[:6] for lab in labels}
+        trans = {(a, b): rng.uniform(-3.0, 3.0) for a in labels for b in labels}
+        dataset = [LabeledSequence(items=[
+            (tuple(rng.sample(pool, rng.randint(0, 3))), rng.choice(labels))
+            for _ in range(n)]) for n in lengths]
+        return CrfModel.from_weights(labels, unary, trans), dataset
+
+    @pytest.mark.parametrize("n_labels", (2, 3, 4))
+    @pytest.mark.parametrize("lengths", LENGTHS.values(), ids=LENGTHS)
+    def test_matches_per_sequence_oracle(self, rng, monkeypatch, lengths,
+                                         n_labels):
+        for _ in range(5):
+            model, dataset = self._dataset(rng, lengths, n_labels)
+            data = compile_dataset(model, dataset)
+            w = flat_weights(model)
+            ll, grad = log_likelihood_and_gradient(w, data, 0.7)
+            value = log_likelihood(w, data, 0.7)
+            with monkeypatch.context() as patched:
+                patched.setattr(crf, "_objective", per_sequence_objective)
+                ll_oracle, grad_oracle = log_likelihood_and_gradient(
+                    w, data, 0.7)
+                value_oracle = log_likelihood(w, data, 0.7)
+            assert ll == ll_oracle
+            assert np.array_equal(grad, grad_oracle)
+            assert value == value_oracle
 
 
 class TestTrain:
@@ -266,3 +321,17 @@ class TestSerialization:
     def test_empty_rejected(self):
         with pytest.raises(ModelFormatError):
             load_model(b"")
+
+    @pytest.mark.parametrize("record", [
+        b"unary\tx",  # too few fields
+        b"unary\tx\tA\t1.0\textra",  # too many fields
+        b"trans\tA\tB\tabc",  # weight not a number
+        b"unary\tx\tC\t1.0",  # label outside the labels record
+        b"trans\tA\tC\t1.0",
+        b"template\tonly-id",  # no kind
+    ])
+    def test_malformed_record_rejected(self, record):
+        payload = save_model(tiny_model()).replace(b"\nend\n",
+                                                   b"\n" + record + b"\nend\n")
+        with pytest.raises(ModelFormatError):
+            load_model(payload)

@@ -108,6 +108,35 @@ class TestPageNumbers:
         assert report.warnings == []
 
 
+class TestPageSize:
+    @pytest.mark.parametrize("attr, default", [("width", 612.0),
+                                               ("height", 792.0)])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "0", "-612", "x"])
+    def test_invalid_size_falls_back_with_warning(self, attr, default, bad):
+        data = SIMPLE.replace(b'%s="' % attr.encode(),
+                              b'%s="%s" old-%s="' % (attr.encode(),
+                                                     bad.encode(),
+                                                     attr.encode()), 1)
+        doc, report = parse_rich_xml(data)
+        assert getattr(doc.pages[0], attr) == default
+        assert doc.pages[0].lines[0].text == "Hello world"
+        assert len(report.warnings) == 1
+        assert attr in report.warnings[0] and bad in report.warnings[0]
+
+    def test_missing_size_defaults_silently(self):
+        data = SIMPLE.replace(b' width="612" height="792"', b"")
+        doc, report = parse_rich_xml(data)
+        assert (doc.pages[0].width, doc.pages[0].height) == (612.0, 792.0)
+        assert report.warnings == []
+
+    def test_valid_size_kept_silently(self):
+        data = SIMPLE.replace(b'width="612" height="792"',
+                              b'width="595.5" height="842"')
+        doc, report = parse_rich_xml(data)
+        assert (doc.pages[0].width, doc.pages[0].height) == (595.5, 842.0)
+        assert report.warnings == []
+
+
 class TestSuperscript:
     def _line(self):
         # Body token at baseline 100; a 6pt marker raised 3pt above it.

@@ -134,6 +134,19 @@ class TestExtraction:
             parse_rich_xml(renumbered)[0], models).footnotes]
         assert notes and again == notes
 
+    def test_non_finite_page_height_falls_back(self, models):
+        # A NaN height used to reach the footnote features' deciles and
+        # raise "cannot convert float NaN to integer".
+        xml, _ = generate_synthetic_document("two-col-indexed", 4242)
+        bad = xml.replace(b'<PAGE number="1" width="612.0" height="792.0">',
+                          b'<PAGE number="1" width="612.0" height="nan">')
+        assert bad != xml
+        doc, report = parse_rich_xml(bad)
+        assert len(report.warnings) == 1 and "nan" in report.warnings[0]
+        from scholarparse.tei import export_tei
+        assert export_tei(extract_document(doc, models)) == export_tei(
+            extract_document(parse_rich_xml(xml)[0], models))
+
     def test_empty_document(self, models):
         from scholarparse.model import Document
         res = extract_document(Document(source_id="empty"), models)
