@@ -20,8 +20,8 @@ from .crf import save_model
 from .evaluate import (aggregate, evaluate_extraction, ground_truth_to_text,
                        render_report)
 from .ingest import parse_rich_xml
-from .pipeline import (MODEL_FILES, load_default_models, load_models_from_dir,
-                       extract_document)
+from .pipeline import (extract_document, load_default_models,
+                       load_models_from_dir)
 from .synth import STYLES, generate_synthetic_document
 from .tei import export_tei
 from .training import TASKS, load_corpus, train_task, training_examples
@@ -105,7 +105,7 @@ def cmd_train(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     for task in tasks:
         model = train_task(task, examples, cfg.train_config())
-        (out_dir / MODEL_FILES[task]).write_bytes(save_model(model))
+        (out_dir / f"{task}.crf").write_bytes(save_model(model))
         print(f"trained {task}: {np.count_nonzero(model.unary)} unary weights",
               file=sys.stderr)
     return 0

@@ -11,13 +11,13 @@ from .crf import TrainConfig
 
 @dataclass
 class PipelineConfig:
-    gap_factor: float = 1.5
-    font_jump: float = 0.15
-    boldness_break: bool = True
+    gap_factor: float = ChunkParams.gap_factor
+    font_jump: float = ChunkParams.font_jump
+    boldness_break: bool = ChunkParams.boldness_break
     dehyphenate: bool = False
-    l2_lambda: float = 1.0
-    max_iterations: int = 200
-    convergence_tol: float = 1e-5
+    l2_lambda: float = TrainConfig.l2_lambda
+    max_iterations: int = TrainConfig.max_iterations
+    convergence_tol: float = TrainConfig.convergence_tol
 
     def chunk_params(self) -> ChunkParams:
         return ChunkParams(gap_factor=self.gap_factor,

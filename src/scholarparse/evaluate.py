@@ -147,28 +147,30 @@ def predicted_field_strings(result: ExtractionResult) -> dict[str, str]:
     }
 
 
+# Report fields scored as one GroundTruth list joined with spaces.
+_GOLD_LISTS = {
+    "email": "emails", "affiliation": "affiliations",
+    "section_headings": "section_headings", "urls": "urls",
+    "figure_headings": "figure_headings", "table_headings": "table_headings",
+    "footnotes": "footnotes", "citations": "citations",
+    "references": "references",
+}
+
+
 def gold_field_strings(gt: GroundTruth) -> dict[str, str]:
-    author_email_tokens = [_pair_token(name, email)
-                           for name, email in gt.author_email]
-    cite_ref_tokens = [_pair_token(text, ordinal)
-                       for text, ordinal in gt.cite_ref]
-    return {
-        "title": gt.title,
-        "author_first": " ".join(a[0] for a in gt.authors),
-        "author_middle": " ".join(a[1] for a in gt.authors if a[1]),
-        "author_last": " ".join(a[2] for a in gt.authors),
-        "email": " ".join(gt.emails),
-        "affiliation": " ".join(gt.affiliations),
-        "section_headings": " ".join(gt.section_headings),
-        "figure_headings": " ".join(gt.figure_headings),
-        "table_headings": " ".join(gt.table_headings),
-        "urls": " ".join(gt.urls),
-        "footnotes": " ".join(gt.footnotes),
-        "author_email": " ".join(author_email_tokens),
-        "citations": " ".join(gt.citations),
-        "references": " ".join(gt.references),
-        "cite_ref": " ".join(cite_ref_tokens),
-    }
+    fields = {name: " ".join(getattr(gt, attr))
+              for name, attr in _GOLD_LISTS.items()}
+    fields.update(
+        title=gt.title,
+        author_first=" ".join(a[0] for a in gt.authors),
+        author_middle=" ".join(a[1] for a in gt.authors if a[1]),
+        author_last=" ".join(a[2] for a in gt.authors),
+        author_email=" ".join(_pair_token(name, email)
+                              for name, email in gt.author_email),
+        cite_ref=" ".join(_pair_token(text, ordinal)
+                          for text, ordinal in gt.cite_ref),
+    )
+    return fields
 
 
 def evaluate_extraction(result: ExtractionResult,
@@ -201,73 +203,49 @@ def render_report(metrics: dict[str, TokenMetrics]) -> str:
     return "\n".join(lines) + "\n"
 
 
-# Ground-truth file IO: "FIELD<TAB>value" records, UTF-8.
+# Ground-truth file IO: one "KIND<TAB>value" record per line, UTF-8, with
+# the kinds in this order.  TITLE is written only when non-empty, an AUTHOR
+# value is "first|middle|last", and the pair kinds carry two values.
+GROUND_TRUTH_RECORDS = (
+    ("TITLE", "title"), ("AUTHOR", "authors"), ("EMAIL", "emails"),
+    ("AFFILIATION", "affiliations"), ("SECTION_HEADING", "section_headings"),
+    ("FIGURE_HEADING", "figure_headings"), ("TABLE_HEADING", "table_headings"),
+    ("URL", "urls"), ("FOOTNOTE", "footnotes"), ("REFERENCE", "references"),
+    ("CITATION", "citations"), ("AUTHOR_EMAIL", "author_email"),
+    ("CITE_REF", "cite_ref"),
+)
+_PAIR_KINDS = ("AUTHOR_EMAIL", "CITE_REF")
+
 
 def ground_truth_to_text(gt: GroundTruth) -> str:
-    lines = []
-    if gt.title:
-        lines.append(f"TITLE\t{gt.title}")
-    for first, middle, last in gt.authors:
-        lines.append(f"AUTHOR\t{first}|{middle}|{last}")
-    for value in gt.emails:
-        lines.append(f"EMAIL\t{value}")
-    for value in gt.affiliations:
-        lines.append(f"AFFILIATION\t{value}")
-    for value in gt.section_headings:
-        lines.append(f"SECTION_HEADING\t{value}")
-    for value in gt.figure_headings:
-        lines.append(f"FIGURE_HEADING\t{value}")
-    for value in gt.table_headings:
-        lines.append(f"TABLE_HEADING\t{value}")
-    for value in gt.urls:
-        lines.append(f"URL\t{value}")
-    for value in gt.footnotes:
-        lines.append(f"FOOTNOTE\t{value}")
-    for value in gt.references:
-        lines.append(f"REFERENCE\t{value}")
-    for value in gt.citations:
-        lines.append(f"CITATION\t{value}")
-    for name, email in gt.author_email:
-        lines.append(f"AUTHOR_EMAIL\t{name}\t{email}")
-    for text, ordinal in gt.cite_ref:
-        lines.append(f"CITE_REF\t{text}\t{ordinal}")
+    lines = [f"TITLE\t{gt.title}"] if gt.title else []
+    for kind, attr in GROUND_TRUTH_RECORDS[1:]:
+        for value in getattr(gt, attr):
+            if kind not in _PAIR_KINDS:
+                value = ["|".join(value) if kind == "AUTHOR" else value]
+            lines.append("\t".join([kind, *value]))
     return "\n".join(lines) + "\n"
 
 
 def ground_truth_from_text(text: str) -> GroundTruth:
     gt = GroundTruth()
-    for line in text.splitlines():
+    attrs = dict(GROUND_TRUTH_RECORDS)
+    for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
-        parts = line.split("\t")
-        kind, rest = parts[0], parts[1:]
+        kind, *values = line.split("\t")
+        if kind not in attrs:
+            raise ValueError(f"line {lineno}: unknown ground-truth field "
+                             f"{kind!r}")
+        arity = 2 if kind in _PAIR_KINDS else 1
+        if len(values) < arity:
+            raise ValueError(f"line {lineno}: {kind} record needs {arity} "
+                             f"tab-separated value(s), got {len(values)}")
         if kind == "TITLE":
-            gt.title = rest[0]
+            gt.title = values[0]
         elif kind == "AUTHOR":
-            first, middle, last = (rest[0].split("|") + ["", ""])[:3]
-            gt.authors.append((first, middle, last))
-        elif kind == "EMAIL":
-            gt.emails.append(rest[0])
-        elif kind == "AFFILIATION":
-            gt.affiliations.append(rest[0])
-        elif kind == "SECTION_HEADING":
-            gt.section_headings.append(rest[0])
-        elif kind == "FIGURE_HEADING":
-            gt.figure_headings.append(rest[0])
-        elif kind == "TABLE_HEADING":
-            gt.table_headings.append(rest[0])
-        elif kind == "URL":
-            gt.urls.append(rest[0])
-        elif kind == "FOOTNOTE":
-            gt.footnotes.append(rest[0])
-        elif kind == "REFERENCE":
-            gt.references.append(rest[0])
-        elif kind == "CITATION":
-            gt.citations.append(rest[0])
-        elif kind == "AUTHOR_EMAIL":
-            gt.author_email.append((rest[0], rest[1]))
-        elif kind == "CITE_REF":
-            gt.cite_ref.append((rest[0], rest[1]))
+            gt.authors.append(tuple((values[0].split("|") + ["", ""])[:3]))
         else:
-            raise ValueError(f"unknown ground-truth field {kind!r}")
+            getattr(gt, attrs[kind]).append(
+                tuple(values[:2]) if arity == 2 else values[0])
     return gt

@@ -24,7 +24,7 @@ from .model import Document, Line, Page, Token
 
 # Superscript detection: a token is superscript when it is clearly smaller
 # than the page's body text and its baseline sits above the line's dominant
-# baseline.  The thresholds are configurable at the call site.
+# baseline.
 SUP_FONT_RATIO = 0.8
 SUP_RISE_PT = 1.5
 
@@ -163,19 +163,17 @@ def parse_rich_xml(data: bytes, *, dehyphenate: bool = False,
     return Document(source_id=source_id, pages=tuple(pages)), report
 
 
-def detect_superscript(line: Line, page_median_font: float,
-                       font_ratio: float = SUP_FONT_RATIO,
-                       rise_pt: float = SUP_RISE_PT) -> list[bool]:
+def detect_superscript(line: Line, page_median_font: float) -> list[bool]:
     """Per-token superscript flags for one line.
 
-    A token is flagged when both its font is at most font_ratio of the page
-    median and its baseline sits at least rise_pt above the line's dominant
-    baseline.
+    A token is flagged when both its font is at most SUP_FONT_RATIO of the
+    page median and its baseline sits at least SUP_RISE_PT above the line's
+    dominant baseline.
     """
     flags = []
     for tok in line.tokens:
-        small = tok.font_size <= font_ratio * page_median_font
-        raised = (line.baseline_y - tok.baseline_y) >= rise_pt
+        small = tok.font_size <= SUP_FONT_RATIO * page_median_font
+        raised = (line.baseline_y - tok.baseline_y) >= SUP_RISE_PT
         flags.append(small and raised)
     return flags
 

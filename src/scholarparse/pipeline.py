@@ -27,13 +27,7 @@ from .model import Chunk, Document
 from .structure import (extract_caption_headings, extract_footnotes,
                         extract_urls, label_headings, map_sections)
 from .tei import ExtractionResult
-
-MODEL_FILES = {
-    "title": "title.crf",
-    "author": "author.crf",
-    "heading": "heading.crf",
-    "footnote": "footnote.crf",
-}
+from .training import TASKS
 
 
 @dataclass
@@ -45,18 +39,17 @@ class PipelineModels:
 
 
 def load_models_from_dir(directory) -> PipelineModels:
-    directory = Path(directory)
-    loaded = {task: load_model((directory / name).read_bytes())
-              for task, name in MODEL_FILES.items()}
-    return PipelineModels(**loaded)
+    """Every task's model from <task>.crf in a directory or package resource."""
+    root = directory if hasattr(directory, "joinpath") else Path(directory)
+    return PipelineModels(**{
+        task: load_model(root.joinpath(f"{task}.crf").read_bytes())
+        for task in TASKS})
 
 
 def load_default_models() -> PipelineModels:
     """The pretrained models bundled with the package."""
-    root = resources.files("scholarparse.data").joinpath("models")
-    loaded = {task: load_model(root.joinpath(name).read_bytes())
-              for task, name in MODEL_FILES.items()}
-    return PipelineModels(**loaded)
+    return load_models_from_dir(
+        resources.files("scholarparse.data").joinpath("models"))
 
 
 def chunk_to_lines(chunk: Chunk) -> list[tuple[str, float]]:

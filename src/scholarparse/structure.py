@@ -14,7 +14,6 @@ from .model import Chunk
 
 HEADING_LABEL = "HEADING"
 FOOTNOTE_LABEL = "FOOTNOTE"
-OTHER_LABEL = "OTHER"
 
 FIGURE_KEYWORDS = ("FIGURE", "Figure", "FIG.", "Fig.")
 TABLE_KEYWORDS = ("Table", "TABLE")

@@ -11,7 +11,7 @@ citations.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .evaluate import GroundTruth
 from .ingest import document_to_xml
@@ -83,8 +83,29 @@ DATASET_URL_PATHS = ["datasets/v1", "datasets/acl", "dumps/enwiki", "data/parall
 PLAIN_URL_PATHS = ["tools/parser", "projects/home", "demo/view", "code/release"]
 URL_HOSTS = ["example.org", "corpus.example.org", "research.example.net"]
 
+# The rendered text of each citation style row.  The expected extractor
+# match is the text itself, except that row 13 drops its parentheses.
+CITATION_FORMATS = {
+    1: "{surname} et al. [{index}]",
+    2: "{surname} [{index}]",
+    3: "{surname} et al.[{index}]",
+    4: "{surname} et al., {year}a",
+    5: "{surname} et al., {year}",
+    6: "{surname} et al., ({year})",
+    7: "{surname} et al. {year}",
+    8: "{surname} et al. ({year})",
+    9: "{surname} and {surname2} ({year})",
+    10: "{surname} & {surname2} ({year})",
+    11: "{surname} and {surname2}, {year}",
+    12: "{surname} & {surname2}, {year}",
+    13: "({surname}, {year})",
+    14: "{surname} {year}",
+    15: "{surname} ({year})",
+    16: "[{index}]",
+}
 INDEXED_CITE_STYLES = [1, 2, 3, 16]
-AUTHOR_YEAR_CITE_STYLES = [4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15]
+AUTHOR_YEAR_CITE_STYLES = sorted(CITATION_FORMATS.keys()
+                                 - set(INDEXED_CITE_STYLES))
 
 
 @dataclass
@@ -99,6 +120,19 @@ class _Word:
 
 def _width(word: _Word) -> float:
     return CHAR_W * word.font * len(word.text)
+
+
+def _line(words: list[_Word], x: float, base: float, page_no: int) -> Line:
+    """One line of words laid out left to right from x on a baseline."""
+    tokens = []
+    for w in words:
+        y = base - w.font - (3.0 if w.raised else 0.0)
+        tokens.append(Token(
+            text=w.text, page_no=page_no, x=x, y=y, width=_width(w),
+            height=w.font, font_size=w.font, bold=w.bold, italic=w.italic,
+            font_name="Bold" if w.bold else "Regular"))
+        x += _width(w) + w.gap_after
+    return Line(tokens=tuple(tokens), baseline_y=base)
 
 
 class _Writer:
@@ -140,20 +174,8 @@ class _Writer:
         if self.y + LEAD > BOTTOM:
             self._advance_region()
         self.y += LEAD
-        tokens = []
-        x = self._col_x() + indent
-        base = self.y
-        for w in words:
-            height = w.font
-            y = base - height - (3.0 if w.raised else 0.0)
-            tokens.append(Token(
-                text=w.text, page_no=self.page_index + 1, x=x, y=y,
-                width=_width(w), height=height, font_size=w.font,
-                bold=w.bold, italic=w.italic,
-                font_name="Bold" if w.bold else "Regular"))
-            x += _width(w) + w.gap_after
-        self.pages[self.page_index].append(
-            Line(tokens=tuple(tokens), baseline_y=base))
+        self.pages[self.page_index].append(_line(
+            words, self._col_x() + indent, self.y, self.page_index + 1))
 
     def flow(self, words: list[_Word], indent_continuation: float = 0.0,
              no_digit_line_start: bool = False):
@@ -193,18 +215,8 @@ class _Writer:
             lines = list(lines)
             for k, fn_words in enumerate(self.footnotes.get(i, [])):
                 # wide spacing keeps consecutive notes in separate chunks
-                base = PAGE_H - 64.0 + 24.0 * k
-                tokens = []
-                x = MARGIN
-                for w in fn_words:
-                    height = w.font
-                    y = base - height - (3.0 if w.raised else 0.0)
-                    tokens.append(Token(
-                        text=w.text, page_no=i + 1, x=x, y=y,
-                        width=_width(w), height=height, font_size=w.font,
-                        bold=w.bold, italic=w.italic, font_name="Regular"))
-                    x += _width(w) + w.gap_after
-                lines.append(Line(tokens=tuple(tokens), baseline_y=base))
+                lines.append(_line(fn_words, MARGIN,
+                                   PAGE_H - 64.0 + 24.0 * k, i + 1))
             lines.sort(key=lambda l: l.baseline_y)
             pages.append(Page(number=i + 1, width=PAGE_W, height=PAGE_H,
                               lines=tuple(lines)))
@@ -219,57 +231,12 @@ def _sentence(rng: random.Random, n: int) -> list[str]:
     return [rng.choice(BODY_WORDS) for _ in range(n)]
 
 
-def _render_citation(rng: random.Random, style_id: int, surname: str,
-                     surname2: str, year: int, index: int):
+def _render_citation(style_id: int, surname: str, surname2: str, year: int,
+                     index: int):
     """(rendered text, expected extractor match) for one citation style row."""
-    if style_id == 1:
-        t = f"{surname} et al. [{index}]"
-        return t, t
-    if style_id == 2:
-        t = f"{surname} [{index}]"
-        return t, t
-    if style_id == 3:
-        t = f"{surname} et al.[{index}]"
-        return t, t
-    if style_id == 16:
-        t = f"[{index}]"
-        return t, t
-    if style_id == 4:
-        t = f"{surname} et al., {year}a"
-        return t, t
-    if style_id == 5:
-        t = f"{surname} et al., {year}"
-        return t, t
-    if style_id == 6:
-        t = f"{surname} et al., ({year})"
-        return t, t
-    if style_id == 7:
-        t = f"{surname} et al. {year}"
-        return t, t
-    if style_id == 8:
-        t = f"{surname} et al. ({year})"
-        return t, t
-    if style_id == 9:
-        t = f"{surname} and {surname2} ({year})"
-        return t, t
-    if style_id == 10:
-        t = f"{surname} & {surname2} ({year})"
-        return t, t
-    if style_id == 11:
-        t = f"{surname} and {surname2}, {year}"
-        return t, t
-    if style_id == 12:
-        t = f"{surname} & {surname2}, {year}"
-        return t, t
-    if style_id == 13:
-        return f"({surname}, {year})", f"{surname}, {year}"
-    if style_id == 14:
-        t = f"{surname} {year}"
-        return t, t
-    if style_id == 15:
-        t = f"{surname} ({year})"
-        return t, t
-    raise ValueError(f"unknown citation style {style_id}")
+    text = CITATION_FORMATS[style_id].format(
+        surname=surname, surname2=surname2, year=year, index=index)
+    return text, text[1:-1] if style_id == 13 else text
 
 
 def generate_synthetic_document(style: str, seed: int,
@@ -392,7 +359,7 @@ def generate_synthetic_document(style: str, seed: int,
                 ref_i, surname, year, _entry = rng.choice(ref_entries)
                 ref2 = rng.choice([r for r in ref_entries if r[0] != ref_i])
                 rendered_cite, match = _render_citation(
-                    rng, style_id, surname, ref2[1], year, ref_i)
+                    style_id, surname, ref2[1], year, ref_i)
                 ordinals = [ref_i]
                 if style_id == 16 and rng.random() < 0.5:
                     ref_j = ref2[0]

@@ -43,8 +43,9 @@ def export_tei(result: ExtractionResult) -> str:
     tei = ET.Element("TEI", {"xmlns": TEI_NS})
     _header(tei, result)
     text = ET.SubElement(tei, "text")
-    _body(ET.SubElement(text, "body"), result)
-    _back(ET.SubElement(text, "back"), result)
+    ids = _ref_ids(result)
+    _body(ET.SubElement(text, "body"), result, ids)
+    _back(ET.SubElement(text, "back"), result, ids)
     ET.indent(tei, space="  ")
     xml = ET.tostring(tei, encoding="unicode")
     return '<?xml version="1.0" encoding="UTF-8"?>\n' + xml + "\n"
@@ -90,8 +91,7 @@ def _ref_ids(result) -> dict[int, str]:
     return ids
 
 
-def _body(body, result):
-    ids = _ref_ids(result)
+def _body(body, result, ids):
     links_by_heading: dict[str | None, list[CitationLink]] = {}
     for link in result.citations:
         links_by_heading.setdefault(link.citation.section_heading, []).append(link)
@@ -134,8 +134,7 @@ def _ref_elem(div, link: CitationLink, ids):
     ref.text = link.citation.matched_text
 
 
-def _back(back, result):
-    ids = _ref_ids(result)
+def _back(back, result, ids):
     div = ET.SubElement(back, "div", {"type": "references"})
     list_bibl = ET.SubElement(div, "listBibl")
     for ref in result.references:

@@ -23,8 +23,6 @@ from .metadata import (AUTHOR_LABEL, OTHER_LABEL, TITLE_LABEL,
 from .model import Chunk, Document
 from .structure import FOOTNOTE_LABEL, HEADING_LABEL
 
-TASKS = ("title", "author", "heading", "footnote")
-
 
 @dataclass
 class TrainingPair:
@@ -70,6 +68,13 @@ def _gold_title_tokens(chunks: list[Chunk], truth: GroundTruth):
     return out
 
 
+def _labeled(feats, gold_flags, label: str) -> LabeledSequence:
+    """A sequence labeling each item `label` where its gold flag is set and
+    OTHER elsewhere."""
+    return LabeledSequence(items=[(f, label if gold else OTHER_LABEL)
+                                  for f, gold in zip(feats, gold_flags)])
+
+
 def build_title_sequences(examples):
     """One sequence per document: the tokens of the first chunk."""
     sequences = []
@@ -78,10 +83,9 @@ def build_title_sequences(examples):
             continue
         first = ctx.chunks[0]
         gold = {id(t) for t in _gold_title_tokens(ctx.chunks, truth)}
-        feats = ctx.token_features(list(first.tokens))
-        labels = [TITLE_LABEL if id(t) in gold else OTHER_LABEL
-                  for t in first.tokens]
-        sequences.append(LabeledSequence(items=list(zip(feats, labels))))
+        sequences.append(_labeled(ctx.token_features(list(first.tokens)),
+                                  [id(t) in gold for t in first.tokens],
+                                  TITLE_LABEL))
     return sequences
 
 
@@ -98,12 +102,11 @@ def build_author_sequences(examples):
         name_parts = {p for first, middle, last in truth.authors
                       for p in (first, middle, last) if p}
         title_ids = {id(t) for t in title_span}
-        feats = ctx.token_features(candidates)
-        labels = [AUTHOR_LABEL
-                  if tok.text.rstrip(",") in name_parts and id(tok) not in title_ids
-                  else OTHER_LABEL
-                  for tok in candidates]
-        sequences.append(LabeledSequence(items=list(zip(feats, labels))))
+        sequences.append(_labeled(
+            ctx.token_features(candidates),
+            [tok.text.rstrip(",") in name_parts and id(tok) not in title_ids
+             for tok in candidates],
+            AUTHOR_LABEL))
     return sequences
 
 
@@ -114,10 +117,9 @@ def build_heading_sequences(examples):
         if not ctx.chunks:
             continue
         gold = set(truth.section_headings)
-        feats = heading_chunk_features(ctx.chunks, ctx.body_font)
-        labels = [HEADING_LABEL if c.text in gold else OTHER_LABEL
-                  for c in ctx.chunks]
-        sequences.append(LabeledSequence(items=list(zip(feats, labels))))
+        sequences.append(_labeled(
+            heading_chunk_features(ctx.chunks, ctx.body_font),
+            [c.text in gold for c in ctx.chunks], HEADING_LABEL))
     return sequences
 
 
@@ -134,22 +136,23 @@ def build_footnote_sequences(examples):
         for page_ctx in ctx.pages:
             if not page_ctx.chunks:
                 continue
-            feats = footnote_chunk_features(page_ctx.chunks, page_ctx.page,
-                                            page_ctx.body_font)
-            labels = [FOOTNOTE_LABEL
-                      if c.text in gold or _strip_marker(c.text) in gold
-                      else OTHER_LABEL
-                      for c in page_ctx.chunks]
-            sequences.append(LabeledSequence(items=list(zip(feats, labels))))
+            sequences.append(_labeled(
+                footnote_chunk_features(page_ctx.chunks, page_ctx.page,
+                                        page_ctx.body_font),
+                [c.text in gold or _strip_marker(c.text) in gold
+                 for c in page_ctx.chunks],
+                FOOTNOTE_LABEL))
     return sequences
 
 
+# Sequence builder, labels and feature templates of each task, in order.
 _BUILDERS = {
     "title": (build_title_sequences, (OTHER_LABEL, TITLE_LABEL), TOKEN_TEMPLATES),
     "author": (build_author_sequences, (OTHER_LABEL, AUTHOR_LABEL), TOKEN_TEMPLATES),
     "heading": (build_heading_sequences, (OTHER_LABEL, HEADING_LABEL), HEADING_TEMPLATES),
     "footnote": (build_footnote_sequences, (OTHER_LABEL, FOOTNOTE_LABEL), FOOTNOTE_TEMPLATES),
 }
+TASKS = tuple(_BUILDERS)
 
 
 def train_task(task: str, examples,

@@ -1,11 +1,10 @@
-import itertools
 import random
 
 import numpy as np
 import pytest
 
 from scholarparse.crf import (CrfModel, _emissions, _logsumexp, _path_score,
-                              _split, score)
+                              _split)
 
 
 def random_instance(rng: random.Random, max_len: int = 8, max_labels: int = 4,
@@ -26,25 +25,13 @@ def random_instance(rng: random.Random, max_len: int = 8, max_labels: int = 4,
     return CrfModel.from_weights(labels, unary, trans), feats
 
 
-def enumerate_paths(model: CrfModel, feats):
-    """Every label path with its score."""
-    out = []
-    for idx_path in itertools.product(range(len(model.labels)),
-                                      repeat=len(feats)):
-        path = [model.labels[i] for i in idx_path]
-        out.append((idx_path, path, score(model, feats, path)))
-    return out
+def path_scores(model: CrfModel, feats):
+    """Every label path, as rows of label indices in lexicographic order,
+    and the score of each.
 
-
-def brute_force_decode(model: CrfModel, feats, tol: float = 1e-9):
-    """Oracle decoder: max score, ties broken by the reversed index tuple.
-
-    The dynamic program backtracks from the final position choosing the
-    lowest label index at every tie, which selects the path minimal under
-    reverse-lexicographic comparison of label indices.  Scores every path
-    exhaustively; the scoring itself is vectorized so the oracle stays
-    usable on hundreds of instances.  It reads the weight arrays directly,
-    without the model's own emission or scoring code.
+    Vectorized so the oracles stay usable on hundreds of instances.  It
+    reads the weight arrays directly, without the model's own emission or
+    scoring code.
     """
     n, n_labels = len(feats), len(model.labels)
     emit = np.zeros((n, n_labels))
@@ -60,7 +47,24 @@ def brute_force_decode(model: CrfModel, feats, tol: float = 1e-9):
     scores = emit[np.arange(n), paths].sum(axis=1)
     for t in range(1, n):
         scores += trans[paths[:, t - 1], paths[:, t]]
+    return paths, scores
 
+
+def enumerate_paths(model: CrfModel, feats):
+    """Every label path as (label indices, labels, score)."""
+    paths, scores = path_scores(model, feats)
+    return [(tuple(int(v) for v in row), [model.labels[i] for i in row],
+             float(s)) for row, s in zip(paths, scores)]
+
+
+def brute_force_decode(model: CrfModel, feats, tol: float = 1e-9):
+    """Oracle decoder: max score, ties broken by the reversed index tuple.
+
+    The dynamic program backtracks from the final position choosing the
+    lowest label index at every tie, which selects the path minimal under
+    reverse-lexicographic comparison of label indices.
+    """
+    paths, scores = path_scores(model, feats)
     best = float(scores.max())
     candidates = paths[scores >= best - tol]
     idx = min((tuple(int(v) for v in row) for row in candidates),

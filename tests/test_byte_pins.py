@@ -1,6 +1,7 @@
-"""Byte pins for refactors: the TEI of one fixed article per style, the
-four training-sequence sets built from the same articles, and the four
-models trained on them.
+"""Byte pins for refactors: the generated articles and ground truth of
+seeds 0-39 per style, the TEI of one fixed article per style, the four
+training-sequence sets built from the same articles, and the four models
+trained on them.
 
 Code that keeps the extraction, feature and training behaviour keeps these
 digests;
@@ -9,10 +10,12 @@ why.
 """
 
 import hashlib
+import re
 
 import pytest
 
 from scholarparse.crf import TrainConfig, save_model
+from scholarparse.evaluate import ground_truth_to_text
 from scholarparse.ingest import parse_rich_xml
 from scholarparse.pipeline import extract_document, load_default_models
 from scholarparse.synth import STYLES, generate_synthetic_document
@@ -24,6 +27,47 @@ from scholarparse.training import (TrainingPair, build_author_sequences,
                                    training_examples)
 
 ARTICLE_SEED = 4242
+
+GENERATOR_SEEDS = range(40)
+
+# SHA-256 over generate_synthetic_document(style, seed) XML followed by
+# ground_truth_to_text(truth), for every seed in GENERATOR_SEEDS in order.
+GENERATOR_SHA256 = {
+    "single-col-numbered":
+        "25f6fcbf5d40ade6ed18f323a5dd4d1d9229173d2f59319f392e416d68800f27",
+    "single-col-unnumbered":
+        "4a4db7a41c4538bad6ec8033073bb1029eae26829cf3fa5f252712d66af2fc2a",
+    "two-col-indexed":
+        "4c1aaca38dae9da17c1c440bed5c193d7b164b0e5175cd7d46f3b5ad80220809",
+    "two-col-author-year":
+        "2d6e3270929c560d2dc57c00d339e3c89e57f0c1d00ccbbdd0c12f4c30e52a3b",
+}
+
+# The expected match of each citation style row, so the pinned seeds can be
+# shown to cover all sixteen.  S and T are surnames, Y a year, N an ordinal.
+_S, _Y, _N = r"[A-Z][a-z]+", r"\d{4}", r"\d+"
+CITATION_MATCH = {
+    1: rf"{_S} et al\. \[{_N}\]",
+    2: rf"{_S} \[{_N}\]",
+    3: rf"{_S} et al\.\[{_N}\]",
+    4: rf"{_S} et al\., {_Y}a",
+    5: rf"{_S} et al\., {_Y}",
+    6: rf"{_S} et al\., \({_Y}\)",
+    7: rf"{_S} et al\. {_Y}",
+    8: rf"{_S} et al\. \({_Y}\)",
+    9: rf"{_S} and {_S} \({_Y}\)",
+    10: rf"{_S} & {_S} \({_Y}\)",
+    11: rf"{_S} and {_S}, {_Y}",
+    12: rf"{_S} & {_S}, {_Y}",
+    13: rf"{_S}, {_Y}",
+    14: rf"{_S} {_Y}",
+    15: rf"{_S} \({_Y}\)",
+    16: rf"\[{_N}(, {_N})?\]",
+}
+
+# The e-mail group pattern of an article, told from its XML tokens:
+# {a, b}@host, [a, b]@host, [a@sub, b@sub].host, else one address per user.
+EMAIL_PATTERN = [(2, b"}@"), (3, b"]@"), (4, b"].example.org")]
 
 TEI_SHA256 = {
     "single-col-numbered":
@@ -62,6 +106,37 @@ BUILDERS = {
 
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def generated():
+    return {style: [generate_synthetic_document(style, seed)
+                    for seed in GENERATOR_SEEDS]
+            for style in STYLES}
+
+
+@pytest.mark.parametrize("style", STYLES)
+def test_generator_bytes(generated, style):
+    digest = hashlib.sha256()
+    for xml, truth in generated[style]:
+        digest.update(xml)
+        digest.update(ground_truth_to_text(truth).encode("utf-8"))
+    assert digest.hexdigest() == GENERATOR_SHA256[style]
+
+
+def test_pinned_seeds_cover_every_citation_style_and_email_pattern(generated):
+    cite_styles, email_patterns = set(), set()
+    for articles in generated.values():
+        for xml, truth in articles:
+            for match in truth.citations:
+                rows = [row for row, pattern in CITATION_MATCH.items()
+                        if re.fullmatch(pattern, match)]
+                assert len(rows) == 1, match
+                cite_styles.update(rows)
+            email_patterns.add(next((n for n, mark in EMAIL_PATTERN
+                                     if mark in xml), 1))
+    assert cite_styles == set(range(1, 17))
+    assert email_patterns == {1, 2, 3, 4}
 
 
 @pytest.fixture(scope="module")

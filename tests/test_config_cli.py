@@ -5,8 +5,10 @@ from xml.etree import ElementTree as ET
 
 import pytest
 
+from scholarparse.chunker import ChunkParams
 from scholarparse.cli import main
 from scholarparse.config import PipelineConfig, load_config, parse_config
+from scholarparse.crf import TrainConfig
 from scholarparse.pipeline import PipelineModels
 
 
@@ -15,6 +17,11 @@ class TestConfig:
         cfg = PipelineConfig()
         assert cfg.gap_factor == 1.5
         assert cfg.max_iterations == 200
+
+    def test_defaults_are_those_of_chunking_and_training(self):
+        cfg = PipelineConfig()
+        assert cfg.chunk_params() == ChunkParams()
+        assert cfg.train_config() == TrainConfig()
 
     def test_parse_values(self):
         cfg = parse_config("gap_factor = 2.0\nmax_iterations=10\n"

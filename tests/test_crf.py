@@ -17,7 +17,7 @@ from scholarparse.crf import (CrfError, CrfModel, LabeledSequence,
                               forward_backward, load_model, log_likelihood,
                               log_likelihood_and_gradient, save_model, score,
                               train, viterbi_decode)
-from scholarparse.pipeline import MODEL_FILES
+from scholarparse.training import TASKS
 
 
 def tiny_model():
@@ -287,7 +287,7 @@ class TestSerialization:
         assert np.array_equal(back.transitions, model.transitions)
         assert back.task_name == "demo"
 
-    @pytest.mark.parametrize("name", sorted(MODEL_FILES.values()))
+    @pytest.mark.parametrize("name", sorted(f"{task}.crf" for task in TASKS))
     def test_bundled_model_bytes_round_trip(self, name):
         models = resources.files("scholarparse.data").joinpath("models")
         payload = models.joinpath(name).read_bytes()

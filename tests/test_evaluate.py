@@ -118,6 +118,13 @@ class TestGroundTruthIO:
         with pytest.raises(ValueError):
             ground_truth_from_text("BOGUS\tvalue\n")
 
+    @pytest.mark.parametrize("record", [
+        "TITLE", "AUTHOR", "EMAIL", "CITE_REF\t[1]", "AUTHOR_EMAIL\tA B"])
+    def test_short_record_names_line_and_kind(self, record):
+        kind = record.split("\t")[0]
+        with pytest.raises(ValueError, match=rf"^line 2: {kind} record"):
+            ground_truth_from_text(f"TITLE\tHello\n{record}\n")
+
     def test_blank_lines_ignored(self):
         gt = ground_truth_from_text("\nTITLE\tHello\n\n")
         assert gt.title == "Hello"

@@ -1,5 +1,6 @@
 """Integration tests for the end-to-end pipeline with the bundled models."""
 
+import dataclasses
 import os
 import re
 import subprocess
@@ -12,9 +13,11 @@ from scholarparse.chunker import chunk_document
 from scholarparse.context import build_context
 from scholarparse.ingest import parse_rich_xml
 from scholarparse.metadata import extract_affiliations, extract_emails
-from scholarparse.pipeline import (chunk_to_lines, extract_document,
-                                   load_default_models, load_models_from_dir)
+from scholarparse.pipeline import (PipelineModels, chunk_to_lines,
+                                   extract_document, load_default_models,
+                                   load_models_from_dir)
 from scholarparse.synth import STYLES, generate_synthetic_document
+from scholarparse.training import TASKS
 
 
 @pytest.fixture(scope="module")
@@ -41,13 +44,17 @@ class TestDefaultModels:
 
     def test_load_from_directory(self, tmp_path, models):
         from scholarparse.crf import save_model
-        from scholarparse.pipeline import MODEL_FILES
-        for task, name in MODEL_FILES.items():
-            (tmp_path / name).write_bytes(save_model(getattr(models, task)))
+        for task in TASKS:
+            (tmp_path / f"{task}.crf").write_bytes(
+                save_model(getattr(models, task)))
         again = load_models_from_dir(tmp_path)
-        for task in MODEL_FILES:
+        for task in TASKS:
             assert (save_model(getattr(again, task))
                     == save_model(getattr(models, task)))
+
+
+def test_pipeline_models_hold_one_model_per_task():
+    assert [f.name for f in dataclasses.fields(PipelineModels)] == list(TASKS)
 
 
 def test_import_and_default_models_need_no_scipy():
