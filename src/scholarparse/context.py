@@ -8,10 +8,11 @@ and training see the same values.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .chunker import ChunkParams, chunk_document
-from .features import body_font_size, token_features
+from .features import font_counts, modal_font, token_features
 from .model import Chunk, Document, Page, Token
 
 
@@ -47,7 +48,8 @@ class DocumentContext:
 
 def build_context(doc: Document,
                   params: ChunkParams = ChunkParams()) -> DocumentContext:
-    """Chunk ``doc`` and estimate its body fonts, once."""
+    """Chunk ``doc`` and estimate its body fonts, once: each page's font
+    sizes are counted once, and the document's counts are their sum."""
     chunks = tuple(chunk_document(doc, params))
     positions: dict[int, int] = {}
     by_page: dict[int, list[Chunk]] = {}
@@ -55,10 +57,14 @@ def build_context(doc: Document,
         by_page.setdefault(chunk.page_no, []).append(chunk)
         for tok in chunk.tokens:
             positions[id(tok)] = len(positions)
-    pages = tuple(PageContext(page=page,
-                              chunks=tuple(by_page.get(page.number, ())),
-                              body_font=body_font_size(page))
-                  for page in doc.pages)
-    return DocumentContext(chunks=chunks, body_font=body_font_size(doc),
-                           pages=pages, positions=positions,
+    doc_counts: Counter = Counter()
+    pages = []
+    for page in doc.pages:
+        counts = font_counts(page)
+        doc_counts.update(counts)
+        pages.append(PageContext(page=page,
+                                 chunks=tuple(by_page.get(page.number, ())),
+                                 body_font=modal_font(counts)))
+    return DocumentContext(chunks=chunks, body_font=modal_font(doc_counts),
+                           pages=tuple(pages), positions=positions,
                            token_count=len(positions))

@@ -205,7 +205,10 @@ def render_report(metrics: dict[str, TokenMetrics]) -> str:
 
 # Ground-truth file IO: one "KIND<TAB>value" record per line, UTF-8, with
 # the kinds in this order.  TITLE is written only when non-empty, an AUTHOR
-# value is "first|middle|last", and the pair kinds carry two values.
+# value is "first|middle|last", and the pair kinds carry two values.  A
+# value is escaped so that it holds no tab and nothing str.splitlines breaks
+# on: a backslash is written "\\", a tab "\t", a newline "\n", and the other
+# line breaks (and "|" in an AUTHOR part) "\uXXXX".
 GROUND_TRUTH_RECORDS = (
     ("TITLE", "title"), ("AUTHOR", "authors"), ("EMAIL", "emails"),
     ("AFFILIATION", "affiliations"), ("SECTION_HEADING", "section_headings"),
@@ -215,14 +218,29 @@ GROUND_TRUTH_RECORDS = (
     ("CITE_REF", "cite_ref"),
 )
 _PAIR_KINDS = ("AUTHOR_EMAIL", "CITE_REF")
+_ESCAPES = {ord(c): f"\\u{ord(c):04x}"
+            for c in "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"}
+_ESCAPES.update({ord("\\"): "\\\\", ord("\t"): "\\t", ord("\n"): "\\n"})
+_AUTHOR_PART_ESCAPES = {**_ESCAPES, ord("|"): "\\u007c"}
+_ESCAPE_SEQUENCE = re.compile(r"\\(?:u([0-9a-f]{4})|([\\tn]))")
+_UNESCAPED = {"\\": "\\", "t": "\t", "n": "\n"}
+
+
+def _unescape(value: str) -> str:
+    return _ESCAPE_SEQUENCE.sub(
+        lambda m: chr(int(m[1], 16)) if m[1] else _UNESCAPED[m[2]], value)
 
 
 def ground_truth_to_text(gt: GroundTruth) -> str:
-    lines = [f"TITLE\t{gt.title}"] if gt.title else []
+    lines = [f"TITLE\t{gt.title.translate(_ESCAPES)}"] if gt.title else []
     for kind, attr in GROUND_TRUTH_RECORDS[1:]:
         for value in getattr(gt, attr):
-            if kind not in _PAIR_KINDS:
-                value = ["|".join(value) if kind == "AUTHOR" else value]
+            if kind == "AUTHOR":
+                value = ["|".join(part.translate(_AUTHOR_PART_ESCAPES)
+                                  for part in value)]
+            else:
+                value = [v.translate(_ESCAPES) for v in
+                         (value if kind in _PAIR_KINDS else [value])]
             lines.append("\t".join([kind, *value]))
     return "\n".join(lines) + "\n"
 
@@ -238,14 +256,21 @@ def ground_truth_from_text(text: str) -> GroundTruth:
             raise ValueError(f"line {lineno}: unknown ground-truth field "
                              f"{kind!r}")
         arity = 2 if kind in _PAIR_KINDS else 1
-        if len(values) < arity:
+        if len(values) != arity:
             raise ValueError(f"line {lineno}: {kind} record needs {arity} "
                              f"tab-separated value(s), got {len(values)}")
+        if kind == "AUTHOR":
+            parts = values[0].split("|")
+            if len(parts) > 3:
+                raise ValueError(f"line {lineno}: AUTHOR record has "
+                                 f"{len(parts)} '|'-separated parts, not 3")
+            parts += [""] * (3 - len(parts))
+            gt.authors.append(tuple(_unescape(p) for p in parts))
+            continue
+        values = [_unescape(v) for v in values]
         if kind == "TITLE":
             gt.title = values[0]
-        elif kind == "AUTHOR":
-            gt.authors.append(tuple((values[0].split("|") + ["", ""])[:3]))
         else:
             getattr(gt, attrs[kind]).append(
-                tuple(values[:2]) if arity == 2 else values[0])
+                tuple(values) if arity == 2 else values[0])
     return gt

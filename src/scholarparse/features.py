@@ -8,6 +8,7 @@ indicators.
 from __future__ import annotations
 
 import re
+from collections import Counter
 
 from .crf import FeatureTemplate
 from .model import Chunk, Page, Token
@@ -167,13 +168,23 @@ def footnote_chunk_features(chunks: list[Chunk], page: Page,
     return out
 
 
-def body_font_size(page_or_doc) -> float:
-    """Most common font size, an estimate of the body text size."""
-    counts: dict[float, int] = {}
-    pages = page_or_doc.pages if hasattr(page_or_doc, "pages") else [page_or_doc]
-    for page in pages:
-        for tok in page.tokens():
-            counts[tok.font_size] = counts.get(tok.font_size, 0) + 1
+def font_counts(page: Page) -> Counter:
+    """How many tokens of ``page`` have each font size."""
+    return Counter([tok.font_size for line in page.lines for tok in line.tokens])
+
+
+def modal_font(counts: Counter) -> float:
+    """The most common font size, the smallest of those tied; 10.0 for no
+    tokens.  This is the body text size estimate."""
     if not counts:
         return 10.0
     return max(counts.items(), key=lambda kv: (kv[1], -kv[0]))[0]
+
+
+def body_font_size(page_or_doc) -> float:
+    """Most common font size, an estimate of the body text size."""
+    pages = page_or_doc.pages if hasattr(page_or_doc, "pages") else [page_or_doc]
+    counts: Counter = Counter()
+    for page in pages:
+        counts.update(font_counts(page))
+    return modal_font(counts)

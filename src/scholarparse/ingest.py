@@ -11,20 +11,30 @@ earlier page's, becomes one more than the largest number used so far, with
 a warning, so that page numbers identify pages.  A PAGE width or height that
 is not a finite positive number becomes US Letter's 612 or 792, with a
 warning.
+
+Each page is parsed in one pass over its TOKENs, and each Token is built
+once.  A TOKEN's five numbers are read together; only a TOKEN that fails
+that read, or whose values are out of range, is read again field by field
+to name what is wrong.  A missing, zero or unparseable width or height is
+0.0.  A line's baseline is the median of its tokens' baselines.
+
+Superscripts: once a page's TOKENs are read, its median font size is
+known, and every token is built with its ``sup_flag``: set when its font is
+at most SUP_FONT_RATIO of the page median and its baseline sits at least
+SUP_RISE_PT above its line's baseline (``detect_superscript`` states the
+same rule for a built line).
 """
 
 from __future__ import annotations
 
 import math
-import statistics
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from operator import itemgetter
 from xml.etree import ElementTree as ET
 
 from .model import Document, Line, Page, Token
 
-# Superscript detection: a token is superscript when it is clearly smaller
-# than the page's body text and its baseline sits above the line's dominant
-# baseline.
+# Superscript detection (see the module docstring).
 SUP_FONT_RATIO = 0.8
 SUP_RISE_PT = 1.5
 
@@ -77,6 +87,105 @@ def _page_extent(page_elem, name: str, default: float, number: int,
     return default
 
 
+def _token_geometry(tok_elem, text: str):
+    """``(x, y, width, height, font_size)`` of a TOKEN read field by field,
+    or the reason it is skipped.  A missing, zero or unparseable width or
+    height is 0.0."""
+    x = _get_float(tok_elem, "x")
+    y = _get_float(tok_elem, "y")
+    font_size = _get_float(tok_elem, "font-size")
+    width = _get_float(tok_elem, "width") or 0.0
+    height = _get_float(tok_elem, "height") or 0.0
+    if x is None or y is None or font_size is None or not text:
+        return "missing attributes"
+    if not all(map(math.isfinite, (x, y, width, height, font_size))):
+        return "a non-finite coordinate or size"
+    if width < 0 or height < 0 or font_size <= 0:
+        return "a negative extent or non-positive font-size"
+    return x, y, width, height, font_size
+
+
+def _median(values: list[float]) -> float:
+    """The middle of the sorted values, or the mean of the two middles,
+    exactly as ``statistics.median`` computes it; sorts ``values``."""
+    values.sort()
+    mid = len(values) // 2
+    if len(values) % 2:
+        return values[mid]
+    return (values[mid - 1] + values[mid]) / 2
+
+
+def _is_superscript(font_size: float, baseline_y: float, line_baseline: float,
+                    page_median_font: float) -> bool:
+    """The superscript rule: small against the page and raised in its line."""
+    return (font_size <= SUP_FONT_RATIO * page_median_font
+            and line_baseline - baseline_y >= SUP_RISE_PT)
+
+
+def _parse_page(page_elem, number: int, report: IngestReport) -> tuple[Line, ...]:
+    """The lines of one PAGE, each token built once with its sup_flag.
+
+    The page's median font must be known before any token can be flagged,
+    so each line's TOKEN values are collected first, as plain tuples, and
+    the tokens are built from them at the end.
+    """
+    rows_by_line = []
+    fonts = []
+    for text_elem in page_elem:
+        if text_elem.tag != "TEXT":
+            report.skipped_elements += 1
+            continue
+        rows = []
+        for tok_elem in text_elem:
+            if tok_elem.tag != "TOKEN":
+                report.skipped_elements += 1
+                continue
+            attrib = tok_elem.attrib
+            text = (tok_elem.text or "").strip()
+            try:
+                x = float(attrib["x"])
+                y = float(attrib["y"])
+                width = float(attrib["width"]) or 0.0
+                height = float(attrib["height"]) or 0.0
+                font_size = float(attrib["font-size"])
+            except (KeyError, ValueError):
+                valid = False
+            else:
+                # One finite sum stands for five finite values; a sum that
+                # overflows only sends the token down the slow path.
+                valid = (text and width >= 0 and height >= 0 and font_size > 0
+                         and math.isfinite(x + y + width + height + font_size))
+            if not valid:
+                geometry = _token_geometry(tok_elem, text)
+                if isinstance(geometry, str):
+                    report.skipped_elements += 1
+                    report.warnings.append(f"page {number}: skipped TOKEN "
+                                           f"{text!r} with {geometry}")
+                    continue
+                x, y, width, height, font_size = geometry
+            rows.append((x, y, width, height, font_size, text, attrib))
+            fonts.append(font_size)
+        if rows:
+            rows.sort(key=itemgetter(0))
+            rows_by_line.append(rows)
+            report.token_count += len(rows)
+    if not fonts:
+        return ()
+    median_font = _median(fonts)
+    lines = []
+    for rows in rows_by_line:
+        baseline = _median([row[1] + row[3] for row in rows])
+        tokens = tuple([
+            Token(text, number, x, y, width, height, font_size,
+                  attrib.get("bold") == "yes", attrib.get("italic") == "yes",
+                  attrib.get("font-name", ""),
+                  _is_superscript(font_size, y + height, baseline, median_font))
+            for x, y, width, height, font_size, text, attrib in rows])
+        lines.append(Line(tokens=tokens, baseline_y=baseline))
+    lines.sort(key=lambda l: l.baseline_y)
+    return tuple(lines)
+
+
 def parse_rich_xml(data: bytes, *, dehyphenate: bool = False,
                    source_id: str = "") -> tuple[Document, IngestReport]:
     """Parse rich XML bytes into a Document plus an ingest report."""
@@ -104,60 +213,10 @@ def parse_rich_xml(data: bytes, *, dehyphenate: bool = False,
         used.add(number)
         width = _page_extent(page_elem, "width", 612.0, number, report)
         height = _page_extent(page_elem, "height", 792.0, number, report)
-        lines = []
-        for text_elem in page_elem:
-            if text_elem.tag != "TEXT":
-                report.skipped_elements += 1
-                continue
-            tokens = []
-            for tok_elem in text_elem:
-                if tok_elem.tag != "TOKEN":
-                    report.skipped_elements += 1
-                    continue
-                x = _get_float(tok_elem, "x")
-                y = _get_float(tok_elem, "y")
-                font_size = _get_float(tok_elem, "font-size")
-                text = (tok_elem.text or "").strip()
-                tok_width = _get_float(tok_elem, "width") or 0.0
-                tok_height = _get_float(tok_elem, "height") or 0.0
-                if x is None or y is None or font_size is None or not text:
-                    problem = "missing attributes"
-                elif not all(map(math.isfinite,
-                                 (x, y, tok_width, tok_height, font_size))):
-                    problem = "a non-finite coordinate or size"
-                elif tok_width < 0 or tok_height < 0 or font_size <= 0:
-                    problem = "a negative extent or non-positive font-size"
-                else:
-                    problem = ""
-                if problem:
-                    report.skipped_elements += 1
-                    report.warnings.append(
-                        f"page {number}: skipped TOKEN {text!r} with {problem}")
-                    continue
-                tokens.append(Token(
-                    text=text,
-                    page_no=number,
-                    x=x,
-                    y=y,
-                    width=tok_width,
-                    height=tok_height,
-                    font_size=font_size,
-                    bold=tok_elem.get("bold") == "yes",
-                    italic=tok_elem.get("italic") == "yes",
-                    font_name=tok_elem.get("font-name", ""),
-                ))
-            if not tokens:
-                continue
-            tokens.sort(key=lambda t: t.x)
-            baseline = statistics.median(t.baseline_y for t in tokens)
-            lines.append(Line(tokens=tuple(tokens), baseline_y=baseline))
-            report.token_count += len(tokens)
-        lines.sort(key=lambda l: l.baseline_y)
         pages.append(Page(number=number, width=width, height=height,
-                          lines=tuple(lines)))
+                          lines=_parse_page(page_elem, number, report)))
         report.page_count += 1
 
-    pages = [_flag_superscripts(p) for p in pages]
     if dehyphenate:
         pages = [_dehyphenate_page(p) for p in pages]
     return Document(source_id=source_id, pages=tuple(pages)), report
@@ -168,30 +227,10 @@ def detect_superscript(line: Line, page_median_font: float) -> list[bool]:
 
     A token is flagged when both its font is at most SUP_FONT_RATIO of the
     page median and its baseline sits at least SUP_RISE_PT above the line's
-    dominant baseline.
+    dominant baseline.  parse_rich_xml sets ``sup_flag`` by this rule.
     """
-    flags = []
-    for tok in line.tokens:
-        small = tok.font_size <= SUP_FONT_RATIO * page_median_font
-        raised = (line.baseline_y - tok.baseline_y) >= SUP_RISE_PT
-        flags.append(small and raised)
-    return flags
-
-
-def _flag_superscripts(page: Page) -> Page:
-    all_fonts = [t.font_size for t in page.tokens()]
-    if not all_fonts:
-        return page
-    median_font = statistics.median(all_fonts)
-    new_lines = []
-    for line in page.lines:
-        flags = detect_superscript(line, median_font)
-        if any(flags):
-            toks = tuple(replace(t, sup_flag=f) for t, f in zip(line.tokens, flags))
-            line = Line(tokens=toks, baseline_y=line.baseline_y)
-        new_lines.append(line)
-    return Page(number=page.number, width=page.width, height=page.height,
-                lines=tuple(new_lines))
+    return [_is_superscript(tok.font_size, tok.baseline_y, line.baseline_y,
+                            page_median_font) for tok in line.tokens]
 
 
 def _dehyphenate_page(page: Page) -> Page:
@@ -204,7 +243,7 @@ def _dehyphenate_page(page: Page) -> Page:
         last = line.tokens[-1]
         if last.text.endswith("-") and len(last.text) > 1 and i + 1 < len(lines):
             nxt = lines[i + 1]
-            joined = replace(last, text=last.text[:-1] + nxt.tokens[0].text)
+            joined = last._replace(text=last.text[:-1] + nxt.tokens[0].text)
             new_lines.append(Line(tokens=line.tokens[:-1] + (joined,),
                                   baseline_y=line.baseline_y))
             rest = nxt.tokens[1:]
@@ -221,7 +260,13 @@ def _dehyphenate_page(page: Page) -> Page:
 
 
 def document_to_xml(doc: Document) -> bytes:
-    """Serialize a Document back to the rich XML schema (round-trip support)."""
+    """Serialize a Document back to the rich XML schema (round-trip support).
+
+    Numbers are written rounded to 3 decimals, so ``parse_rich_xml`` gives
+    the document back only when its values lie on that grid and it is in
+    parsed form (tokens by x, lines by baseline, sup_flag by the rule);
+    arbitrary floats do not round-trip.
+    """
     root = ET.Element("DOCUMENT")
     for page in doc.pages:
         page_elem = ET.SubElement(root, "PAGE", {

@@ -2,23 +2,23 @@
 
 Coordinates follow the usual PDF-to-XML emitter convention: the origin is
 the top-left corner of the page and y grows downward, so "lower half of the
-page" means y > page.height / 2.  All types are frozen dataclasses and safe
-to share between concurrently processed documents.
+page" means y > page.height / 2.  Token is an immutable tuple-backed record
+(a ``typing.NamedTuple``) that checks its values when built; every other
+type is a frozen dataclass.  All are safe to share between concurrently
+processed documents.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class EmptyChunkError(ValueError):
     """Raised when chunk statistics are requested for an empty token list."""
 
 
-@dataclass(frozen=True)
-class Token:
-    """One visual word with position, size and style attributes."""
-
+class _TokenFields(NamedTuple):
     text: str
     page_no: int
     x: float
@@ -31,15 +31,31 @@ class Token:
     font_name: str = ""
     sup_flag: bool = False
 
-    def __post_init__(self):
-        if not self.text:
+
+class Token(_TokenFields):
+    """One visual word with position, size and style attributes.
+
+    A tuple underneath, so that ingest can build one per word cheaply;
+    ``_replace`` makes a changed copy without re-running the checks.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, text: str, page_no: int, x: float, y: float,
+                width: float, height: float, font_size: float,
+                bold: bool = False, italic: bool = False,
+                font_name: str = "", sup_flag: bool = False):
+        if not text:
             raise ValueError("token text must be non-empty")
-        if self.page_no < 1:
+        if page_no < 1:
             raise ValueError("page_no must be >= 1")
-        if self.width < 0 or self.height < 0:
+        if width < 0 or height < 0:
             raise ValueError("token extents must be non-negative")
-        if self.font_size <= 0:
+        if font_size <= 0:
             raise ValueError("font_size must be positive")
+        return tuple.__new__(cls, (text, page_no, x, y, width, height,
+                                   font_size, bold, italic, font_name,
+                                   sup_flag))
 
     @property
     def baseline_y(self) -> float:

@@ -1,10 +1,21 @@
+import math
 import random
+import statistics
+from xml.etree import ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from scholarparse.crf import (CrfModel, _emissions, _logsumexp, _path_score,
                               _split)
+from scholarparse.ingest import (SUP_FONT_RATIO, SUP_RISE_PT, IngestReport,
+                                 RichXmlParseError, _dehyphenate_page)
+from scholarparse.model import Document, Line, Page, Token
+
+# Every property test draws the same examples on every run.
+settings.register_profile("tier1", derandomize=True, deadline=None)
+settings.load_profile("tier1")
 
 
 def random_instance(rng: random.Random, max_len: int = 8, max_labels: int = 4,
@@ -104,6 +115,136 @@ def per_sequence_objective(weights, data, penalty: float, grad=None):
             (per_feature.ravel(), np.ones(n - 1),
              -pairwise.sum(axis=0).ravel())))
     return ll - penalty
+
+
+def _reference_float(elem, name):
+    raw = elem.get(name)
+    if raw is None:
+        return None
+    try:
+        return float(raw)
+    except ValueError:
+        return None
+
+
+def _reference_extent(page_elem, name, default, number, report):
+    raw = page_elem.get(name)
+    if raw is None:
+        return default
+    value = _reference_float(page_elem, name)
+    if value is not None and math.isfinite(value) and value > 0:
+        return value
+    report.warnings.append(f"page {number}: PAGE {name} {raw!r} is not a "
+                           f"finite positive number; using {default:g}")
+    return default
+
+
+def _reference_flag_superscripts(page):
+    all_fonts = [t.font_size for t in page.tokens()]
+    if not all_fonts:
+        return page
+    median_font = statistics.median(all_fonts)
+    new_lines = []
+    for line in page.lines:
+        flags = [t.font_size <= SUP_FONT_RATIO * median_font
+                 and (line.baseline_y - t.baseline_y) >= SUP_RISE_PT
+                 for t in line.tokens]
+        if any(flags):
+            toks = tuple(t._replace(sup_flag=f)
+                         for t, f in zip(line.tokens, flags))
+            line = Line(tokens=toks, baseline_y=line.baseline_y)
+        new_lines.append(line)
+    return Page(number=page.number, width=page.width, height=page.height,
+                lines=tuple(new_lines))
+
+
+def reference_parse_rich_xml(data: bytes, *, dehyphenate: bool = False,
+                             source_id: str = ""):
+    """Oracle for ``ingest.parse_rich_xml``: the two-pass parse it replaced.
+
+    Every TOKEN is read field by field, every line's baseline is a
+    ``statistics.median``, and a second pass over each page rebuilds the
+    tokens it flags as superscripts.
+    """
+    report = IngestReport()
+    try:
+        root = ET.fromstring(data)
+    except ET.ParseError as exc:
+        line, col = exc.position
+        offset = sum(len(l) + 1 for l in data.split(b"\n")[: line - 1]) + col
+        raise RichXmlParseError(str(exc), offset) from exc
+
+    pages = []
+    used: set[int] = set()
+    for page_elem in root:
+        if page_elem.tag != "PAGE":
+            report.skipped_elements += 1
+            continue
+        raw_number = page_elem.get("number", str(len(pages) + 1))
+        try:
+            number = int(raw_number)
+        except ValueError:
+            number = 0
+        if number < 1 or number in used:
+            number = max(used, default=0) + 1
+            report.warnings.append(
+                f"PAGE number {raw_number!r} is not a positive integer or "
+                f"repeats an earlier page; renumbered {number}")
+        used.add(number)
+        width = _reference_extent(page_elem, "width", 612.0, number, report)
+        height = _reference_extent(page_elem, "height", 792.0, number, report)
+        lines = []
+        for text_elem in page_elem:
+            if text_elem.tag != "TEXT":
+                report.skipped_elements += 1
+                continue
+            tokens = []
+            for tok_elem in text_elem:
+                if tok_elem.tag != "TOKEN":
+                    report.skipped_elements += 1
+                    continue
+                x = _reference_float(tok_elem, "x")
+                y = _reference_float(tok_elem, "y")
+                font_size = _reference_float(tok_elem, "font-size")
+                text = (tok_elem.text or "").strip()
+                tok_width = _reference_float(tok_elem, "width") or 0.0
+                tok_height = _reference_float(tok_elem, "height") or 0.0
+                if x is None or y is None or font_size is None or not text:
+                    problem = "missing attributes"
+                elif not all(map(math.isfinite,
+                                 (x, y, tok_width, tok_height, font_size))):
+                    problem = "a non-finite coordinate or size"
+                elif tok_width < 0 or tok_height < 0 or font_size <= 0:
+                    problem = "a negative extent or non-positive font-size"
+                else:
+                    problem = ""
+                if problem:
+                    report.skipped_elements += 1
+                    report.warnings.append(
+                        f"page {number}: skipped TOKEN {text!r} with {problem}")
+                    continue
+                tokens.append(Token(
+                    text=text, page_no=number, x=x, y=y, width=tok_width,
+                    height=tok_height, font_size=font_size,
+                    bold=tok_elem.get("bold") == "yes",
+                    italic=tok_elem.get("italic") == "yes",
+                    font_name=tok_elem.get("font-name", ""),
+                ))
+            if not tokens:
+                continue
+            tokens.sort(key=lambda t: t.x)
+            baseline = statistics.median(t.baseline_y for t in tokens)
+            lines.append(Line(tokens=tuple(tokens), baseline_y=baseline))
+            report.token_count += len(tokens)
+        lines.sort(key=lambda l: l.baseline_y)
+        pages.append(Page(number=number, width=width, height=height,
+                          lines=tuple(lines)))
+        report.page_count += 1
+
+    pages = [_reference_flag_superscripts(p) for p in pages]
+    if dehyphenate:
+        pages = [_dehyphenate_page(p) for p in pages]
+    return Document(source_id=source_id, pages=tuple(pages)), report
 
 
 @pytest.fixture

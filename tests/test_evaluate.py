@@ -125,6 +125,39 @@ class TestGroundTruthIO:
         with pytest.raises(ValueError, match=rf"^line 2: {kind} record"):
             ground_truth_from_text(f"TITLE\tHello\n{record}\n")
 
+    @pytest.mark.parametrize("record", [
+        "TITLE\tA\tB", "EMAIL\ta@x.org\tb@x.org", "CITE_REF\t[1]\t1\t2",
+        "AUTHOR\ta|b|c|d"])
+    def test_extra_values_rejected(self, record):
+        kind = record.split("\t")[0]
+        with pytest.raises(ValueError, match=rf"^line 1: {kind} record"):
+            ground_truth_from_text(record + "\n")
+
+    @pytest.mark.parametrize("gt", [
+        GroundTruth(title="A\tB"), GroundTruth(references=["x\ny"]),
+        GroundTruth(title="C:\\new\\table"),
+        GroundTruth(authors=[("A|B", "", "C\\u007c")]),
+        GroundTruth(cite_ref=[("[1]\r", "1\u2028")]),
+    ])
+    def test_separators_and_line_breaks_round_trip(self, gt):
+        text = ground_truth_to_text(gt)
+        assert ground_truth_from_text(text) == gt
+        assert len(text.splitlines()) == 1
+
+    # Any text; the alphabet leans on what the escaping has to handle.
+    VALUES = st.text(st.sampled_from("ab|\\tnu07c\t\n\r\x0b\x0c\x1c\x1d\x1e"
+                                     "\x85\u2028\u2029 ") | st.characters(),
+                     max_size=12)
+
+    @given(st.builds(
+        GroundTruth, title=VALUES,
+        authors=st.lists(st.tuples(VALUES, VALUES, VALUES), max_size=2),
+        references=st.lists(VALUES, max_size=2),
+        cite_ref=st.lists(st.tuples(VALUES, VALUES), max_size=1)))
+    @settings(max_examples=50)
+    def test_any_text_round_trips(self, gt):
+        assert ground_truth_from_text(ground_truth_to_text(gt)) == gt
+
     def test_blank_lines_ignored(self):
         gt = ground_truth_from_text("\nTITLE\tHello\n\n")
         assert gt.title == "Hello"

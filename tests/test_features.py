@@ -1,5 +1,8 @@
 """Unit tests for the feature builders."""
 
+from collections import Counter
+
+from scholarparse.context import build_context
 from scholarparse.features import (_case, _decile, _size_bucket, body_font_size,
                                    enumeration_kind, footnote_chunk_features,
                                    heading_chunk_features, is_marker,
@@ -112,6 +115,35 @@ class TestBodyFont:
         doc = Document(source_id="d", pages=(page,))
         assert body_font_size(doc) == 10.0
         assert body_font_size(page) == 10.0
+
+    @staticmethod
+    def tied_document():
+        """Page 1 alone is mostly 12pt and page 2 mostly 9pt; merged, 9pt
+        and 12pt tie on four tokens each."""
+        def page(number, sizes):
+            line = Line(tokens=tuple(tok("w", size=s) for s in sizes),
+                        baseline_y=100.0)
+            return Page(number=number, width=612.0, height=792.0,
+                        lines=(line,))
+
+        return Document(source_id="d", pages=(
+            page(1, [12.0, 12.0, 12.0, 9.0, 10.0]),
+            page(2, [9.0, 9.0, 9.0, 12.0, 10.0])))
+
+    def test_document_mode_is_over_merged_page_counts(self):
+        doc = self.tied_document()
+        merged = Counter(t.font_size for p in doc.pages for t in p.tokens())
+        assert merged[9.0] == merged[12.0] == 4
+        assert [body_font_size(p) for p in doc.pages] == [12.0, 9.0]
+        # The highest count wins, and the smallest size among those tied.
+        assert body_font_size(doc) == 9.0
+
+    def test_context_counts_the_same_fonts(self):
+        doc = self.tied_document()
+        ctx = build_context(doc)
+        assert ctx.body_font == body_font_size(doc)
+        assert [p.body_font for p in ctx.pages] == [body_font_size(p)
+                                                    for p in doc.pages]
 
     def test_empty_defaults_to_ten(self):
         page = Page(number=1, width=612.0, height=792.0)

@@ -1,12 +1,21 @@
 """Unit tests for rich XML ingestion."""
 
 import re
+import statistics
+import string
+from functools import cache
+from xml.etree import ElementTree as ET
 
 import pytest
+from conftest import reference_parse_rich_xml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from scholarparse.ingest import (RichXmlParseError, detect_superscript,
+from scholarparse.ingest import (SUP_FONT_RATIO, SUP_RISE_PT,
+                                 RichXmlParseError, detect_superscript,
                                  document_to_xml, parse_rich_xml)
-from scholarparse.model import Line, Token
+from scholarparse.model import Document, Line, Page, Token
+from scholarparse.synth import generate_synthetic_document
 
 SIMPLE = b"""<?xml version="1.0"?>
 <DOCUMENT>
@@ -164,6 +173,23 @@ class TestSuperscript:
         line = Line(tokens=(body, small), baseline_y=100.0)
         assert detect_superscript(line, 10.0) == [False, False]
 
+    def test_thresholds_are_inclusive(self):
+        # Exactly SUP_FONT_RATIO of the page median and exactly SUP_RISE_PT
+        # above the line's baseline is still a superscript.
+        body = Token(text="word", page_no=1, x=0, y=90, width=20, height=10,
+                     font_size=10.0)
+        edge = Token(text="1", page_no=1, x=25, y=90.5, width=3, height=8,
+                     font_size=8.0)
+        line = Line(tokens=(body, body._replace(x=30), edge),
+                    baseline_y=100.0)
+        assert detect_superscript(line, 10.0) == [False, False, True]
+        assert detect_superscript(line, 9.99) == [False, False, False]
+        data = document_to_xml(Document(source_id="", pages=(Page(
+            number=1, width=612.0, height=792.0, lines=(line,)),)))
+        doc, _ = parse_rich_xml(data)
+        assert [t.sup_flag for t in doc.pages[0].lines[0].tokens] == [
+            False, True, False]
+
     def test_flags_set_during_parse(self):
         data = b"""<DOCUMENT><PAGE number="1" width="612" height="792">
         <TEXT>
@@ -195,6 +221,30 @@ class TestDehyphenation:
         assert doc.pages[0].lines[0].text == "example"
         assert doc.pages[0].lines[1].text == "rest"
 
+    def test_joined_token_keeps_its_other_fields(self):
+        # A raised 6pt "exam-" among 10pt body text is a superscript; the
+        # joined token keeps its flag, geometry and style, not the next
+        # line's.
+        data = b"""<DOCUMENT><PAGE number="1" width="612" height="792">
+        <TEXT>
+          <TOKEN x="0" y="50" width="20" height="10" font-size="10">body</TOKEN>
+          <TOKEN x="22" y="50" width="20" height="10" font-size="10">text</TOKEN>
+          <TOKEN x="45" y="51" width="9" height="6" font-size="6" italic="yes"
+                 font-name="Sup">exam-</TOKEN>
+        </TEXT>
+        <TEXT>
+          <TOKEN x="0" y="65" width="20" height="10" font-size="10" bold="yes">ple</TOKEN>
+          <TOKEN x="25" y="65" width="20" height="10" font-size="10">rest</TOKEN>
+        </TEXT></PAGE></DOCUMENT>"""
+        plain, _ = parse_rich_xml(data)
+        joined, _ = parse_rich_xml(data, dehyphenate=True)
+        before = plain.pages[0].lines[0].tokens[-1]
+        after = joined.pages[0].lines[0].tokens[-1]
+        assert before.sup_flag
+        assert type(after) is Token
+        assert after == before._replace(text="example")
+        assert joined.pages[0].lines[1].text == "rest"
+
 
 class TestRoundTrip:
     def test_serialize_then_parse_preserves_content(self):
@@ -206,3 +256,215 @@ class TestRoundTrip:
         b = [(t.text, t.x, t.y, t.font_size, t.bold, t.italic)
              for p in again.pages for t in p.tokens()]
         assert a == b
+
+
+# --- the one-pass parse against the two-pass oracle ---------------------------
+
+TOKEN_ATTRS = ["x", "y", "width", "height", "font-size", "bold", "italic",
+               "font-name"]
+ODD_VALUES = [None, "", "0", "-0.0", "-5", "nan", "inf", "1e308", "abc",
+              " 3 "]  # None: the attribute is removed
+
+MUTATIONS = st.one_of(
+    st.tuples(st.just("token"), st.integers(0, 10_000),
+              st.sampled_from(TOKEN_ATTRS), st.sampled_from(ODD_VALUES)),
+    st.tuples(st.just("text"), st.integers(0, 10_000),
+              st.sampled_from([None, "", "  ", "x-"])),
+    st.tuples(st.just("unknown"), st.integers(0, 10_000)),
+    st.tuples(st.just("page"), st.integers(0, 10),
+              st.sampled_from(["number", "width", "height"]),
+              st.sampled_from(ODD_VALUES + ["1", "2", "3"])),
+    st.tuples(st.just("cut"), st.integers(0, 10_000)),
+)
+
+
+@cache
+def base_xml() -> bytes:
+    """Two synthetic articles, cut down to the first and last lines of each
+    page so a parse stays cheap; page 1 keeps its author markers, the last
+    lines of the body pages their footnote markers."""
+    pages = []
+    for style, seed in (("two-col-indexed", 3), ("single-col-numbered", 5)):
+        root = ET.fromstring(generate_synthetic_document(style, seed)[0])
+        for page in root:
+            lines = list(page)
+            for line in lines[6:-4]:
+                page.remove(line)
+            pages.append(page)
+            page.set("number", str(len(pages)))
+    root = ET.Element("DOCUMENT")
+    root.extend(pages)
+    return ET.tostring(root)
+
+
+def mutate(mutations) -> bytes:
+    root = ET.fromstring(base_xml())
+    pages = list(root)
+    lines = [line for page in pages for line in page]
+    tokens = [tok for line in lines for tok in line]
+    cut = None
+    for kind, where, *rest in mutations:
+        if kind == "token":
+            attr, value = rest
+            elem = tokens[where % len(tokens)]
+            if value is None:
+                elem.attrib.pop(attr, None)
+            else:
+                elem.set(attr, value)
+        elif kind == "text":
+            tokens[where % len(tokens)].text = rest[0]
+        elif kind == "unknown":
+            parent = [root, *pages, *lines][where % (1 + len(pages) + len(lines))]
+            parent.insert(where % (len(parent) + 1), ET.Element("NOISE"))
+        elif kind == "page":
+            attr, value = rest
+            elem = pages[where % len(pages)]
+            if value is None:
+                elem.attrib.pop(attr, None)
+            else:
+                elem.set(attr, value)
+        else:
+            cut = where
+    data = ET.tostring(root)
+    return data if cut is None else data[:cut * len(data) // 10_000]
+
+
+SMALL = b"""<DOCUMENT><PAGE number="1" width="612" height="792">
+<TEXT>
+  <TOKEN x="0" y="90" width="20" height="10" font-size="10" bold="yes" italic="no" font-name="R">word</TOKEN>
+  <TOKEN x="25" y="91" width="3" height="6" font-size="6" bold="no" italic="yes" font-name="S">1</TOKEN>
+  <TOKEN x="30" y="90" width="20" height="10" font-size="10" bold="no" italic="no" font-name="R">more</TOKEN>
+</TEXT></PAGE></DOCUMENT>"""
+
+
+class TestAgainstTwoPassOracle:
+    @pytest.mark.parametrize("value", ODD_VALUES)
+    @pytest.mark.parametrize("attr", TOKEN_ATTRS)
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_each_odd_attribute_value(self, which, attr, value):
+        root = ET.fromstring(SMALL)
+        elem = root[0][0][which]
+        if value is None:
+            del elem.attrib[attr]
+        else:
+            elem.set(attr, value)
+        data = ET.tostring(root)
+        doc, report = parse_rich_xml(data)
+        expected = reference_parse_rich_xml(data)
+        assert repr(doc) == repr(expected[0])
+        assert report == expected[1]
+
+    def test_base_is_clean_and_has_superscripts(self):
+        doc, report = parse_rich_xml(base_xml())
+        tokens = [t for p in doc.pages for t in p.tokens()]
+        assert report.warnings == [] and len(tokens) > 300
+        assert any(t.sup_flag for t in tokens)
+
+    @given(st.lists(MUTATIONS, max_size=8), st.booleans())
+    @settings(max_examples=40)
+    def test_same_document_and_report(self, mutations, dehyphenate):
+        data = mutate(mutations)
+        try:
+            expected = reference_parse_rich_xml(data, dehyphenate=dehyphenate,
+                                                source_id="m")
+        except RichXmlParseError as exc:
+            with pytest.raises(RichXmlParseError) as err:
+                parse_rich_xml(data, dehyphenate=dehyphenate, source_id="m")
+            assert str(err.value) == str(exc)
+            return
+        # Anything but RichXmlParseError escaping here fails the property.
+        doc, report = parse_rich_xml(data, dehyphenate=dehyphenate,
+                                     source_id="m")
+        assert doc == expected[0]
+        assert repr(doc) == repr(expected[0])  # also tells -0.0 from 0.0
+        assert report == expected[1]
+
+
+# --- round trip through document_to_xml --------------------------------------
+
+def grid(low: int, high: int):
+    """Values on the 3-decimal grid that document_to_xml writes."""
+    return st.integers(low, high).map(lambda k: k / 1000)
+
+
+TEXT = st.text(string.ascii_letters + string.digits + "&<>'\"-.,*¹²",
+               min_size=1, max_size=6)
+FONT_NAME = st.text(string.ascii_letters + " &<>'\"", max_size=5)
+STYLED = st.tuples(TEXT, grid(0, 60_000), st.booleans(), st.booleans(),
+                   FONT_NAME)  # text, width, bold, italic, font-name
+
+
+@st.composite
+def grid_documents(draw, superscripts: bool) -> Document:
+    """A document as parse_rich_xml returns it: tokens sorted by x, lines
+    by their median baseline, and sup_flag set by the superscript rule.
+    With ``superscripts``, every line is 10pt body text with one 6pt
+    marker raised 3pt."""
+    numbers = draw(st.lists(st.integers(1, 99), min_size=1, max_size=3,
+                            unique=True))
+    pages = []
+    for number in numbers:
+        raw_lines = []
+        for _ in range(draw(st.integers(0, 4))):
+            if superscripts:
+                # In thousandths of a point, so every sum stays on the grid.
+                base = draw(st.integers(20_000, 700_000))
+                x = draw(st.integers(0, 100_000))
+                sizes = [10_000] * draw(st.integers(2, 4)) + [6_000]
+                tokens = []
+                for size in draw(st.permutations(sizes)):
+                    rise = 3_000 if size == 6_000 else 0
+                    text, width, bold, italic, font_name = draw(STYLED)
+                    tokens.append(Token(
+                        text, number, x / 1000, (base - size - rise) / 1000,
+                        width, size / 1000, size / 1000, bold, italic,
+                        font_name))
+                    x += draw(st.integers(1, 60_000))
+            else:
+                tokens = [Token(text, number, draw(grid(-5_000, 600_000)),
+                                draw(grid(-5_000, 750_000)), width,
+                                draw(grid(0, 30_000)), draw(grid(1, 30_000)),
+                                bold, italic, font_name)
+                          for text, width, bold, italic, font_name
+                          in draw(st.lists(STYLED, min_size=1, max_size=4))]
+            tokens.sort(key=lambda t: t.x)
+            raw_lines.append(tokens)
+        fonts = [t.font_size for tokens in raw_lines for t in tokens]
+        lines = []
+        for tokens in raw_lines:
+            baseline = statistics.median(t.baseline_y for t in tokens)
+            lines.append(Line(tokens=tuple(
+                t._replace(sup_flag=(
+                    t.font_size <= SUP_FONT_RATIO * statistics.median(fonts)
+                    and baseline - t.baseline_y >= SUP_RISE_PT))
+                for t in tokens), baseline_y=baseline))
+        lines.sort(key=lambda l: l.baseline_y)
+        pages.append(Page(number=number, width=draw(grid(1, 2_000_000)),
+                          height=draw(grid(1, 2_000_000)),
+                          lines=tuple(lines)))
+    return Document(source_id="g", pages=tuple(pages))
+
+
+class TestGridRoundTrip:
+    """``document_to_xml`` then ``parse_rich_xml`` is the identity on
+    documents whose values lie on the 3-decimal grid."""
+
+    @given(grid_documents(superscripts=False))
+    @settings(max_examples=30)
+    def test_without_superscripts(self, doc):
+        again, report = parse_rich_xml(document_to_xml(doc), source_id="g")
+        assert report.warnings == [] and report.skipped_elements == 0
+        assert again == doc
+
+    @given(grid_documents(superscripts=True))
+    @settings(max_examples=30)
+    def test_with_superscripts(self, doc):
+        assert all(sum(t.sup_flag for t in line.tokens) == 1
+                   for page in doc.pages for line in page.lines)
+        again, report = parse_rich_xml(document_to_xml(doc), source_id="g")
+        assert report.warnings == [] and report.skipped_elements == 0
+        assert again == doc
+
+    def test_synthetic_documents_round_trip_byte_for_byte(self):
+        xml = document_to_xml(parse_rich_xml(base_xml())[0])
+        assert document_to_xml(parse_rich_xml(xml)[0]) == xml

@@ -33,6 +33,28 @@ class TestToken:
         with pytest.raises(ValueError):
             tok(size=0.0)
 
+    def test_keyword_and_positional_construction_agree(self):
+        by_name = Token(text="w", page_no=2, x=1.0, y=2.0, width=3.0,
+                        height=4.0, font_size=9.0, italic=True,
+                        sup_flag=True)
+        assert Token("w", 2, 1.0, 2.0, 3.0, 4.0, 9.0, False, True, "",
+                     True) == by_name
+        assert Token("w", 2, 1.0, 2.0, 3.0, 4.0, 9.0) == by_name._replace(
+            italic=False, sup_flag=False)
+
+    def test_defaults(self):
+        t = tok()
+        assert (t.bold, t.italic, t.font_name, t.sup_flag) == (
+            False, False, "", False)
+
+    @pytest.mark.parametrize("name", ["text", "x", "sup_flag", "baseline_y"])
+    def test_fields_cannot_be_assigned(self, name):
+        t = tok()
+        with pytest.raises(AttributeError):
+            setattr(t, name, 1)
+        with pytest.raises(AttributeError):
+            t.extra = 1
+
 
 class TestLine:
     def test_text_joins_tokens(self):
