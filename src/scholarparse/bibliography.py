@@ -1,8 +1,13 @@
-"""Reference splitting, citation-instance extraction, citation-reference links.
+r"""Reference splitting, citation-instance extraction, citation-reference links.
 
 The sixteen citation writing styles are coded as regular expressions and
 applied in a fixed, specific-before-general order; each match consumes its
 span so later, more general styles cannot re-claim it.
+
+An author-led style starts with a capital that no word character precedes.
+That is ``\b[A-Z]``, but it is written ``[A-Z](?<!\w[A-Z])``: ``re`` can
+jump straight to the capitals of a text only when a pattern starts with a
+character class, and tries every position when it starts with ``\b``.
 """
 
 from __future__ import annotations
@@ -15,8 +20,10 @@ from .structure import Section
 
 YEAR_RANGE = (1500, 2100)
 
-# Author-name atom shared by all citation styles.
+# An author name, and the leading author of an author-led style: a name
+# with no word character before it (see the module docstring).
 _AN = r"[A-Z][a-zA-Z]*"
+_LEAD = r"[A-Z](?<!\w[A-Z])[a-zA-Z]*"
 
 # (style_id, pattern) in application order.  Styles 1-3 and 16 are indexed;
 # the rest are author-year.  Style rows follow the observed format strings:
@@ -29,21 +36,21 @@ _AN = r"[A-Z][a-zA-Z]*"
 # 13 <AN>, <Y>                 14 <AN> <Y>
 # 15 <AN> (<Y><suffix>)        16 [<I>, <I>, ...]
 CITATION_STYLES: list[tuple[int, re.Pattern]] = [
-    (1, re.compile(rf"\b{_AN} et al\. \[(\d{{1,3}})\]")),
-    (3, re.compile(rf"\b{_AN} et al\.\s*\[(\d{{1,3}})\]")),
-    (2, re.compile(rf"\b{_AN} \[(\d{{1,3}})\]")),
-    (4, re.compile(rf"\b{_AN} et al\., ?(\d{{4}})([a-z])(?![a-z])")),
-    (6, re.compile(rf"\b{_AN} et al\., \((\d{{4}})\)")),
-    (5, re.compile(rf"\b{_AN} et al\., (\d{{4}})(?![a-z\d])")),
-    (8, re.compile(rf"\b{_AN} et al\. \((\d{{4}})\)")),
-    (7, re.compile(rf"\b{_AN} et al\. (\d{{4}})(?![a-z\d])")),
-    (9, re.compile(rf"\b{_AN} and {_AN} \((\d{{4}})\)")),
-    (10, re.compile(rf"\b{_AN} & {_AN} \((\d{{4}})\)")),
-    (11, re.compile(rf"\b{_AN} and {_AN}, (\d{{4}})(?![a-z\d])")),
-    (12, re.compile(rf"\b{_AN} & {_AN}, (\d{{4}})(?![a-z\d])")),
-    (13, re.compile(rf"\b{_AN}, (\d{{4}})([a-z])?(?!\d)")),
-    (14, re.compile(rf"\b{_AN} (\d{{4}})(?![a-z\d])")),
-    (15, re.compile(rf"\b{_AN},? ?\((\d{{4}})([a-z]*)\)")),
+    (1, re.compile(rf"{_LEAD} et al\. \[(\d{{1,3}})\]")),
+    (3, re.compile(rf"{_LEAD} et al\.\s*\[(\d{{1,3}})\]")),
+    (2, re.compile(rf"{_LEAD} \[(\d{{1,3}})\]")),
+    (4, re.compile(rf"{_LEAD} et al\., ?(\d{{4}})([a-z])(?![a-z])")),
+    (6, re.compile(rf"{_LEAD} et al\., \((\d{{4}})\)")),
+    (5, re.compile(rf"{_LEAD} et al\., (\d{{4}})(?![a-z\d])")),
+    (8, re.compile(rf"{_LEAD} et al\. \((\d{{4}})\)")),
+    (7, re.compile(rf"{_LEAD} et al\. (\d{{4}})(?![a-z\d])")),
+    (9, re.compile(rf"{_LEAD} and {_AN} \((\d{{4}})\)")),
+    (10, re.compile(rf"{_LEAD} & {_AN} \((\d{{4}})\)")),
+    (11, re.compile(rf"{_LEAD} and {_AN}, (\d{{4}})(?![a-z\d])")),
+    (12, re.compile(rf"{_LEAD} & {_AN}, (\d{{4}})(?![a-z\d])")),
+    (13, re.compile(rf"{_LEAD}, (\d{{4}})([a-z])?(?!\d)")),
+    (14, re.compile(rf"{_LEAD} (\d{{4}})(?![a-z\d])")),
+    (15, re.compile(rf"{_LEAD},? ?\((\d{{4}})([a-z]*)\)")),
     (16, re.compile(r"\[(\d{1,3}(?:\s*,\s*\d{1,3})*)\]")),
 ]
 

@@ -13,6 +13,7 @@ sequence, position, then feature), so trained models are byte-stable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -152,23 +153,39 @@ def score(model: CrfModel, sequence_features, label_path) -> float:
 
 
 def viterbi_decode(model: CrfModel, sequence_features) -> list[str]:
-    """Argmax label path; ties prefer the earlier label at each backtrack step."""
+    """Argmax label path; ties prefer the earlier label at each backtrack step.
+
+    The recursion runs over plain floats: on the two-label models a numpy
+    call per position costs more than its arithmetic.  Each score adds the
+    same terms in the same order as an array recursion would, a later label
+    replaces the best only when strictly greater and the last position takes
+    its first maximum, so on finite weights the path is the one
+    ``np.argmax`` (lowest index wins ties) would give.
+    """
     if not sequence_features:
         raise CrfError("empty sequence")
     em = _emissions(model.unary, *_occurrences(model, sequence_features),
-                    (len(sequence_features),))
-    T = model.transitions
-    n, L = em.shape
-    delta = np.empty((n, L))
-    back = np.zeros((n, L), dtype=int)
-    delta[0] = em[0]
-    for t in range(1, n):
-        cand = delta[t - 1][:, None] + T  # cand[prev, cur]
-        back[t] = np.argmax(cand, axis=0)  # lowest index wins ties
-        delta[t] = cand[back[t], np.arange(L)] + em[t]
-    path = [int(np.argmax(delta[-1]))]
-    for t in range(n - 1, 0, -1):
-        path.append(int(back[t, path[-1]]))
+                    (len(sequence_features),)).tolist()
+    T = model.transitions.tolist()
+    labels = range(len(T))
+    delta, back = em[0], []
+    for row in em[1:]:
+        ptr, nxt = [], []
+        for j in labels:
+            best, arg = delta[0] + T[0][j], 0
+            for i in labels[1:]:
+                s = delta[i] + T[i][j]
+                if s > best:
+                    best, arg = s, i
+            ptr.append(arg)
+            nxt.append(best + row[j])
+        back.append(ptr)
+        delta = nxt
+    j = delta.index(max(delta))
+    path = [j]
+    for ptr in reversed(back):
+        j = ptr[j]
+        path.append(j)
     path.reverse()
     return [model.labels[i] for i in path]
 
@@ -369,7 +386,8 @@ def save_model(model: CrfModel) -> bytes:
 
 
 def load_model(data: bytes) -> CrfModel:
-    """Parse save_model output; field-for-field round trip."""
+    """Parse save_model output; field-for-field round trip.  Every weight
+    must be finite, which is what ``viterbi_decode``'s tie rule assumes."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -399,9 +417,12 @@ def load_model(data: bytes) -> CrfModel:
             weights = unary if kind == "unary" else trans
             try:
                 first, second, weight = fields
-                weights[(first, second)] = float(weight)
+                weight = float(weight)
             except ValueError:
                 raise ModelFormatError(f"malformed record {line!r}") from None
+            if not math.isfinite(weight):
+                raise ModelFormatError(f"non-finite weight in {line!r}")
+            weights[(first, second)] = weight
         else:
             raise ModelFormatError(f"unknown or malformed record {kind!r}")
     try:

@@ -1,14 +1,17 @@
 import math
 import random
+import re
 import statistics
 from xml.etree import ElementTree as ET
 
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
-from scholarparse.crf import (CrfModel, _emissions, _logsumexp, _path_score,
-                              _split)
+from scholarparse.bibliography import _instance
+from scholarparse.crf import (CrfError, CrfModel, _emissions, _logsumexp,
+                              _occurrences, _path_score, _split)
 from scholarparse.ingest import (SUP_FONT_RATIO, SUP_RISE_PT, IngestReport,
                                  RichXmlParseError, _dehyphenate_page)
 from scholarparse.model import Document, Line, Page, Token
@@ -19,10 +22,13 @@ settings.load_profile("tier1")
 
 
 def random_instance(rng: random.Random, max_len: int = 8, max_labels: int = 4,
-                    integer_weights: bool = False):
-    """A random model plus feature sequence for oracle comparisons."""
+                    integer_weights: bool = False,
+                    n_labels: int | None = None):
+    """A random model plus feature sequence for oracle comparisons; the
+    label count is drawn from 2..max_labels unless ``n_labels`` is given."""
     n = rng.randint(1, max_len)
-    n_labels = rng.randint(2, max_labels)
+    if n_labels is None:
+        n_labels = rng.randint(2, max_labels)
     labels = tuple(f"L{i}" for i in range(n_labels))
     pool = [f"f{i}" for i in range(6)]
     feats = [tuple(rng.sample(pool, rng.randint(1, 3))) for _ in range(n)]
@@ -83,6 +89,28 @@ def brute_force_decode(model: CrfModel, feats, tol: float = 1e-9):
     return [model.labels[i] for i in idx], best
 
 
+def reference_viterbi_decode(model: CrfModel, feats):
+    """Oracle for ``crf.viterbi_decode``: the numpy recursion it replaced,
+    with one ``np.argmax`` per position (lowest index wins ties)."""
+    if not feats:
+        raise CrfError("empty sequence")
+    em = _emissions(model.unary, *_occurrences(model, feats), (len(feats),))
+    T = model.transitions
+    n, L = em.shape
+    delta = np.empty((n, L))
+    back = np.zeros((n, L), dtype=int)
+    delta[0] = em[0]
+    for t in range(1, n):
+        cand = delta[t - 1][:, None] + T  # cand[prev, cur]
+        back[t] = np.argmax(cand, axis=0)
+        delta[t] = cand[back[t], np.arange(L)] + em[t]
+    path = [int(np.argmax(delta[-1]))]
+    for t in range(n - 1, 0, -1):
+        path.append(int(back[t, path[-1]]))
+    path.reverse()
+    return [model.labels[i] for i in path]
+
+
 def per_sequence_objective(weights, data, penalty: float, grad=None):
     """Oracle for ``crf._objective``: the same sums in the same order, with
     one forward (and backward) recursion per sequence over its own
@@ -115,6 +143,45 @@ def per_sequence_objective(weights, data, penalty: float, grad=None):
             (per_feature.ravel(), np.ones(n - 1),
              -pairwise.sum(axis=0).ravel())))
     return ll - penalty
+
+
+# Oracle for ``bibliography.CITATION_STYLES``: the table as it was written
+# before the leading author became ``[A-Z](?<!\w[A-Z])``, every author-led
+# style starting with ``\b``.
+_AN = r"[A-Z][a-zA-Z]*"
+REFERENCE_CITATION_STYLES = [
+    (1, re.compile(rf"\b{_AN} et al\. \[(\d{{1,3}})\]")),
+    (3, re.compile(rf"\b{_AN} et al\.\s*\[(\d{{1,3}})\]")),
+    (2, re.compile(rf"\b{_AN} \[(\d{{1,3}})\]")),
+    (4, re.compile(rf"\b{_AN} et al\., ?(\d{{4}})([a-z])(?![a-z])")),
+    (6, re.compile(rf"\b{_AN} et al\., \((\d{{4}})\)")),
+    (5, re.compile(rf"\b{_AN} et al\., (\d{{4}})(?![a-z\d])")),
+    (8, re.compile(rf"\b{_AN} et al\. \((\d{{4}})\)")),
+    (7, re.compile(rf"\b{_AN} et al\. (\d{{4}})(?![a-z\d])")),
+    (9, re.compile(rf"\b{_AN} and {_AN} \((\d{{4}})\)")),
+    (10, re.compile(rf"\b{_AN} & {_AN} \((\d{{4}})\)")),
+    (11, re.compile(rf"\b{_AN} and {_AN}, (\d{{4}})(?![a-z\d])")),
+    (12, re.compile(rf"\b{_AN} & {_AN}, (\d{{4}})(?![a-z\d])")),
+    (13, re.compile(rf"\b{_AN}, (\d{{4}})([a-z])?(?!\d)")),
+    (14, re.compile(rf"\b{_AN} (\d{{4}})(?![a-z\d])")),
+    (15, re.compile(rf"\b{_AN},? ?\((\d{{4}})([a-z]*)\)")),
+    (16, re.compile(r"\[(\d{1,3}(?:\s*,\s*\d{1,3})*)\]")),
+]
+
+
+def reference_extract_citations(body_text: str):
+    """Oracle for ``bibliography.extract_citations`` over the ``\\b`` table."""
+    claimed: list[tuple[int, int]] = []
+    found = []
+    for style_id, pattern in REFERENCE_CITATION_STYLES:
+        for m in pattern.finditer(body_text):
+            span = m.span()
+            if any(span[0] < e and s < span[1] for s, e in claimed):
+                continue
+            claimed.append(span)
+            found.append(_instance(style_id, m))
+    found.sort(key=lambda c: c.char_span)
+    return found
 
 
 def _reference_float(elem, name):
@@ -245,6 +312,64 @@ def reference_parse_rich_xml(data: bytes, *, dehyphenate: bool = False,
     if dehyphenate:
         pages = [_dehyphenate_page(p) for p in pages]
     return Document(source_id=source_id, pages=tuple(pages)), report
+
+
+# --- mutated rich XML --------------------------------------------------------
+
+TOKEN_ATTRS = ["x", "y", "width", "height", "font-size", "bold", "italic",
+               "font-name"]
+ODD_VALUES = [None, "", "0", "-0.0", "-5", "nan", "inf", "1e308", "abc",
+              " 3 "]  # None: the attribute is removed
+
+
+def xml_mutations(texts):
+    """One edit of a rich XML document: a TOKEN attribute set to an odd
+    value, a TOKEN's text replaced by one of ``texts``, an unknown element
+    inserted, or a PAGE attribute changed (None removes an attribute)."""
+    return st.one_of(
+        st.tuples(st.just("token"), st.integers(0, 10_000),
+                  st.sampled_from(TOKEN_ATTRS), st.sampled_from(ODD_VALUES)),
+        st.tuples(st.just("text"), st.integers(0, 10_000),
+                  st.sampled_from(texts)),
+        st.tuples(st.just("unknown"), st.integers(0, 10_000)),
+        st.tuples(st.just("page"), st.integers(0, 10),
+                  st.sampled_from(["number", "width", "height"]),
+                  st.sampled_from(ODD_VALUES + ["1", "2", "3"])),
+    )
+
+
+def mutate_xml(data: bytes, mutations) -> bytes:
+    """``data`` with the edits applied in order; ("cut", n) keeps the first
+    n / 10,000 of the serialized bytes."""
+    root = ET.fromstring(data)
+    pages = list(root)
+    lines = [line for page in pages for line in page]
+    tokens = [tok for line in lines for tok in line]
+    cut = None
+    for kind, where, *rest in mutations:
+        if kind == "token":
+            attr, value = rest
+            elem = tokens[where % len(tokens)]
+            if value is None:
+                elem.attrib.pop(attr, None)
+            else:
+                elem.set(attr, value)
+        elif kind == "text":
+            tokens[where % len(tokens)].text = rest[0]
+        elif kind == "unknown":
+            parent = [root, *pages, *lines][where % (1 + len(pages) + len(lines))]
+            parent.insert(where % (len(parent) + 1), ET.Element("NOISE"))
+        elif kind == "page":
+            attr, value = rest
+            elem = pages[where % len(pages)]
+            if value is None:
+                elem.attrib.pop(attr, None)
+            else:
+                elem.set(attr, value)
+        else:
+            cut = where
+    data = ET.tostring(root)
+    return data if cut is None else data[:cut * len(data) // 10_000]
 
 
 @pytest.fixture

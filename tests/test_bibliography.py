@@ -1,6 +1,9 @@
 """Unit tests for reference splitting, citation styles and linking."""
 
 import pytest
+from conftest import reference_extract_citations
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scholarparse.bibliography import (NoReferenceSectionError, Reference,
                                        extract_citations,
@@ -122,6 +125,40 @@ class TestStylePrecedence:
         spans.sort()
         for (s1, e1), (s2, e2) in zip(spans, spans[1:]):
             assert e1 <= s2
+
+
+# Citation-like text: each piece is what precedes a name (nothing, a space,
+# a bracket, a digit or a word character that is not an ASCII letter), a
+# name, what follows it, a number and a tail, so most draws hold a match.
+CITATION_PIECE = st.tuples(
+    st.sampled_from(["", " ", "(", "é", "ß", "É", "_", "7", "a"]),
+    st.sampled_from(["Singh", "G", "Kumar", "al", "éS", "Sß", "S_"]),
+    st.sampled_from([" ", ", ", ",", " (", ",(", " [", " et al.", " et al. ",
+                     " et al., ", " et al.[", " et al. (", " and Goyal ",
+                     " & Goyal, ", " and É ", "&"]),
+    st.one_of(st.integers(0, 999), st.integers(1000, 2999)).map(str),
+    st.sampled_from(["", "a", "]", ")", "a)", "b,", "7", ", 12]", "é", "_"]),
+).map("".join)
+CITATION_TEXT = st.lists(CITATION_PIECE, max_size=4).map("".join)
+
+
+class TestAgainstWordBoundaryOracle:
+    @pytest.mark.parametrize("text, styles", [
+        ("Singh et al. [4]", [1]),  # capital at offset 0
+        ("éSingh et al. [4]", [16]),  # a word character before the capital
+        ("_Singh et al. [4]", [16]),
+        ("(Singh 2013) and ÉGoyal, 2014", [14]),
+    ])
+    def test_leading_capital_needs_no_word_character_before(self, text,
+                                                            styles):
+        cits = extract_citations(text)
+        assert [c.style_id for c in cits] == styles
+        assert cits == reference_extract_citations(text)
+
+    @given(CITATION_TEXT)
+    @settings(max_examples=100)
+    def test_same_citations(self, text):
+        assert extract_citations(text) == reference_extract_citations(text)
 
 
 class TestSplitReferences:

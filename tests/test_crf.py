@@ -10,14 +10,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (brute_force_decode, enumerate_paths,
-                      per_sequence_objective, random_instance)
+                      per_sequence_objective, random_instance,
+                      reference_viterbi_decode)
 from scholarparse import crf
 from scholarparse.crf import (CrfError, CrfModel, LabeledSequence,
                               ModelFormatError, TrainConfig, compile_dataset,
                               forward_backward, load_model, log_likelihood,
                               log_likelihood_and_gradient, save_model, score,
                               train, viterbi_decode)
-from scholarparse.training import TASKS
+from scholarparse.ingest import parse_rich_xml
+from scholarparse.pipeline import load_default_models
+from scholarparse.synth import STYLES, generate_synthetic_document
+from scholarparse.training import (TASKS, TrainingPair, build_author_sequences,
+                                   build_footnote_sequences,
+                                   build_heading_sequences,
+                                   build_title_sequences, training_examples)
 
 
 def tiny_model():
@@ -91,6 +98,36 @@ class TestViterbi:
             oracle, best = brute_force_decode(model, feats, tol=0.0)
             assert score(model, feats, decoded) == best
             assert decoded == oracle
+
+    @pytest.mark.parametrize("n_labels", [1, 3])
+    def test_one_and_three_labels_with_integer_ties(self, rng, n_labels):
+        for _ in range(50):
+            model, feats = random_instance(rng, integer_weights=True,
+                                           n_labels=n_labels)
+            decoded = viterbi_decode(model, feats)
+            assert decoded == reference_viterbi_decode(model, feats)
+            assert decoded == brute_force_decode(model, feats, tol=0.0)[0]
+
+    def test_matches_numpy_recursion_on_bundled_models(self):
+        models = load_default_models()
+        pairs = [TrainingPair(parse_rich_xml(xml)[0], truth) for xml, truth in
+                 (generate_synthetic_document(style, 31 + i)
+                  for i, style in enumerate(STYLES))]
+        examples = training_examples(pairs)
+        sequences = {model: [seq.features() for seq in build(examples)]
+                     for model, build in (
+                         (models.title, build_title_sequences),
+                         (models.author, build_author_sequences),
+                         (models.heading, build_heading_sequences),
+                         (models.footnote, build_footnote_sequences))}
+        # Every author-window token of the four documents in one sequence.
+        long = [f for feats in sequences[models.author] for f in feats]
+        assert len(long) >= 500
+        sequences[models.author].append(long)
+        for model, seqs in sequences.items():
+            for feats in seqs:
+                assert viterbi_decode(model, feats) == \
+                    reference_viterbi_decode(model, feats)
 
     def test_all_zero_weights_decodes_first_label(self):
         model = CrfModel.from_weights(("A", "B"), {}, {})
@@ -329,6 +366,9 @@ class TestSerialization:
         b"unary\tx\tC\t1.0",  # label outside the labels record
         b"trans\tA\tC\t1.0",
         b"template\tonly-id",  # no kind
+        b"unary\tx\tA\tnan",  # non-finite weights
+        b"unary\tx\tA\tinf",
+        b"trans\tA\tB\t-inf",
     ])
     def test_malformed_record_rejected(self, record):
         payload = save_model(tiny_model()).replace(b"\nend\n",

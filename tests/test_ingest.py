@@ -7,7 +7,8 @@ from functools import cache
 from xml.etree import ElementTree as ET
 
 import pytest
-from conftest import reference_parse_rich_xml
+from conftest import (ODD_VALUES, TOKEN_ATTRS, mutate_xml,
+                      reference_parse_rich_xml, xml_mutations)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -260,22 +261,8 @@ class TestRoundTrip:
 
 # --- the one-pass parse against the two-pass oracle ---------------------------
 
-TOKEN_ATTRS = ["x", "y", "width", "height", "font-size", "bold", "italic",
-               "font-name"]
-ODD_VALUES = [None, "", "0", "-0.0", "-5", "nan", "inf", "1e308", "abc",
-              " 3 "]  # None: the attribute is removed
-
-MUTATIONS = st.one_of(
-    st.tuples(st.just("token"), st.integers(0, 10_000),
-              st.sampled_from(TOKEN_ATTRS), st.sampled_from(ODD_VALUES)),
-    st.tuples(st.just("text"), st.integers(0, 10_000),
-              st.sampled_from([None, "", "  ", "x-"])),
-    st.tuples(st.just("unknown"), st.integers(0, 10_000)),
-    st.tuples(st.just("page"), st.integers(0, 10),
-              st.sampled_from(["number", "width", "height"]),
-              st.sampled_from(ODD_VALUES + ["1", "2", "3"])),
-    st.tuples(st.just("cut"), st.integers(0, 10_000)),
-)
+MUTATIONS = st.one_of(xml_mutations([None, "", "  ", "x-"]),
+                      st.tuples(st.just("cut"), st.integers(0, 10_000)))
 
 
 @cache
@@ -295,38 +282,6 @@ def base_xml() -> bytes:
     root = ET.Element("DOCUMENT")
     root.extend(pages)
     return ET.tostring(root)
-
-
-def mutate(mutations) -> bytes:
-    root = ET.fromstring(base_xml())
-    pages = list(root)
-    lines = [line for page in pages for line in page]
-    tokens = [tok for line in lines for tok in line]
-    cut = None
-    for kind, where, *rest in mutations:
-        if kind == "token":
-            attr, value = rest
-            elem = tokens[where % len(tokens)]
-            if value is None:
-                elem.attrib.pop(attr, None)
-            else:
-                elem.set(attr, value)
-        elif kind == "text":
-            tokens[where % len(tokens)].text = rest[0]
-        elif kind == "unknown":
-            parent = [root, *pages, *lines][where % (1 + len(pages) + len(lines))]
-            parent.insert(where % (len(parent) + 1), ET.Element("NOISE"))
-        elif kind == "page":
-            attr, value = rest
-            elem = pages[where % len(pages)]
-            if value is None:
-                elem.attrib.pop(attr, None)
-            else:
-                elem.set(attr, value)
-        else:
-            cut = where
-    data = ET.tostring(root)
-    return data if cut is None else data[:cut * len(data) // 10_000]
 
 
 SMALL = b"""<DOCUMENT><PAGE number="1" width="612" height="792">
@@ -363,7 +318,7 @@ class TestAgainstTwoPassOracle:
     @given(st.lists(MUTATIONS, max_size=8), st.booleans())
     @settings(max_examples=40)
     def test_same_document_and_report(self, mutations, dehyphenate):
-        data = mutate(mutations)
+        data = mutate_xml(base_xml(), mutations)
         try:
             expected = reference_parse_rich_xml(data, dehyphenate=dehyphenate,
                                                 source_id="m")

@@ -5,9 +5,14 @@ import os
 import re
 import subprocess
 import sys
+from functools import cache
 from pathlib import Path
+from xml.etree import ElementTree as ET
 
 import pytest
+from conftest import mutate_xml, xml_mutations
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scholarparse.chunker import chunk_document
 from scholarparse.context import build_context
@@ -17,6 +22,7 @@ from scholarparse.pipeline import (PipelineModels, chunk_to_lines,
                                    extract_document, load_default_models,
                                    load_models_from_dir)
 from scholarparse.synth import STYLES, generate_synthetic_document
+from scholarparse.tei import TEI_NS, export_tei
 from scholarparse.training import TASKS
 
 
@@ -169,3 +175,44 @@ class TestChunkToLines:
         assert all(isinstance(t, str) and isinstance(x, float)
                    for t, x in lines)
         assert " ".join(t for t, _ in lines) == chunks[0].text
+
+
+# --- extraction and export over mutated XML ---------------------------------
+
+# Token texts that read as footnote or author markers, e-mail addresses,
+# citations and reference entries, wherever they land.
+INJECTED_TEXT = [None, "", "x-", "*", "\u2020", "1", "a.b@c.org", "{a,b}@c.org",
+                 "[3]", "[1,", "2]", "[99]", "Singh", "et", "al.,", "2013",
+                 "2013a", "(2013)", "References", "Bibliography", "1.", "12."]
+XML_ID = "{http://www.w3.org/XML/1998/namespace}id"
+
+
+@cache
+def article_xml(style: str) -> bytes:
+    return generate_synthetic_document(style, 7)[0]
+
+
+def resolved_targets(models, xml: bytes) -> list[str]:
+    """Extract and export one document, check that the TEI parses and that
+    every ref/@target names a bibl/@xml:id, and return the targets."""
+    doc, _ = parse_rich_xml(xml)
+    root = ET.fromstring(export_tei(extract_document(doc, models)))
+    ids = {"#" + bibl.get(XML_ID) for bibl in root.iter(f"{{{TEI_NS}}}bibl")}
+    targets = [ref.get("target") for ref in root.iter(f"{{{TEI_NS}}}ref")
+               if ref.get("target") is not None]
+    assert set(targets) <= ids
+    return targets
+
+
+class TestMutatedDocuments:
+    @pytest.mark.parametrize("style", STYLES)
+    def test_unmutated_article_links_citations(self, models, style):
+        assert resolved_targets(models, article_xml(style))
+
+    @given(st.sampled_from(STYLES),
+           st.lists(xml_mutations(INJECTED_TEXT), max_size=8))
+    @settings(max_examples=20)
+    def test_export_parses_and_every_target_names_a_reference(
+            self, models, style, mutations):
+        # Anything raised by extraction or export fails the property.
+        resolved_targets(models, mutate_xml(article_xml(style), mutations))
