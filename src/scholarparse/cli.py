@@ -99,12 +99,13 @@ def cmd_extract(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load_config(args)
+    train_config = cfg.train_config()
     examples = training_examples(load_corpus(args.corpus), cfg.chunk_params())
     tasks = TASKS if args.task == "all" else (args.task,)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for task in tasks:
-        model = train_task(task, examples, cfg.train_config())
+        model = train_task(task, examples, train_config)
         (out_dir / f"{task}.crf").write_bytes(save_model(model))
         print(f"trained {task}: {np.count_nonzero(model.unary)} unary weights",
               file=sys.stderr)

@@ -9,6 +9,13 @@ by batch gradient ascent with backtracking line search; forward-backward
 runs in log space throughout, over all sequences of a dataset at once,
 padded to the longest.  Every sum adds its terms in one fixed order (by
 sequence, position, then feature), so trained models are byte-stable.
+
+Each step of the recursions is a left fold over labels: the first label's
+term, then ``_logaddexp`` with each later label's, so a step costs a few
+ufunc calls on (B, L) arrays whatever L is.  On the two-label models every
+log-sum is of two terms, where ``_logaddexp`` gives the bits of the scipy
+formula the models were first trained with; for more labels the fold may
+differ from a one-shot log-sum in the last bit.
 """
 
 from __future__ import annotations
@@ -62,8 +69,13 @@ class TrainConfig:
     convergence_tol: float = 1e-5
 
     def __post_init__(self):
-        if self.l2_lambda <= 0:
-            raise ValueError("l2_lambda must be positive")
+        if not (math.isfinite(self.l2_lambda) and self.l2_lambda > 0):
+            raise ValueError("l2_lambda must be finite and positive")
+        if self.max_iterations < 0:
+            raise ValueError("max_iterations must not be negative")
+        if not (math.isfinite(self.convergence_tol)
+                and self.convergence_tol >= 0):
+            raise ValueError("convergence_tol must be finite and not negative")
 
 
 @dataclass(eq=False)
@@ -132,15 +144,19 @@ def _path_score(unary, transitions, positions, rows, gold) -> float:
     return float(np.cumsum(terms)[-1])
 
 
-def _logsumexp(a: np.ndarray, axis: int):
-    """log(sum(exp(a))) along an axis as scipy.special.logsumexp computes it:
-    log1p(s / m) + log(m) + max, the m maximal entries left out of s."""
-    a_max = np.maximum.reduce(a, axis=axis, keepdims=True)
-    is_max = a == a_max
-    m = np.add.reduce(is_max, axis=axis, dtype=float, keepdims=True)
-    s = np.add.reduce(np.exp(np.where(is_max, -np.inf, a) - a_max), axis=axis,
-                      keepdims=True)
-    return np.squeeze(np.log1p(s / m) + np.log(m) + a_max, axis=axis)[()]
+def _logaddexp(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """log(exp(a) + exp(b)) elementwise, as ``log1p(exp(lo - hi)) + hi``.
+
+    On terms that are finite or -inf these are the bits of the scipy
+    formula ``log1p(s / m) + log(m) + max``, the m maximal terms left out
+    of s: when the terms differ, m = 1 and ``log(1)`` adds 0.0; when they
+    are equal, s = 0 and numpy's ``log(2.0)`` is its ``log1p(1.0)``.  The
+    two part only when both terms are +inf, an overflow either way.  Both
+    are numpy ufuncs on fresh contiguous arrays, as the models were trained
+    with: libm's ``exp`` and ``log1p`` may differ in the last bit.
+    """
+    hi = np.maximum(a, b)
+    return np.log1p(np.exp(np.minimum(a, b) - hi)) + hi
 
 
 def score(model: CrfModel, sequence_features, label_path) -> float:
@@ -192,24 +208,41 @@ def viterbi_decode(model: CrfModel, sequence_features) -> list[str]:
 
 def _forward(em: np.ndarray, T: np.ndarray, last: np.ndarray):
     """Log forward scores of a (B, N, L) batch of sequences padded to one
-    length, and each sequence's log partition, read at its last position."""
-    log_alpha = np.empty_like(em)
-    log_alpha[:, 0] = em[:, 0]
+    length, and each sequence's log partition, read at its last position.
+    Each step folds ``alpha[i] + T[i]`` over the previous labels i."""
+    alpha = em[:, 0]
+    steps = [alpha]
     for t in range(1, em.shape[1]):
-        log_alpha[:, t] = em[:, t] + _logsumexp(
-            log_alpha[:, t - 1, :, None] + T, axis=1)
-    return log_alpha, _logsumexp(log_alpha[np.arange(len(em)), last], axis=1)
+        acc = alpha[:, :1] + T[0]
+        for i in range(1, len(T)):
+            acc = _logaddexp(acc, alpha[:, i:i + 1] + T[i])
+        alpha = em[:, t] + acc
+        steps.append(alpha)
+    log_alpha = np.stack(steps, axis=1)
+    end = log_alpha[np.arange(len(em)), last]
+    log_z = end[:, 0]
+    for i in range(1, len(T)):
+        log_z = _logaddexp(log_z, end[:, i])
+    return log_alpha, log_z
 
 
 def _forward_backward(em: np.ndarray, T: np.ndarray, last: np.ndarray):
     """Log partitions, marginals and pairwise marginals of a padded batch;
-    both marginals are zero past each sequence's last position."""
+    both marginals are zero past each sequence's last position.  Each
+    backward step folds ``T[:, j] + em[j] + beta[j]`` over the next labels
+    j, and is 0.0 from each sequence's last position on."""
     log_alpha, log_z = _forward(em, T, last)
     past = np.arange(em.shape[1]) > last[:, None]
-    log_beta = np.zeros_like(em)
+    beta = np.zeros_like(em[:, 0])
+    steps = [beta]
     for t in range(em.shape[1] - 2, -1, -1):
-        log_beta[:, t] = np.where(past[:, t + 1, None], 0.0, _logsumexp(
-            T + (em[:, t + 1] + log_beta[:, t + 1])[:, None, :], axis=2))
+        x = em[:, t + 1] + beta
+        acc = T[:, 0] + x[:, :1]
+        for j in range(1, len(T)):
+            acc = _logaddexp(acc, T[:, j] + x[:, j:j + 1])
+        beta = np.where(past[:, t + 1, None], 0.0, acc)
+        steps.append(beta)
+    log_beta = np.stack(steps[::-1], axis=1)
     log_alpha[past] = log_beta[past] = -np.inf
     shift = log_z[:, None, None]
     marginals = np.exp(log_alpha + log_beta - shift)
@@ -244,10 +277,16 @@ class CompiledDataset(NamedTuple):
     cells: np.ndarray
     rows: np.ndarray
     last: np.ndarray
-    # Per sequence: feature positions and rows, gold labels, and the flat
-    # gradient index of each count in the order it is added: per feature its
-    # gold label, then every label; per transition its pair; then all pairs.
-    sequences: tuple[tuple[np.ndarray, ...], ...]
+    # Per sequence, the flat weight index of each gold path term: a 0.0
+    # appended to the weights, the unary terms, then the transitions; padded
+    # with the 0.0.
+    path: np.ndarray
+    # The flat gradient index of each count in the order it is added, and
+    # where its value is in [1.0, marginals, summed pairwise marginals]: per
+    # occurrence its gold label, then every label; then per sequence its
+    # gold transitions, then every pair.
+    counts: np.ndarray
+    sources: np.ndarray
 
 
 def compile_dataset(model: CrfModel, dataset) -> CompiledDataset:
@@ -257,23 +296,37 @@ def compile_dataset(model: CrfModel, dataset) -> CompiledDataset:
     if not all(seq.items for seq in dataset):
         raise CrfError("empty sequence")
     L, base = len(model.labels), model.unary.size
+    zero = base + L * L
     width = max(len(seq.items) for seq in dataset)
-    sequences = []
-    for seq in dataset:
-        positions, rows = _occurrences(model, seq.features())
+    pair_source = 1 + len(dataset) * width * L
+    labels, pairs = np.arange(L), np.arange(L * L)
+    cells, rows, last, paths = [], [], [], []
+    counts, sources, pair_counts, pair_sources = [], [], [], []
+    for b, seq in enumerate(dataset):
+        positions, seq_rows = _occurrences(model, seq.features())
         gold = np.array([*map(model.label_index, seq.labels())],
                         dtype=np.intp)
-        per_feature = np.column_stack(
-            (rows * L + gold[positions], rows[:, None] * L + np.arange(L)))
-        sequences.append((positions, rows, gold, np.concatenate(
-            (per_feature.ravel(), base + gold[:-1] * L + gold[1:],
-             base + np.arange(L * L)))))
-    positions, rows, gold, _ = zip(*sequences)
+        cell = b * width + positions
+        unary_terms = seq_rows * L + gold[positions]
+        transitions = base + gold[:-1] * L + gold[1:]
+        cells.append(cell)
+        rows.append(seq_rows)
+        last.append(len(gold) - 1)
+        paths.append(np.concatenate(([zero], unary_terms, transitions)))
+        counts.append(np.column_stack(
+            (unary_terms, seq_rows[:, None] * L + labels)).ravel())
+        sources.append(np.column_stack(
+            (np.zeros_like(cell), 1 + cell[:, None] * L + labels)).ravel())
+        pair_counts += [transitions, base + pairs]
+        pair_sources += [np.zeros_like(transitions),
+                         pair_source + b * L * L + pairs]
+    path = np.full((len(paths), max(map(len, paths))), zero, dtype=np.intp)
+    for b, terms in enumerate(paths):
+        path[b, :len(terms)] = terms
     return CompiledDataset(
-        L, (len(sequences), width),
-        np.concatenate([b * width + p for b, p in enumerate(positions)]),
-        np.concatenate(rows), np.array([len(g) - 1 for g in gold]),
-        tuple(sequences))
+        L, (len(dataset), width), np.concatenate(cells), np.concatenate(rows),
+        np.array(last), path, np.concatenate(counts + pair_counts),
+        np.concatenate(sources + pair_sources))
 
 
 def _split(weights: np.ndarray, L: int):
@@ -285,26 +338,25 @@ def _objective(weights, data: CompiledDataset, penalty: float,
                grad=None) -> float:
     """Gold path scores minus log partitions minus the L2 penalty; given
     ``grad``, also adds observed minus expected counts into it.  One forward
-    (and backward) pass serves all sequences; the sums stay per sequence."""
+    (and backward) pass serves all sequences; each path score is summed left
+    to right from 0.0, and each gradient entry gets its counts in sequence
+    order."""
     unary, T = _split(weights, data.n_labels)
     em = _emissions(unary, data.cells, data.rows, data.shape)
     if grad is None:
         log_z = _forward(em, T, data.last)[1]
     else:
         log_z, marginals, pairwise = _forward_backward(em, T, data.last)
+        values = np.concatenate(([1.0], -marginals.ravel(),
+                                 -pairwise.sum(axis=1).ravel()))
+        np.add.at(grad, data.counts, values[data.sources])
+    scores = np.cumsum(np.append(weights, 0.0)[data.path], axis=1)[:, -1]
     ll = 0.0
-    for b, (positions, rows, gold, counts) in enumerate(data.sequences):
-        ll += _path_score(unary, T, positions, rows, gold)
-        ll -= log_z[b]
-        if grad is None:
-            continue
-        per_feature = np.column_stack((np.ones(len(rows)),
-                                       -marginals[b, positions]))
-        np.add.at(grad, counts, np.concatenate(
-            (per_feature.ravel(), np.ones(len(gold) - 1),
-             -pairwise[b, :len(gold) - 1].sum(axis=0).ravel())))
+    for path_score, z in zip(scores.tolist(), log_z.tolist()):
+        ll += path_score
+        ll -= z
     ll -= penalty
-    if not np.isfinite(ll):
+    if not math.isfinite(ll):
         raise CrfNumericError("numeric overflow")
     return ll
 
@@ -329,8 +381,16 @@ def log_likelihood(weights: np.ndarray, data: CompiledDataset,
 
 
 def train(dataset, labels, templates, config: TrainConfig = TrainConfig(),
-          task_name: str = "") -> CrfModel:
-    """Batch gradient ascent from zero weights with backtracking line search."""
+          task_name: str = "", log: list | None = None) -> CrfModel:
+    """Batch gradient ascent from zero weights with backtracking line search.
+
+    Given ``log``, appends one record per iteration, ``{"iteration",
+    "log_likelihood", "gradient_norm", "step", "trials"}`` (``step`` is the
+    accepted step, None if there was none; ``trials`` counts the line-search
+    evaluations), then ``{"stop": reason}``: ``converged``,
+    ``zero_gradient``, ``line_search_failed`` or ``max_iterations``.  The
+    log only observes; the model is the same without it.
+    """
     labels = tuple(labels)
     features = tuple(sorted({f for seq in dataset for feats in seq.features()
                              for f in feats}))
@@ -341,27 +401,38 @@ def train(dataset, labels, templates, config: TrainConfig = TrainConfig(),
 
     step = 1.0
     prev_ll = None
-    for _ in range(config.max_iterations):
+    stop = "max_iterations"
+    for iteration in range(config.max_iterations):
         ll, grad = log_likelihood_and_gradient(w, data, config.l2_lambda)
+        gnorm2 = float(grad @ grad)
+        record = {"iteration": iteration, "log_likelihood": ll,
+                  "gradient_norm": math.sqrt(gnorm2), "step": None,
+                  "trials": 0}
+        if log is not None:
+            log.append(record)
         if prev_ll is not None and abs(ll - prev_ll) < config.convergence_tol:
+            stop = "converged"
             break
         prev_ll = ll
-        gnorm2 = float(grad @ grad)
         if gnorm2 == 0.0:
+            stop = "zero_gradient"
             break
         s = step
-        accepted = False
         while s > 1e-12:
+            record["trials"] += 1
             trial = w + s * grad
             trial_ll = log_likelihood(trial, data, config.l2_lambda)
             if trial_ll > ll + 1e-4 * s * gnorm2:
                 w = trial
+                record["step"] = s
                 step = s * 2.0
-                accepted = True
                 break
             s *= 0.5
-        if not accepted:
+        if record["step"] is None:
+            stop = "line_search_failed"
             break
+    if log is not None:
+        log.append({"stop": stop})
     model.unary, model.transitions = _split(w, len(labels))
     return model
 

@@ -10,7 +10,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from scholarparse.bibliography import _instance
-from scholarparse.crf import (CrfError, CrfModel, _emissions, _logsumexp,
+from scholarparse.crf import (CrfError, CrfModel, _emissions, _logaddexp,
                               _occurrences, _path_score, _split)
 from scholarparse.ingest import (SUP_FONT_RATIO, SUP_RISE_PT, IngestReport,
                                  RichXmlParseError, _dehyphenate_page)
@@ -111,38 +111,75 @@ def reference_viterbi_decode(model: CrfModel, feats):
     return [model.labels[i] for i in path]
 
 
-def per_sequence_objective(weights, data, penalty: float, grad=None):
-    """Oracle for ``crf._objective``: the same sums in the same order, with
-    one forward (and backward) recursion per sequence over its own
-    positions, as the objective ran before the sequences were batched."""
-    unary, T = _split(weights, data.n_labels)
-    ll = 0.0
-    for positions, rows, gold, counts in data.sequences:
-        n = len(gold)
-        em = _emissions(unary, positions, rows, (n,))
-        ll += _path_score(unary, T, positions, rows, gold)
-        log_alpha = np.empty_like(em)
-        log_alpha[0] = em[0]
-        for t in range(1, n):
-            log_alpha[t] = em[t] + _logsumexp(log_alpha[t - 1][:, None] + T,
-                                              axis=0)
-        log_z = _logsumexp(log_alpha[-1], axis=0)
-        ll -= log_z
-        if grad is None:
-            continue
-        log_beta = np.zeros_like(em)
-        for t in range(n - 2, -1, -1):
-            log_beta[t] = _logsumexp(T + (em[t + 1] + log_beta[t + 1])[None, :],
-                                     axis=1)
-        marginals = np.exp(log_alpha + log_beta - log_z)
-        pairwise = np.exp(log_alpha[:-1, :, None] + T
-                          + (em[1:] + log_beta[1:])[:, None, :] - log_z)
-        per_feature = np.column_stack((np.ones(len(rows)),
-                                       -marginals[positions]))
-        np.add.at(grad, counts, np.concatenate(
-            (per_feature.ravel(), np.ones(n - 1),
-             -pairwise.sum(axis=0).ravel())))
-    return ll - penalty
+def reference_logsumexp(a: np.ndarray, axis: int):
+    """Oracle for ``crf._logaddexp``: log(sum(exp(a))) along an axis as
+    scipy.special.logsumexp computes it, log1p(s / m) + log(m) + max, the m
+    maximal entries left out of s."""
+    a_max = np.maximum.reduce(a, axis=axis, keepdims=True)
+    is_max = a == a_max
+    m = np.add.reduce(is_max, axis=axis, dtype=float, keepdims=True)
+    s = np.add.reduce(np.exp(np.where(is_max, -np.inf, a) - a_max), axis=axis,
+                      keepdims=True)
+    return np.squeeze(np.log1p(s / m) + np.log(m) + a_max, axis=axis)[()]
+
+
+def _fold(terms):
+    """``_logaddexp`` folded from the left over a list of arrays."""
+    acc = terms[0]
+    for term in terms[1:]:
+        acc = _logaddexp(acc, term)
+    return acc
+
+
+def per_sequence_objective(model: CrfModel, dataset):
+    """Oracle for ``crf._objective`` on ``dataset`` compiled against
+    ``model``: the same sums in the same order, with one forward (and
+    backward) recursion per sequence over its own positions, and each
+    sequence's own path score and gradient counts, as the objective ran
+    before the sequences were batched."""
+    L, base = len(model.labels), model.unary.size
+    sequences = []
+    for seq in dataset:
+        positions, rows = _occurrences(model, seq.features())
+        gold = np.array([model.labels.index(lab) for lab in seq.labels()],
+                        dtype=np.intp)
+        per_feature = np.column_stack(
+            (rows * L + gold[positions], rows[:, None] * L + np.arange(L)))
+        sequences.append((positions, rows, gold, np.concatenate(
+            (per_feature.ravel(), base + gold[:-1] * L + gold[1:],
+             base + np.arange(L * L)))))
+
+    def objective(weights, data, penalty: float, grad=None):
+        unary, T = _split(weights, data.n_labels)
+        ll = 0.0
+        for positions, rows, gold, counts in sequences:
+            n = len(gold)
+            em = _emissions(unary, positions, rows, (n,))
+            ll += _path_score(unary, T, positions, rows, gold)
+            log_alpha = np.empty_like(em)
+            log_alpha[0] = em[0]
+            for t in range(1, n):
+                log_alpha[t] = em[t] + _fold(
+                    [log_alpha[t - 1][i] + T[i] for i in range(L)])
+            log_z = _fold(list(log_alpha[-1]))
+            ll -= log_z
+            if grad is None:
+                continue
+            log_beta = np.zeros_like(em)
+            for t in range(n - 2, -1, -1):
+                x = em[t + 1] + log_beta[t + 1]
+                log_beta[t] = _fold([T[:, j] + x[j] for j in range(L)])
+            marginals = np.exp(log_alpha + log_beta - log_z)
+            pairwise = np.exp(log_alpha[:-1, :, None] + T
+                              + (em[1:] + log_beta[1:])[:, None, :] - log_z)
+            per_feature = np.column_stack((np.ones(len(rows)),
+                                           -marginals[positions]))
+            np.add.at(grad, counts, np.concatenate(
+                (per_feature.ravel(), np.ones(n - 1),
+                 -pairwise.sum(axis=0).ravel())))
+        return ll - penalty
+
+    return objective
 
 
 # Oracle for ``bibliography.CITATION_STYLES``: the table as it was written

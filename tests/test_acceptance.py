@@ -7,6 +7,7 @@ token-F thresholds.
 """
 
 import dataclasses
+import hashlib
 import random
 import time
 from xml.etree import ElementTree as ET
@@ -34,6 +35,15 @@ from scholarparse.usecases import curate_dataset_links
 CORPUS_SIZE = 100
 TRAIN_FRACTION = 0.2
 SPLIT_SEED = 13
+
+# save_model bytes of the ``models`` fixture (train_all on the 20 training
+# documents, 60 iterations): the long training trajectories, bit for bit.
+MODEL_SHA256 = {
+    "author": "edcc3a95b704a8cf919efc291751b1bb5355ecf78a93f8dbd6e85cc272a488d6",
+    "footnote": "f15c926615af2c014e9ef312a6c87782a6f6c8aa2f0813a8d71cedfaa6d18a8c",
+    "heading": "9fc1e435d53fefc6698e89c6914e0e984db49a20e7ffa117f615859a64b16b2b",
+    "title": "e190952ddd600a7ca259a9cc42b6746ec115c67820f76d0a32e1cdc241613a3f",
+}
 
 
 @pytest.fixture(scope="module")
@@ -302,6 +312,11 @@ class TestCriterion10Determinism:
         a = save_model(train_task("title", examples, cfg))
         b = save_model(train_task("title", examples, cfg))
         assert a == b
+
+    @pytest.mark.parametrize("task", sorted(MODEL_SHA256))
+    def test_trained_model_bytes(self, models, task):
+        payload = save_model(getattr(models, task))
+        assert hashlib.sha256(payload).hexdigest() == MODEL_SHA256[task]
 
     def test_extraction_bytes(self, corpus, models):
         pair = next(iter(corpus.values()))

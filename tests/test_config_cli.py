@@ -44,6 +44,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="boolean"):
             parse_config("boldness_break=maybe\n")
 
+    @pytest.mark.parametrize("line", ["l2_lambda = nan", "l2_lambda = inf",
+                                      "max_iterations = -3",
+                                      "convergence_tol = nan"])
+    def test_untrainable_values_rejected(self, line):
+        with pytest.raises(ValueError):
+            parse_config(line).train_config()
+
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_config(tmp_path / "absent.conf")
@@ -104,6 +111,15 @@ class TestCli:
         assert main(["train", "--corpus", str(corpus_dir), "--out", str(out),
                      "--task", "title", "--config", str(cfg)]) == 0
         assert (out / "title.crf").read_bytes().startswith(b"OCRPP-CRF 1\n")
+
+    def test_train_rejects_untrainable_config_before_reading(self, tmp_path,
+                                                             capsys):
+        cfg = tmp_path / "bad.conf"
+        cfg.write_text("l2_lambda=nan\n", "utf-8")
+        assert main(["train", "--corpus", str(tmp_path / "absent"),
+                     "--out", str(tmp_path / "models"),
+                     "--config", str(cfg)]) == 1
+        assert "l2_lambda" in capsys.readouterr().err
 
     def test_usecase_dataset_links(self, corpus_dir, capsys):
         xmls = sorted(str(p) for p in corpus_dir.glob("*.xml"))

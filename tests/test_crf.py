@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import (brute_force_decode, enumerate_paths,
                       per_sequence_objective, random_instance,
-                      reference_viterbi_decode)
+                      reference_logsumexp, reference_viterbi_decode)
 from scholarparse import crf
 from scholarparse.crf import (CrfError, CrfModel, LabeledSequence,
                               ModelFormatError, TrainConfig, compile_dataset,
@@ -186,6 +186,72 @@ class TestForwardBackward:
         assert log_z >= score(model, feats, path) - 1e-9
 
 
+FINITE = st.floats(min_value=-1e308, max_value=1e308, allow_nan=False)
+
+
+def same_bits(x, y) -> bool:
+    """Equal as doubles element by element, with NaN equal to NaN and 0.0
+    unequal to -0.0."""
+    x, y = np.asarray(x), np.asarray(y)
+    return x.shape == y.shape and bool(
+        ((x.view(np.int64) == y.view(np.int64))
+         | (np.isnan(x) & np.isnan(y))).all())
+
+
+class TestLogAddExp:
+    """``_logaddexp`` gives the two-term scipy logsumexp bit for bit; the
+    recursions that fold it over more labels agree with a plain log-sum."""
+
+    @given(st.lists(st.one_of(
+        st.tuples(FINITE, FINITE),
+        FINITE.map(lambda v: (v, v)),
+        st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0)),
+        FINITE.map(lambda v: (-math.inf, v)),
+        FINITE.map(lambda v: (v, -math.inf)),
+    ), min_size=1, max_size=8))
+    @settings(max_examples=300)
+    def test_matches_scipy_formula_bit_for_bit(self, pairs):
+        a, b = (np.array(column) for column in zip(*pairs))
+        expected = reference_logsumexp(np.stack((a, b)), axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = crf._logaddexp(a, b)
+        assert same_bits(got, expected)
+        for x, y in pairs:
+            assert same_bits(crf._logaddexp(np.array([x]), np.array([y])),
+                             reference_logsumexp(np.array([[x], [y]]), axis=0))
+
+    @given(FINITE, FINITE)
+    def test_symmetric(self, x, y):
+        a, b = np.array([x]), np.array([y])
+        assert same_bits(crf._logaddexp(a, b), crf._logaddexp(b, a))
+
+    def test_equal_terms_add_log_two(self):
+        v = np.array([0.0, -3.5, 700.0])
+        assert same_bits(crf._logaddexp(v, v), np.log(2.0) + v)
+
+    @pytest.mark.parametrize("n_labels", (3, 4, 6))
+    def test_fold_over_more_labels_matches_plain_logsumexp(self, rng,
+                                                           n_labels):
+        B, N = 5, 7
+        em = np.array([[[rng.uniform(-4.0, 4.0) for _ in range(n_labels)]
+                        for _ in range(N)] for _ in range(B)])
+        T = np.array([[rng.uniform(-4.0, 4.0) for _ in range(n_labels)]
+                      for _ in range(n_labels)])
+        last = np.array([N - 1, 0, 3, N - 1, 5])
+        log_z, marginals, _ = crf._forward_backward(em, T, last)
+        labels = range(n_labels)
+        for b in range(B):
+            alpha = list(em[b, 0])
+            for t in range(1, last[b] + 1):
+                alpha = [em[b, t, j] + plain_logsumexp(
+                    [alpha[i] + T[i, j] for i in labels]) for j in labels]
+            assert log_z[b] == pytest.approx(plain_logsumexp(alpha),
+                                             rel=1e-12, abs=1e-12)
+            assert np.allclose(marginals[b, :last[b] + 1].sum(axis=1), 1.0,
+                               rtol=0.0, atol=1e-12)
+            assert not marginals[b, last[b] + 1:].any()
+
+
 class TestGradient:
     def _dataset(self, rng, k=2):
         model, feats = random_instance(rng, max_len=6, max_labels=3)
@@ -255,49 +321,59 @@ class TestBatchedObjective:
             for _ in range(n)]) for n in lengths]
         return CrfModel.from_weights(labels, unary, trans), dataset
 
+    def _check(self, monkeypatch, model, dataset):
+        data = compile_dataset(model, dataset)
+        w = flat_weights(model)
+        ll, grad = log_likelihood_and_gradient(w, data, 0.7)
+        value = log_likelihood(w, data, 0.7)
+        with monkeypatch.context() as patched:
+            patched.setattr(crf, "_objective",
+                            per_sequence_objective(model, dataset))
+            ll_oracle, grad_oracle = log_likelihood_and_gradient(w, data, 0.7)
+            value_oracle = log_likelihood(w, data, 0.7)
+        assert ll == ll_oracle
+        assert np.array_equal(grad, grad_oracle)
+        assert value == value_oracle
+
     @pytest.mark.parametrize("n_labels", (2, 3, 4))
     @pytest.mark.parametrize("lengths", LENGTHS.values(), ids=LENGTHS)
     def test_matches_per_sequence_oracle(self, rng, monkeypatch, lengths,
                                          n_labels):
         for _ in range(5):
-            model, dataset = self._dataset(rng, lengths, n_labels)
-            data = compile_dataset(model, dataset)
-            w = flat_weights(model)
-            ll, grad = log_likelihood_and_gradient(w, data, 0.7)
-            value = log_likelihood(w, data, 0.7)
-            with monkeypatch.context() as patched:
-                patched.setattr(crf, "_objective", per_sequence_objective)
-                ll_oracle, grad_oracle = log_likelihood_and_gradient(
-                    w, data, 0.7)
-                value_oracle = log_likelihood(w, data, 0.7)
-            assert ll == ll_oracle
-            assert np.array_equal(grad, grad_oracle)
-            assert value == value_oracle
+            self._check(monkeypatch, *self._dataset(rng, lengths, n_labels))
+
+    @pytest.mark.parametrize("unknown", ("one sequence", "every sequence"))
+    def test_sequences_without_known_features(self, rng, monkeypatch,
+                                              unknown):
+        model, dataset = self._dataset(rng, (4, 1, 6), 2)
+        blank = [LabeledSequence(items=[(("f6",), "L1"), ((), "L0"),
+                                        (("f7", "f6"), "L1")])]
+        dataset = dataset + blank if unknown == "one sequence" else blank * 2
+        self._check(monkeypatch, model, dataset)
+
+
+# Feature "a" always carries label "X", feature "b" label "Y".
+SEPARABLE = [LabeledSequence(items=[(("a",), "X"), (("b",), "Y"),
+                                    (("a",), "X")])] * 3
 
 
 class TestTrain:
-    def _separable(self):
-        # Feature "a" always carries label "X", feature "b" label "Y".
-        seqs = [LabeledSequence(items=[(("a",), "X"), (("b",), "Y"),
-                                       (("a",), "X")])] * 3
-        return seqs
-
     def test_learns_separable_data(self):
-        model = train(self._separable(), ("X", "Y"), (),
+        model = train(SEPARABLE, ("X", "Y"), (),
                       TrainConfig(l2_lambda=0.1, max_iterations=50))
         decoded = viterbi_decode(model, [("a",), ("b",), ("a",), ("b",)])
         assert decoded == ["X", "Y", "X", "Y"]
 
     def test_zero_iterations_gives_zero_weights(self):
-        model = train(self._separable(), ("X", "Y"), (),
+        model = train(SEPARABLE, ("X", "Y"), (),
                       TrainConfig(max_iterations=0))
         assert not model.unary.any()
         assert not model.transitions.any()
 
     def test_deterministic(self):
         cfg = TrainConfig(max_iterations=15)
-        a = train(self._separable(), ("X", "Y"), (), cfg)
-        b = train(self._separable(), ("X", "Y"), (), cfg)
+        a = train(SEPARABLE, ("X", "Y"), (), cfg)
+        b = train(SEPARABLE, ("X", "Y"), (), cfg)
         assert save_model(a) == save_model(b)
 
     def test_label_outside_set_raises(self):
@@ -311,6 +387,70 @@ class TestTrain:
     def test_invalid_lambda_rejected(self):
         with pytest.raises(ValueError):
             TrainConfig(l2_lambda=0.0)
+
+    @pytest.mark.parametrize("bad", [
+        {"l2_lambda": -1.0}, {"l2_lambda": math.nan},
+        {"l2_lambda": math.inf}, {"max_iterations": -3},
+        {"convergence_tol": math.nan}, {"convergence_tol": math.inf},
+        {"convergence_tol": -1e-5},
+    ], ids=repr)
+    def test_untrainable_config_rejected(self, bad):
+        with pytest.raises(ValueError):
+            TrainConfig(**bad)
+
+    def test_boundary_config_accepted(self):
+        TrainConfig(l2_lambda=1e-300, max_iterations=0, convergence_tol=0.0)
+
+
+class TestTrainingLog:
+    def _train(self, dataset=SEPARABLE, labels=("X", "Y"), **config):
+        log = []
+        model = train(dataset, labels, (), TrainConfig(**config), log=log)
+        return model, log
+
+    def test_records_each_iteration_then_the_stop(self):
+        _, log = self._train(max_iterations=4)
+        *iterations, stop = log
+        assert stop == {"stop": "max_iterations"}
+        assert [r["iteration"] for r in iterations] == [0, 1, 2, 3]
+        for r in iterations:
+            assert r["trials"] >= 1 and r["step"] > 0
+            assert r["gradient_norm"] > 0
+        lls = [r["log_likelihood"] for r in iterations]
+        assert lls == sorted(lls)
+
+    def test_converged(self):
+        _, log = self._train(max_iterations=500, convergence_tol=1e-3)
+        assert log[-1] == {"stop": "converged"}
+        assert len(log) < 500
+        assert log[-2]["step"] is None and log[-2]["trials"] == 0
+
+    def test_zero_gradient(self):
+        # With one label, every count is expected with certainty.
+        dataset = [LabeledSequence(items=[(("a",), "X"), (("b",), "X")])]
+        _, log = self._train(dataset, ("X",))
+        assert log == [{"iteration": 0, "log_likelihood": 0.0,
+                        "gradient_norm": 0.0, "step": None, "trials": 0},
+                       {"stop": "zero_gradient"}]
+
+    def test_line_search_failed(self, monkeypatch):
+        monkeypatch.setattr(crf, "log_likelihood",
+                            lambda *args: -math.inf)
+        model, log = self._train()
+        assert log[-1] == {"stop": "line_search_failed"}
+        assert len(log) == 2
+        assert log[0]["step"] is None and log[0]["trials"] == 40
+        assert not model.unary.any() and not model.transitions.any()
+
+    def test_max_iterations_zero(self):
+        _, log = self._train(max_iterations=0)
+        assert log == [{"stop": "max_iterations"}]
+
+    def test_log_does_not_change_the_model(self):
+        config = TrainConfig(max_iterations=15)
+        quiet = train(SEPARABLE, ("X", "Y"), (), config)
+        logged, _ = self._train(max_iterations=15)
+        assert save_model(logged) == save_model(quiet)
 
 
 class TestSerialization:
