@@ -25,8 +25,10 @@ YEAR_RANGE = (1500, 2100)
 _AN = r"[A-Z][a-zA-Z]*"
 _LEAD = r"[A-Z](?<!\w[A-Z])[a-zA-Z]*"
 
-# (style_id, pattern) in application order.  Styles 1-3 and 16 are indexed;
-# the rest are author-year.  Style rows follow the observed format strings:
+# (style_id, literal, pattern) in application order.  Every match of a
+# style contains its literal, so a text without the literal is not scanned
+# for that style.  Styles 1-3 and 16 are indexed; the rest are author-year.
+# Style rows follow the observed format strings:
 #  1 <AN> et al. [<I>]          2 <AN> [<I>]
 #  3 <AN> et al.<spaces>[<I>]   4 <AN> et al., <Y><suffix>
 #  5 <AN> et al., <Y>           6 <AN> et al., (<Y>)
@@ -35,23 +37,23 @@ _LEAD = r"[A-Z](?<!\w[A-Z])[a-zA-Z]*"
 # 11 <AN> and <AN>, <Y>        12 <AN> & <AN>, <Y>
 # 13 <AN>, <Y>                 14 <AN> <Y>
 # 15 <AN> (<Y><suffix>)        16 [<I>, <I>, ...]
-CITATION_STYLES: list[tuple[int, re.Pattern]] = [
-    (1, re.compile(rf"{_LEAD} et al\. \[(\d{{1,3}})\]")),
-    (3, re.compile(rf"{_LEAD} et al\.\s*\[(\d{{1,3}})\]")),
-    (2, re.compile(rf"{_LEAD} \[(\d{{1,3}})\]")),
-    (4, re.compile(rf"{_LEAD} et al\., ?(\d{{4}})([a-z])(?![a-z])")),
-    (6, re.compile(rf"{_LEAD} et al\., \((\d{{4}})\)")),
-    (5, re.compile(rf"{_LEAD} et al\., (\d{{4}})(?![a-z\d])")),
-    (8, re.compile(rf"{_LEAD} et al\. \((\d{{4}})\)")),
-    (7, re.compile(rf"{_LEAD} et al\. (\d{{4}})(?![a-z\d])")),
-    (9, re.compile(rf"{_LEAD} and {_AN} \((\d{{4}})\)")),
-    (10, re.compile(rf"{_LEAD} & {_AN} \((\d{{4}})\)")),
-    (11, re.compile(rf"{_LEAD} and {_AN}, (\d{{4}})(?![a-z\d])")),
-    (12, re.compile(rf"{_LEAD} & {_AN}, (\d{{4}})(?![a-z\d])")),
-    (13, re.compile(rf"{_LEAD}, (\d{{4}})([a-z])?(?!\d)")),
-    (14, re.compile(rf"{_LEAD} (\d{{4}})(?![a-z\d])")),
-    (15, re.compile(rf"{_LEAD},? ?\((\d{{4}})([a-z]*)\)")),
-    (16, re.compile(r"\[(\d{1,3}(?:\s*,\s*\d{1,3})*)\]")),
+CITATION_STYLES: list[tuple[int, str, re.Pattern]] = [
+    (1, " et al. [", re.compile(rf"{_LEAD} et al\. \[(\d{{1,3}})\]")),
+    (3, " et al.", re.compile(rf"{_LEAD} et al\.\s*\[(\d{{1,3}})\]")),
+    (2, " [", re.compile(rf"{_LEAD} \[(\d{{1,3}})\]")),
+    (4, " et al.,", re.compile(rf"{_LEAD} et al\., ?(\d{{4}})([a-z])(?![a-z])")),
+    (6, " et al., (", re.compile(rf"{_LEAD} et al\., \((\d{{4}})\)")),
+    (5, " et al., ", re.compile(rf"{_LEAD} et al\., (\d{{4}})(?![a-z\d])")),
+    (8, " et al. (", re.compile(rf"{_LEAD} et al\. \((\d{{4}})\)")),
+    (7, " et al. ", re.compile(rf"{_LEAD} et al\. (\d{{4}})(?![a-z\d])")),
+    (9, " and ", re.compile(rf"{_LEAD} and {_AN} \((\d{{4}})\)")),
+    (10, " & ", re.compile(rf"{_LEAD} & {_AN} \((\d{{4}})\)")),
+    (11, " and ", re.compile(rf"{_LEAD} and {_AN}, (\d{{4}})(?![a-z\d])")),
+    (12, " & ", re.compile(rf"{_LEAD} & {_AN}, (\d{{4}})(?![a-z\d])")),
+    (13, ", ", re.compile(rf"{_LEAD}, (\d{{4}})([a-z])?(?!\d)")),
+    (14, " ", re.compile(rf"{_LEAD} (\d{{4}})(?![a-z\d])")),
+    (15, "(", re.compile(rf"{_LEAD},? ?\((\d{{4}})([a-z]*)\)")),
+    (16, "[", re.compile(r"\[(\d{1,3}(?:\s*,\s*\d{1,3})*)\]")),
 ]
 
 INDEXED_STYLES = {1, 2, 3, 16}
@@ -199,7 +201,9 @@ def extract_citations(body_text: str) -> list[CitationInstance]:
     """All citation instances in a text, non-overlapping, sorted by span."""
     claimed: list[tuple[int, int]] = []
     found: list[CitationInstance] = []
-    for style_id, pattern in CITATION_STYLES:
+    for style_id, literal, pattern in CITATION_STYLES:
+        if literal not in body_text:
+            continue
         for m in pattern.finditer(body_text):
             span = m.span()
             if any(span[0] < e and s < span[1] for s, e in claimed):

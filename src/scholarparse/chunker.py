@@ -2,9 +2,10 @@
 
 A new chunk starts when the vertical gap to the previous line exceeds
 gap_factor times the page's median inter-line gap, when the relative font
-size jumps by more than font_jump, or when line boldness flips.  Two-column
-pages are detected from the distribution of line x-origins and chunked per
-column, left column first.
+size jumps by more than font_jump, or when line boldness flips.  A line's
+font is its tokens' mean font size and its boldness their majority.
+Two-column pages are detected from the distribution of line x-origins and
+chunked per column, left column first.
 """
 
 from __future__ import annotations
@@ -62,23 +63,26 @@ def _split_columns(page: Page) -> list[list[Line]]:
 
 def _chunk_lines(lines: list[Line], params: ChunkParams,
                  median_gap: float) -> list[Chunk]:
+    """Chunks of one column; each line's mean font and bold majority are
+    computed once and compared with the previous line's."""
     chunks: list[Chunk] = []
     current: list[Line] = []
+    prev_font = prev_bold = None
     for line in lines:
+        font, bold = _line_font(line), _line_bold(line)
         if current:
-            prev = current[-1]
-            gap = line.baseline_y - prev.baseline_y
-            prev_font = _line_font(prev)
-            font_change = abs(_line_font(line) - prev_font) / prev_font
+            gap = line.baseline_y - current[-1].baseline_y
+            font_change = abs(font - prev_font) / prev_font
             breaks = (
                 (median_gap > 0 and gap > params.gap_factor * median_gap)
                 or font_change > params.font_jump
-                or (params.boldness_break and _line_bold(line) != _line_bold(prev))
+                or (params.boldness_break and bold != prev_bold)
             )
             if breaks:
                 chunks.append(make_chunk([t for l in current for t in l.tokens]))
                 current = []
         current.append(line)
+        prev_font, prev_bold = font, bold
     if current:
         chunks.append(make_chunk([t for l in current for t in l.tokens]))
     return chunks

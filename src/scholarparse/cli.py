@@ -3,7 +3,8 @@
 Subcommands: extract (rich XML to TEI), train (fit task models), eval
 (score a corpus against ground truth), generate (synthetic corpus), and
 usecase (corpus analyses).  Exit codes: 0 success, 1 processing failure,
-2 usage error.
+2 usage error.  extract and usecase report each input that fails as
+``error: <path>: <message>`` and go on with the others.
 """
 
 from __future__ import annotations
@@ -146,11 +147,18 @@ def cmd_generate(args) -> int:
 def cmd_usecase(args) -> int:
     cfg = _load_config(args)
     models = _load_models(args)
-    results = [_extract_one(Path(p), models, cfg) for p in args.inputs]
+    results = []
+    status = 0
+    for path in map(Path, args.inputs):
+        try:
+            results.append(_extract_one(path, models, cfg))
+        except Exception as exc:  # noqa: BLE001 - reported per input
+            print(f"error: {path}: {exc}", file=sys.stderr)
+            status = 1
     if args.name == "dataset-links":
         for url, source in curate_dataset_links(results):
             print(f"{url}\t{source}")
-        return 0
+        return status
     total = None
     for result in results:
         hist = section_citation_distribution(result)
@@ -162,7 +170,7 @@ def cmd_usecase(args) -> int:
     if total is not None:
         for name, count in total.counts.items():
             print(f"{name}\t{count}")
-    return 0
+    return status
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -13,23 +13,29 @@ is not a finite positive number becomes US Letter's 612 or 792, with a
 warning.
 
 Each page is parsed in one pass over its TOKENs, and each Token is built
-once.  A TOKEN's five numbers are read together; only a TOKEN that fails
-that read, or whose values are out of range, is read again field by field
-to name what is wrong.  A missing, zero or unparseable width or height is
-0.0.  A line's baseline is the median of its tokens' baselines.
+as its TOKEN is read.  A TOKEN's five numbers are read together; only a
+TOKEN that fails that read, or whose values are out of range, is read again
+field by field to name what is wrong.  A missing, zero or unparseable width
+or height is 0.0.  A line's baseline is the median of its tokens'
+baselines.  Once a PAGE is read, its subtree is freed: the tree holds
+objects the cyclic garbage collector tracks, about two per TOKEN, and a
+tree kept whole to the end of the parse sets off collections that walk it
+again and again.
 
-Superscripts: once a page's TOKENs are read, its median font size is
-known, and every token is built with its ``sup_flag``: set when its font is
-at most SUP_FONT_RATIO of the page median and its baseline sits at least
+Superscripts: a token's ``sup_flag`` is set when its font is at most
+SUP_FONT_RATIO of the page median and its baseline sits at least
 SUP_RISE_PT above its line's baseline (``detect_superscript`` states the
-same rule for a built line).
+same rule for a built line).  The page median is known only once the page
+is read, so tokens are built unflagged and the few the rule flags are
+rebuilt; a line is scanned only when its smallest font passes the size
+test.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import attrgetter
 from xml.etree import ElementTree as ET
 
 from .model import Document, Line, Page, Token
@@ -123,19 +129,19 @@ def _is_superscript(font_size: float, baseline_y: float, line_baseline: float,
 
 
 def _parse_page(page_elem, number: int, report: IngestReport) -> tuple[Line, ...]:
-    """The lines of one PAGE, each token built once with its sup_flag.
+    """The lines of one PAGE, each token built as its TOKEN is read.
 
-    The page's median font must be known before any token can be flagged,
-    so each line's TOKEN values are collected first, as plain tuples, and
-    the tokens are built from them at the end.
+    The page's median font is known only once every TOKEN is read, so the
+    tokens are built with ``sup_flag`` False and, after that, the few that
+    the superscript rule flags are rebuilt.
     """
-    rows_by_line = []
+    lines = []
     fonts = []
     for text_elem in page_elem:
         if text_elem.tag != "TEXT":
             report.skipped_elements += 1
             continue
-        rows = []
+        tokens = []
         for tok_elem in text_elem:
             if tok_elem.tag != "TOKEN":
                 report.skipped_elements += 1
@@ -163,27 +169,32 @@ def _parse_page(page_elem, number: int, report: IngestReport) -> tuple[Line, ...
                                            f"{text!r} with {geometry}")
                     continue
                 x, y, width, height, font_size = geometry
-            rows.append((x, y, width, height, font_size, text, attrib))
+            # Both paths above reject every value Token() would, so the
+            # token is built without running its checks again.
+            tokens.append(tuple.__new__(Token, (
+                text, number, x, y, width, height, font_size,
+                attrib.get("bold") == "yes", attrib.get("italic") == "yes",
+                attrib.get("font-name", ""), False)))
             fonts.append(font_size)
-        if rows:
-            rows.sort(key=itemgetter(0))
-            rows_by_line.append(rows)
-            report.token_count += len(rows)
+        if tokens:
+            tokens.sort(key=attrgetter("x"))
+            lines.append(tokens)
+            report.token_count += len(tokens)
     if not fonts:
         return ()
     median_font = _median(fonts)
-    lines = []
-    for rows in rows_by_line:
-        baseline = _median([row[1] + row[3] for row in rows])
-        tokens = tuple([
-            Token(text, number, x, y, width, height, font_size,
-                  attrib.get("bold") == "yes", attrib.get("italic") == "yes",
-                  attrib.get("font-name", ""),
-                  _is_superscript(font_size, y + height, baseline, median_font))
-            for x, y, width, height, font_size, text, attrib in rows])
-        lines.append(Line(tokens=tokens, baseline_y=baseline))
-    lines.sort(key=lambda l: l.baseline_y)
-    return tuple(lines)
+    small = SUP_FONT_RATIO * median_font
+    built = []
+    for tokens in lines:
+        baseline = _median([t.y + t.height for t in tokens])
+        if min([t.font_size for t in tokens]) <= small:
+            for i, t in enumerate(tokens):
+                if _is_superscript(t.font_size, t.y + t.height, baseline,
+                                   median_font):
+                    tokens[i] = t._replace(sup_flag=True)
+        built.append(Line(tokens=tuple(tokens), baseline_y=baseline))
+    built.sort(key=lambda l: l.baseline_y)
+    return tuple(built)
 
 
 def parse_rich_xml(data: bytes, *, dehyphenate: bool = False,
@@ -216,6 +227,10 @@ def parse_rich_xml(data: bytes, *, dehyphenate: bool = False,
         pages.append(Page(number=number, width=width, height=height,
                           lines=_parse_page(page_elem, number, report)))
         report.page_count += 1
+        # The tree holds about two objects per TOKEN that the cyclic garbage
+        # collector tracks; freed page by page, they stop setting off
+        # collections and are not walked again by the ones that run.
+        page_elem.clear()
 
     if dehyphenate:
         pages = [_dehyphenate_page(p) for p in pages]

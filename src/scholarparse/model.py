@@ -3,7 +3,7 @@
 Coordinates follow the usual PDF-to-XML emitter convention: the origin is
 the top-left corner of the page and y grows downward, so "lower half of the
 page" means y > page.height / 2.  Token is an immutable tuple-backed record
-(a ``typing.NamedTuple``) that checks its values when built; every other
+(a ``typing.NamedTuple``) that checks its values when called; every other
 type is a frozen dataclass.  All are safe to share between concurrently
 processed documents.
 """
@@ -11,6 +11,8 @@ processed documents.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from operator import add
 from typing import NamedTuple
 
 
@@ -35,8 +37,11 @@ class _TokenFields(NamedTuple):
 class Token(_TokenFields):
     """One visual word with position, size and style attributes.
 
-    A tuple underneath, so that ingest can build one per word cheaply;
-    ``_replace`` makes a changed copy without re-running the checks.
+    A tuple underneath, so that ingest can build one per word cheaply.
+    Calling ``Token(...)`` checks the values; ``_make``, ``_replace`` and
+    ``tuple.__new__(Token, values)`` build one without the checks.  Ingest
+    builds its tokens the last way, because it has already rejected every
+    TOKEN that would fail them.
     """
 
     __slots__ = ()
@@ -106,25 +111,28 @@ class Chunk:
     avg_boldness: float
     bbox: tuple[float, float, float, float]
 
-    @property
+    @cached_property
     def text(self) -> str:
+        """The tokens' texts joined by single spaces, joined on first use
+        and kept: URL scanning, section bodies and TEI export all read it."""
         return " ".join(t.text for t in self.tokens)
 
 
 def chunk_stats(tokens) -> tuple[float, float, tuple[float, float, float, float]]:
-    """Mean font size, bold fraction and tight bounding box of a token group."""
-    tokens = list(tokens)
-    if not tokens:
+    """Mean font size, bold fraction and tight bounding box of a token group.
+
+    The tokens are read once, as columns; each sum runs over its column in
+    token order, as a sum over the tokens would.
+    """
+    columns = tuple(zip(*tokens))
+    if not columns:
         raise EmptyChunkError("empty chunk")
-    n = len(tokens)
-    avg_font = sum(t.font_size for t in tokens) / n
-    avg_bold = sum(1 for t in tokens if t.bold) / n
-    bbox = (
-        min(t.x for t in tokens),
-        min(t.y for t in tokens),
-        max(t.x + t.width for t in tokens),
-        max(t.y + t.height for t in tokens),
-    )
+    _text, _page, xs, ys, widths, heights, fonts, bolds = columns[:8]
+    n = len(xs)
+    avg_font = sum(fonts) / n
+    avg_bold = sum(map(bool, bolds)) / n
+    bbox = (min(xs), min(ys), max(map(add, xs, widths)),
+            max(map(add, ys, heights)))
     return avg_font, avg_bold, bbox
 
 

@@ -10,11 +10,13 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from scholarparse.bibliography import _instance
+from scholarparse.chunker import ChunkParams, _split_columns
 from scholarparse.crf import (CrfError, CrfModel, _emissions, _logaddexp,
                               _occurrences, _path_score, _split)
 from scholarparse.ingest import (SUP_FONT_RATIO, SUP_RISE_PT, IngestReport,
                                  RichXmlParseError, _dehyphenate_page)
-from scholarparse.model import Document, Line, Page, Token
+from scholarparse.model import (Chunk, Document, EmptyChunkError, Line, Page,
+                               Token)
 
 # Every property test draws the same examples on every run.
 settings.register_profile("tier1", derandomize=True, deadline=None)
@@ -349,6 +351,71 @@ def reference_parse_rich_xml(data: bytes, *, dehyphenate: bool = False,
     if dehyphenate:
         pages = [_dehyphenate_page(p) for p in pages]
     return Document(source_id=source_id, pages=tuple(pages)), report
+
+
+def _reference_chunk_stats(tokens):
+    tokens = list(tokens)
+    if not tokens:
+        raise EmptyChunkError("empty chunk")
+    n = len(tokens)
+    avg_font = sum(t.font_size for t in tokens) / n
+    avg_bold = sum(1 for t in tokens if t.bold) / n
+    bbox = (
+        min(t.x for t in tokens),
+        min(t.y for t in tokens),
+        max(t.x + t.width for t in tokens),
+        max(t.y + t.height for t in tokens),
+    )
+    return avg_font, avg_bold, bbox
+
+
+def _reference_chunk(tokens):
+    tokens = tuple(tokens)
+    avg_font, avg_bold, bbox = _reference_chunk_stats(tokens)
+    return Chunk(tokens=tokens, page_no=tokens[0].page_no,
+                 avg_font_size=avg_font, avg_boldness=avg_bold, bbox=bbox)
+
+
+def _reference_line_font(line):
+    return sum(t.font_size for t in line.tokens) / len(line.tokens)
+
+
+def _reference_line_bold(line):
+    return sum(1 for t in line.tokens if t.bold) > len(line.tokens) / 2
+
+
+def reference_chunk_page(page: Page, params: ChunkParams = ChunkParams()):
+    """Oracle for ``chunker.chunk_page``: chunk statistics taken token by
+    token through generators, and each adjacent pair of lines compared by
+    recomputing both lines' mean font and bold majority."""
+    if not page.lines:
+        return []
+    chunks = []
+    for column in _split_columns(page):
+        gaps = [b.baseline_y - a.baseline_y for a, b in zip(column, column[1:])]
+        gaps = sorted(g for g in gaps if g > 0)
+        median_gap = gaps[len(gaps) // 2] if gaps else 0.0
+        current = []
+        for line in column:
+            if current:
+                prev = current[-1]
+                gap = line.baseline_y - prev.baseline_y
+                prev_font = _reference_line_font(prev)
+                font_change = (abs(_reference_line_font(line) - prev_font)
+                               / prev_font)
+                if ((median_gap > 0 and gap > params.gap_factor * median_gap)
+                        or font_change > params.font_jump
+                        or (params.boldness_break
+                            and _reference_line_bold(line)
+                            != _reference_line_bold(prev))):
+                    chunks.append(_reference_chunk(
+                        [t for l in current for t in l.tokens]))
+                    current = []
+            current.append(line)
+        if current:
+            chunks.append(_reference_chunk(
+                [t for l in current for t in l.tokens]))
+    return chunks
 
 
 # --- mutated rich XML --------------------------------------------------------

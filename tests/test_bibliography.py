@@ -2,10 +2,11 @@
 
 import pytest
 from conftest import reference_extract_citations
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scholarparse.bibliography import (NoReferenceSectionError, Reference,
+from scholarparse.bibliography import (CITATION_STYLES,
+                                       NoReferenceSectionError, Reference,
                                        extract_citations,
                                        locate_reference_section,
                                        map_citations_to_references,
@@ -159,6 +160,15 @@ class TestAgainstWordBoundaryOracle:
     @settings(max_examples=100)
     def test_same_citations(self, text):
         assert extract_citations(text) == reference_extract_citations(text)
+
+    @given(CITATION_TEXT)
+    @example("Singh(2013) Singh,(2013a) Singh, (2013)")  # style 15's ",? ?"
+    @example("Singh et al.,2013a Singh et al.[4] Singh et al.\n[5]")
+    @settings(max_examples=100)
+    def test_every_match_contains_its_style_literal(self, text):
+        for _style_id, literal, pattern in CITATION_STYLES:
+            for m in pattern.finditer(text):
+                assert literal in m.group(0)
 
 
 class TestSplitReferences:

@@ -1,8 +1,12 @@
 """Unit tests for page segmentation."""
 
+import pickle
 from collections import Counter
 
 import pytest
+from conftest import reference_chunk_page
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scholarparse.chunker import ChunkParams, chunk_document, chunk_page
 from scholarparse.model import Document, Line, Page, Token
@@ -105,3 +109,45 @@ class TestDocumentLevel:
 
     def test_empty_page_yields_no_chunks(self):
         assert chunk_page(page([])) == []
+
+
+WORDS = st.tuples(st.sampled_from(["a", "Word", "1", "x-", "(2016)"]),
+                  st.just(0.0) | st.floats(0.1, 60.0),  # width
+                  st.floats(4.0, 16.0),  # font size, off the 0.1 grid
+                  st.booleans())  # bold
+
+
+@st.composite
+def pages(draw):
+    """A page of one or two columns of lines with random spacing, font
+    sizes, widths and boldness, lines in baseline order."""
+    lines = []
+    for x0 in draw(st.sampled_from([(60.0,), (60.0, 330.0)])):
+        baseline = draw(st.floats(60.0, 120.0))
+        for _ in range(draw(st.integers(1, 8))):
+            baseline += draw(st.sampled_from([0.0, 12.0]) | st.floats(0.0, 40.0))
+            x = x0 + draw(st.floats(0.0, 3.0))
+            tokens = []
+            for text, width, size, bold in draw(st.lists(WORDS, min_size=1,
+                                                         max_size=5)):
+                tokens.append(Token(text=text, page_no=1, x=x,
+                                    y=baseline - size, width=width,
+                                    height=size, font_size=size, bold=bold))
+                x += width + 3.0
+            lines.append(Line(tokens=tuple(tokens), baseline_y=baseline))
+    lines.sort(key=lambda l: l.baseline_y)
+    return page(lines)
+
+
+class TestAgainstPairwiseOracle:
+    @given(pages(), st.booleans())
+    @settings(max_examples=100)
+    def test_same_chunks_and_text(self, pg, boldness_break):
+        params = ChunkParams(boldness_break=boldness_break)
+        chunks = chunk_page(pg, params)
+        assert repr(chunks) == repr(reference_chunk_page(pg, params))
+        for chunk in chunks:
+            joined = " ".join(t.text for t in chunk.tokens)
+            assert pickle.loads(pickle.dumps(chunk)).text == joined
+            assert chunk.text == joined
+            assert pickle.loads(pickle.dumps(chunk)).text == joined

@@ -159,6 +159,21 @@ class TestCli:
         assert [line.split(": ")[1] for line in err] == [str(bad), str(missing)]
         assert all(line.startswith("error: ") for line in err)
 
+    @pytest.mark.parametrize("name", ["dataset-links", "citation-histogram"])
+    def test_usecase_failure_loses_no_other_input(self, corpus_dir, tmp_path,
+                                                  capsys, name):
+        good = sorted(str(p) for p in corpus_dir.glob("*.xml"))[:2]
+        assert main(["usecase", "--name", name, *good]) == 0
+        expected = capsys.readouterr().out
+        bad = tmp_path / "bad.xml"
+        bad.write_bytes(b"<DOCUMENT><PAGE>")
+        assert main(["usecase", "--name", name, good[0], str(bad),
+                     good[1]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == expected
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {bad}: ")
+
     def test_extract_jobs_write_the_same_tei(self, corpus_dir, tmp_path):
         inputs = sorted(str(p) for p in corpus_dir.glob("*.xml"))
         written = {}

@@ -335,6 +335,40 @@ class TestAgainstTwoPassOracle:
         assert report == expected[1]
 
 
+def assert_tokens_pass_their_checks(doc):
+    for page in doc.pages:
+        for t in page.tokens():
+            assert type(t) is Token
+            assert Token(*t) == t
+
+
+class TestTokensPassTheirChecks:
+    """Ingest builds its tokens without running ``Token``'s checks; every
+    token it builds must still pass them."""
+
+    @pytest.mark.parametrize("value", ODD_VALUES)
+    @pytest.mark.parametrize("attr", TOKEN_ATTRS)
+    def test_each_odd_attribute_value(self, attr, value):
+        root = ET.fromstring(SMALL)
+        for elem in root[0][0]:
+            if value is None:
+                del elem.attrib[attr]
+            else:
+                elem.set(attr, value)
+            assert_tokens_pass_their_checks(
+                parse_rich_xml(ET.tostring(root))[0])
+
+    @given(st.lists(MUTATIONS, max_size=8), st.booleans())
+    @settings(max_examples=40)
+    def test_mutated_xml(self, mutations, dehyphenate):
+        data = mutate_xml(base_xml(), mutations)
+        try:
+            doc, _report = parse_rich_xml(data, dehyphenate=dehyphenate)
+        except RichXmlParseError:
+            return
+        assert_tokens_pass_their_checks(doc)
+
+
 # --- round trip through document_to_xml --------------------------------------
 
 def grid(low: int, high: int):
