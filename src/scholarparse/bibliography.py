@@ -144,56 +144,49 @@ def _finish(index, text_parts) -> Reference:
                      first_author_last=first_author, year=year)
 
 
+def _reference_starts(lines) -> dict[int, tuple[int | None, int]]:
+    """``{line number: (reference index, text offset)}`` of the lines that
+    start a reference, by the first rule that applies: bracketed "[n]"
+    starts, then strictly increasing "n." starts, then margin lines."""
+    def matched(pattern):
+        return {i: (int(m.group(1)), m.end())
+                for i, (text, _) in enumerate(lines)
+                if (m := pattern.match(text))}
+
+    bracketed = matched(_BRACKET_START)
+    if bracketed:
+        return bracketed
+    numbered = matched(_NUMBER_START)
+    numbers = [n for n, _ in numbered.values()]
+    if numbered and all(a < b for a, b in zip(numbers, numbers[1:])):
+        return numbered
+    margin = min(x for _, x in lines)
+    return {i: (None, 0) for i, (_, x) in enumerate(lines)
+            if x <= margin + 2.0}
+
+
 def split_references(ref_text_lines) -> list[Reference]:
     """Split (text, x-origin) reference-section lines into references.
 
-    Rule cascade: bracketed "[n]" starts, then increasing "n." starts, then
-    the hanging-indent heuristic on line x-origins.  When no line is
-    indented, every margin line starts its own reference.
+    A start line (``_reference_starts``) opens a reference, less its marker,
+    and every other line continues the open one.  When no line is indented,
+    every margin line starts its own reference.
     """
     lines = [(t, x) for t, x in ref_text_lines if t.strip()]
     if not lines:
         raise ValueError("empty reference line list")
-
+    starts = _reference_starts(lines)
     refs: list[Reference] = []
-    if any(_BRACKET_START.match(t) for t, _ in lines):
-        index, parts = None, []
-        for text, _ in lines:
-            m = _BRACKET_START.match(text)
-            if m:
-                if parts:
-                    refs.append(_finish(index, parts))
-                index, parts = int(m.group(1)), [text[m.end():]]
-            else:
-                parts.append(text)
-        refs.append(_finish(index, parts))
-        return refs
-
-    numbered = [(i, _NUMBER_START.match(t)) for i, (t, _) in enumerate(lines)]
-    starts = [(i, int(m.group(1)), m) for i, m in numbered if m]
-    if starts and all(b[1] > a[1] for a, b in zip(starts, starts[1:])):
-        index, parts = None, []
-        start_at = {i: (n, m) for i, n, m in starts}
-        for i, (text, _) in enumerate(lines):
-            if i in start_at:
-                if parts:
-                    refs.append(_finish(index, parts))
-                n, m = start_at[i]
-                index, parts = n, [text[m.end():]]
-            else:
-                parts.append(text)
-        refs.append(_finish(index, parts))
-        return refs
-
-    margin = min(x for _, x in lines)
-    parts: list[str] = []
-    for text, x in lines:
-        at_margin = x <= margin + 2.0
-        if at_margin and parts:
-            refs.append(_finish(None, parts))
-            parts = []
-        parts.append(text)
-    refs.append(_finish(None, parts))
+    index, parts = None, []
+    for i, (text, _) in enumerate(lines):
+        if i in starts:
+            if parts:
+                refs.append(_finish(index, parts))
+            index, offset = starts[i]
+            parts = [text[offset:]]
+        else:
+            parts.append(text)
+    refs.append(_finish(index, parts))
     return refs
 
 

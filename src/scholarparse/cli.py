@@ -3,14 +3,18 @@
 Subcommands: extract (rich XML to TEI), train (fit task models), eval
 (score a corpus against ground truth), generate (synthetic corpus), and
 usecase (corpus analyses).  Exit codes: 0 success, 1 processing failure,
-2 usage error.  extract and usecase report each input that fails as
-``error: <path>: <message>`` and go on with the others.
+2 usage error.  The configuration is checked before any input is read.
+extract, usecase, eval and train run their inputs through ``_each_input``:
+an input that fails costs one ``error: <input>: <message>`` line, and the
+command goes on with the rest.  eval and train read each X.xml/X.gt.txt
+pair with ``training.read_pair``, as extract reads a document.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -24,9 +28,11 @@ from .ingest import parse_rich_xml
 from .pipeline import (extract_document, load_default_models,
                        load_models_from_dir)
 from .synth import STYLES, generate_synthetic_document
-from .tei import export_tei
-from .training import TASKS, load_corpus, train_task, training_examples
-from .usecases import curate_dataset_links, section_citation_distribution
+from .tei import ExtractionResult, export_tei
+from .training import (TASKS, corpus_files, read_pair, train_task,
+                       training_examples)
+from .usecases import (GENERIC_SECTIONS, curate_dataset_links,
+                       section_citation_distribution)
 
 
 def _load_config(args) -> PipelineConfig:
@@ -41,92 +47,106 @@ def _load_models(args):
     return load_default_models()
 
 
-def _extract_one(path: Path, models, cfg: PipelineConfig):
-    doc, _report = parse_rich_xml(path.read_bytes(),
-                                  dehyphenate=cfg.dehyphenate,
-                                  source_id=path.stem)
-    return extract_document(doc, models, cfg.chunk_params())
-
-
-def _extract_to_tei(path: Path, models, cfg: PipelineConfig
-                    ) -> tuple[str | None, str | None]:
-    """(TEI, None) for one input, or (None, message) when it failed, so one
-    bad input loses no other."""
+def _attempt(item, work, setup) -> tuple[bool, object]:
+    """(True, result) for one input, or (False, message) when it failed."""
     try:
-        return export_tei(_extract_one(path, models, cfg)), None
+        return True, work(item, *setup)
     except Exception as exc:  # noqa: BLE001 - reported per input
-        return None, str(exc)
+        return False, str(exc)
 
 
-# The models and configuration of an extract worker process, set once by the
-# pool's initializer so they cross to each worker once, not with every input.
+# The work and its setup in a worker process, set once by the pool's
+# initializer so that they cross to each worker once, not with every input.
 _worker_setup = None
 
 
-def _init_worker(models, cfg: PipelineConfig) -> None:
+def _init_worker(work, setup) -> None:
     global _worker_setup
-    _worker_setup = (models, cfg)
+    _worker_setup = (work, setup)
 
 
-def _extract_in_worker(path: Path) -> tuple[str | None, str | None]:
-    return _extract_to_tei(path, *_worker_setup)
+def _attempt_in_worker(item) -> tuple[bool, object]:
+    return _attempt(item, *_worker_setup)
+
+
+def _each_input(work, items, setup=(), jobs=1) -> tuple[list, bool]:
+    """The results of ``work(item, *setup)`` for the inputs that did not
+    fail, in input order, and whether any failed.  Each failure is printed
+    as ``error: <input>: <message>``, so one bad input loses no other.
+    With ``jobs`` > 1 the inputs run in that many worker processes."""
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
+                                 initargs=(work, setup)) as pool:
+            outcomes = list(pool.map(_attempt_in_worker, items))
+    else:
+        outcomes = [_attempt(item, work, setup) for item in items]
+    for item, (ok, value) in zip(items, outcomes):
+        if not ok:
+            print(f"error: {item}: {value}", file=sys.stderr)
+    results = [value for ok, value in outcomes if ok]
+    return results, len(results) < len(items)
+
+
+def _extract(path: Path, models, cfg: PipelineConfig) -> ExtractionResult:
+    doc, _report = parse_rich_xml(path.read_bytes(),
+                                  dehyphenate=cfg.dehyphenate,
+                                  source_id=path.stem)
+    return extract_document(doc, models, cfg.chunk)
+
+
+def _extract_tei(path: Path, models, cfg: PipelineConfig) -> tuple[str, str]:
+    return path.stem, export_tei(_extract(path, models, cfg))
+
+
+def _score(xml_path: Path, models, cfg: PipelineConfig) -> dict:
+    pair = read_pair(xml_path, cfg.dehyphenate)
+    return evaluate_extraction(
+        extract_document(pair.document, models, cfg.chunk), pair.truth)
 
 
 def cmd_extract(args) -> int:
     cfg = _load_config(args)
     models = _load_models(args)
-    inputs = [Path(p) for p in args.inputs]
     out_dir = Path(args.out) if args.out else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs,
-                                 initializer=_init_worker,
-                                 initargs=(models, cfg)) as pool:
-            outputs = list(pool.map(_extract_in_worker, inputs))
-    else:
-        outputs = [_extract_to_tei(path, models, cfg) for path in inputs]
-    failed = False
-    for path, (tei, error) in zip(inputs, outputs):
-        if error is not None:
-            print(f"error: {path}: {error}", file=sys.stderr)
-            failed = True
-        elif out_dir:
-            (out_dir / (path.stem + ".tei.xml")).write_text(tei, "utf-8")
+    outputs, failed = _each_input(_extract_tei, [Path(p) for p in args.inputs],
+                                  (models, cfg), args.jobs)
+    for stem, tei in outputs:
+        if out_dir:
+            (out_dir / (stem + ".tei.xml")).write_text(tei, "utf-8")
         else:
             sys.stdout.write(tei)
-    return 1 if failed else 0
+    return int(failed)
 
 
 def cmd_train(args) -> int:
     cfg = _load_config(args)
-    train_config = cfg.train_config()
-    examples = training_examples(load_corpus(args.corpus), cfg.chunk_params())
+    pairs, failed = _each_input(read_pair, corpus_files(args.corpus),
+                                (cfg.dehyphenate,))
+    examples = training_examples(pairs, cfg.chunk)
     tasks = TASKS if args.task == "all" else (args.task,)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for task in tasks:
-        model = train_task(task, examples, train_config)
+        model = train_task(task, examples, cfg.train)
         (out_dir / f"{task}.crf").write_bytes(save_model(model))
         print(f"trained {task}: {np.count_nonzero(model.unary)} unary weights",
               file=sys.stderr)
-    return 0
+    return int(failed)
 
 
 def cmd_eval(args) -> int:
     cfg = _load_config(args)
     models = _load_models(args)
-    pairs = load_corpus(args.corpus)
-    per_doc = []
-    for pair in pairs:
-        result = extract_document(pair.document, models, cfg.chunk_params())
-        per_doc.append(evaluate_extraction(result, pair.truth))
+    per_doc, failed = _each_input(_score, corpus_files(args.corpus),
+                                  (models, cfg))
     report = render_report(aggregate(per_doc))
     if args.out:
         Path(args.out).write_text(report, "utf-8")
     else:
         sys.stdout.write(report)
-    return 0
+    return int(failed)
 
 
 def cmd_generate(args) -> int:
@@ -147,30 +167,18 @@ def cmd_generate(args) -> int:
 def cmd_usecase(args) -> int:
     cfg = _load_config(args)
     models = _load_models(args)
-    results = []
-    status = 0
-    for path in map(Path, args.inputs):
-        try:
-            results.append(_extract_one(path, models, cfg))
-        except Exception as exc:  # noqa: BLE001 - reported per input
-            print(f"error: {path}: {exc}", file=sys.stderr)
-            status = 1
+    results, failed = _each_input(_extract, [Path(p) for p in args.inputs],
+                                  (models, cfg))
     if args.name == "dataset-links":
         for url, source in curate_dataset_links(results):
             print(f"{url}\t{source}")
-        return status
-    total = None
-    for result in results:
-        hist = section_citation_distribution(result)
-        if total is None:
-            total = hist
-        else:
-            for key, value in hist.counts.items():
-                total.counts[key] += value
-    if total is not None:
-        for name, count in total.counts.items():
-            print(f"{name}\t{count}")
-    return status
+    else:
+        total = Counter()
+        for result in results:
+            total.update(section_citation_distribution(result).counts)
+        for name in GENERIC_SECTIONS:
+            print(f"{name}\t{total[name]}")
+    return int(failed)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -225,6 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "jobs", 1) < 1:
+        parser.error(f"argument --jobs: must be at least 1, got {args.jobs}")
     try:
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -1,42 +1,44 @@
-"""Flat key=value configuration files for the CLI and pipeline."""
+"""Flat key=value configuration files for the CLI and pipeline.
+
+Each key is sent to the part of ``PipelineConfig`` it sets: the chunking
+thresholds to ``chunk`` (``ChunkParams``), the training hyperparameters to
+``train`` (``TrainConfig``).  The parts check their values when built, so a
+bad value fails ``parse_config``, before any input is read.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .chunker import ChunkParams
 from .crf import TrainConfig
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
-    gap_factor: float = ChunkParams.gap_factor
-    font_jump: float = ChunkParams.font_jump
-    boldness_break: bool = ChunkParams.boldness_break
+    chunk: ChunkParams = ChunkParams()
+    train: TrainConfig = TrainConfig()
     dehyphenate: bool = False
-    l2_lambda: float = TrainConfig.l2_lambda
-    max_iterations: int = TrainConfig.max_iterations
-    convergence_tol: float = TrainConfig.convergence_tol
 
-    def chunk_params(self) -> ChunkParams:
-        return ChunkParams(gap_factor=self.gap_factor,
-                           font_jump=self.font_jump,
-                           boldness_break=self.boldness_break)
 
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(l2_lambda=self.l2_lambda,
-                           max_iterations=self.max_iterations,
-                           convergence_tol=self.convergence_tol)
-
+# Every key a file may set, with its default; a value is read as the type
+# of its key's default.
+_DEFAULTS = {**asdict(ChunkParams()), **asdict(TrainConfig()),
+             "dehyphenate": PipelineConfig.dehyphenate}
 
 _BOOL_VALUES = {"true": True, "false": False, "yes": True, "no": False,
                 "1": True, "0": False}
 
 
+def _part(cls, values: dict):
+    """A ``cls`` built from the keys of ``values`` that are its fields."""
+    return cls(**{f.name: values[f.name] for f in fields(cls)
+                  if f.name in values})
+
+
 def parse_config(text: str) -> PipelineConfig:
     """Parse key=value lines; '#' comments and blank lines are ignored."""
-    known = {f.name: f.type for f in fields(PipelineConfig)}
     values = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
@@ -46,18 +48,18 @@ def parse_config(text: str) -> PipelineConfig:
             raise ValueError(f"line {lineno}: expected key=value, got {line!r}")
         key, _, raw = line.partition("=")
         key, raw = key.strip(), raw.strip()
-        if key not in known:
+        if key not in _DEFAULTS:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
-        kind = known[key]
-        if kind == "bool":
+        kind = type(_DEFAULTS[key])
+        if kind is bool:
             if raw.lower() not in _BOOL_VALUES:
                 raise ValueError(f"line {lineno}: bad boolean {raw!r}")
             values[key] = _BOOL_VALUES[raw.lower()]
-        elif kind == "int":
-            values[key] = int(raw)
         else:
-            values[key] = float(raw)
-    return PipelineConfig(**values)
+            values[key] = kind(raw)
+    return PipelineConfig(chunk=_part(ChunkParams, values),
+                          train=_part(TrainConfig, values),
+                          dehyphenate=values.get("dehyphenate", False))
 
 
 def load_config(path) -> PipelineConfig:

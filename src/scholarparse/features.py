@@ -179,12 +179,3 @@ def modal_font(counts: Counter) -> float:
     if not counts:
         return 10.0
     return max(counts.items(), key=lambda kv: (kv[1], -kv[0]))[0]
-
-
-def body_font_size(page_or_doc) -> float:
-    """Most common font size, an estimate of the body text size."""
-    pages = page_or_doc.pages if hasattr(page_or_doc, "pages") else [page_or_doc]
-    counts: Counter = Counter()
-    for page in pages:
-        counts.update(font_counts(page))
-    return modal_font(counts)

@@ -24,9 +24,9 @@ again and again.
 
 Superscripts: a token's ``sup_flag`` is set when its font is at most
 SUP_FONT_RATIO of the page median and its baseline sits at least
-SUP_RISE_PT above its line's baseline (``detect_superscript`` states the
-same rule for a built line).  The page median is known only once the page
-is read, so tokens are built unflagged and the few the rule flags are
+SUP_RISE_PT above its line's baseline, both bounds inclusive
+(``_is_superscript``).  The page median is known only once the page is
+read, so tokens are built unflagged and the few the rule flags are
 rebuilt; a line is scanned only when its smallest font passes the size
 test.
 """
@@ -235,17 +235,6 @@ def parse_rich_xml(data: bytes, *, dehyphenate: bool = False,
     if dehyphenate:
         pages = [_dehyphenate_page(p) for p in pages]
     return Document(source_id=source_id, pages=tuple(pages)), report
-
-
-def detect_superscript(line: Line, page_median_font: float) -> list[bool]:
-    """Per-token superscript flags for one line.
-
-    A token is flagged when both its font is at most SUP_FONT_RATIO of the
-    page median and its baseline sits at least SUP_RISE_PT above the line's
-    dominant baseline.  parse_rich_xml sets ``sup_flag`` by this rule.
-    """
-    return [_is_superscript(tok.font_size, tok.baseline_y, line.baseline_y,
-                            page_median_font) for tok in line.tokens]
 
 
 def _dehyphenate_page(page: Page) -> Page:

@@ -69,10 +69,14 @@ class Token(_TokenFields):
 
 @dataclass(frozen=True)
 class Line:
-    """Tokens sharing one visual line, ordered by ascending x."""
+    """Tokens sharing one visual line, ordered by ascending x; at least one."""
 
     tokens: tuple[Token, ...]
     baseline_y: float
+
+    def __post_init__(self):
+        if not self.tokens:
+            raise ValueError("a line must hold at least one token")
 
     @property
     def text(self) -> str:
@@ -80,7 +84,7 @@ class Line:
 
     @property
     def x(self) -> float:
-        return self.tokens[0].x if self.tokens else 0.0
+        return self.tokens[0].x
 
 
 @dataclass(frozen=True)

@@ -30,21 +30,31 @@ class TrainingPair:
     truth: GroundTruth
 
 
-def load_corpus(directory) -> list[TrainingPair]:
-    """Pairs of X.xml and X.gt.txt files found under a directory, sorted."""
+def corpus_files(directory) -> list[Path]:
+    """The X.xml files under a directory that have an X.gt.txt, sorted."""
     directory = Path(directory)
-    pairs = []
-    for xml_path in sorted(directory.glob("*.xml")):
-        gt_path = xml_path.parent / (xml_path.stem + ".gt.txt")
-        if not gt_path.exists():
-            continue
-        doc, _report = parse_rich_xml(xml_path.read_bytes(),
-                                      source_id=xml_path.stem)
-        truth = ground_truth_from_text(gt_path.read_text("utf-8"))
-        pairs.append(TrainingPair(document=doc, truth=truth))
-    if not pairs:
+    files = [path for path in sorted(directory.glob("*.xml"))
+             if path.with_name(path.stem + ".gt.txt").exists()]
+    if not files:
         raise ValueError(f"no xml/gt pairs under {directory}")
-    return pairs
+    return files
+
+
+def read_pair(xml_path, dehyphenate: bool = False) -> TrainingPair:
+    """X.xml with its X.gt.txt, the document read as ``scholarparse
+    extract`` reads it: ``source_id`` is the file stem."""
+    xml_path = Path(xml_path)
+    doc, _report = parse_rich_xml(xml_path.read_bytes(),
+                                  dehyphenate=dehyphenate,
+                                  source_id=xml_path.stem)
+    truth = ground_truth_from_text(
+        xml_path.with_name(xml_path.stem + ".gt.txt").read_text("utf-8"))
+    return TrainingPair(document=doc, truth=truth)
+
+
+def load_corpus(directory) -> list[TrainingPair]:
+    """Every pair of ``corpus_files(directory)``, read in that order."""
+    return [read_pair(path) for path in corpus_files(directory)]
 
 
 def training_examples(pairs, params: ChunkParams = ChunkParams()

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from scholarparse.bibliography import _instance
+from scholarparse.bibliography import (_BRACKET_START, _NUMBER_START, _finish,
+                                       _instance)
 from scholarparse.chunker import ChunkParams, _split_columns
 from scholarparse.crf import (CrfError, CrfModel, _emissions, _logaddexp,
                               _occurrences, _path_score, _split)
@@ -221,6 +222,55 @@ def reference_extract_citations(body_text: str):
             found.append(_instance(style_id, m))
     found.sort(key=lambda c: c.char_span)
     return found
+
+
+def reference_split_references(ref_text_lines):
+    """Oracle for ``bibliography.split_references``: the splitter as it was
+    written with one accumulation loop per rule of the cascade."""
+    lines = [(t, x) for t, x in ref_text_lines if t.strip()]
+    if not lines:
+        raise ValueError("empty reference line list")
+
+    refs = []
+    if any(_BRACKET_START.match(t) for t, _ in lines):
+        index, parts = None, []
+        for text, _ in lines:
+            m = _BRACKET_START.match(text)
+            if m:
+                if parts:
+                    refs.append(_finish(index, parts))
+                index, parts = int(m.group(1)), [text[m.end():]]
+            else:
+                parts.append(text)
+        refs.append(_finish(index, parts))
+        return refs
+
+    numbered = [(i, _NUMBER_START.match(t)) for i, (t, _) in enumerate(lines)]
+    starts = [(i, int(m.group(1)), m) for i, m in numbered if m]
+    if starts and all(b[1] > a[1] for a, b in zip(starts, starts[1:])):
+        index, parts = None, []
+        start_at = {i: (n, m) for i, n, m in starts}
+        for i, (text, _) in enumerate(lines):
+            if i in start_at:
+                if parts:
+                    refs.append(_finish(index, parts))
+                n, m = start_at[i]
+                index, parts = n, [text[m.end():]]
+            else:
+                parts.append(text)
+        refs.append(_finish(index, parts))
+        return refs
+
+    margin = min(x for _, x in lines)
+    parts = []
+    for text, x in lines:
+        at_margin = x <= margin + 2.0
+        if at_margin and parts:
+            refs.append(_finish(None, parts))
+            parts = []
+        parts.append(text)
+    refs.append(_finish(None, parts))
+    return refs
 
 
 def _reference_float(elem, name):

@@ -1,7 +1,7 @@
 """Unit tests for reference splitting, citation styles and linking."""
 
 import pytest
-from conftest import reference_extract_citations
+from conftest import reference_extract_citations, reference_split_references
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -171,6 +171,20 @@ class TestAgainstWordBoundaryOracle:
                 assert literal in m.group(0)
 
 
+# Reference-section lines that mix bracketed, numbered (in and out of order),
+# indented, margin and blank lines.
+REFERENCE_START = st.one_of(
+    st.just(""),
+    st.integers(0, 12).map(lambda n: f"[{n}] "),
+    st.integers(0, 12).map(lambda n: f"{n}. "),
+    st.sampled_from(["[x] ", "1.", "12 ", "[1000] ", "  "]))
+REFERENCE_BODY = st.sampled_from(["", "Smith, J. 2010. A title.",
+                                  "continued", "Jones 1999", "et al. [3]"])
+REFERENCE_LINES = st.lists(st.tuples(
+    st.tuples(REFERENCE_START, REFERENCE_BODY).map("".join),
+    st.sampled_from([60.0, 61.5, 62.0, 62.5, 72.0])), max_size=8)
+
+
 class TestSplitReferences:
     def test_bracketed_starts(self):
         lines = [("[1] Smith, J. 2010. A title.", 60.0),
@@ -220,6 +234,20 @@ class TestSplitReferences:
     def test_empty_input_raises(self):
         with pytest.raises(ValueError):
             split_references([])
+
+    @given(REFERENCE_LINES)
+    @example([("intro", 72.0), ("[2] B 2011.", 60.0), ("[1]", 60.0)])
+    @example([("3. A 2010.", 60.0), ("1. B 2011.", 72.0), ("wrap", 60.0)])
+    @example([("  ", 60.0), ("1. A 2010.", 72.0), ("2.  B", 60.0)])
+    @settings(max_examples=200)
+    def test_same_references_as_one_loop_per_rule(self, lines):
+        try:
+            expected = reference_split_references(lines)
+        except ValueError:
+            with pytest.raises(ValueError):
+                split_references(lines)
+            return
+        assert split_references(lines) == expected
 
 
 def _section(heading_text, chunks=()):

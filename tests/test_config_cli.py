@@ -1,5 +1,6 @@
 """Unit tests for configuration parsing and the command-line interface."""
 
+import copy
 from pathlib import Path
 from xml.etree import ElementTree as ET
 
@@ -9,28 +10,30 @@ from scholarparse.chunker import ChunkParams
 from scholarparse.cli import main
 from scholarparse.config import PipelineConfig, load_config, parse_config
 from scholarparse.crf import TrainConfig
+from scholarparse.evaluate import ground_truth_from_text
 from scholarparse.pipeline import PipelineModels
 
 
 class TestConfig:
     def test_defaults(self):
         cfg = PipelineConfig()
-        assert cfg.gap_factor == 1.5
-        assert cfg.max_iterations == 200
+        assert cfg.chunk.gap_factor == 1.5
+        assert cfg.train.max_iterations == 200
 
     def test_defaults_are_those_of_chunking_and_training(self):
         cfg = PipelineConfig()
-        assert cfg.chunk_params() == ChunkParams()
-        assert cfg.train_config() == TrainConfig()
+        assert cfg.chunk == ChunkParams()
+        assert cfg.train == TrainConfig()
+        assert cfg.dehyphenate is False
 
     def test_parse_values(self):
         cfg = parse_config("gap_factor = 2.0\nmax_iterations=10\n"
                            "boldness_break = no\n# comment\n\n"
                            "convergence_tol=1e-4\n")
-        assert cfg.gap_factor == 2.0
-        assert cfg.max_iterations == 10
-        assert cfg.boldness_break is False
-        assert cfg.convergence_tol == 1e-4
+        assert cfg.chunk.gap_factor == 2.0
+        assert cfg.train.max_iterations == 10
+        assert cfg.chunk.boldness_break is False
+        assert cfg.train.convergence_tol == 1e-4
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown key"):
@@ -49,16 +52,22 @@ class TestConfig:
                                       "convergence_tol = nan"])
     def test_untrainable_values_rejected(self, line):
         with pytest.raises(ValueError):
-            parse_config(line).train_config()
+            parse_config(line)
+
+    @pytest.mark.parametrize("line", ["gap_factor = 0.5", "font_jump = 1.5"])
+    def test_unchunkable_values_rejected(self, line):
+        with pytest.raises(ValueError):
+            parse_config(line)
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_config(tmp_path / "absent.conf")
 
     def test_derived_params(self):
-        cfg = PipelineConfig(gap_factor=1.8, l2_lambda=0.5)
-        assert cfg.chunk_params().gap_factor == 1.8
-        assert cfg.train_config().l2_lambda == 0.5
+        cfg = parse_config("gap_factor=1.8\nl2_lambda=0.5\ndehyphenate=yes\n")
+        assert cfg.chunk == ChunkParams(gap_factor=1.8)
+        assert cfg.train == TrainConfig(l2_lambda=0.5)
+        assert cfg.dehyphenate is True
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +76,43 @@ def corpus_dir(tmp_path_factory):
     assert main(["generate", "--out", str(out), "--count", "4",
                  "--seed", "300"]) == 0
     return out
+
+
+@pytest.fixture
+def corpus_with_bad_pair(corpus_dir, tmp_path):
+    """Two directories: two good pairs of the corpus, and the same two plus
+    a pair whose XML is malformed."""
+    good, mixed = tmp_path / "good", tmp_path / "mixed"
+    for directory in (good, mixed):
+        directory.mkdir()
+        for xml in sorted(corpus_dir.glob("*.xml"))[:2]:
+            for path in (xml, xml.with_name(xml.stem + ".gt.txt")):
+                (directory / path.name).write_bytes(path.read_bytes())
+    (mixed / "bad.xml").write_bytes(b"<DOCUMENT><PAGE>")
+    (mixed / "bad.gt.txt").write_text("TITLE\tBad\n", "utf-8")
+    return good, mixed
+
+
+def _hyphenate_title(xml: bytes) -> bytes:
+    """The document with the last token of its first line split by a
+    hyphen: the head and the tokens before it move up onto a line of their
+    own, and the tail opens the line they left."""
+    root = ET.fromstring(xml)
+    page = root.find("PAGE")
+    line = page.find("TEXT")
+    *before, last = list(line)
+    head = copy.deepcopy(last)
+    half = len(last.text) // 2
+    head.text, last.text = last.text[:half] + "-", last.text[half:]
+    last.set("x", before[0].get("x"))
+    above = ET.Element("TEXT")
+    for tok in before + [head]:
+        tok.set("y", repr(float(tok.get("y")) - float(tok.get("height"))))
+        above.append(tok)
+    for tok in before:
+        line.remove(tok)
+    page.insert(0, above)
+    return ET.tostring(root)
 
 
 class TestCli:
@@ -200,6 +246,91 @@ class TestCli:
         assert main(["extract", *inputs, "--out", str(tmp_path),
                      "--jobs", "2"]) == 0
         assert len(pickled) <= 2
+
+    def test_eval_failure_loses_no_other_pair(self, corpus_with_bad_pair,
+                                              tmp_path, capsys):
+        good, mixed = corpus_with_bad_pair
+        assert main(["eval", "--corpus", str(good),
+                     "--out", str(tmp_path / "good.txt")]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--corpus", str(mixed),
+                     "--out", str(tmp_path / "mixed.txt")]) == 1
+        assert ((tmp_path / "mixed.txt").read_text("utf-8")
+                == (tmp_path / "good.txt").read_text("utf-8"))
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {mixed / 'bad.xml'}: ")
+
+    def test_train_failure_loses_no_other_pair(self, corpus_with_bad_pair,
+                                               tmp_path, capsys):
+        good, mixed = corpus_with_bad_pair
+        cfg = tmp_path / "fast.conf"
+        cfg.write_text("max_iterations=3\n", "utf-8")
+        models = {}
+        for corpus, status in ((good, 0), (mixed, 1)):
+            out = tmp_path / f"models-{corpus.name}"
+            assert main(["train", "--corpus", str(corpus), "--out", str(out),
+                         "--config", str(cfg)]) == status
+            models[corpus.name] = {p.name: p.read_bytes()
+                                   for p in out.glob("*.crf")}
+        assert len(models["good"]) == 4
+        assert models["mixed"] == models["good"]
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error: ")]
+        assert len(errors) == 1
+        assert errors[0].startswith(f"error: {mixed / 'bad.xml'}: ")
+
+    @pytest.mark.parametrize("command", ["extract", "usecase", "eval",
+                                         "train"])
+    def test_bad_chunk_config_is_one_error_before_any_input(
+            self, corpus_with_bad_pair, tmp_path, capsys, command):
+        _good, mixed = corpus_with_bad_pair
+        cfg = tmp_path / "bad.conf"
+        cfg.write_text("gap_factor=0.5\n", "utf-8")
+        inputs = sorted(str(p) for p in mixed.glob("*.xml"))[1:]
+        assert len(inputs) == 2
+        out = tmp_path / "out"
+        argv = {"extract": ["extract", *inputs, "--out", str(out)],
+                "usecase": ["usecase", "--name", "citation-histogram",
+                            *inputs],
+                "eval": ["eval", "--corpus", str(mixed)],
+                "train": ["train", "--corpus", str(mixed), "--out", str(out)],
+                }[command]
+        assert main([*argv, "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert not out.exists()
+        assert captured.err.splitlines() == [
+            "error: gap_factor must exceed 1.0"]
+
+    def test_eval_scores_the_dehyphenated_title_extract_writes(
+            self, corpus_dir, tmp_path, capsys):
+        xml = sorted(corpus_dir.glob("*.xml"))[0]
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / xml.name).write_bytes(_hyphenate_title(xml.read_bytes()))
+        gt = xml.with_name(xml.stem + ".gt.txt")
+        (corpus / gt.name).write_bytes(gt.read_bytes())
+        title = ground_truth_from_text(gt.read_text("utf-8")).title
+        cfg = tmp_path / "dehyphenate.conf"
+        cfg.write_text("dehyphenate=yes\n", "utf-8")
+        assert main(["extract", str(corpus / xml.name),
+                     "--config", str(cfg)]) == 0
+        assert f"<title>{title}</title>" in capsys.readouterr().out
+        assert main(["eval", "--corpus", str(corpus),
+                     "--config", str(cfg)]) == 0
+        assert "title.f=1.000000" in capsys.readouterr().out.splitlines()
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_extract_jobs_below_one_is_a_usage_error(self, corpus_dir,
+                                                     tmp_path, capsys, jobs):
+        xml = str(sorted(corpus_dir.glob("*.xml"))[0])
+        with pytest.raises(SystemExit) as err:
+            main(["extract", xml, "--out", str(tmp_path / "tei"),
+                  "--jobs", jobs])
+        assert err.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not (tmp_path / "tei").exists()
 
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as err:

@@ -3,10 +3,12 @@
 from collections import Counter
 
 from scholarparse.context import build_context
-from scholarparse.features import (_case, _decile, _size_bucket, body_font_size,
-                                   enumeration_kind, footnote_chunk_features,
+from scholarparse.features import (_case, _decile, _size_bucket,
+                                   enumeration_kind, font_counts,
+                                   footnote_chunk_features,
                                    heading_chunk_features, is_marker,
-                                   strip_enumeration, token_features)
+                                   modal_font, strip_enumeration,
+                                   token_features)
 from scholarparse.model import Document, Line, Page, Token, make_chunk
 
 
@@ -112,9 +114,11 @@ class TestBodyFont:
         lines = (Line(tokens=(tok("a"), tok("b"), tok("c", size=17.0)),
                       baseline_y=100.0),)
         page = Page(number=1, width=612.0, height=792.0, lines=lines)
-        doc = Document(source_id="d", pages=(page,))
-        assert body_font_size(doc) == 10.0
-        assert body_font_size(page) == 10.0
+        assert font_counts(page) == Counter({10.0: 2, 17.0: 1})
+        assert modal_font(font_counts(page)) == 10.0
+        ctx = build_context(Document(source_id="d", pages=(page,)))
+        assert ctx.body_font == 10.0
+        assert ctx.pages[0].body_font == 10.0
 
     @staticmethod
     def tied_document():
@@ -134,17 +138,23 @@ class TestBodyFont:
         doc = self.tied_document()
         merged = Counter(t.font_size for p in doc.pages for t in p.tokens())
         assert merged[9.0] == merged[12.0] == 4
-        assert [body_font_size(p) for p in doc.pages] == [12.0, 9.0]
+        ctx = build_context(doc)
+        assert [p.body_font for p in ctx.pages] == [12.0, 9.0]
         # The highest count wins, and the smallest size among those tied.
-        assert body_font_size(doc) == 9.0
+        assert ctx.body_font == 9.0
 
     def test_context_counts_the_same_fonts(self):
         doc = self.tied_document()
         ctx = build_context(doc)
-        assert ctx.body_font == body_font_size(doc)
-        assert [p.body_font for p in ctx.pages] == [body_font_size(p)
-                                                    for p in doc.pages]
+        counts = [font_counts(p) for p in doc.pages]
+        assert ctx.body_font == modal_font(sum(counts, Counter()))
+        assert [p.body_font for p in ctx.pages] == [modal_font(c)
+                                                    for c in counts]
 
     def test_empty_defaults_to_ten(self):
         page = Page(number=1, width=612.0, height=792.0)
-        assert body_font_size(page) == 10.0
+        assert font_counts(page) == Counter()
+        assert modal_font(Counter()) == 10.0
+        ctx = build_context(Document(source_id="d", pages=(page,)))
+        assert ctx.body_font == 10.0
+        assert ctx.pages[0].body_font == 10.0

@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scholarparse.ingest import (SUP_FONT_RATIO, SUP_RISE_PT,
-                                 RichXmlParseError, detect_superscript,
-                                 document_to_xml, parse_rich_xml)
+                                 RichXmlParseError, document_to_xml,
+                                 parse_rich_xml)
 from scholarparse.model import Document, Line, Page, Token
 from scholarparse.synth import generate_synthetic_document
 
@@ -148,43 +148,47 @@ class TestPageSize:
 
 
 class TestSuperscript:
-    def _line(self):
-        # Body token at baseline 100; a 6pt marker raised 3pt above it.
-        body = Token(text="word", page_no=1, x=0, y=90, width=20, height=10,
-                     font_size=10.0)
-        sup = Token(text="1", page_no=1, x=25, y=91, width=3, height=6,
-                    font_size=6.0)
-        return Line(tokens=(body, sup), baseline_y=100.0)
+    @staticmethod
+    def _probe_flag(y, height, font_size, body_font=10.0):
+        """``sup_flag`` of a probe token once parsed in one line after three
+        body tokens of ``body_font`` on baseline 100, which fix the page
+        median font and the line's baseline."""
+        body = tuple(Token(text="word", page_no=1, x=30.0 * i, y=90,
+                           width=20, height=10, font_size=body_font)
+                     for i in range(3))
+        probe = Token(text="1", page_no=1, x=100, y=y, width=3,
+                      height=height, font_size=font_size)
+        line = Line(tokens=body + (probe,), baseline_y=100.0)
+        data = document_to_xml(Document(source_id="", pages=(Page(
+            number=1, width=612.0, height=792.0, lines=(line,)),)))
+        doc, _ = parse_rich_xml(data)
+        (parsed,) = doc.pages[0].lines
+        assert parsed.baseline_y == 100.0
+        assert [t.sup_flag for t in parsed.tokens[:3]] == [False] * 3
+        return parsed.tokens[3].sup_flag
 
     def test_small_raised_token_flagged(self):
-        assert detect_superscript(self._line(), 10.0) == [False, True]
+        # A 6pt marker raised 3pt above the line's baseline.
+        assert self._probe_flag(y=91, height=6, font_size=6.0)
 
     def test_large_token_never_flagged(self):
-        line = self._line()
-        big = Token(text="1", page_no=1, x=25, y=87, width=6, height=10,
-                    font_size=10.0)
-        line = Line(tokens=(line.tokens[0], big), baseline_y=100.0)
-        assert detect_superscript(line, 10.0) == [False, False]
+        assert not self._probe_flag(y=87, height=10, font_size=10.0)
 
     def test_small_but_not_raised_not_flagged(self):
-        body = Token(text="word", page_no=1, x=0, y=90, width=20, height=10,
-                     font_size=10.0)
-        small = Token(text="1", page_no=1, x=25, y=94, width=3, height=6,
-                      font_size=6.0)
-        line = Line(tokens=(body, small), baseline_y=100.0)
-        assert detect_superscript(line, 10.0) == [False, False]
+        assert not self._probe_flag(y=94, height=6, font_size=6.0)
 
     def test_thresholds_are_inclusive(self):
         # Exactly SUP_FONT_RATIO of the page median and exactly SUP_RISE_PT
         # above the line's baseline is still a superscript.
+        assert self._probe_flag(y=90.5, height=8, font_size=8.0)
+        assert not self._probe_flag(y=90.5, height=8, font_size=8.0,
+                                    body_font=9.99)
         body = Token(text="word", page_no=1, x=0, y=90, width=20, height=10,
                      font_size=10.0)
         edge = Token(text="1", page_no=1, x=25, y=90.5, width=3, height=8,
                      font_size=8.0)
         line = Line(tokens=(body, body._replace(x=30), edge),
                     baseline_y=100.0)
-        assert detect_superscript(line, 10.0) == [False, False, True]
-        assert detect_superscript(line, 9.99) == [False, False, False]
         data = document_to_xml(Document(source_id="", pages=(Page(
             number=1, width=612.0, height=792.0, lines=(line,)),)))
         doc, _ = parse_rich_xml(data)

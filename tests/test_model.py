@@ -62,6 +62,11 @@ class TestLine:
         assert line.text == "a b"
         assert line.x == 0.0
 
+    def test_empty_line_rejected(self):
+        # Chunking divides by a line's token count.
+        with pytest.raises(ValueError, match="at least one token"):
+            Line(tokens=(), baseline_y=0.0)
+
 
 class TestChunkStats:
     def test_hand_computed(self):

@@ -10,8 +10,9 @@ from scholarparse.training import (TASKS, TrainingPair,
                                    build_author_sequences,
                                    build_footnote_sequences,
                                    build_heading_sequences,
-                                   build_title_sequences, load_corpus,
-                                   train_task, training_examples)
+                                   build_title_sequences, corpus_files,
+                                   load_corpus, read_pair, train_task,
+                                   training_examples)
 
 
 @pytest.fixture(scope="module")
@@ -95,3 +96,25 @@ class TestLoadCorpus:
     def test_empty_directory_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             load_corpus(tmp_path)
+
+    def test_corpus_files_are_sorted_xml_with_truth(self, tmp_path):
+        for name in ("c.xml", "c.gt.txt", "a.xml", "a.gt.txt", "b.xml"):
+            (tmp_path / name).write_text("", "utf-8")
+        assert corpus_files(tmp_path) == [tmp_path / "a.xml",
+                                          tmp_path / "c.xml"]
+
+    def test_read_pair_dehyphenates_on_request(self, tmp_path):
+        (tmp_path / "d.xml").write_bytes(
+            b"""<DOCUMENT><PAGE number="1" width="612" height="792">
+            <TEXT><TOKEN x="0" y="50" width="20" height="10" font-size="10"
+              >exam-</TOKEN></TEXT>
+            <TEXT><TOKEN x="0" y="65" width="20" height="10" font-size="10"
+              >ple</TOKEN></TEXT></PAGE></DOCUMENT>""")
+        (tmp_path / "d.gt.txt").write_text("TITLE\texample\n", "utf-8")
+        words = {flag: [t.text for t in read_pair(tmp_path / "d.xml", flag)
+                        .document.pages[0].tokens()]
+                 for flag in (False, True)}
+        assert words == {False: ["exam-", "ple"], True: ["example"]}
+        pair = read_pair(tmp_path / "d.xml")
+        assert pair.document.source_id == "d"
+        assert pair.truth.title == "example"
