@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 from .features import strip_enumeration
 from .structure import Section
 
-YEAR_RANGE = (1500, 2100)
-
 # An author name, and the leading author of an author-led style: a name
 # with no word character before it (see the module docstring).
 _AN = r"[A-Z][a-zA-Z]*"
@@ -126,6 +124,7 @@ def locate_reference_section(sections: list[Section]):
 
 _BRACKET_START = re.compile(r"^\[(\d{1,3})\]\s*")
 _NUMBER_START = re.compile(r"^(\d{1,3})\.\s+")
+# A year from 1500 to 2100 standing as a word of its own.
 _YEAR_TOKEN = re.compile(r"\b(1[5-9]\d\d|20\d\d|2100)\b")
 _CAP_TOKEN = re.compile(r"\b[A-Z][A-Za-z'\-]*\b")
 

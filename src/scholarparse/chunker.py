@@ -10,6 +10,7 @@ chunked per column, left column first.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .model import Chunk, Document, Line, Page, make_chunk
@@ -27,8 +28,8 @@ class ChunkParams:
     boldness_break: bool = True
 
     def __post_init__(self):
-        if self.gap_factor <= 1.0:
-            raise ValueError("gap_factor must exceed 1.0")
+        if not (math.isfinite(self.gap_factor) and self.gap_factor > 1.0):
+            raise ValueError("gap_factor must be finite and exceed 1.0")
         if not 0 < self.font_jump < 1:
             raise ValueError("font_jump must lie in (0, 1)")
 

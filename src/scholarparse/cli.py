@@ -7,7 +7,8 @@ usecase (corpus analyses).  Exit codes: 0 success, 1 processing failure,
 extract, usecase, eval and train run their inputs through ``_each_input``:
 an input that fails costs one ``error: <input>: <message>`` line, and the
 command goes on with the rest.  eval and train read each X.xml/X.gt.txt
-pair with ``training.read_pair``, as extract reads a document.
+pair with ``training.read_pair``, as extract reads a document; train with
+no readable pair writes no model.
 """
 
 from __future__ import annotations
@@ -124,6 +125,9 @@ def cmd_train(args) -> int:
     cfg = _load_config(args)
     pairs, failed = _each_input(read_pair, corpus_files(args.corpus),
                                 (cfg.dehyphenate,))
+    if not pairs:
+        print("error: no training pair could be read", file=sys.stderr)
+        return 1
     examples = training_examples(pairs, cfg.chunk)
     tasks = TASKS if args.task == "all" else (args.task,)
     out_dir = Path(args.out)

@@ -56,7 +56,11 @@ def parse_config(text: str) -> PipelineConfig:
                 raise ValueError(f"line {lineno}: bad boolean {raw!r}")
             values[key] = _BOOL_VALUES[raw.lower()]
         else:
-            values[key] = kind(raw)
+            try:
+                values[key] = kind(raw)
+            except ValueError:
+                raise ValueError(f"line {lineno}: bad value for {key}: "
+                                 f"{raw!r}") from None
     return PipelineConfig(chunk=_part(ChunkParams, values),
                           train=_part(TrainConfig, values),
                           dehyphenate=values.get("dehyphenate", False))

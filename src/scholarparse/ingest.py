@@ -17,10 +17,15 @@ as its TOKEN is read.  A TOKEN's five numbers are read together; only a
 TOKEN that fails that read, or whose values are out of range, is read again
 field by field to name what is wrong.  A missing, zero or unparseable width
 or height is 0.0.  A line's baseline is the median of its tokens'
-baselines.  Once a PAGE is read, its subtree is freed: the tree holds
-objects the cyclic garbage collector tracks, about two per TOKEN, and a
-tree kept whole to the end of the parse sets off collections that walk it
-again and again.
+baselines.  Once a PAGE is read, its subtree is freed, so the whole tree
+and every token built from it are never held at once.
+
+``parse_rich_xml`` runs with automatic garbage collection paused
+(``_gcpause``): the element tree and the tokens form no reference cycles,
+so reference counting frees them, and no collection set off by their
+allocation walks the caller's heap.  ``gc`` is process-wide, so a thread
+running beside the parse also runs without automatic collection until it
+returns.
 
 Superscripts: a token's ``sup_flag`` is set when its font is at most
 SUP_FONT_RATIO of the page median and its baseline sits at least
@@ -38,6 +43,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from xml.etree import ElementTree as ET
 
+from ._gcpause import gc_paused
 from .model import Document, Line, Page, Token
 
 # Superscript detection (see the module docstring).
@@ -197,6 +203,7 @@ def _parse_page(page_elem, number: int, report: IngestReport) -> tuple[Line, ...
     return tuple(built)
 
 
+@gc_paused
 def parse_rich_xml(data: bytes, *, dehyphenate: bool = False,
                    source_id: str = "") -> tuple[Document, IngestReport]:
     """Parse rich XML bytes into a Document plus an ingest report."""
@@ -227,9 +234,6 @@ def parse_rich_xml(data: bytes, *, dehyphenate: bool = False,
         pages.append(Page(number=number, width=width, height=height,
                           lines=_parse_page(page_elem, number, report)))
         report.page_count += 1
-        # The tree holds about two objects per TOKEN that the cyclic garbage
-        # collector tracks; freed page by page, they stop setting off
-        # collections and are not walked again by the ones that run.
         page_elem.clear()
 
     if dehyphenate:

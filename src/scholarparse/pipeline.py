@@ -5,6 +5,12 @@ affiliations, section headings, section mapping, footnotes, captions,
 reference splitting, citation-instance extraction per section, and
 citation-reference linking.  Every stage is deterministic, so equal inputs
 produce equal results.
+
+``extract_document`` runs with automatic garbage collection paused
+(``_gcpause``): what the stages build holds no reference cycles, so
+reference counting frees it, and no collection set off by its allocation
+walks the caller's heap.  ``gc`` is process-wide, so a thread running beside
+the call also runs without automatic collection until it returns.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
+from ._gcpause import gc_paused
 from .bibliography import (NoReferenceSectionError, extract_citations,
                            locate_reference_section,
                            map_citations_to_references, split_references)
@@ -77,6 +84,7 @@ def _attach_affiliations(records, affiliations):
         rec.affiliation = aff
 
 
+@gc_paused
 def extract_document(doc: Document, models: PipelineModels,
                      params: ChunkParams = ChunkParams()) -> ExtractionResult:
     """Run the full extraction pipeline over one parsed document."""

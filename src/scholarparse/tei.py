@@ -5,6 +5,13 @@ person-name parts, body divisions with heads and paragraphs, figure/table
 heads, footnotes as notes, citation instances as <ref> pointers targeting
 back-matter <bibl> entries with ids "ref-N".  Output is UTF-8 with LF line
 endings and 2-space indentation, byte-identical for equal inputs.
+
+``export_tei`` runs with automatic garbage collection paused (``_gcpause``).
+The element tree it builds holds no reference cycles; the one cycle the
+call makes is ``ET.indent``'s recursive closure, a few objects of a fixed
+count whatever the input, freed by the next collection after the call.
+``gc`` is process-wide, so a thread running beside the call also runs
+without automatic collection until it returns.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from xml.etree import ElementTree as ET
 
+from ._gcpause import gc_paused
 from .bibliography import CitationLink, Reference
 from .metadata import AuthorRecord
 from .structure import CaptionHeading, Footnote, Section
@@ -38,6 +46,7 @@ def reference_id(ref: Reference, position: int) -> str:
     return f"ref-{n}"
 
 
+@gc_paused
 def export_tei(result: ExtractionResult) -> str:
     """Serialize an ExtractionResult as TEI-encoded XML text."""
     tei = ET.Element("TEI", {"xmlns": TEI_NS})

@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 import re
@@ -529,3 +530,13 @@ def mutate_xml(data: bytes, mutations) -> bytes:
 @pytest.fixture
 def rng():
     return random.Random(20260823)
+
+
+@pytest.fixture(autouse=True)
+def collector_left_enabled():
+    """Fail a test that leaves automatic garbage collection disabled, and
+    turn it back on so that the tests after it run as usual."""
+    yield
+    if not gc.isenabled():
+        gc.enable()
+        pytest.fail("automatic garbage collection was left disabled")

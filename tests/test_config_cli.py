@@ -54,10 +54,17 @@ class TestConfig:
         with pytest.raises(ValueError):
             parse_config(line)
 
-    @pytest.mark.parametrize("line", ["gap_factor = 0.5", "font_jump = 1.5"])
+    @pytest.mark.parametrize("line", ["gap_factor = 0.5", "font_jump = 1.5",
+                                      "gap_factor = nan", "gap_factor = inf"])
     def test_unchunkable_values_rejected(self, line):
         with pytest.raises(ValueError):
             parse_config(line)
+
+    @pytest.mark.parametrize("key", ["max_iterations", "l2_lambda"])
+    def test_unreadable_value_names_its_line_and_key(self, key):
+        with pytest.raises(ValueError) as err:
+            parse_config(f"# comment\n{key} = abc\n")
+        assert str(err.value) == f"line 2: bad value for {key}: 'abc'"
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -280,6 +287,22 @@ class TestCli:
         assert len(errors) == 1
         assert errors[0].startswith(f"error: {mixed / 'bad.xml'}: ")
 
+    def test_train_without_a_readable_pair_writes_nothing(
+            self, corpus_with_bad_pair, tmp_path, capsys):
+        _good, mixed = corpus_with_bad_pair
+        corpus = tmp_path / "unreadable"
+        corpus.mkdir()
+        for name in ("bad.xml", "bad.gt.txt"):
+            (corpus / name).write_bytes((mixed / name).read_bytes())
+        out = tmp_path / "models"
+        assert main(["train", "--corpus", str(corpus),
+                     "--out", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        assert err[0].startswith(f"error: {corpus / 'bad.xml'}: ")
+        assert err[1] == "error: no training pair could be read"
+
     @pytest.mark.parametrize("command", ["extract", "usecase", "eval",
                                          "train"])
     def test_bad_chunk_config_is_one_error_before_any_input(
@@ -301,7 +324,7 @@ class TestCli:
         assert captured.out == ""
         assert not out.exists()
         assert captured.err.splitlines() == [
-            "error: gap_factor must exceed 1.0"]
+            "error: gap_factor must be finite and exceed 1.0"]
 
     def test_eval_scores_the_dehyphenated_title_extract_writes(
             self, corpus_dir, tmp_path, capsys):
