@@ -7,8 +7,10 @@ usecase (corpus analyses).  Exit codes: 0 success, 1 processing failure,
 extract, usecase, eval and train run their inputs through ``_each_input``:
 an input that fails costs one ``error: <input>: <message>`` line, and the
 command goes on with the rest.  eval and train read each X.xml/X.gt.txt
-pair with ``training.read_pair``, as extract reads a document; train with
-no readable pair writes no model.
+pair with ``training.read_pair``, as extract reads a document; with no
+readable pair, eval writes no report and train no model.  extract --out
+names each output after its input's stem, so two inputs with one stem are
+a usage error.
 """
 
 from __future__ import annotations
@@ -145,6 +147,9 @@ def cmd_eval(args) -> int:
     models = _load_models(args)
     per_doc, failed = _each_input(_score, corpus_files(args.corpus),
                                   (models, cfg))
+    if not per_doc:
+        print("error: no evaluation pair could be read", file=sys.stderr)
+        return 1
     report = render_report(aggregate(per_doc))
     if args.out:
         Path(args.out).write_text(report, "utf-8")
@@ -239,6 +244,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "jobs", 1) < 1:
         parser.error(f"argument --jobs: must be at least 1, got {args.jobs}")
+    if args.command == "extract" and args.out:
+        first_of_stem = {}
+        for path in map(Path, args.inputs):
+            first = first_of_stem.setdefault(path.stem, path)
+            if first is not path:
+                parser.error(f"inputs {first} and {path} would both be "
+                             f"written to {Path(args.out, path.stem)}.tei.xml")
     try:
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -2,8 +2,13 @@
 
 A document is chunked and its body font sizes are estimated once, here;
 extractors and the training-set builders take the resulting context instead
-of re-deriving chunks, fonts or token positions for themselves, so decoding
-and training see the same values.
+of re-deriving chunks or fonts for themselves, so decoding and training see
+the same values.
+
+Ingest gives every page a unique number, so grouping chunks by ``page_no``
+recovers each page's chunks, and the first page's chunks open the chunk
+order: a token's index among the first page's tokens is its index among the
+document's.
 """
 
 from __future__ import annotations
@@ -12,8 +17,8 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .chunker import ChunkParams, chunk_document
-from .features import font_counts, modal_font, token_features
-from .model import Chunk, Document, Page, Token
+from .features import font_counts, modal_font
+from .model import Chunk, Document, Page
 
 
 @dataclass(frozen=True)
@@ -32,18 +37,12 @@ class DocumentContext:
     chunks: tuple[Chunk, ...]  # all chunks in reading order
     body_font: float  # body font size of the whole document
     pages: tuple[PageContext, ...]  # one per page, in document order
-    positions: dict[int, int]  # id(token) -> index in the chunk token order
-    token_count: int
+    token_count: int  # tokens over all chunks
 
     @property
     def first_page_chunks(self) -> tuple[Chunk, ...]:
         """Chunks of the document's first page, whatever its number."""
         return self.pages[0].chunks if self.pages else ()
-
-    def token_features(self, tokens: list[Token]) -> list[tuple[str, ...]]:
-        """Title/author features of tokens taken from this context's chunks."""
-        return token_features(tokens, [self.positions[id(t)] for t in tokens],
-                              self.token_count, self.body_font)
 
 
 def build_context(doc: Document,
@@ -51,12 +50,9 @@ def build_context(doc: Document,
     """Chunk ``doc`` and estimate its body fonts, once: each page's font
     sizes are counted once, and the document's counts are their sum."""
     chunks = tuple(chunk_document(doc, params))
-    positions: dict[int, int] = {}
     by_page: dict[int, list[Chunk]] = {}
     for chunk in chunks:
         by_page.setdefault(chunk.page_no, []).append(chunk)
-        for tok in chunk.tokens:
-            positions[id(tok)] = len(positions)
     doc_counts: Counter = Counter()
     pages = []
     for page in doc.pages:
@@ -66,5 +62,5 @@ def build_context(doc: Document,
                                  chunks=tuple(by_page.get(page.number, ())),
                                  body_font=modal_font(counts)))
     return DocumentContext(chunks=chunks, body_font=modal_font(doc_counts),
-                           pages=tuple(pages), positions=positions,
-                           token_count=len(positions))
+                           pages=tuple(pages),
+                           token_count=sum(len(c.tokens) for c in chunks))

@@ -6,10 +6,11 @@ import functools
 import re
 from dataclasses import dataclass
 from importlib import resources
+from itertools import groupby
 
 from .context import DocumentContext
 from .crf import CrfModel, viterbi_decode
-from .features import SUPERSCRIPT_TO_ASCII, is_marker
+from .features import SUPERSCRIPT_TO_ASCII, is_marker, token_features
 from .model import Token
 
 TITLE_LABEL = "TITLE"
@@ -79,13 +80,21 @@ def load_lexicon(name: str) -> list[str]:
     return entries
 
 
-def extract_title(ctx: DocumentContext, title_model: CrfModel) -> list[Token]:
-    """Tokens the title labeler marks in the first chunk; may be empty."""
+def title_sequences(ctx: DocumentContext):
+    """The title labeler's (tokens, features) sequences: the first chunk's
+    tokens, which are the first in the document, or none without chunks."""
     if not ctx.chunks:
         return []
-    first = ctx.chunks[0]
-    labels = viterbi_decode(title_model, ctx.token_features(list(first.tokens)))
-    return [t for t, lab in zip(first.tokens, labels) if lab == TITLE_LABEL]
+    tokens = list(ctx.chunks[0].tokens)
+    return [(tokens, token_features(tokens, range(len(tokens)),
+                                    ctx.token_count, ctx.body_font))]
+
+
+def extract_title(ctx: DocumentContext, title_model: CrfModel) -> list[Token]:
+    """Tokens the title labeler marks in the first chunk; may be empty."""
+    return [t for tokens, feats in title_sequences(ctx)
+            for t, lab in zip(tokens, viterbi_decode(title_model, feats))
+            if lab == TITLE_LABEL]
 
 
 def title_fallback(first_page_chunks) -> list[Token]:
@@ -154,43 +163,37 @@ def _run_to_name(run: list[Token]) -> AuthorName | None:
                       last=words[-1], source_tokens=tuple(run))
 
 
-def author_candidate_window(ctx: DocumentContext, title_span) -> list[Token]:
-    """First-chunk region plus the AUTHOR_WINDOW first-page tokens after the
-    title."""
-    if not ctx.chunks:
-        return []
+def author_sequences(ctx: DocumentContext, title_span: list[Token]):
+    """The author labeler's (tokens, features) sequences: the first chunk
+    and the AUTHOR_WINDOW first-page tokens after ``title_span``, a span of
+    the first page in reading order; none if that page has no chunks.  An
+    index among its tokens is a document position (see ``context``)."""
     stream = [t for c in ctx.first_page_chunks for t in c.tokens]
-    title_ids = {id(t) for t in title_span}
-    title_end = 0
-    for i, tok in enumerate(stream):
-        if id(tok) in title_ids:
-            title_end = i + 1
-    window_ids = {id(t) for t in ctx.chunks[0].tokens}
-    window_ids.update(id(t) for t in stream[title_end: title_end + AUTHOR_WINDOW])
-    return [t for t in stream if id(t) in window_ids]
+    if not stream:
+        return []
+    last = title_span[-1] if title_span else None
+    title_end = next((i + 1 for i, t in enumerate(stream) if t is last), 0)
+    first_len = len(ctx.chunks[0].tokens)
+    after = range(max(first_len, title_end),
+                  min(title_end + AUTHOR_WINDOW, len(stream)))
+    indices = [*range(first_len), *after]
+    tokens = [stream[i] for i in indices]
+    return [(tokens, token_features(tokens, indices, ctx.token_count,
+                                    ctx.body_font))]
 
 
 def extract_author_names(ctx: DocumentContext, title_span: list[Token],
                          author_model: CrfModel) -> list[AuthorName]:
-    """Author names from the first-chunk region and the post-title window."""
-    candidates = author_candidate_window(ctx, title_span)
-    if not candidates:
-        return []
+    """Author names in the AUTHOR-labeled runs outside the title."""
     title_ids = {id(t) for t in title_span}
-    labels = viterbi_decode(author_model, ctx.token_features(candidates))
-
     names: list[AuthorName] = []
-    run: list[Token] = []
-    for tok, lab in zip(candidates, labels):
-        if lab == AUTHOR_LABEL and id(tok) not in title_ids:
-            run.append(tok)
-        elif run:
-            names.extend(n for r in _split_runs(run)
-                         if (n := _run_to_name(r)) is not None)
-            run = []
-    if run:
-        names.extend(n for r in _split_runs(run)
-                     if (n := _run_to_name(r)) is not None)
+    for candidates, feats in author_sequences(ctx, title_span):
+        labels = viterbi_decode(author_model, feats)
+        for named, run in groupby(zip(candidates, labels), lambda pair: (
+                pair[1] == AUTHOR_LABEL and id(pair[0]) not in title_ids)):
+            if named:
+                names.extend(n for r in _split_runs([t for t, _ in run])
+                             if (n := _run_to_name(r)) is not None)
     return names
 
 

@@ -86,29 +86,30 @@ def parse_enumeration(first_token: str):
     return "alpha", stripped, len(parts)
 
 
+def heading_sequences(ctx: DocumentContext):
+    """The heading labeler's (chunks, features) sequences: every chunk of
+    the document, or none without chunks."""
+    if not ctx.chunks:
+        return []
+    return [(ctx.chunks, heading_chunk_features(ctx.chunks, ctx.body_font))]
+
+
 def label_headings(ctx: DocumentContext,
                    heading_model: CrfModel) -> list[SectionHeading]:
     """Chunks the heading labeler marks, with parsed enumeration and level.
 
     ``chunk_index`` counts in ``ctx.chunks``.
     """
-    if not ctx.chunks:
-        return []
-    feats = heading_chunk_features(ctx.chunks, ctx.body_font)
-    labels = viterbi_decode(heading_model, feats)
     out = []
-    for i, (chunk, lab) in enumerate(zip(ctx.chunks, labels)):
-        if lab != HEADING_LABEL:
-            continue
-        parsed = parse_enumeration(chunk.tokens[0].text)
-        if parsed is None:
-            out.append(SectionHeading(text=chunk.text, enumeration=None,
-                                      chunk_index=i, level=1))
-        else:
-            kind, value, level = parsed
-            out.append(SectionHeading(text=chunk.text,
-                                      enumeration=(kind, value),
-                                      chunk_index=i, level=level))
+    for chunks, feats in heading_sequences(ctx):
+        labels = viterbi_decode(heading_model, feats)
+        for i, (chunk, lab) in enumerate(zip(chunks, labels)):
+            if lab != HEADING_LABEL:
+                continue
+            parsed = parse_enumeration(chunk.tokens[0].text)
+            out.append(SectionHeading(
+                text=chunk.text, enumeration=parsed and parsed[:2],
+                chunk_index=i, level=parsed[2] if parsed else 1))
     return out
 
 
@@ -151,18 +152,21 @@ def extract_urls(text: str) -> list[str]:
     return out
 
 
+def footnote_sequences(ctx: DocumentContext):
+    """The footnote labeler's (page, chunks, features) sequences: one per
+    page that has chunks, over that page's chunks."""
+    return [(pc.page, pc.chunks,
+             footnote_chunk_features(pc.chunks, pc.page, pc.body_font))
+            for pc in ctx.pages if pc.chunks]
+
+
 def extract_footnotes(ctx: DocumentContext,
                       footnote_model: CrfModel) -> list[Footnote]:
     """Footnote-labeled chunks from the lower half of each page."""
     out = []
-    for page_ctx in ctx.pages:
-        if not page_ctx.chunks:
-            continue
-        page = page_ctx.page
-        feats = footnote_chunk_features(page_ctx.chunks, page,
-                                        page_ctx.body_font)
+    for page, chunks, feats in footnote_sequences(ctx):
         labels = viterbi_decode(footnote_model, feats)
-        for chunk, lab in zip(page_ctx.chunks, labels):
+        for chunk, lab in zip(chunks, labels):
             if lab != FOOTNOTE_LABEL:
                 continue
             if chunk.bbox[1] <= page.height / 2:

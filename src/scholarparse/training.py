@@ -1,9 +1,9 @@
 """Training-set construction and model fitting for the four labeling tasks.
 
 Each builder turns (DocumentContext, GroundTruth) examples into
-LabeledSequence lists using exactly the feature code the extractors run at
-decode time, so a trained model sees the same indicator space in both
-directions.
+LabeledSequence lists: it labels the sequences its task's decoder reads,
+built by the same function (``metadata.title_sequences`` and so on), so a
+trained model sees the same items and features in both directions.
 """
 
 from __future__ import annotations
@@ -15,13 +15,13 @@ from .chunker import ChunkParams
 from .context import DocumentContext, build_context
 from .crf import CrfModel, LabeledSequence, TrainConfig, train
 from .evaluate import GroundTruth, ground_truth_from_text
-from .features import (FOOTNOTE_TEMPLATES, HEADING_TEMPLATES, TOKEN_TEMPLATES,
-                       footnote_chunk_features, heading_chunk_features)
+from .features import FOOTNOTE_TEMPLATES, HEADING_TEMPLATES, TOKEN_TEMPLATES
 from .ingest import parse_rich_xml
 from .metadata import (AUTHOR_LABEL, OTHER_LABEL, TITLE_LABEL,
-                       author_candidate_window)
+                       author_sequences, title_sequences)
 from .model import Chunk, Document
-from .structure import FOOTNOTE_LABEL, HEADING_LABEL
+from .structure import (FOOTNOTE_LABEL, HEADING_LABEL, footnote_sequences,
+                        heading_sequences)
 
 
 @dataclass
@@ -86,51 +86,40 @@ def _labeled(feats, gold_flags, label: str) -> LabeledSequence:
 
 
 def build_title_sequences(examples):
-    """One sequence per document: the tokens of the first chunk."""
+    """The title sequences, each first-chunk token labeled by the gold
+    title."""
     sequences = []
     for ctx, truth in examples:
-        if not ctx.chunks:
-            continue
-        first = ctx.chunks[0]
         gold = {id(t) for t in _gold_title_tokens(ctx.chunks, truth)}
-        sequences.append(_labeled(ctx.token_features(list(first.tokens)),
-                                  [id(t) in gold for t in first.tokens],
-                                  TITLE_LABEL))
+        sequences.extend(_labeled(feats, [id(t) in gold for t in tokens],
+                                  TITLE_LABEL)
+                         for tokens, feats in title_sequences(ctx))
     return sequences
 
 
 def build_author_sequences(examples):
-    """One sequence per document over the author candidate window."""
+    """The author sequences after the gold title, each token outside it
+    labeled by the gold name parts."""
     sequences = []
     for ctx, truth in examples:
-        if not ctx.chunks:
-            continue
         title_span = _gold_title_tokens(ctx.chunks, truth)
-        candidates = author_candidate_window(ctx, title_span)
-        if not candidates:
-            continue
         name_parts = {p for first, middle, last in truth.authors
                       for p in (first, middle, last) if p}
         title_ids = {id(t) for t in title_span}
-        sequences.append(_labeled(
-            ctx.token_features(candidates),
-            [tok.text.rstrip(",") in name_parts and id(tok) not in title_ids
-             for tok in candidates],
-            AUTHOR_LABEL))
+        sequences.extend(
+            _labeled(feats, [t.text.rstrip(",") in name_parts
+                             and id(t) not in title_ids for t in tokens],
+                     AUTHOR_LABEL)
+            for tokens, feats in author_sequences(ctx, title_span))
     return sequences
 
 
 def build_heading_sequences(examples):
-    """One sequence per document over all chunks."""
-    sequences = []
-    for ctx, truth in examples:
-        if not ctx.chunks:
-            continue
-        gold = set(truth.section_headings)
-        sequences.append(_labeled(
-            heading_chunk_features(ctx.chunks, ctx.body_font),
-            [c.text in gold for c in ctx.chunks], HEADING_LABEL))
-    return sequences
+    """The heading sequences, each chunk labeled by the gold headings."""
+    return [_labeled(feats, [c.text in truth.section_headings for c in chunks],
+                     HEADING_LABEL)
+            for ctx, truth in examples
+            for chunks, feats in heading_sequences(ctx)]
 
 
 def _strip_marker(text: str) -> str:
@@ -139,20 +128,13 @@ def _strip_marker(text: str) -> str:
 
 
 def build_footnote_sequences(examples):
-    """One sequence per page over that page's chunks."""
-    sequences = []
-    for ctx, truth in examples:
-        gold = set(truth.footnotes)
-        for page_ctx in ctx.pages:
-            if not page_ctx.chunks:
-                continue
-            sequences.append(_labeled(
-                footnote_chunk_features(page_ctx.chunks, page_ctx.page,
-                                        page_ctx.body_font),
-                [c.text in gold or _strip_marker(c.text) in gold
-                 for c in page_ctx.chunks],
-                FOOTNOTE_LABEL))
-    return sequences
+    """The footnote sequences, one per page, each chunk labeled by the gold
+    footnotes with or without its marker."""
+    return [_labeled(feats, [c.text in truth.footnotes
+                             or _strip_marker(c.text) in truth.footnotes
+                             for c in chunks], FOOTNOTE_LABEL)
+            for ctx, truth in examples
+            for _page, chunks, feats in footnote_sequences(ctx)]
 
 
 # Sequence builder, labels and feature templates of each task, in order.

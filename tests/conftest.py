@@ -13,10 +13,13 @@ from hypothesis import strategies as st
 from scholarparse.bibliography import (_BRACKET_START, _NUMBER_START, _finish,
                                        _instance)
 from scholarparse.chunker import ChunkParams, _split_columns
+from scholarparse.context import DocumentContext
 from scholarparse.crf import (CrfError, CrfModel, _emissions, _logaddexp,
                               _occurrences, _path_score, _split)
+from scholarparse.features import token_features
 from scholarparse.ingest import (SUP_FONT_RATIO, SUP_RISE_PT, IngestReport,
                                  RichXmlParseError, _dehyphenate_page)
+from scholarparse.metadata import AUTHOR_WINDOW
 from scholarparse.model import (Chunk, Document, EmptyChunkError, Line, Page,
                                Token)
 
@@ -467,6 +470,42 @@ def reference_chunk_page(page: Page, params: ChunkParams = ChunkParams()):
             chunks.append(_reference_chunk(
                 [t for l in current for t in l.tokens]))
     return chunks
+
+
+# --- token positions of the title and author sequences ----------------------
+
+def reference_positions(ctx: DocumentContext) -> dict[int, int]:
+    """Oracle for token positions: id(token) -> index in the chunk token
+    order, the map ``DocumentContext.positions`` held over every token."""
+    positions: dict[int, int] = {}
+    for chunk in ctx.chunks:
+        for tok in chunk.tokens:
+            positions[id(tok)] = len(positions)
+    return positions
+
+
+def reference_token_features(ctx: DocumentContext, tokens,
+                             positions: dict[int, int]):
+    """Title/author features of ``tokens`` at their id-map positions."""
+    return token_features(tokens, [positions[id(t)] for t in tokens],
+                          len(positions), ctx.body_font)
+
+
+def reference_author_window(ctx: DocumentContext, title_span):
+    """Oracle for the author sequence's tokens: the first-chunk region plus
+    the AUTHOR_WINDOW first-page tokens after the title, chosen by id()
+    sets as ``author_candidate_window`` chose them."""
+    if not ctx.chunks:
+        return []
+    stream = [t for c in ctx.first_page_chunks for t in c.tokens]
+    title_ids = {id(t) for t in title_span}
+    title_end = 0
+    for i, tok in enumerate(stream):
+        if id(tok) in title_ids:
+            title_end = i + 1
+    window_ids = {id(t) for t in ctx.chunks[0].tokens}
+    window_ids.update(id(t) for t in stream[title_end: title_end + AUTHOR_WINDOW])
+    return [t for t in stream if id(t) in window_ids]
 
 
 # --- mutated rich XML --------------------------------------------------------

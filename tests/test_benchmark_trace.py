@@ -1,0 +1,33 @@
+"""A short traced run of the benchmark: every function it traces is still
+found, and its correctness checks pass."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+from scholarparse.training import TASKS
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Metrics on features.body_font_size and crf.unpack_weights, two functions
+# the program no longer has; the benchmark reports them absent until its
+# target list is brought up to date (ROADMAP, benchmark upkeep).
+STALE_METRICS = {"features.body_font_ms", "features.body_font_calls",
+                 "crf.unpack_ms"}
+
+
+def test_traced_train_run_finds_every_live_target():
+    # The run writes its spans to the git-ignored .bench_out/.
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "train",
+         "--seconds", "1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "checks: all passed" in lines
+    absent = {line.split()[0] for line in lines if "(absent:" in line}
+    assert absent <= STALE_METRICS
+    metrics = json.loads(lines[-1])["metrics"]
+    for task in TASKS:
+        assert metrics[f"training.{task}.build_s"]["value"] > 0, task

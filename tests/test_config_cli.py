@@ -303,6 +303,51 @@ class TestCli:
         assert err[0].startswith(f"error: {corpus / 'bad.xml'}: ")
         assert err[1] == "error: no training pair could be read"
 
+    def test_eval_without_a_readable_pair_writes_no_report(
+            self, corpus_with_bad_pair, tmp_path, capsys):
+        _good, mixed = corpus_with_bad_pair
+        corpus = tmp_path / "unreadable"
+        corpus.mkdir()
+        for name in ("bad.xml", "bad.gt.txt"):
+            (corpus / name).write_bytes((mixed / name).read_bytes())
+        report = tmp_path / "report.txt"
+        for out in (["--out", str(report)], []):
+            assert main(["eval", "--corpus", str(corpus), *out]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            err = captured.err.splitlines()
+            assert len(err) == 2
+            assert err[0].startswith(f"error: {corpus / 'bad.xml'}: ")
+            assert err[1] == "error: no evaluation pair could be read"
+        assert not report.exists()
+
+    def test_extract_out_rejects_inputs_sharing_a_stem(self, corpus_dir,
+                                                       tmp_path, capsys):
+        xml = sorted(corpus_dir.glob("*.xml"))[0]
+        first, second = tmp_path / "a" / "paper.xml", tmp_path / "b" / "paper.xml"
+        first.parent.mkdir()
+        first.write_bytes(xml.read_bytes())
+        out = tmp_path / "tei"
+        # ``second`` does not exist: reading it would be an error exiting 1.
+        with pytest.raises(SystemExit) as err:
+            main(["extract", str(first), str(second), "--out", str(out)])
+        assert err.value.code == 2
+        message = capsys.readouterr().err.splitlines()[-1]
+        assert str(first) in message and str(second) in message
+        assert str(out / "paper.tei.xml") in message
+        assert not out.exists()
+
+    def test_extract_to_stdout_takes_inputs_sharing_a_stem(self, corpus_dir,
+                                                           tmp_path, capsys):
+        xml = sorted(corpus_dir.glob("*.xml"))[0]
+        paths = [tmp_path / d / "paper.xml" for d in ("a", "b")]
+        for path in paths:
+            path.parent.mkdir()
+            path.write_bytes(xml.read_bytes())
+        assert main(["extract", *map(str, paths)]) == 0
+        out = capsys.readouterr().out
+        assert out.count('<?xml version="1.0" encoding="UTF-8"?>') == 2
+
     @pytest.mark.parametrize("command", ["extract", "usecase", "eval",
                                          "train"])
     def test_bad_chunk_config_is_one_error_before_any_input(
