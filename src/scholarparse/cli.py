@@ -8,9 +8,9 @@ extract, usecase, eval and train run their inputs through ``_each_input``:
 an input that fails costs one ``error: <input>: <message>`` line, and the
 command goes on with the rest.  eval and train read each X.xml/X.gt.txt
 pair with ``training.read_pair``, as extract reads a document; with no
-readable pair, eval writes no report and train no model.  extract --out
-names each output after its input's stem, so two inputs with one stem are
-a usage error.
+readable input, usecase prints no analysis, eval writes no report and
+train no model.  extract --out names each output after its input's stem,
+so two inputs with one stem are a usage error.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-
-import numpy as np
 
 from .config import PipelineConfig, load_config
 from .crf import save_model
@@ -34,7 +32,7 @@ from .synth import STYLES, generate_synthetic_document
 from .tei import ExtractionResult, export_tei
 from .training import (TASKS, corpus_files, read_pair, train_task,
                        training_examples)
-from .usecases import (GENERIC_SECTIONS, curate_dataset_links,
+from .usecases import (GENERIC_SECTIONS, SectionMap, curate_dataset_links,
                        section_citation_distribution)
 
 
@@ -137,8 +135,8 @@ def cmd_train(args) -> int:
     for task in tasks:
         model = train_task(task, examples, cfg.train)
         (out_dir / f"{task}.crf").write_bytes(save_model(model))
-        print(f"trained {task}: {np.count_nonzero(model.unary)} unary weights",
-              file=sys.stderr)
+        nonzero = sum(w != 0.0 for row in model.unary for w in row)
+        print(f"trained {task}: {nonzero} unary weights", file=sys.stderr)
     return int(failed)
 
 
@@ -176,15 +174,20 @@ def cmd_generate(args) -> int:
 def cmd_usecase(args) -> int:
     cfg = _load_config(args)
     models = _load_models(args)
+    section_map = SectionMap.load_default()
     results, failed = _each_input(_extract, [Path(p) for p in args.inputs],
                                   (models, cfg))
+    if not results:
+        print("error: no input could be read", file=sys.stderr)
+        return 1
     if args.name == "dataset-links":
-        for url, source in curate_dataset_links(results):
+        for url, source in curate_dataset_links(results, section_map):
             print(f"{url}\t{source}")
     else:
         total = Counter()
         for result in results:
-            total.update(section_citation_distribution(result).counts)
+            total.update(
+                section_citation_distribution(result, section_map).counts)
         for name in GENERIC_SECTIONS:
             print(f"{name}\t{total[name]}")
     return int(failed)

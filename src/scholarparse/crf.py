@@ -4,7 +4,7 @@ The model is linear in indicator features: each position of a sequence
 carries a set of active features, and a path is scored by summing unary
 (feature, label) weights plus (label, label) transition weights over
 adjacent pairs.  Training maximizes the L2-regularized conditional
-log-likelihood of the flat vector ``[unary.ravel(), transitions.ravel()]``
+log-likelihood of one flat vector, the unary rows then the transition rows,
 by batch gradient ascent with backtracking line search; forward-backward
 runs in log space throughout, over all sequences of a dataset at once,
 padded to the longest.  Every sum adds its terms in one fixed order (by
@@ -16,15 +16,28 @@ ufunc calls on (B, L) arrays whatever L is.  On the two-label models every
 log-sum is of two terms, where ``_logaddexp`` gives the bits of the scipy
 formula the models were first trained with; for more labels the fold may
 differ from a one-shot log-sum in the last bit.
+
+A model holds its weights as rows of plain floats, and decoding runs on
+them alone, so extracting with trained models never imports numpy, which
+would be about half the time a fresh interpreter takes to start.  Only the
+training and marginal functions import it, each inside its body: ``score``,
+``forward_backward``, ``compile_dataset``, ``log_likelihood``,
+``log_likelihood_and_gradient``, ``train`` and their array helpers.  Their
+names stay module attributes, so a caller that patches
+``crf.log_likelihood`` reaches the one ``train`` calls.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from functools import reduce
+from itertools import islice, repeat
+from operator import add
+from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 MODEL_MAGIC = "OCRPP-CRF"
 MODEL_VERSION = 1
@@ -78,21 +91,41 @@ class TrainConfig:
             raise ValueError("convergence_tol must be finite and not negative")
 
 
+def _label_index(labels: tuple[str, ...], label: str) -> int:
+    try:
+        return labels.index(label)
+    except ValueError:
+        raise CrfError(f"unknown label {label!r}") from None
+
+
 @dataclass(eq=False)
 class CrfModel:
-    """``unary[i, j]`` weighs feature ``features[i]`` under ``labels[j]``;
-    ``transitions[a, b]`` weighs label a followed by label b."""
+    """``unary[i][j]`` weighs feature ``features[i]`` under ``labels[j]``;
+    ``transitions[a][b]`` weighs label a followed by label b.  Both are
+    tuples of rows of floats, read into the decoding tables when the model
+    is built, so changed weights make a new model.  The labels are
+    distinct, and there is at least one."""
 
     labels: tuple[str, ...]
     features: tuple[str, ...]
-    unary: np.ndarray
-    transitions: np.ndarray
+    unary: tuple[tuple[float, ...], ...]
+    transitions: tuple[tuple[float, ...], ...]
     templates: tuple[FeatureTemplate, ...] = ()
     task_name: str = ""
     feature_rows: dict[str, int] = field(init=False, repr=False)
+    # Per label, the ``get`` of a feature -> weight dict: what
+    # ``viterbi_decode`` reads.
+    label_weights: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
+        if not self.labels:
+            raise CrfError("a model needs at least one label")
+        if len(set(self.labels)) != len(self.labels):
+            raise CrfError(f"repeated label in {self.labels!r}")
         self.feature_rows = {f: i for i, f in enumerate(self.features)}
+        self.label_weights = tuple(
+            dict(zip(self.features, [row[j] for row in self.unary])).get
+            for j in range(len(self.labels)))
 
     @classmethod
     def from_weights(cls, labels, unary_weights, transition_weights,
@@ -100,24 +133,37 @@ class CrfModel:
         """Model from {(feature, label): w} and {(label, label): w} dicts."""
         labels = tuple(labels)
         features = tuple(sorted({f for f, _ in unary_weights}))
-        model = cls(labels, features, np.zeros((len(features), len(labels))),
-                    np.zeros((len(labels),) * 2), tuple(templates), task_name)
+        rows = {f: i for i, f in enumerate(features)}
+        unary = [[0.0] * len(labels) for _ in features]
+        transitions = [[0.0] * len(labels) for _ in labels]
         for (f, label), w in unary_weights.items():
-            model.unary[model.feature_rows[f], model.label_index(label)] = w
+            unary[rows[f]][_label_index(labels, label)] = float(w)
         for (a, b), w in transition_weights.items():
-            model.transitions[model.label_index(a), model.label_index(b)] = w
-        return model
+            transitions[_label_index(labels, a)][_label_index(labels, b)] = \
+                float(w)
+        return cls(labels, features, tuple(map(tuple, unary)),
+                   tuple(map(tuple, transitions)), tuple(templates), task_name)
 
     def label_index(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise CrfError(f"unknown label {label!r}") from None
+        return _label_index(self.labels, label)
+
+
+def _rows(flat: list[float], width: int) -> tuple[tuple[float, ...], ...]:
+    return tuple(tuple(flat[k:k + width]) for k in range(0, len(flat), width))
+
+
+def _arrays(model: CrfModel):
+    """The model's unary and transition weights as float arrays."""
+    import numpy as np
+    L = len(model.labels)
+    return (np.array(model.unary, dtype=float).reshape(-1, L),
+            np.array(model.transitions, dtype=float).reshape(L, L))
 
 
 def _occurrences(model: CrfModel, sequence_features):
     """Positions and unary rows of the active features the model knows, in
     sequence order; unknown features weigh nothing and are left out."""
+    import numpy as np
     positions, rows = [], []
     get = model.feature_rows.get
     for t, feats in enumerate(sequence_features):
@@ -131,6 +177,7 @@ def _occurrences(model: CrfModel, sequence_features):
 def _emissions(unary, cells, rows, shape: tuple[int, ...]) -> np.ndarray:
     """Label scores per cell of ``shape`` (positions, or sequences by
     positions), each cell's rows added in order."""
+    import numpy as np
     L = unary.shape[1]
     em = np.zeros((*shape, L))
     np.add.at(em.reshape(-1), cells[:, None] * L + np.arange(L), unary[rows])
@@ -139,6 +186,7 @@ def _emissions(unary, cells, rows, shape: tuple[int, ...]) -> np.ndarray:
 
 def _path_score(unary, transitions, positions, rows, gold) -> float:
     """Unary then transition terms, summed left to right from 0.0."""
+    import numpy as np
     terms = np.concatenate(([0.0], unary[rows, gold[positions]],
                             transitions[gold[:-1], gold[1:]]))
     return float(np.cumsum(terms)[-1])
@@ -155,6 +203,7 @@ def _logaddexp(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     are numpy ufuncs on fresh contiguous arrays, as the models were trained
     with: libm's ``exp`` and ``log1p`` may differ in the last bit.
     """
+    import numpy as np
     hi = np.maximum(a, b)
     return np.log1p(np.exp(np.minimum(a, b) - hi)) + hi
 
@@ -163,38 +212,44 @@ def score(model: CrfModel, sequence_features, label_path) -> float:
     """Score one label path: unary terms plus adjacent transition terms."""
     if len(sequence_features) != len(label_path):
         raise CrfError("path length must match sequence length")
+    import numpy as np
     gold = np.array([*map(model.label_index, label_path)], dtype=np.intp)
-    return _path_score(model.unary, model.transitions,
+    return _path_score(*_arrays(model),
                        *_occurrences(model, sequence_features), gold)
 
 
 def viterbi_decode(model: CrfModel, sequence_features) -> list[str]:
     """Argmax label path; ties prefer the earlier label at each backtrack step.
 
-    The recursion runs over plain floats: on the two-label models a numpy
-    call per position costs more than its arithmetic.  Each score adds the
-    same terms in the same order as an array recursion would, a later label
-    replaces the best only when strictly greater and the last position takes
-    its first maximum, so on finite weights the path is the one
-    ``np.argmax`` (lowest index wins ties) would give.
+    The recursion runs over plain floats: on the two-label models an array
+    call per position costs more than its arithmetic.  Each position's
+    emission under a label adds the weights of its features in order,
+    starting from 0.0, with an unknown feature adding 0.0: the sums
+    ``np.add.at`` makes, bit for bit, since a sum that starts at +0.0 is
+    never -0.0 (``sum`` is not used: from Python 3.12 it compensates).  A
+    later label replaces the best only when strictly greater and the last
+    position takes its first maximum, so on finite weights the path is the
+    one ``np.argmax`` (lowest index wins ties) would give.
     """
     if not sequence_features:
         raise CrfError("empty sequence")
-    em = _emissions(model.unary, *_occurrences(model, sequence_features),
-                    (len(sequence_features),)).tolist()
-    T = model.transitions.tolist()
+    T = model.transitions
+    weights = model.label_weights
     labels = range(len(T))
-    delta, back = em[0], []
-    for row in em[1:]:
+    zeros = repeat(0.0)
+    delta = [reduce(add, map(get, sequence_features[0], zeros), 0.0)
+             for get in weights]
+    back = []
+    for feats in islice(sequence_features, 1, None):
         ptr, nxt = [], []
-        for j in labels:
+        for j, get in zip(labels, weights):
             best, arg = delta[0] + T[0][j], 0
             for i in labels[1:]:
                 s = delta[i] + T[i][j]
                 if s > best:
                     best, arg = s, i
             ptr.append(arg)
-            nxt.append(best + row[j])
+            nxt.append(best + reduce(add, map(get, feats, zeros), 0.0))
         back.append(ptr)
         delta = nxt
     j = delta.index(max(delta))
@@ -210,6 +265,7 @@ def _forward(em: np.ndarray, T: np.ndarray, last: np.ndarray):
     """Log forward scores of a (B, N, L) batch of sequences padded to one
     length, and each sequence's log partition, read at its last position.
     Each step folds ``alpha[i] + T[i]`` over the previous labels i."""
+    import numpy as np
     alpha = em[:, 0]
     steps = [alpha]
     for t in range(1, em.shape[1]):
@@ -231,6 +287,7 @@ def _forward_backward(em: np.ndarray, T: np.ndarray, last: np.ndarray):
     both marginals are zero past each sequence's last position.  Each
     backward step folds ``T[:, j] + em[j] + beta[j]`` over the next labels
     j, and is 0.0 from each sequence's last position on."""
+    import numpy as np
     log_alpha, log_z = _forward(em, T, last)
     past = np.arange(em.shape[1]) > last[:, None]
     beta = np.zeros_like(em[:, 0])
@@ -259,11 +316,11 @@ def forward_backward(model: CrfModel, sequence_features):
     """Log partition, per-position marginals, and pairwise marginals."""
     if not sequence_features:
         raise CrfError("empty sequence")
+    import numpy as np
     n = len(sequence_features)
-    em = _emissions(model.unary, *_occurrences(model, sequence_features),
-                    (1, n))
-    log_z, marginals, pairwise = _forward_backward(
-        em, model.transitions, np.array([n - 1]))
+    unary, T = _arrays(model)
+    em = _emissions(unary, *_occurrences(model, sequence_features), (1, n))
+    log_z, marginals, pairwise = _forward_backward(em, T, np.array([n - 1]))
     return log_z[0], marginals[0], pairwise[0]
 
 
@@ -295,7 +352,9 @@ def compile_dataset(model: CrfModel, dataset) -> CompiledDataset:
         raise CrfError("empty dataset")
     if not all(seq.items for seq in dataset):
         raise CrfError("empty sequence")
-    L, base = len(model.labels), model.unary.size
+    import numpy as np
+    L = len(model.labels)
+    base = len(model.features) * L
     zero = base + L * L
     width = max(len(seq.items) for seq in dataset)
     pair_source = 1 + len(dataset) * width * L
@@ -341,6 +400,7 @@ def _objective(weights, data: CompiledDataset, penalty: float,
     (and backward) pass serves all sequences; each path score is summed left
     to right from 0.0, and each gradient entry gets its counts in sequence
     order."""
+    import numpy as np
     unary, T = _split(weights, data.n_labels)
     em = _emissions(unary, data.cells, data.rows, data.shape)
     if grad is None:
@@ -364,6 +424,7 @@ def _objective(weights, data: CompiledDataset, penalty: float,
 def log_likelihood_and_gradient(weights: np.ndarray, data: CompiledDataset,
                                 l2_lambda: float):
     """L2-regularized conditional log-likelihood and its gradient."""
+    import numpy as np
     grad = np.zeros_like(weights)
     penalty = 0.5 * l2_lambda * float(weights @ weights)
     ll = _objective(weights, data, penalty, grad)
@@ -391,13 +452,15 @@ def train(dataset, labels, templates, config: TrainConfig = TrainConfig(),
     ``zero_gradient``, ``line_search_failed`` or ``max_iterations``.  The
     log only observes; the model is the same without it.
     """
-    labels = tuple(labels)
+    import numpy as np
+    labels, templates = tuple(labels), tuple(templates)
     features = tuple(sorted({f for seq in dataset for feats in seq.features()
                              for f in feats}))
-    w = np.zeros((len(features) + len(labels)) * len(labels))
-    model = CrfModel(labels, features, *_split(w, len(labels)),
-                     tuple(templates), task_name)
-    data = compile_dataset(model, dataset)
+    L = len(labels)
+    zeros = ((0.0,) * L,)
+    data = compile_dataset(CrfModel(labels, features, zeros * len(features),
+                                    zeros * L, templates, task_name), dataset)
+    w = np.zeros((len(features) + L) * L)
 
     step = 1.0
     prev_ll = None
@@ -433,8 +496,9 @@ def train(dataset, labels, templates, config: TrainConfig = TrainConfig(),
             break
     if log is not None:
         log.append({"stop": stop})
-    model.unary, model.transitions = _split(w, len(labels))
-    return model
+    flat = w.tolist()
+    return CrfModel(labels, features, _rows(flat[:-L * L], L),
+                    _rows(flat[-L * L:], L), templates, task_name)
 
 
 def save_model(model: CrfModel) -> bytes:
@@ -446,7 +510,7 @@ def save_model(model: CrfModel) -> bytes:
         lines.append(f"template\t{tpl.id}\t{tpl.kind}\t{tpl.description}")
     names = model.labels
     by_name = sorted(range(len(names)), key=names.__getitem__)
-    unary, trans = model.unary.tolist(), model.transitions.tolist()
+    unary, trans = model.unary, model.transitions
     for f, i in sorted(model.feature_rows.items()):
         lines += [f"unary\t{f}\t{names[j]}\t{unary[i][j]!r}"
                   for j in by_name if unary[i][j] != 0.0]
@@ -458,7 +522,9 @@ def save_model(model: CrfModel) -> bytes:
 
 def load_model(data: bytes) -> CrfModel:
     """Parse save_model output; field-for-field round trip.  Every weight
-    must be finite, which is what ``viterbi_decode``'s tie rule assumes."""
+    must be finite, which is what ``viterbi_decode``'s tie rule assumes;
+    the labels must be distinct and at least one, and no weight may be
+    given twice."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -493,6 +559,8 @@ def load_model(data: bytes) -> CrfModel:
                 raise ModelFormatError(f"malformed record {line!r}") from None
             if not math.isfinite(weight):
                 raise ModelFormatError(f"non-finite weight in {line!r}")
+            if (first, second) in weights:
+                raise ModelFormatError(f"repeated record {line!r}")
             weights[(first, second)] = weight
         else:
             raise ModelFormatError(f"unknown or malformed record {kind!r}")

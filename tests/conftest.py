@@ -49,6 +49,13 @@ def random_instance(rng: random.Random, max_len: int = 8, max_labels: int = 4,
     return CrfModel.from_weights(labels, unary, trans), feats
 
 
+def weight_arrays(model: CrfModel):
+    """The model's unary and transition weights as float arrays."""
+    L = len(model.labels)
+    return (np.asarray(model.unary, dtype=float).reshape(-1, L),
+            np.asarray(model.transitions, dtype=float).reshape(L, L))
+
+
 def path_scores(model: CrfModel, feats):
     """Every label path, as rows of label indices in lexicographic order,
     and the score of each.
@@ -58,13 +65,13 @@ def path_scores(model: CrfModel, feats):
     scoring code.
     """
     n, n_labels = len(feats), len(model.labels)
+    unary, trans = weight_arrays(model)
     emit = np.zeros((n, n_labels))
     for t, active in enumerate(feats):
         for j in range(n_labels):
-            emit[t, j] = sum(float(model.unary[i, j])
+            emit[t, j] = sum(float(unary[i, j])
                              for i, f in enumerate(model.features)
                              if f in active)
-    trans = np.array(model.transitions, dtype=float)
 
     grids = np.meshgrid(*[np.arange(n_labels)] * n, indexing="ij")
     paths = np.stack([g.ravel() for g in grids], axis=1)
@@ -101,8 +108,8 @@ def reference_viterbi_decode(model: CrfModel, feats):
     with one ``np.argmax`` per position (lowest index wins ties)."""
     if not feats:
         raise CrfError("empty sequence")
-    em = _emissions(model.unary, *_occurrences(model, feats), (len(feats),))
-    T = model.transitions
+    unary, T = weight_arrays(model)
+    em = _emissions(unary, *_occurrences(model, feats), (len(feats),))
     n, L = em.shape
     delta = np.empty((n, L))
     back = np.zeros((n, L), dtype=int)
@@ -144,7 +151,7 @@ def per_sequence_objective(model: CrfModel, dataset):
     backward) recursion per sequence over its own positions, and each
     sequence's own path score and gradient counts, as the objective ran
     before the sequences were batched."""
-    L, base = len(model.labels), model.unary.size
+    L, base = len(model.labels), weight_arrays(model)[0].size
     sequences = []
     for seq in dataset:
         positions, rows = _occurrences(model, seq.features())

@@ -108,7 +108,8 @@ class TestCriterion2GradientFiniteDifferences:
                 labels = [rng.choice(model.labels) for _ in fv]
                 seqs.append(LabeledSequence(items=list(zip(fv, labels))))
             data = compile_dataset(model, seqs)
-            w = np.concatenate((model.unary.ravel(), model.transitions.ravel()))
+            w = np.concatenate((np.asarray(model.unary).ravel(),
+                                np.asarray(model.transitions).ravel()))
             _, grad = log_likelihood_and_gradient(w, data, lam)
             h = 1e-6
             fd = np.zeros_like(w)

@@ -31,3 +31,7 @@ def test_traced_train_run_finds_every_live_target():
     metrics = json.loads(lines[-1])["metrics"]
     for task in TASKS:
         assert metrics[f"training.{task}.build_s"]["value"] > 0, task
+    # A kernel the tracer missed would read 0 calls, not absent.
+    for name in ("crf.viterbi_calls", "crf.objective_calls",
+                 "crf.gradient_calls"):
+        assert metrics[name]["value"] > 0, name

@@ -12,6 +12,7 @@ from scholarparse.config import PipelineConfig, load_config, parse_config
 from scholarparse.crf import TrainConfig
 from scholarparse.evaluate import ground_truth_from_text
 from scholarparse.pipeline import PipelineModels
+from scholarparse.usecases import SectionMap
 
 
 class TestConfig:
@@ -320,6 +321,36 @@ class TestCli:
             assert err[0].startswith(f"error: {corpus / 'bad.xml'}: ")
             assert err[1] == "error: no evaluation pair could be read"
         assert not report.exists()
+
+    @pytest.mark.parametrize("name", ["dataset-links", "citation-histogram"])
+    def test_usecase_without_a_readable_input_prints_nothing(
+            self, tmp_path, capsys, name):
+        bad = tmp_path / "bad.xml"
+        bad.write_bytes(b"<DOCUMENT><PAGE>")
+        assert main(["usecase", "--name", name, str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 2
+        assert err[0].startswith(f"error: {bad}: ")
+        assert err[1] == "error: no input could be read"
+
+    @pytest.mark.parametrize("name", ["dataset-links", "citation-histogram"])
+    def test_usecase_reads_the_section_map_once(self, corpus_dir, monkeypatch,
+                                                capsys, name):
+        loads = []
+        load_default = SectionMap.load_default.__func__
+
+        def counted(cls):
+            loads.append(cls)
+            return load_default(cls)
+
+        monkeypatch.setattr(SectionMap, "load_default", classmethod(counted))
+        xmls = sorted(str(p) for p in corpus_dir.glob("*.xml"))
+        assert len(xmls) == 4
+        assert main(["usecase", "--name", name, *xmls]) == 0
+        assert capsys.readouterr().out
+        assert len(loads) == 1
 
     def test_extract_out_rejects_inputs_sharing_a_stem(self, corpus_dir,
                                                        tmp_path, capsys):

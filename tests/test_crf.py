@@ -36,7 +36,8 @@ def tiny_model():
 
 
 def flat_weights(model):
-    return np.concatenate((model.unary.ravel(), model.transitions.ravel()))
+    return np.concatenate((np.asarray(model.unary).ravel(),
+                           np.asarray(model.transitions).ravel()))
 
 
 def plain_logsumexp(values):
@@ -75,9 +76,10 @@ class TestScore:
             for active, j in zip(feats, gold):
                 for f in active:
                     if f in model.features:
-                        total += float(model.unary[model.features.index(f), j])
+                        total += float(np.asarray(model.unary)[
+                            model.features.index(f), j])
             for a, b in zip(gold, gold[1:]):
-                total += float(model.transitions[a, b])
+                total += float(np.asarray(model.transitions)[a, b])
             assert score(model, feats, path) == total
 
 
@@ -367,8 +369,8 @@ class TestTrain:
     def test_zero_iterations_gives_zero_weights(self):
         model = train(SEPARABLE, ("X", "Y"), (),
                       TrainConfig(max_iterations=0))
-        assert not model.unary.any()
-        assert not model.transitions.any()
+        assert not np.asarray(model.unary).any()
+        assert not np.asarray(model.transitions).any()
 
     def test_deterministic(self):
         cfg = TrainConfig(max_iterations=15)
@@ -440,7 +442,8 @@ class TestTrainingLog:
         assert log[-1] == {"stop": "line_search_failed"}
         assert len(log) == 2
         assert log[0]["step"] is None and log[0]["trials"] == 40
-        assert not model.unary.any() and not model.transitions.any()
+        assert not np.asarray(model.unary).any()
+        assert not np.asarray(model.transitions).any()
 
     def test_max_iterations_zero(self):
         _, log = self._train(max_iterations=0)
@@ -460,8 +463,9 @@ class TestSerialization:
         back = load_model(save_model(model))
         assert back.labels == model.labels
         assert back.features == model.features
-        assert np.array_equal(back.unary, model.unary)
-        assert np.array_equal(back.transitions, model.transitions)
+        assert np.array_equal(np.asarray(back.unary), np.asarray(model.unary))
+        assert np.array_equal(np.asarray(back.transitions),
+                              np.asarray(model.transitions))
         assert back.task_name == "demo"
 
     @pytest.mark.parametrize("name", sorted(f"{task}.crf" for task in TASKS))
@@ -498,6 +502,25 @@ class TestSerialization:
     def test_empty_rejected(self):
         with pytest.raises(ModelFormatError):
             load_model(b"")
+
+    def test_no_labels_rejected(self):
+        # It used to load, and decoding then failed on an empty max().
+        with pytest.raises(ModelFormatError):
+            load_model(b"OCRPP-CRF 1\nend\n")
+
+    def test_repeated_label_rejected(self):
+        with pytest.raises(ModelFormatError):
+            load_model(b"OCRPP-CRF 1\nlabels\tA\tA\nend\n")
+
+    @pytest.mark.parametrize("record", [b"unary\tx\tA\t2.0",
+                                        b"trans\tA\tA\t-0.25"])
+    def test_repeated_weight_record_rejected(self, record):
+        # tiny_model already weighs (x, A) and (A, A); the last weight
+        # used to win silently.
+        payload = save_model(tiny_model()).replace(b"\nend\n",
+                                                   b"\n" + record + b"\nend\n")
+        with pytest.raises(ModelFormatError):
+            load_model(payload)
 
     @pytest.mark.parametrize("record", [
         b"unary\tx",  # too few fields
