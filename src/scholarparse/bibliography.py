@@ -92,7 +92,9 @@ class CitationLink:
 
 
 def locate_reference_section(sections: list[Section]):
-    """The References/Bibliography section plus trailing chunks, and the rest."""
+    """The References/Bibliography section with the paragraphs of the
+    sections after it up to the first appendix heading folded in, and the
+    other sections."""
     ref_idx = None
     for i, section in enumerate(sections):
         if section.heading is None:
@@ -114,11 +116,11 @@ def locate_reference_section(sections: list[Section]):
         if head.startswith("appendix"):
             folding = False
         if folding:
-            extra.extend(section.body_chunks)
+            extra.extend(section.paragraphs)
         else:
             remainder.append(section)
     combined = Section(heading=ref_section.heading,
-                       body_chunks=ref_section.body_chunks + tuple(extra))
+                       paragraphs=ref_section.paragraphs + tuple(extra))
     return combined, remainder
 
 

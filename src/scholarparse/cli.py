@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .config import PipelineConfig, load_config
@@ -74,8 +73,11 @@ def _each_input(work, items, setup=(), jobs=1) -> tuple[list, bool]:
     """The results of ``work(item, *setup)`` for the inputs that did not
     fail, in input order, and whether any failed.  Each failure is printed
     as ``error: <input>: <message>``, so one bad input loses no other.
-    With ``jobs`` > 1 the inputs run in that many worker processes."""
+    With ``jobs`` > 1 the inputs run in that many worker processes; only
+    then is the process pool imported, so a one-process call never loads
+    ``multiprocessing``."""
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
                                  initargs=(work, setup)) as pool:
             outcomes = list(pool.map(_attempt_in_worker, items))

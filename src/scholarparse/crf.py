@@ -523,8 +523,8 @@ def save_model(model: CrfModel) -> bytes:
 def load_model(data: bytes) -> CrfModel:
     """Parse save_model output; field-for-field round trip.  Every weight
     must be finite, which is what ``viterbi_decode``'s tie rule assumes;
-    the labels must be distinct and at least one, and no weight may be
-    given twice."""
+    the labels must be distinct and at least one, and no weight, labels
+    or task record may be given twice."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -540,13 +540,17 @@ def load_model(data: bytes) -> CrfModel:
     if lines[-1] != "end":
         raise ModelFormatError("truncated payload")
 
-    task_name, labels = "", ()
+    task_name, labels = None, None
     templates, unary, trans = [], {}, {}
     for line in lines[1:-1]:
         kind, *fields = line.split("\t")
         if kind == "task":
+            if task_name is not None:
+                raise ModelFormatError(f"repeated task record {line!r}")
             task_name = fields[0] if fields else ""
         elif kind == "labels":
+            if labels is not None:
+                raise ModelFormatError(f"repeated labels record {line!r}")
             labels = tuple(fields)
         elif kind == "template" and len(fields) >= 2:
             templates.append(FeatureTemplate(*fields[:3]))
@@ -565,7 +569,7 @@ def load_model(data: bytes) -> CrfModel:
         else:
             raise ModelFormatError(f"unknown or malformed record {kind!r}")
     try:
-        return CrfModel.from_weights(labels, unary, trans, templates,
-                                     task_name)
+        return CrfModel.from_weights(labels or (), unary, trans, templates,
+                                     task_name or "")
     except CrfError as exc:
         raise ModelFormatError(str(exc)) from None

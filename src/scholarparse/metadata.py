@@ -37,7 +37,6 @@ class AuthorName:
     first: str
     middle: str
     last: str
-    source_tokens: tuple[Token, ...] = ()
 
     @property
     def full(self) -> str:
@@ -157,10 +156,9 @@ def _run_to_name(run: list[Token]) -> AuthorName | None:
         if not NAME_TOKEN.match(w) or w.lower() in NAME_STOPWORDS:
             return None
     if len(words) == 1:
-        return AuthorName(first=words[0], middle="", last=words[0],
-                          source_tokens=tuple(run))
+        return AuthorName(first=words[0], middle="", last=words[0])
     return AuthorName(first=words[0], middle=" ".join(words[1:-1]),
-                      last=words[-1], source_tokens=tuple(run))
+                      last=words[-1])
 
 
 def author_sequences(ctx: DocumentContext, title_span: list[Token]):

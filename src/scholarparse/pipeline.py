@@ -6,6 +6,15 @@ reference splitting, citation-instance extraction per section, and
 citation-reference linking.  Every stage is deterministic, so equal inputs
 produce equal results.
 
+The stages read the document's chunks and tokens through one
+``DocumentContext``; the result they fill holds only text, numbers and the
+small result records (sections hold paragraph text, see ``structure``).
+So nothing of the parsed document outlives ``extract_document``, and a
+batch of held results costs memory in proportion to its output, not to its
+token count.  The reference splitter is the one stage that reads visual
+lines: it takes them from the reference section's chunks while the context
+is alive.
+
 ``extract_document`` runs with automatic garbage collection paused
 (``_gcpause``): what the stages build holds no reference cycles, so
 reference counting frees it, and no collection set off by its allocation
@@ -32,7 +41,8 @@ from .metadata import (extract_affiliations, extract_author_names,
                        title_fallback)
 from .model import Chunk, Document
 from .structure import (extract_caption_headings, extract_footnotes,
-                        extract_urls, label_headings, map_sections)
+                        extract_urls, label_headings, map_sections,
+                        section_chunks)
 from .tei import ExtractionResult
 from .training import TASKS
 
@@ -117,7 +127,8 @@ def extract_document(doc: Document, models: PipelineModels,
 
     references = []
     if ref_section is not None:
-        lines = [pair for chunk in ref_section.body_chunks
+        ref_chunks = section_chunks(chunks, headings, ref_section)
+        lines = [pair for chunk in ref_chunks
                  for pair in chunk_to_lines(chunk)]
         if lines:
             references = split_references(lines)

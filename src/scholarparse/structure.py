@@ -1,9 +1,15 @@
-"""Section headings and body mapping, URLs, footnotes, figure/table headings."""
+"""Section headings and body mapping, URLs, footnotes, figure/table headings.
+
+A ``Section`` holds text, not chunks: its ``paragraphs`` are its body
+chunks' texts in order, so no section keeps a document's chunks or tokens
+alive once extraction returns.
+"""
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import islice
 
 from .context import DocumentContext
 from .crf import CrfModel, viterbi_decode
@@ -37,11 +43,11 @@ class SectionHeading:
 @dataclass(frozen=True)
 class Section:
     heading: SectionHeading | None
-    body_chunks: tuple[Chunk, ...]
+    paragraphs: tuple[str, ...]  # the body chunks' texts, in order
 
     @property
     def body_text(self) -> str:
-        return " ".join(c.text for c in self.body_chunks)
+        return " ".join(self.paragraphs)
 
 
 @dataclass(frozen=True)
@@ -115,25 +121,34 @@ def label_headings(ctx: DocumentContext,
 
 def map_sections(chunks: list[Chunk],
                  headings: list[SectionHeading]) -> list[Section]:
-    """Assign every non-heading chunk to the section opened by the last heading."""
+    """Assign every non-heading chunk's text to the section opened by the
+    last heading; the chunks before the first heading open a headless one."""
     heading_at = {h.chunk_index: h for h in headings}
     sections: list[Section] = []
-    front: list[Chunk] = []
     current: SectionHeading | None = None
-    body: list[Chunk] = []
+    body: list[str] = []
     for i, chunk in enumerate(chunks):
         if i in heading_at:
-            if current is not None:
-                sections.append(Section(heading=current, body_chunks=tuple(body)))
+            sections.append(Section(heading=current, paragraphs=tuple(body)))
             current = heading_at[i]
             body = []
-        elif current is None:
-            front.append(chunk)
         else:
-            body.append(chunk)
-    if current is not None:
-        sections.append(Section(heading=current, body_chunks=tuple(body)))
-    return [Section(heading=None, body_chunks=tuple(front))] + sections
+            body.append(chunk.text)
+    sections.append(Section(heading=current, paragraphs=tuple(body)))
+    return sections
+
+
+def section_chunks(chunks: list[Chunk], headings: list[SectionHeading],
+                   section: Section) -> list[Chunk]:
+    """The chunks whose texts are a headed section's paragraphs, for a
+    section of ``map_sections(chunks, headings)`` or a run of consecutive
+    ones folded under the first one's heading: as many non-heading chunks
+    as it has paragraphs, from its heading on."""
+    heading_at = {h.chunk_index for h in headings}
+    start = section.heading.chunk_index + 1
+    body = (chunk for i, chunk in enumerate(chunks[start:], start)
+            if i not in heading_at)
+    return list(islice(body, len(section.paragraphs)))
 
 
 def extract_urls(text: str) -> list[str]:

@@ -1,7 +1,8 @@
 """TEI serialization of a full extraction result.
 
 The output uses a minimal conforming subset of TEI: header with title and
-person-name parts, body divisions with heads and paragraphs, figure/table
+person-name parts, body divisions with heads and paragraphs (one <p> per
+``Section.paragraphs`` entry, a body chunk's text), figure/table
 heads, footnotes as notes, citation instances as <ref> pointers targeting
 back-matter <bibl> entries with ids "ref-N".  Output is UTF-8 with LF line
 endings and 2-space indentation, byte-identical for equal inputs.
@@ -112,9 +113,9 @@ def _body(body, result, ids):
             head = ET.SubElement(div, "head")
             head.text = section.heading.text
             heading_text = section.heading.text
-        for chunk in section.body_chunks:
+        for paragraph in section.paragraphs:
             p = ET.SubElement(div, "p")
-            p.text = chunk.text
+            p.text = paragraph
         for link in links_by_heading.pop(heading_text, []):
             _ref_elem(div, link, ids)
     # Citations whose section was not exported still appear once.

@@ -270,7 +270,7 @@ class TestCriterion9UseCases:
         def sec(i, name):
             return Section(heading=SectionHeading(text=name, enumeration=None,
                                                   chunk_index=i),
-                           body_chunks=())
+                           paragraphs=())
 
         headings = ["Introduction", "Datasets", "Methodology", "Novel Trick",
                     "Results", "Conclusion"]

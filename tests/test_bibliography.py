@@ -250,12 +250,12 @@ class TestSplitReferences:
         assert split_references(lines) == expected
 
 
-def _section(heading_text, chunks=()):
+def _section(heading_text, paragraphs=()):
     heading = None
     if heading_text is not None:
         heading = SectionHeading(text=heading_text, enumeration=None,
                                  chunk_index=0)
-    return Section(heading=heading, body_chunks=tuple(chunks))
+    return Section(heading=heading, paragraphs=tuple(paragraphs))
 
 
 class TestLocateReferenceSection:
@@ -277,13 +277,10 @@ class TestLocateReferenceSection:
         assert combined.heading.text == "Bibliography"
 
     def test_trailing_sections_folded_until_appendix(self):
-        from scholarparse.model import Token, make_chunk
-        c = make_chunk([Token(text="x", page_no=1, x=0, y=0, width=5,
-                              height=10, font_size=10)])
-        sections = [_section("References"), _section("Spilled", [c]),
+        sections = [_section("References"), _section("Spilled", ["x"]),
                     _section("Appendix A")]
         combined, rest = locate_reference_section(sections)
-        assert len(combined.body_chunks) == 1
+        assert combined.paragraphs == ("x",)
         assert rest[-1].heading.text == "Appendix A"
 
     def test_missing_raises(self):

@@ -1,6 +1,9 @@
 """Unit tests for configuration parsing and the command-line interface."""
 
 import copy
+import os
+import subprocess
+import sys
 from pathlib import Path
 from xml.etree import ElementTree as ET
 
@@ -239,6 +242,23 @@ class TestCli:
                              for p in out.glob("*.tei.xml")}
         assert len(written["1"]) == len(inputs)
         assert written["2"] == written["1"]
+
+    def test_one_process_extract_loads_no_process_pool(self, corpus_dir,
+                                                       tmp_path):
+        # A fresh interpreter: this one may have run a pool already.
+        xml = sorted(corpus_dir.glob("*.xml"))[0]
+        script = ("import sys, scholarparse.cli\n"
+                  "assert scholarparse.cli.main(sys.argv[1:]) == 0\n"
+                  "print('multiprocessing' in sys.modules)\n")
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "extract", str(xml),
+             "--out", str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False"]
+        assert (tmp_path / (xml.stem + ".tei.xml")).exists()
 
     def test_extract_jobs_send_models_once_per_worker(self, corpus_dir,
                                                       tmp_path, monkeypatch):

@@ -512,6 +512,18 @@ class TestSerialization:
         with pytest.raises(ModelFormatError):
             load_model(b"OCRPP-CRF 1\nlabels\tA\tA\nend\n")
 
+    def test_repeated_labels_record_rejected(self):
+        # The last labels record used to win silently.
+        with pytest.raises(ModelFormatError, match="repeated labels"):
+            load_model(b"OCRPP-CRF 1\nlabels\tA\tB\nlabels\tC\tD\n"
+                       b"task\tx\nend\n")
+
+    def test_repeated_task_record_rejected(self):
+        # The last task record used to win silently.
+        with pytest.raises(ModelFormatError, match="repeated task"):
+            load_model(b"OCRPP-CRF 1\nlabels\tA\tB\ntask\tx\ntask\ty\n"
+                       b"end\n")
+
     @pytest.mark.parametrize("record", [b"unary\tx\tA\t2.0",
                                         b"trans\tA\tA\t-0.25"])
     def test_repeated_weight_record_rejected(self, record):

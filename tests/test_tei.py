@@ -6,22 +6,11 @@ from scholarparse.bibliography import (CitationLink, Reference,
                                        extract_citations)
 from scholarparse.metadata import (Affiliation, AuthorName, AuthorRecord,
                                    EmailAddress)
-from scholarparse.model import Token, make_chunk
 from scholarparse.structure import (CaptionHeading, Footnote, Section,
                                     SectionHeading)
 from scholarparse.tei import ExtractionResult, export_tei, reference_id
 
 NS = {"tei": "http://www.tei-c.org/ns/1.0"}
-
-
-def chunk(words):
-    cur = 0.0
-    toks = []
-    for w in words:
-        toks.append(Token(text=w, page_no=1, x=cur, y=90, width=5.0 * len(w),
-                          height=10, font_size=10))
-        cur += 5.0 * len(w) + 5.0
-    return make_chunk(toks)
 
 
 def sample_result():
@@ -42,8 +31,8 @@ def sample_result():
         source_id="doc-1",
         title="A Title",
         authors=[author],
-        sections=[Section(heading=None, body_chunks=(chunk(["front"]),)),
-                  Section(heading=heading, body_chunks=(chunk(["body"]),))],
+        sections=[Section(heading=None, paragraphs=("front",)),
+                  Section(heading=heading, paragraphs=("body",))],
         urls=["http://example.org/x"],
         footnotes=[Footnote(marker="1", text="a note", page_no=1)],
         captions=[CaptionHeading(kind="figure", label="Figure 1",

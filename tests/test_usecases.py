@@ -3,7 +3,6 @@
 import dataclasses
 
 from scholarparse.bibliography import CitationLink, extract_citations
-from scholarparse.model import Token, make_chunk
 from scholarparse.structure import Section, SectionHeading
 from scholarparse.tei import ExtractionResult
 from scholarparse.usecases import (SectionMap, _generic_by_heading,
@@ -11,23 +10,13 @@ from scholarparse.usecases import (SectionMap, _generic_by_heading,
                                    section_citation_distribution)
 
 
-def chunk(words):
-    cur = 0.0
-    toks = []
-    for w in words:
-        toks.append(Token(text=w, page_no=1, x=cur, y=90, width=5.0 * len(w),
-                          height=10, font_size=10))
-        cur += 5.0 * len(w) + 5.0
-    return make_chunk(toks)
-
-
 def section(heading_text, words=()):
     heading = None
     if heading_text is not None:
         heading = SectionHeading(text=heading_text, enumeration=None,
                                  chunk_index=0)
-    chunks = (chunk(list(words)),) if words else ()
-    return Section(heading=heading, body_chunks=chunks)
+    paragraphs = (" ".join(words),) if words else ()
+    return Section(heading=heading, paragraphs=paragraphs)
 
 
 class TestSectionMap:
