@@ -65,6 +65,9 @@ class NoReferenceSectionError(ValueError):
 
 @dataclass(frozen=True)
 class Reference:
+    """One entry of the reference list: its number when the list is indexed,
+    its text, and the first author's surname and year read from that text."""
+
     index: int | None
     raw_text: str
     first_author_last: str | None = None
@@ -73,6 +76,9 @@ class Reference:
 
 @dataclass(frozen=True)
 class CitationInstance:
+    """One citation found in body text by the citation style ``style_id``: the
+    authors and year, or reference numbers, it names, and where it matched."""
+
     style_id: int
     matched_text: str
     authors: tuple[str, ...]
@@ -85,6 +91,8 @@ class CitationInstance:
 
 @dataclass(frozen=True)
 class CitationLink:
+    """A citation with the reference it was resolved to, if any, and how."""
+
     citation: CitationInstance
     reference: Reference | None
     method: str  # "index", "author-year", or "unresolved"

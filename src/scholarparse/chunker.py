@@ -23,6 +23,8 @@ MIN_COLUMN_LINES = 2
 
 @dataclass(frozen=True)
 class ChunkParams:
+    """Thresholds that break a page's lines into chunks; checked when built."""
+
     gap_factor: float = 1.5
     font_jump: float = 0.15
     boldness_break: bool = True

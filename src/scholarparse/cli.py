@@ -10,7 +10,12 @@ command goes on with the rest.  eval and train read each X.xml/X.gt.txt
 pair with ``training.read_pair``, as extract reads a document; with no
 readable input, usecase prints no analysis, eval writes no report and
 train no model.  extract --out names each output after its input's stem,
-so two inputs with one stem are a usage error.
+so two inputs with one stem are a usage error, as is a --jobs or --count
+below 1.
+
+A command imports what only it uses (training, evaluation, the generator,
+the corpus analyses) when it runs, so ``extract`` loads no more than
+extraction does.
 """
 
 from __future__ import annotations
@@ -22,17 +27,11 @@ from pathlib import Path
 
 from .config import PipelineConfig, load_config
 from .crf import save_model
-from .evaluate import (aggregate, evaluate_extraction, ground_truth_to_text,
-                       render_report)
 from .ingest import parse_rich_xml
-from .pipeline import (extract_document, load_default_models,
+from .pipeline import (TASKS, extract_document, load_default_models,
                        load_models_from_dir)
-from .synth import STYLES, generate_synthetic_document
+from .styles import STYLES
 from .tei import ExtractionResult, export_tei
-from .training import (TASKS, corpus_files, read_pair, train_task,
-                       training_examples)
-from .usecases import (GENERIC_SECTIONS, SectionMap, curate_dataset_links,
-                       section_citation_distribution)
 
 
 def _load_config(args) -> PipelineConfig:
@@ -102,6 +101,8 @@ def _extract_tei(path: Path, models, cfg: PipelineConfig) -> tuple[str, str]:
 
 
 def _score(xml_path: Path, models, cfg: PipelineConfig) -> dict:
+    from .evaluate import evaluate_extraction
+    from .training import read_pair
     pair = read_pair(xml_path, cfg.dehyphenate)
     return evaluate_extraction(
         extract_document(pair.document, models, cfg.chunk), pair.truth)
@@ -124,6 +125,8 @@ def cmd_extract(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from .training import (corpus_files, read_pair, train_task,
+                           training_examples)
     cfg = _load_config(args)
     pairs, failed = _each_input(read_pair, corpus_files(args.corpus),
                                 (cfg.dehyphenate,))
@@ -143,6 +146,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from .evaluate import aggregate, render_report
+    from .training import corpus_files
     cfg = _load_config(args)
     models = _load_models(args)
     per_doc, failed = _each_input(_score, corpus_files(args.corpus),
@@ -159,6 +164,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    from .evaluate import ground_truth_to_text
+    from .synth import generate_synthetic_document
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     styles = STYLES if args.style == "all" else (args.style,)
@@ -174,6 +181,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_usecase(args) -> int:
+    from .usecases import (GENERIC_SECTIONS, SectionMap, curate_dataset_links,
+                           section_citation_distribution)
     cfg = _load_config(args)
     models = _load_models(args)
     section_map = SectionMap.load_default()
@@ -247,8 +256,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "jobs", 1) < 1:
-        parser.error(f"argument --jobs: must be at least 1, got {args.jobs}")
+    for option in ("jobs", "count"):
+        if getattr(args, option, 1) < 1:
+            parser.error(f"argument --{option}: must be at least 1, "
+                         f"got {getattr(args, option)}")
     if args.command == "extract" and args.out:
         first_of_stem = {}
         for path in map(Path, args.inputs):

@@ -17,6 +17,8 @@ from .crf import TrainConfig
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """Chunking and training settings, and whether ingest dehyphenates."""
+
     chunk: ChunkParams = ChunkParams()
     train: TrainConfig = TrainConfig()
     dehyphenate: bool = False

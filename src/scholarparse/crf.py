@@ -25,6 +25,12 @@ training and marginal functions import it, each inside its body: ``score``,
 ``log_likelihood_and_gradient``, ``train`` and their array helpers.  Their
 names stay module attributes, so a caller that patches
 ``crf.log_likelihood`` reaches the one ``train`` calls.
+
+``score`` and ``forward_backward`` are public although neither extraction
+nor training calls them: they score one path and give one sequence's
+partition and marginals, which is what the tests check against brute-force
+enumeration of every label path, and so the interface that vouches for
+``viterbi_decode`` and for the batched kernel behind the gradient.
 """
 
 from __future__ import annotations
@@ -57,6 +63,8 @@ class ModelFormatError(CrfError):
 
 @dataclass(frozen=True)
 class FeatureTemplate:
+    """A family of features a task's feature functions emit, by id and kind."""
+
     id: str
     kind: str  # "boolean", "bucketed-real", or "categorical"
     description: str = ""
@@ -77,6 +85,9 @@ class LabeledSequence:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """L2 strength, iteration limit and convergence tolerance of ``train``;
+    checked when built."""
+
     l2_lambda: float = 1.0
     max_iterations: int = 200
     convergence_tol: float = 1e-5

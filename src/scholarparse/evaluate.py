@@ -37,6 +37,9 @@ REPORT_FIELDS = [
 
 @dataclass
 class GroundTruth:
+    """What a document contains, field by field; extraction is scored
+    against it."""
+
     title: str = ""
     authors: list[tuple[str, str, str]] = field(default_factory=list)
     emails: list[str] = field(default_factory=list)
@@ -54,6 +57,9 @@ class GroundTruth:
 
 @dataclass(frozen=True)
 class TokenMetrics:
+    """True positive, false positive and false negative token counts, with
+    the precision, recall and F-score they give."""
+
     tp: int = 0
     fp: int = 0
     fn: int = 0

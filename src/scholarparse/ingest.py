@@ -61,6 +61,8 @@ class RichXmlParseError(ValueError):
 
 @dataclass
 class IngestReport:
+    """What parsing a rich XML document read, skipped and warned about."""
+
     token_count: int = 0
     page_count: int = 0
     skipped_elements: int = 0

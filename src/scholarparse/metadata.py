@@ -34,6 +34,8 @@ NAME_TOKEN = re.compile(r"^[A-Z][A-Za-z'\-]*$")
 
 @dataclass(frozen=True)
 class AuthorName:
+    """An author's name in first, middle and last parts."""
+
     first: str
     middle: str
     last: str
@@ -45,6 +47,8 @@ class AuthorName:
 
 @dataclass(frozen=True)
 class EmailAddress:
+    """An e-mail address, split at the ``@``, with the text it was read from."""
+
     user: str
     domain: str
     raw: str
@@ -56,6 +60,9 @@ class EmailAddress:
 
 @dataclass(frozen=True)
 class Affiliation:
+    """An affiliation line, its author marker if it has one, and the
+    institution cue words that matched it."""
+
     text: str
     marker: str | None = None
     matched_cues: tuple[str, ...] = ()
@@ -63,6 +70,8 @@ class Affiliation:
 
 @dataclass
 class AuthorRecord:
+    """An author with the e-mail address and affiliation mapped to them."""
+
     name: AuthorName
     email: EmailAddress | None = None
     affiliation: Affiliation | None = None

@@ -89,6 +89,8 @@ class Line:
 
 @dataclass(frozen=True)
 class Page:
+    """One page: its number, its size and its lines from top to bottom."""
+
     number: int
     width: float
     height: float
@@ -101,6 +103,8 @@ class Page:
 
 @dataclass(frozen=True)
 class Document:
+    """A parsed article: its source id and its pages."""
+
     source_id: str
     pages: tuple[Page, ...] = ()
 

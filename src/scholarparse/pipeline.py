@@ -44,15 +44,20 @@ from .structure import (extract_caption_headings, extract_footnotes,
                         extract_urls, label_headings, map_sections,
                         section_chunks)
 from .tei import ExtractionResult
-from .training import TASKS
 
 
 @dataclass
 class PipelineModels:
+    """The trained CRF of each labeling task, one field per task."""
+
     title: CrfModel
     author: CrfModel
     heading: CrfModel
     footnote: CrfModel
+
+
+# The labeling tasks, in the order they run and train.
+TASKS = tuple(f.name for f in dataclasses.fields(PipelineModels))
 
 
 def load_models_from_dir(directory) -> PipelineModels:

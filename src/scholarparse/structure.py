@@ -34,6 +34,8 @@ ROMAN_VALUES = {"I": 1, "V": 5, "X": 10, "L": 50, "C": 100, "D": 500, "M": 1000}
 
 @dataclass(frozen=True)
 class SectionHeading:
+    """A heading chunk, its parsed enumeration if it has one, and its level."""
+
     text: str
     enumeration: tuple[str, str] | None  # (kind, value) or None
     chunk_index: int
@@ -42,6 +44,9 @@ class SectionHeading:
 
 @dataclass(frozen=True)
 class Section:
+    """A heading, or None for the text before the first one, and the
+    paragraphs under it."""
+
     heading: SectionHeading | None
     paragraphs: tuple[str, ...]  # the body chunks' texts, in order
 
@@ -52,6 +57,8 @@ class Section:
 
 @dataclass(frozen=True)
 class Footnote:
+    """A footnote's marker, text and page number."""
+
     marker: str | None
     text: str
     page_no: int
@@ -59,6 +66,8 @@ class Footnote:
 
 @dataclass(frozen=True)
 class CaptionHeading:
+    """A figure or table caption: its label and its text."""
+
     kind: str  # "figure" or "table"
     label: str
     text: str

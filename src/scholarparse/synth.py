@@ -16,13 +16,7 @@ from dataclasses import dataclass
 from .evaluate import GroundTruth
 from .ingest import document_to_xml
 from .model import Document, Line, Page, Token
-
-STYLES = (
-    "single-col-numbered",
-    "single-col-unnumbered",
-    "two-col-indexed",
-    "two-col-author-year",
-)
+from .styles import STYLES
 
 PAGE_W, PAGE_H = 612.0, 792.0
 MARGIN = 60.0
@@ -110,6 +104,8 @@ AUTHOR_YEAR_CITE_STYLES = sorted(CITATION_FORMATS.keys()
 
 @dataclass
 class _Word:
+    """One word to lay out, with its font, style and gap to the next word."""
+
     text: str
     font: float = BODY_FONT
     bold: bool = False

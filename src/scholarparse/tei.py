@@ -30,6 +30,9 @@ TEI_NS = "http://www.tei-c.org/ns/1.0"
 
 @dataclass
 class ExtractionResult:
+    """Everything extracted from one document, as text, numbers and the small
+    result records; ``export_tei`` writes it as TEI."""
+
     source_id: str = ""
     title: str = ""
     authors: list[AuthorRecord] = field(default_factory=list)

@@ -20,12 +20,15 @@ from .ingest import parse_rich_xml
 from .metadata import (AUTHOR_LABEL, OTHER_LABEL, TITLE_LABEL,
                        author_sequences, title_sequences)
 from .model import Chunk, Document
+from .pipeline import TASKS
 from .structure import (FOOTNOTE_LABEL, HEADING_LABEL, footnote_sequences,
                         heading_sequences)
 
 
 @dataclass
 class TrainingPair:
+    """A parsed document with the ground truth it is trained against."""
+
     document: Document
     truth: GroundTruth
 
@@ -137,14 +140,14 @@ def build_footnote_sequences(examples):
             for _page, chunks, feats in footnote_sequences(ctx)]
 
 
-# Sequence builder, labels and feature templates of each task, in order.
+# Sequence builder, labels and feature templates of each task, in the order
+# of ``TASKS``.
 _BUILDERS = {
     "title": (build_title_sequences, (OTHER_LABEL, TITLE_LABEL), TOKEN_TEMPLATES),
     "author": (build_author_sequences, (OTHER_LABEL, AUTHOR_LABEL), TOKEN_TEMPLATES),
     "heading": (build_heading_sequences, (OTHER_LABEL, HEADING_LABEL), HEADING_TEMPLATES),
     "footnote": (build_footnote_sequences, (OTHER_LABEL, FOOTNOTE_LABEL), FOOTNOTE_TEMPLATES),
 }
-TASKS = tuple(_BUILDERS)
 
 
 def train_task(task: str, examples,

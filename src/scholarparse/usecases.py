@@ -56,6 +56,8 @@ class SectionMap:
 
 @dataclass
 class CitationHistogram:
+    """Citation counts per generic section name."""
+
     counts: dict[str, int] = field(default_factory=lambda: {
         name: 0 for name in GENERIC_SECTIONS})
 

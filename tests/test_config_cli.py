@@ -451,6 +451,17 @@ class TestCli:
         assert "--jobs" in capsys.readouterr().err
         assert not (tmp_path / "tei").exists()
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_generate_count_below_one_is_a_usage_error(self, tmp_path, capsys,
+                                                       count):
+        with pytest.raises(SystemExit) as err:
+            main(["generate", "--out", str(tmp_path / "corpus"),
+                  "--count", count])
+        assert err.value.code == 2
+        assert (f"argument --count: must be at least 1, got {count}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "corpus").exists()
+
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as err:
             main(["no-such-command"])

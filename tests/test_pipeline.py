@@ -14,6 +14,7 @@ from conftest import mutate_xml, xml_mutations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scholarparse import training
 from scholarparse.chunker import chunk_document
 from scholarparse.context import build_context
 from scholarparse.ingest import parse_rich_xml
@@ -61,6 +62,7 @@ class TestDefaultModels:
 
 def test_pipeline_models_hold_one_model_per_task():
     assert [f.name for f in dataclasses.fields(PipelineModels)] == list(TASKS)
+    assert tuple(training._BUILDERS) == TASKS
 
 
 def test_import_and_default_models_need_no_scipy():
