@@ -11,7 +11,8 @@ pair with ``training.read_pair``, as extract reads a document; with no
 readable input, usecase prints no analysis, eval writes no report and
 train no model.  extract --out names each output after its input's stem,
 so two inputs with one stem are a usage error, as is a --jobs or --count
-below 1.
+below 1.  train --stats writes each task's training log as JSON lines, one
+per iteration and one for the stop reason, each naming its task.
 
 A command imports what only it uses (training, evaluation, the generator,
 the corpus analyses) when it runs, so ``extract`` loads no more than
@@ -124,7 +125,18 @@ def cmd_extract(args) -> int:
     return int(failed)
 
 
+def _open_stats(path):
+    """The stream --stats names: a new file, or standard output for -."""
+    from contextlib import nullcontext
+    if path is None:
+        return nullcontext()
+    if path == "-":
+        return nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8")
+
+
 def cmd_train(args) -> int:
+    import json
     from .training import (corpus_files, read_pair, train_task,
                            training_examples)
     cfg = _load_config(args)
@@ -137,11 +149,16 @@ def cmd_train(args) -> int:
     tasks = TASKS if args.task == "all" else (args.task,)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for task in tasks:
-        model = train_task(task, examples, cfg.train)
-        (out_dir / f"{task}.crf").write_bytes(save_model(model))
-        nonzero = sum(w != 0.0 for row in model.unary for w in row)
-        print(f"trained {task}: {nonzero} unary weights", file=sys.stderr)
+    with _open_stats(args.stats) as stats:
+        for task in tasks:
+            log = None if stats is None else []
+            model = train_task(task, examples, cfg.train, log)
+            (out_dir / f"{task}.crf").write_bytes(save_model(model))
+            nonzero = sum(w != 0.0 for row in model.unary for w in row)
+            print(f"trained {task}: {nonzero} unary weights", file=sys.stderr)
+            if stats is not None:
+                stats.writelines(json.dumps({"task": task, **record}) + "\n"
+                                 for record in log)
     return int(failed)
 
 
@@ -226,6 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="model output directory")
     p.add_argument("--task", default="all", choices=("all",) + TASKS)
     p.add_argument("--config", help="key=value configuration file")
+    p.add_argument("--stats", metavar="PATH|-",
+                   help="write each training iteration and stop reason as a "
+                        "JSON line to PATH (- for stdout)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score extraction against ground truth")

@@ -17,6 +17,17 @@ log-sum is of two terms, where ``_logaddexp`` gives the bits of the scipy
 formula the models were first trained with; for more labels the fold may
 differ from a one-shot log-sum in the last bit.
 
+The recursions take transitions per batch row, (B, L, L), or one (L, L)
+block for every row, so the line search scores a step and its half in one
+forward pass over the two trials' stacked batches: a step of the recursion
+is a few numpy calls whose overhead, not the row count, sets its cost.  It
+accepts the first of them that passes the Armijo test, as a search of one
+step at a time would, and hands that trial's emissions, forward scores and
+log partitions to the next gradient, which then runs only the backward
+pass.  None of this moves a bit: every elementwise op and every fold over
+labels keeps its order, and ``exp`` and ``log1p`` still run on fresh
+contiguous arrays.
+
 A model holds its weights as rows of plain floats, and decoding runs on
 them alone, so extracting with trained models never imports numpy, which
 would be about half the time a fresh interpreter takes to start.  Only the
@@ -39,7 +50,7 @@ import math
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import islice, repeat
-from operator import add
+from operator import add, index
 from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
@@ -95,6 +106,10 @@ class TrainConfig:
     def __post_init__(self):
         if not (math.isfinite(self.l2_lambda) and self.l2_lambda > 0):
             raise ValueError("l2_lambda must be finite and positive")
+        try:
+            index(self.max_iterations)
+        except TypeError:
+            raise ValueError("max_iterations must be an integer") from None
         if self.max_iterations < 0:
             raise ValueError("max_iterations must not be negative")
         if not (math.isfinite(self.convergence_tol)
@@ -187,11 +202,17 @@ def _occurrences(model: CrfModel, sequence_features):
 
 def _emissions(unary, cells, rows, shape: tuple[int, ...]) -> np.ndarray:
     """Label scores per cell of ``shape`` (positions, or sequences by
-    positions), each cell's rows added in order."""
+    positions), each cell's rows added in order.  A (K, F, L) stack of
+    unary blocks gives K such batches, one after another along the first
+    axis, in one ``np.add.at``.  Its index is flat: numpy's fast path for
+    ``ufunc.at`` takes only a 1-D index, and is several times faster."""
     import numpy as np
-    L = unary.shape[1]
-    em = np.zeros((*shape, L))
-    np.add.at(em.reshape(-1), cells[:, None] * L + np.arange(L), unary[rows])
+    L = unary.shape[-1]
+    stack = unary if unary.ndim == 3 else unary[None]
+    em = np.zeros((len(stack) * shape[0], *shape[1:], L))
+    cells = np.arange(len(stack))[:, None] * math.prod(shape) + cells
+    np.add.at(em.reshape(-1), (cells[..., None] * L + np.arange(L)).ravel(),
+              stack[:, rows].ravel())
     return em
 
 
@@ -275,46 +296,54 @@ def viterbi_decode(model: CrfModel, sequence_features) -> list[str]:
 def _forward(em: np.ndarray, T: np.ndarray, last: np.ndarray):
     """Log forward scores of a (B, N, L) batch of sequences padded to one
     length, and each sequence's log partition, read at its last position.
-    Each step folds ``alpha[i] + T[i]`` over the previous labels i."""
+    ``T`` holds each row's transitions, (B, L, L), or one (L, L) block that
+    every row shares.  Each step folds ``alpha[i] + T[i]`` over the
+    previous labels i."""
     import numpy as np
+    T = T.reshape(-1, *T.shape[-2:])
     alpha = em[:, 0]
     steps = [alpha]
     for t in range(1, em.shape[1]):
-        acc = alpha[:, :1] + T[0]
-        for i in range(1, len(T)):
-            acc = _logaddexp(acc, alpha[:, i:i + 1] + T[i])
+        acc = alpha[:, :1] + T[:, 0]
+        for i in range(1, T.shape[1]):
+            acc = _logaddexp(acc, alpha[:, i:i + 1] + T[:, i])
         alpha = em[:, t] + acc
         steps.append(alpha)
     log_alpha = np.stack(steps, axis=1)
     end = log_alpha[np.arange(len(em)), last]
     log_z = end[:, 0]
-    for i in range(1, len(T)):
+    for i in range(1, T.shape[1]):
         log_z = _logaddexp(log_z, end[:, i])
     return log_alpha, log_z
 
 
-def _forward_backward(em: np.ndarray, T: np.ndarray, last: np.ndarray):
-    """Log partitions, marginals and pairwise marginals of a padded batch;
-    both marginals are zero past each sequence's last position.  Each
+def _forward_backward(em: np.ndarray, T: np.ndarray, last: np.ndarray,
+                      forward=None):
+    """Log partitions, marginals and pairwise marginals of a padded batch,
+    with transitions per row as in ``_forward``; both marginals are zero
+    past each sequence's last position.  ``forward``, the ``(log_alpha,
+    log_z)`` that ``_forward`` gives for these arguments, spares running it
+    again; its ``log_alpha`` is set to -inf past each last position.  Each
     backward step folds ``T[:, j] + em[j] + beta[j]`` over the next labels
     j, and is 0.0 from each sequence's last position on."""
     import numpy as np
-    log_alpha, log_z = _forward(em, T, last)
+    T = T.reshape(-1, *T.shape[-2:])
+    log_alpha, log_z = _forward(em, T, last) if forward is None else forward
     past = np.arange(em.shape[1]) > last[:, None]
     beta = np.zeros_like(em[:, 0])
     steps = [beta]
     for t in range(em.shape[1] - 2, -1, -1):
         x = em[:, t + 1] + beta
-        acc = T[:, 0] + x[:, :1]
-        for j in range(1, len(T)):
-            acc = _logaddexp(acc, T[:, j] + x[:, j:j + 1])
+        acc = T[:, :, 0] + x[:, :1]
+        for j in range(1, T.shape[1]):
+            acc = _logaddexp(acc, T[:, :, j] + x[:, j:j + 1])
         beta = np.where(past[:, t + 1, None], 0.0, acc)
         steps.append(beta)
     log_beta = np.stack(steps[::-1], axis=1)
     log_alpha[past] = log_beta[past] = -np.inf
     shift = log_z[:, None, None]
     marginals = np.exp(log_alpha + log_beta - shift)
-    pairwise = np.exp(log_alpha[:, :-1, :, None] + T
+    pairwise = np.exp(log_alpha[:, :-1, :, None] + T[:, None]
                       + (em[:, 1:] + log_beta[:, 1:])[:, :, None, :]
                       - shift[..., None])
     if not (np.isfinite(log_z).all() and np.isfinite(marginals).all()
@@ -404,26 +433,52 @@ def _split(weights: np.ndarray, L: int):
     return weights[:-L * L].reshape(-1, L), weights[-L * L:].reshape(L, L)
 
 
-def _objective(weights, data: CompiledDataset, penalty: float,
-               grad=None) -> float:
+class ForwardPass(NamedTuple):
+    """A compiled dataset's emissions, log forward scores and log partitions
+    at one weight vector: what its gradient's backward pass reads."""
+
+    em: np.ndarray
+    log_alpha: np.ndarray
+    log_z: np.ndarray
+
+
+def _forward_passes(weights: np.ndarray,
+                    data: CompiledDataset) -> list[ForwardPass]:
+    """The forward pass at each vector of a (K, n) stack, all run as one:
+    K copies of the batch, one after another, each row with its vector's
+    emissions and transitions.  Each vector's pass is a view of its rows."""
+    import numpy as np
+    K, L = len(weights), data.n_labels
+    B = data.shape[0]
+    em = _emissions(weights[:, :-L * L].reshape(K, -1, L), data.cells,
+                    data.rows, data.shape)
+    T = np.repeat(weights[:, -L * L:].reshape(K, L, L), B, axis=0)
+    log_alpha, log_z = _forward(em, T, np.tile(data.last, K))
+    rows = [slice(k * B, (k + 1) * B) for k in range(K)]
+    return [ForwardPass(em[r], log_alpha[r], log_z[r]) for r in rows]
+
+
+def _objective(weights, data: CompiledDataset, penalty: float, grad=None,
+               forward: ForwardPass | None = None) -> float:
     """Gold path scores minus log partitions minus the L2 penalty; given
     ``grad``, also adds observed minus expected counts into it.  One forward
-    (and backward) pass serves all sequences; each path score is summed left
-    to right from 0.0, and each gradient entry gets its counts in sequence
+    (and backward) pass serves all sequences, and ``forward``, the pass at
+    ``weights``, spares running it again.  Each path score is summed left to
+    right from 0.0, and each gradient entry gets its counts in sequence
     order."""
     import numpy as np
-    unary, T = _split(weights, data.n_labels)
-    em = _emissions(unary, data.cells, data.rows, data.shape)
-    if grad is None:
-        log_z = _forward(em, T, data.last)[1]
-    else:
-        log_z, marginals, pairwise = _forward_backward(em, T, data.last)
+    if forward is None:
+        forward, = _forward_passes(weights[None], data)
+    if grad is not None:
+        T = _split(weights, data.n_labels)[1]
+        _, marginals, pairwise = _forward_backward(
+            forward.em, T, data.last, (forward.log_alpha, forward.log_z))
         values = np.concatenate(([1.0], -marginals.ravel(),
                                  -pairwise.sum(axis=1).ravel()))
         np.add.at(grad, data.counts, values[data.sources])
     scores = np.cumsum(np.append(weights, 0.0)[data.path], axis=1)[:, -1]
     ll = 0.0
-    for path_score, z in zip(scores.tolist(), log_z.tolist()):
+    for path_score, z in zip(scores.tolist(), forward.log_z.tolist()):
         ll += path_score
         ll -= z
     ll -= penalty
@@ -433,23 +488,70 @@ def _objective(weights, data: CompiledDataset, penalty: float,
 
 
 def log_likelihood_and_gradient(weights: np.ndarray, data: CompiledDataset,
-                                l2_lambda: float):
-    """L2-regularized conditional log-likelihood and its gradient."""
+                                l2_lambda: float,
+                                forward: ForwardPass | None = None):
+    """L2-regularized conditional log-likelihood and its gradient.  Given
+    ``forward``, the pass ``log_likelihood`` ran at these weights, only the
+    backward pass runs."""
     import numpy as np
     grad = np.zeros_like(weights)
     penalty = 0.5 * l2_lambda * float(weights @ weights)
-    ll = _objective(weights, data, penalty, grad)
+    ll = _objective(weights, data, penalty, grad, forward)
     grad -= l2_lambda * weights
     return ll, grad
 
 
 def log_likelihood(weights: np.ndarray, data: CompiledDataset,
-                   l2_lambda: float) -> float:
-    """Objective value only; cheaper than the gradient (no backward pass)."""
-    squares = (weights * weights).tolist()
-    n_unary = len(squares) - data.n_labels ** 2
-    norm2 = sum(squares[:n_unary]) + sum(squares[n_unary:])
-    return _objective(weights, data, 0.5 * l2_lambda * norm2)
+                   l2_lambda: float):
+    """Objective value only; cheaper than the gradient (no backward pass).
+
+    One vector gives one float.  A (K, n) stack of vectors is scored in one
+    forward pass and gives the list of their values and the list of their
+    ``ForwardPass``es, which ``log_likelihood_and_gradient`` can reuse.
+    """
+    stack = weights.reshape(-1, weights.shape[-1])
+    n_unary = stack.shape[1] - data.n_labels ** 2
+    values = []
+    passes = _forward_passes(stack, data)
+    for vector, forward in zip(stack, passes):
+        squares = (vector * vector).tolist()
+        norm2 = sum(squares[:n_unary]) + sum(squares[n_unary:])
+        values.append(_objective(vector, data, 0.5 * l2_lambda * norm2,
+                                 forward=forward))
+    return values[0] if weights.ndim == 1 else (values, passes)
+
+
+# Steps the line search scores in one forward pass: a step and its half.
+STEPS_PER_PASS = 2
+
+
+def _step_groups(step: float) -> list[list[float]]:
+    """The line search's steps: ``step``, halved while above 1e-12, in
+    groups of ``STEPS_PER_PASS``."""
+    steps = []
+    while step > 1e-12:
+        steps.append(step)
+        step *= 0.5
+    return [steps[k:k + STEPS_PER_PASS]
+            for k in range(0, len(steps), STEPS_PER_PASS)]
+
+
+def _line_search(w, grad, ll: float, gnorm2: float, step: float,
+                 data: CompiledDataset, l2_lambda: float, record: dict):
+    """The first trial ``w + s * grad`` that passes the Armijo test, tried
+    from ``s = step`` down, with its forward pass; None if none does.
+    Counts in ``record`` the steps tried, up to the accepted one, and sets
+    its ``step``."""
+    import numpy as np
+    for steps in _step_groups(step):
+        trials = [w + s * grad for s in steps]
+        values, passes = log_likelihood(np.stack(trials), data, l2_lambda)
+        for s, trial, value, forward in zip(steps, trials, values, passes):
+            record["trials"] += 1
+            if value > ll + 1e-4 * s * gnorm2:
+                record["step"] = s
+                return trial, forward
+    return None
 
 
 def train(dataset, labels, templates, config: TrainConfig = TrainConfig(),
@@ -458,8 +560,8 @@ def train(dataset, labels, templates, config: TrainConfig = TrainConfig(),
 
     Given ``log``, appends one record per iteration, ``{"iteration",
     "log_likelihood", "gradient_norm", "step", "trials"}`` (``step`` is the
-    accepted step, None if there was none; ``trials`` counts the line-search
-    evaluations), then ``{"stop": reason}``: ``converged``,
+    accepted step, None if there was none; ``trials`` counts the steps tried
+    up to the accepted one), then ``{"stop": reason}``: ``converged``,
     ``zero_gradient``, ``line_search_failed`` or ``max_iterations``.  The
     log only observes; the model is the same without it.
     """
@@ -475,9 +577,11 @@ def train(dataset, labels, templates, config: TrainConfig = TrainConfig(),
 
     step = 1.0
     prev_ll = None
+    forward = None
     stop = "max_iterations"
     for iteration in range(config.max_iterations):
-        ll, grad = log_likelihood_and_gradient(w, data, config.l2_lambda)
+        ll, grad = log_likelihood_and_gradient(w, data, config.l2_lambda,
+                                               forward)
         gnorm2 = float(grad @ grad)
         record = {"iteration": iteration, "log_likelihood": ll,
                   "gradient_norm": math.sqrt(gnorm2), "step": None,
@@ -491,20 +595,13 @@ def train(dataset, labels, templates, config: TrainConfig = TrainConfig(),
         if gnorm2 == 0.0:
             stop = "zero_gradient"
             break
-        s = step
-        while s > 1e-12:
-            record["trials"] += 1
-            trial = w + s * grad
-            trial_ll = log_likelihood(trial, data, config.l2_lambda)
-            if trial_ll > ll + 1e-4 * s * gnorm2:
-                w = trial
-                record["step"] = s
-                step = s * 2.0
-                break
-            s *= 0.5
-        if record["step"] is None:
+        accepted = _line_search(w, grad, ll, gnorm2, step, data,
+                                config.l2_lambda, record)
+        if accepted is None:
             stop = "line_search_failed"
             break
+        w, forward = accepted
+        step = record["step"] * 2.0
     if log is not None:
         log.append({"stop": stop})
     flat = w.tolist()

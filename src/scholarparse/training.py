@@ -150,14 +150,15 @@ _BUILDERS = {
 }
 
 
-def train_task(task: str, examples,
-               config: TrainConfig = TrainConfig()) -> CrfModel:
-    """Fit the CRF for one task name on examples from training_examples."""
+def train_task(task: str, examples, config: TrainConfig = TrainConfig(),
+               log: list | None = None) -> CrfModel:
+    """Fit the CRF for one task name on examples from training_examples;
+    ``log`` is passed to ``crf.train``."""
     if task not in _BUILDERS:
         raise ValueError(f"unknown task {task!r}")
     builder, labels, templates = _BUILDERS[task]
     dataset = builder(examples)
-    return train(dataset, labels, templates, config, task_name=task)
+    return train(dataset, labels, templates, config, task_name=task, log=log)
 
 
 def train_all(pairs, config: TrainConfig = TrainConfig(),

@@ -150,7 +150,8 @@ def per_sequence_objective(model: CrfModel, dataset):
     ``model``: the same sums in the same order, with one forward (and
     backward) recursion per sequence over its own positions, and each
     sequence's own path score and gradient counts, as the objective ran
-    before the sequences were batched."""
+    before the sequences were batched.  It runs its own recursions, so it
+    ignores a ``forward`` pass handed to it."""
     L, base = len(model.labels), weight_arrays(model)[0].size
     sequences = []
     for seq in dataset:
@@ -163,7 +164,7 @@ def per_sequence_objective(model: CrfModel, dataset):
             (per_feature.ravel(), base + gold[:-1] * L + gold[1:],
              base + np.arange(L * L)))))
 
-    def objective(weights, data, penalty: float, grad=None):
+    def objective(weights, data, penalty: float, grad=None, forward=None):
         unary, T = _split(weights, data.n_labels)
         ll = 0.0
         for positions, rows, gold, counts in sequences:

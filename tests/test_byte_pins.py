@@ -1,7 +1,7 @@
 """Byte pins for refactors: the generated articles and ground truth of
 seeds 0-39 per style, the TEI of one fixed article per style, the four
 training-sequence sets built from the same articles, and the four models
-trained on them.
+trained on them with their training logs.
 
 Code that keeps the extraction, feature and training behaviour keeps these
 digests;
@@ -24,7 +24,7 @@ from scholarparse.training import (TrainingPair, build_author_sequences,
                                    build_footnote_sequences,
                                    build_heading_sequences,
                                    build_title_sequences, train_all,
-                                   training_examples)
+                                   train_task, training_examples)
 
 ARTICLE_SEED = 4242
 
@@ -94,6 +94,16 @@ MODEL_SHA256 = {
     "footnote": "cbffbb128219b6ce83d3ee98d081583b6a2736624ba0943ff8f51ab475e5b740",
     "heading": "c7e78f9824e356bdec3efaddb3678d6ca4e489c6e2474a1e67ba5f6c0f513602",
     "title": "e3506172e196341f795779cdb050c5bb335c957af65cc9f217cf6c3242ef6505",
+}
+
+# repr of each task's crf.train log in that training: per iteration its
+# log-likelihood, gradient norm, accepted step and line-search trials, then
+# the stop reason.
+TRAIN_LOG_SHA256 = {
+    "author": "30d359a854ddcbc891c293843ca5ac455f17bc00a45757d028f0140533ba55eb",
+    "footnote": "58d27dce54c00d2e9709f833250bd9e6203979a02e8b2014421f01fc7270dd4c",
+    "heading": "c4983d5336d79d65ad178c9646b9208077bfc782ab2316a5f2c5673e64a22ed7",
+    "title": "b3fa2afbf4df5ba2ac49ceb56edf4a2159dfbb5c960369f8d035a659e17bdbe3",
 }
 
 BUILDERS = {
@@ -172,3 +182,12 @@ def trained(pairs):
 def test_trained_model_bytes(trained, task):
     digest = hashlib.sha256(save_model(trained[task])).hexdigest()
     assert digest == MODEL_SHA256[task]
+
+
+@pytest.mark.parametrize("task", sorted(TRAIN_LOG_SHA256))
+def test_training_log_bytes(pairs, task):
+    log = []
+    model = train_task(task, training_examples(pairs),
+                       TrainConfig(max_iterations=6), log)
+    assert sha256(repr(log)) == TRAIN_LOG_SHA256[task]
+    assert hashlib.sha256(save_model(model)).hexdigest() == MODEL_SHA256[task]

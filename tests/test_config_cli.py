@@ -1,6 +1,7 @@
 """Unit tests for configuration parsing and the command-line interface."""
 
 import copy
+import json
 import os
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from scholarparse.cli import main
 from scholarparse.config import PipelineConfig, load_config, parse_config
 from scholarparse.crf import TrainConfig
 from scholarparse.evaluate import ground_truth_from_text
-from scholarparse.pipeline import PipelineModels
+from scholarparse.pipeline import TASKS, PipelineModels
 from scholarparse.usecases import SectionMap
 
 
@@ -168,6 +169,35 @@ class TestCli:
         assert main(["train", "--corpus", str(corpus_dir), "--out", str(out),
                      "--task", "title", "--config", str(cfg)]) == 0
         assert (out / "title.crf").read_bytes().startswith(b"OCRPP-CRF 1\n")
+
+    @pytest.mark.parametrize("target", ("file", "stdout"))
+    def test_train_stats_logs_every_task_and_keeps_the_models(
+            self, corpus_dir, tmp_path, capsys, target):
+        cfg = tmp_path / "fast.conf"
+        cfg.write_text("max_iterations=3\n", "utf-8")
+        command = ["train", "--corpus", str(corpus_dir), "--config", str(cfg)]
+        assert main(command + ["--out", str(tmp_path / "quiet")]) == 0
+        stats = tmp_path / "stats.jsonl"
+        capsys.readouterr()
+        assert main(command + [
+            "--out", str(tmp_path / "logged"),
+            "--stats", str(stats) if target == "file" else "-"]) == 0
+        out = capsys.readouterr().out
+        text = stats.read_text("utf-8") if target == "file" else out
+        assert out == ("" if target == "file" else text)
+        records = [json.loads(line) for line in text.splitlines()]
+        assert [r["task"] for r in records] == \
+            [task for task in TASKS for _ in range(4)]
+        for task in TASKS:
+            *iterations, stop = [r for r in records if r["task"] == task]
+            assert [r["iteration"] for r in iterations] == [0, 1, 2]
+            for r in iterations:
+                assert set(r) == {"task", "iteration", "log_likelihood",
+                                  "gradient_norm", "step", "trials"}
+            assert stop == {"task": task, "stop": "max_iterations"}
+            name = f"{task}.crf"
+            assert (tmp_path / "logged" / name).read_bytes() == \
+                (tmp_path / "quiet" / name).read_bytes()
 
     def test_train_rejects_untrainable_config_before_reading(self, tmp_path,
                                                              capsys):

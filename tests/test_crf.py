@@ -323,26 +323,43 @@ class TestBatchedObjective:
             for _ in range(n)]) for n in lengths]
         return CrfModel.from_weights(labels, unary, trans), dataset
 
-    def _check(self, monkeypatch, model, dataset):
+    def _check(self, monkeypatch, model, dataset, rng):
         data = compile_dataset(model, dataset)
         w = flat_weights(model)
+        # Trials on a line from w, scored in one pass as the line search
+        # does, then each one's gradient from its pass.
+        direction = np.array([rng.uniform(-1.0, 1.0) for _ in w])
+        trials = [w + s * direction for s in (1.0, 0.5, 0.25)]
         ll, grad = log_likelihood_and_gradient(w, data, 0.7)
         value = log_likelihood(w, data, 0.7)
+        values, passes = log_likelihood(np.stack(trials), data, 0.7)
+        reused = [log_likelihood_and_gradient(trial, data, 0.7, forward)
+                  for trial, forward in zip(trials, passes)]
         with monkeypatch.context() as patched:
             patched.setattr(crf, "_objective",
                             per_sequence_objective(model, dataset))
             ll_oracle, grad_oracle = log_likelihood_and_gradient(w, data, 0.7)
             value_oracle = log_likelihood(w, data, 0.7)
+            values_oracle = [log_likelihood(trial, data, 0.7)
+                             for trial in trials]
+            reused_oracle = [log_likelihood_and_gradient(trial, data, 0.7)
+                             for trial in trials]
         assert ll == ll_oracle
         assert np.array_equal(grad, grad_oracle)
         assert value == value_oracle
+        assert values == values_oracle
+        for (trial_ll, trial_grad), (ll_oracle, grad_oracle) in zip(
+                reused, reused_oracle):
+            assert trial_ll == ll_oracle
+            assert np.array_equal(trial_grad, grad_oracle)
 
     @pytest.mark.parametrize("n_labels", (2, 3, 4))
     @pytest.mark.parametrize("lengths", LENGTHS.values(), ids=LENGTHS)
     def test_matches_per_sequence_oracle(self, rng, monkeypatch, lengths,
                                          n_labels):
         for _ in range(5):
-            self._check(monkeypatch, *self._dataset(rng, lengths, n_labels))
+            self._check(monkeypatch, *self._dataset(rng, lengths, n_labels),
+                        rng)
 
     @pytest.mark.parametrize("unknown", ("one sequence", "every sequence"))
     def test_sequences_without_known_features(self, rng, monkeypatch,
@@ -351,7 +368,7 @@ class TestBatchedObjective:
         blank = [LabeledSequence(items=[(("f6",), "L1"), ((), "L0"),
                                         (("f7", "f6"), "L1")])]
         dataset = dataset + blank if unknown == "one sequence" else blank * 2
-        self._check(monkeypatch, model, dataset)
+        self._check(monkeypatch, model, dataset, rng)
 
 
 # Feature "a" always carries label "X", feature "b" label "Y".
@@ -394,7 +411,8 @@ class TestTrain:
         {"l2_lambda": -1.0}, {"l2_lambda": math.nan},
         {"l2_lambda": math.inf}, {"max_iterations": -3},
         {"convergence_tol": math.nan}, {"convergence_tol": math.inf},
-        {"convergence_tol": -1e-5},
+        {"convergence_tol": -1e-5}, {"max_iterations": 2.5},
+        {"max_iterations": 3.0}, {"max_iterations": "3"},
     ], ids=repr)
     def test_untrainable_config_rejected(self, bad):
         with pytest.raises(ValueError):
@@ -402,6 +420,7 @@ class TestTrain:
 
     def test_boundary_config_accepted(self):
         TrainConfig(l2_lambda=1e-300, max_iterations=0, convergence_tol=0.0)
+        TrainConfig(max_iterations=np.int64(2))
 
 
 class TestTrainingLog:
@@ -436,12 +455,19 @@ class TestTrainingLog:
                        {"stop": "zero_gradient"}]
 
     def test_line_search_failed(self, monkeypatch):
-        monkeypatch.setattr(crf, "log_likelihood",
-                            lambda *args: -math.inf)
+        passes = []
+
+        def rejected(weights, *args):
+            passes.append(len(weights))
+            return [-math.inf] * len(weights), [None] * len(weights)
+
+        monkeypatch.setattr(crf, "log_likelihood", rejected)
         model, log = self._train()
         assert log[-1] == {"stop": "line_search_failed"}
         assert len(log) == 2
         assert log[0]["step"] is None and log[0]["trials"] == 40
+        # Steps 1, 1/2, ..., 2**-39, two to a forward pass.
+        assert passes == [2] * 20
         assert not np.asarray(model.unary).any()
         assert not np.asarray(model.transitions).any()
 
@@ -454,6 +480,133 @@ class TestTrainingLog:
         quiet = train(SEPARABLE, ("X", "Y"), (), config)
         logged, _ = self._train(max_iterations=15)
         assert save_model(logged) == save_model(quiet)
+
+
+def sequential_train(dataset, labels, config):
+    """Oracle for ``train``: its loop as it ran before the line search
+    scored its steps in pairs.  One vector per forward pass, one step at a
+    time, and each gradient runs its own forward pass.  Gives the flat
+    weights and the log."""
+    features = tuple(sorted({f for seq in dataset for feats in seq.features()
+                             for f in feats}))
+    L = len(labels)
+    zeros = ((0.0,) * L,)
+    data = compile_dataset(CrfModel(labels, features, zeros * len(features),
+                                    zeros * L), dataset)
+    w = np.zeros((len(features) + L) * L)
+    log, step, prev_ll, stop = [], 1.0, None, "max_iterations"
+    for iteration in range(config.max_iterations):
+        ll, grad = log_likelihood_and_gradient(w, data, config.l2_lambda)
+        gnorm2 = float(grad @ grad)
+        record = {"iteration": iteration, "log_likelihood": ll,
+                  "gradient_norm": math.sqrt(gnorm2), "step": None,
+                  "trials": 0}
+        log.append(record)
+        if prev_ll is not None and abs(ll - prev_ll) < config.convergence_tol:
+            stop = "converged"
+            break
+        prev_ll = ll
+        if gnorm2 == 0.0:
+            stop = "zero_gradient"
+            break
+        s = step
+        while s > 1e-12:
+            record["trials"] += 1
+            trial = w + s * grad
+            if log_likelihood(trial, data, config.l2_lambda) > \
+                    ll + 1e-4 * s * gnorm2:
+                w = trial
+                record["step"] = s
+                step = s * 2.0
+                break
+            s *= 0.5
+        if record["step"] is None:
+            stop = "line_search_failed"
+            break
+    log.append({"stop": stop})
+    return w, log
+
+
+@st.composite
+def labeled_instances(draw, max_sequences=4):
+    """Labels (1 to 3), a model over features f0-f3 with random weights,
+    and sequences of uneven lengths from 1 that also use f4 and f5, which
+    the model does not know."""
+    labels = tuple(f"L{i}" for i in range(draw(st.integers(1, 3))))
+    pool = [f"f{i}" for i in range(6)]
+    weight = st.floats(-3.0, 3.0, allow_nan=False)
+    model = CrfModel.from_weights(
+        labels, {(f, label): draw(weight) for f in pool[:4]
+                 for label in labels},
+        {(a, b): draw(weight) for a in labels for b in labels})
+    item = st.tuples(st.lists(st.sampled_from(pool), max_size=3,
+                              unique=True).map(tuple),
+                     st.sampled_from(labels))
+    dataset = draw(st.lists(st.lists(item, min_size=1, max_size=7).map(
+        lambda items: LabeledSequence(items=items)),
+        min_size=1, max_size=max_sequences))
+    return model, dataset
+
+
+class TestBatchedLineSearch:
+    """Scoring a line search's steps in one forward pass, and the gradient
+    reusing the accepted step's pass, give the sequential search's values,
+    log and weights bit for bit."""
+
+    @given(labeled_instances(), st.lists(
+        st.sampled_from((1.0, 0.5, 0.25, 2.0 ** -20, 0.0)), min_size=1,
+        max_size=4), st.randoms(use_true_random=False))
+    @settings(max_examples=150)
+    def test_stacked_scoring_matches_one_vector(self, instance, steps, rng):
+        model, dataset = instance
+        data = compile_dataset(model, dataset)
+        w = flat_weights(model)
+        direction = np.array([rng.uniform(-20.0, 20.0) for _ in w])
+        trials = [w + s * direction for s in steps]
+        values, passes = log_likelihood(np.stack(trials), data, 0.7)
+        assert len(values) == len(passes) == len(trials)
+        for trial, value, forward in zip(trials, values, passes):
+            alone, = crf._forward_passes(trial[None], data)
+            assert all(map(same_bits, forward, alone))
+            assert value == log_likelihood(trial, data, 0.7)
+            ll, grad = log_likelihood_and_gradient(trial, data, 0.7)
+            ll_reused, grad_reused = log_likelihood_and_gradient(
+                trial, data, 0.7, forward)
+            assert ll_reused == ll
+            assert same_bits(grad_reused, grad)
+
+    def _check(self, dataset, labels, config):
+        log = []
+        model = train(dataset, labels, (), config, log=log)
+        weights, reference_log = sequential_train(dataset, labels, config)
+        assert log == reference_log
+        assert same_bits(flat_weights(model), weights)
+        return log
+
+    @given(labeled_instances(max_sequences=3),
+           st.sampled_from((0.05, 0.5, 2.0)), st.integers(0, 25),
+           st.sampled_from((0.0, 1e-6, 1e-2)))
+    @settings(max_examples=60)
+    def test_train_matches_sequential_line_search(self, instance, l2_lambda,
+                                                  max_iterations, tol):
+        model, dataset = instance
+        self._check(dataset, model.labels,
+                    TrainConfig(l2_lambda, max_iterations, tol))
+
+    @pytest.mark.parametrize("stop, dataset, labels, config", [
+        ("converged", SEPARABLE, ("X", "Y"),
+         TrainConfig(max_iterations=500, convergence_tol=1e-3)),
+        ("zero_gradient", [LabeledSequence(items=[(("a",), "X")] * 3)],
+         ("X",), TrainConfig()),
+        ("line_search_failed", SEPARABLE, ("X", "Y"),
+         TrainConfig(max_iterations=500, convergence_tol=0.0)),
+        ("max_iterations", SEPARABLE, ("X", "Y", "Z"),
+         TrainConfig(max_iterations=7)),
+    ], ids=lambda v: v if isinstance(v, str) else "")
+    def test_every_stop_matches_sequential_line_search(self, stop, dataset,
+                                                       labels, config):
+        log = self._check(dataset, labels, config)
+        assert log[-1] == {"stop": stop}
 
 
 class TestSerialization:
