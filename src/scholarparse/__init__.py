@@ -63,29 +63,7 @@ _MODULE_OF = {name: module for module, names in _SOURCES.items()
               for name in names}
 _SUBMODULES = frozenset(_SOURCES) | {"cli", "features"}
 
-__all__ = [
-    "Affiliation", "AuthorName", "AuthorRecord", "CaptionHeading",
-    "ChunkParams", "Chunk", "CitationHistogram", "CitationInstance",
-    "CitationLink", "CrfModel", "Document", "DocumentContext", "EmailAddress",
-    "ExtractionResult", "FeatureTemplate", "Footnote", "GroundTruth",
-    "IngestReport", "LabeledSequence", "Line", "Page", "PipelineConfig",
-    "PipelineModels", "Reference", "RichXmlParseError", "STYLES", "Section",
-    "SectionHeading", "SectionMap", "Token", "TokenMetrics", "TrainConfig",
-    "TrainingPair", "aggregate", "build_context", "chunk_document", "chunk_page",
-    "curate_dataset_links", "document_to_xml", "evaluate_extraction",
-    "expand_email_group", "export_tei", "extract_affiliations",
-    "extract_author_names", "extract_caption_headings", "extract_citations",
-    "extract_document", "extract_emails", "extract_footnotes", "extract_title",
-    "extract_urls", "forward_backward",
-    "generate_synthetic_document", "ground_truth_from_text",
-    "ground_truth_to_text", "label_headings", "load_config", "load_corpus",
-    "load_default_models", "load_model", "load_models_from_dir", "make_chunk",
-    "map_authors_to_emails", "map_citations_to_references", "map_sections",
-    "micro_average", "parse_config", "parse_rich_xml", "render_report",
-    "save_model", "section_citation_distribution", "split_corpus",
-    "split_references", "token_score", "train", "train_all", "train_task",
-    "training_examples", "viterbi_decode",
-]
+__all__ = [*_MODULE_OF]
 
 
 def __getattr__(name):

@@ -66,12 +66,17 @@ class NoReferenceSectionError(ValueError):
 @dataclass(frozen=True)
 class Reference:
     """One entry of the reference list: its number when the list is indexed,
-    its text, and the first author's surname and year read from that text."""
+    its text, and the first year read from that text."""
 
     index: int | None
     raw_text: str
-    first_author_last: str | None = None
     year: int | None = None
+
+
+def reference_number(ref: Reference, position: int) -> int:
+    """A reference's number: its index, else its 1-based ``position`` in the
+    reference list."""
+    return ref.index if ref.index is not None else position + 1
 
 
 @dataclass(frozen=True)
@@ -136,21 +141,13 @@ _BRACKET_START = re.compile(r"^\[(\d{1,3})\]\s*")
 _NUMBER_START = re.compile(r"^(\d{1,3})\.\s+")
 # A year from 1500 to 2100 standing as a word of its own.
 _YEAR_TOKEN = re.compile(r"\b(1[5-9]\d\d|20\d\d|2100)\b")
-_CAP_TOKEN = re.compile(r"\b[A-Z][A-Za-z'\-]*\b")
 
 
 def _finish(index, text_parts) -> Reference:
     raw = " ".join(text_parts).strip()
-    year = None
     m = _YEAR_TOKEN.search(raw)
-    if m:
-        year = int(m.group(0))
-    first_author = None
-    m = _CAP_TOKEN.search(raw)
-    if m:
-        first_author = m.group(0)
     return Reference(index=index, raw_text=raw,
-                     first_author_last=first_author, year=year)
+                     year=int(m.group(0)) if m else None)
 
 
 def _reference_starts(lines) -> dict[int, tuple[int | None, int]]:

@@ -13,6 +13,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 
+from .bibliography import reference_number
 from .tei import ExtractionResult
 
 # Report rows, in the order the subtask accuracy table is presented.
@@ -117,9 +118,8 @@ def _pair_token(*parts: str) -> str:
 
 def predicted_field_strings(result: ExtractionResult) -> dict[str, str]:
     """Flatten an ExtractionResult into one comparable string per field."""
-    ordinals = {}
-    for i, ref in enumerate(result.references):
-        ordinals[id(ref)] = str(ref.index if ref.index is not None else i + 1)
+    ordinals = {id(ref): str(reference_number(ref, i))
+                for i, ref in enumerate(result.references)}
     cite_ref_tokens = [
         _pair_token(link.citation.matched_text, ordinals[id(link.reference)])
         for link in result.citations if link.reference is not None
@@ -140,9 +140,9 @@ def predicted_field_strings(result: ExtractionResult) -> dict[str, str]:
                                  if r.affiliation is not None}.values()),
         "section_headings": " ".join(s.heading.text for s in result.sections
                                      if s.heading is not None),
-        "figure_headings": " ".join(c.full for c in result.captions
+        "figure_headings": " ".join(c.text for c in result.captions
                                     if c.kind == "figure"),
-        "table_headings": " ".join(c.full for c in result.captions
+        "table_headings": " ".join(c.text for c in result.captions
                                    if c.kind == "table"),
         "urls": " ".join(result.urls),
         "footnotes": " ".join(f.text for f in result.footnotes),

@@ -47,11 +47,10 @@ class AuthorName:
 
 @dataclass(frozen=True)
 class EmailAddress:
-    """An e-mail address, split at the ``@``, with the text it was read from."""
+    """An e-mail address, split at the ``@``."""
 
     user: str
     domain: str
-    raw: str
 
     @property
     def address(self) -> str:
@@ -60,12 +59,10 @@ class EmailAddress:
 
 @dataclass(frozen=True)
 class Affiliation:
-    """An affiliation line, its author marker if it has one, and the
-    institution cue words that matched it."""
+    """An affiliation line and its author marker if it has one."""
 
     text: str
     marker: str | None = None
-    matched_cues: tuple[str, ...] = ()
 
 
 @dataclass
@@ -228,8 +225,7 @@ def expand_email_group(text: str) -> list[EmailAddress]:
     consume(_P_SUBDOMAIN_GROUP, _expand_subdomain_group)
     consume(_P_BRACE_GROUP, _expand_plain_group)
     consume(_P_BRACKET_GROUP, _expand_plain_group)
-    consume(_P_PLAIN, lambda m: [EmailAddress(m.group(1), m.group(2),
-                                              f"{m.group(1)}@{m.group(2)}")])
+    consume(_P_PLAIN, lambda m: [EmailAddress(m.group(1), m.group(2))])
     results.sort(key=lambda pair: pair[0])
     return [e for _, e in results]
 
@@ -240,7 +236,7 @@ def _expand_plain_group(m) -> list[EmailAddress]:
     for user in m.group(1).split(","):
         user = user.strip()
         if user:
-            out.append(EmailAddress(user, domain, f"{user}@{domain}"))
+            out.append(EmailAddress(user, domain))
     return out
 
 
@@ -253,8 +249,7 @@ def _expand_subdomain_group(m) -> list[EmailAddress]:
             continue
         user, sub = entry.split("@", 1)
         domain = f"{sub.strip()}.{suffix}" if sub.strip() else suffix
-        out.append(EmailAddress(user.strip(), domain,
-                                f"{user.strip()}@{domain}"))
+        out.append(EmailAddress(user.strip(), domain))
     return out
 
 
@@ -290,10 +285,8 @@ def extract_affiliations(ctx: DocumentContext) -> list[Affiliation]:
     cue_set = _affiliation_cues()
     out = []
     for chunk in ctx.first_page_chunks:
-        words = [t.text.strip(",.;") for t in chunk.tokens]
-        matched = sorted({w for w in words if w.lower() in cue_set},
-                         key=lambda w: words.index(w))
-        if not matched:
+        if not any(t.text.strip(",.;").lower() in cue_set
+                   for t in chunk.tokens):
             continue
         marker = None
         text_tokens = chunk.tokens
@@ -304,10 +297,8 @@ def extract_affiliations(ctx: DocumentContext) -> list[Affiliation]:
                 text_tokens = chunk.tokens[1:]
             else:
                 marker = lead.text[0].translate(SUPERSCRIPT_TO_ASCII)
-        out.append(Affiliation(
-            text=" ".join(t.text for t in text_tokens),
-            marker=marker,
-            matched_cues=tuple(matched)))
+        out.append(Affiliation(text=" ".join(t.text for t in text_tokens),
+                               marker=marker))
     return out
 
 

@@ -13,9 +13,8 @@ from itertools import islice
 
 from .context import DocumentContext
 from .crf import CrfModel, viterbi_decode
-from .features import (SUPERSCRIPT_TO_ASCII, enumeration_kind,
-                       footnote_chunk_features, heading_chunk_features,
-                       is_marker)
+from .features import (SUPERSCRIPT_TO_ASCII, footnote_chunk_features,
+                       heading_chunk_features, is_marker)
 from .model import Chunk
 
 HEADING_LABEL = "HEADING"
@@ -29,17 +28,14 @@ TABLE_KEYWORDS = ("Table", "TABLE")
 URL_PATTERN = re.compile(
     r"https?://(?:[a-zA-Z0-9]|[$-_@.&+]|[!*(),]|%[0-9a-fA-F]{2})+")
 
-ROMAN_VALUES = {"I": 1, "V": 5, "X": 10, "L": 50, "C": 100, "D": 500, "M": 1000}
-
 
 @dataclass(frozen=True)
 class SectionHeading:
-    """A heading chunk, its parsed enumeration if it has one, and its level."""
+    """A heading chunk's text, enumeration included, and its index among
+    the document's chunks."""
 
     text: str
-    enumeration: tuple[str, str] | None  # (kind, value) or None
     chunk_index: int
-    level: int = 1
 
 
 @dataclass(frozen=True)
@@ -66,39 +62,11 @@ class Footnote:
 
 @dataclass(frozen=True)
 class CaptionHeading:
-    """A figure or table caption: its label and its text."""
+    """A figure or table caption: its kind and its text, label included as
+    read ("Fig. 3: overview")."""
 
     kind: str  # "figure" or "table"
-    label: str
     text: str
-    source_text: str = ""  # heading text with the original label tokens
-
-    @property
-    def full(self) -> str:
-        return self.source_text or f"{self.label} {self.text}".strip()
-
-
-def _roman_to_int(s: str) -> int:
-    total = 0
-    for ch, nxt in zip(s, s[1:] + " "):
-        v = ROMAN_VALUES[ch]
-        total += -v if nxt in ROMAN_VALUES and ROMAN_VALUES[nxt] > v else v
-    return total
-
-
-def parse_enumeration(first_token: str):
-    """(kind, value, level) of a heading's leading token, or None."""
-    kind = enumeration_kind(first_token)
-    if kind == "none":
-        return None
-    stripped = first_token.rstrip(".")
-    if kind == "arabic":
-        parts = stripped.split(".")
-        return "arabic", stripped, len(parts)
-    if kind == "roman":
-        return "roman", str(_roman_to_int(stripped)), 1
-    parts = stripped.split(".")
-    return "alpha", stripped, len(parts)
 
 
 def heading_sequences(ctx: DocumentContext):
@@ -111,20 +79,14 @@ def heading_sequences(ctx: DocumentContext):
 
 def label_headings(ctx: DocumentContext,
                    heading_model: CrfModel) -> list[SectionHeading]:
-    """Chunks the heading labeler marks, with parsed enumeration and level.
-
-    ``chunk_index`` counts in ``ctx.chunks``.
-    """
+    """Chunks the heading labeler marks; ``chunk_index`` counts in
+    ``ctx.chunks``."""
     out = []
     for chunks, feats in heading_sequences(ctx):
         labels = viterbi_decode(heading_model, feats)
-        for i, (chunk, lab) in enumerate(zip(chunks, labels)):
-            if lab != HEADING_LABEL:
-                continue
-            parsed = parse_enumeration(chunk.tokens[0].text)
-            out.append(SectionHeading(
-                text=chunk.text, enumeration=parsed and parsed[:2],
-                chunk_index=i, level=parsed[2] if parsed else 1))
+        out.extend(SectionHeading(chunk.text, i)
+                   for i, (chunk, lab) in enumerate(zip(chunks, labels))
+                   if lab == HEADING_LABEL)
     return out
 
 
@@ -238,9 +200,6 @@ def extract_caption_headings(chunks: list[Chunk]) -> list[CaptionHeading]:
         if kind == "table" and any(t.bold for t in rest) and not all(t.bold for t in rest):
             # Table chunks often mix caption and cell text; keep the bold part.
             rest = [t for t in rest if t.bold]
-        label = " ".join(t.text.rstrip(".:") for t in label_toks)
-        source = " ".join(t.text for t in label_toks + list(rest))
-        out.append(CaptionHeading(kind=kind, label=label,
-                                  text=" ".join(t.text for t in rest),
-                                  source_text=source))
+        out.append(CaptionHeading(
+            kind=kind, text=" ".join(t.text for t in label_toks + rest)))
     return out

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from xml.etree import ElementTree as ET
 
 from ._gcpause import gc_paused
-from .bibliography import CitationLink, Reference
+from .bibliography import CitationLink, Reference, reference_number
 from .metadata import AuthorRecord
 from .structure import CaptionHeading, Footnote, Section
 
@@ -45,9 +45,8 @@ class ExtractionResult:
 
 
 def reference_id(ref: Reference, position: int) -> str:
-    """Stable back-matter id: the reference index, else 1-based position."""
-    n = ref.index if ref.index is not None else position + 1
-    return f"ref-{n}"
+    """Stable back-matter id: "ref-" and the reference's number."""
+    return f"ref-{reference_number(ref, position)}"
 
 
 @gc_paused
@@ -130,7 +129,7 @@ def _body(body, result, ids):
     for caption in result.captions:
         figure = ET.SubElement(body, "figure", {"type": caption.kind})
         head = ET.SubElement(figure, "head")
-        head.text = caption.full
+        head.text = caption.text
     for note in result.footnotes:
         attrs = {"place": "foot"}
         if note.marker:

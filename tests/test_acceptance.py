@@ -268,8 +268,7 @@ class TestCriterion9UseCases:
         from scholarparse.usecases import section_citation_distribution
 
         def sec(i, name):
-            return Section(heading=SectionHeading(text=name, enumeration=None,
-                                                  chunk_index=i),
+            return Section(heading=SectionHeading(text=name, chunk_index=i),
                            paragraphs=())
 
         headings = ["Introduction", "Datasets", "Methodology", "Novel Trick",

@@ -225,7 +225,9 @@ class TestSplitReferences:
     def test_year_and_first_author_extracted(self):
         (ref,) = split_references([("Okafor, P. 2015. A study.", 60.0)])
         assert ref.year == 2015
-        assert ref.first_author_last == "Okafor"
+        # Author-year linking reads the first author in the text before
+        # the year.
+        assert ref.raw_text.startswith("Okafor")
 
     def test_out_of_range_year_ignored(self):
         (ref,) = split_references([("Smith press 2500 units.", 60.0)])
@@ -253,8 +255,7 @@ class TestSplitReferences:
 def _section(heading_text, paragraphs=()):
     heading = None
     if heading_text is not None:
-        heading = SectionHeading(text=heading_text, enumeration=None,
-                                 chunk_index=0)
+        heading = SectionHeading(text=heading_text, chunk_index=0)
     return Section(heading=heading, paragraphs=tuple(paragraphs))
 
 
@@ -290,12 +291,10 @@ class TestLocateReferenceSection:
 
 class TestLinking:
     REFS = [
-        Reference(index=1, raw_text="Singh, M. 2013. A paper.",
-                  first_author_last="Singh", year=2013),
+        Reference(index=1, raw_text="Singh, M. 2013. A paper.", year=2013),
         Reference(index=2, raw_text="Goyal, P. 2013. Another paper.",
-                  first_author_last="Goyal", year=2013),
-        Reference(index=3, raw_text="Okafor, G. 2015. Third.",
-                  first_author_last="Okafor", year=2015),
+                  year=2013),
+        Reference(index=3, raw_text="Okafor, G. 2015. Third.", year=2015),
     ]
 
     def test_index_link(self):
@@ -330,7 +329,7 @@ class TestLinking:
     def test_ambiguous_flagged_and_earliest_chosen(self):
         refs = self.REFS + [Reference(index=4,
                                       raw_text="Singh, R. 2013. Again.",
-                                      first_author_last="Singh", year=2013)]
+                                      year=2013)]
         (cit,) = extract_citations("as Singh (2013) argued")
         (link,) = map_citations_to_references([cit], refs)
         assert link.reference.index == 1

@@ -4,10 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scholarparse.bibliography import (CitationLink, Reference,
+                                       extract_citations)
 from scholarparse.evaluate import (GroundTruth, TokenMetrics, aggregate,
                                    ground_truth_from_text,
                                    ground_truth_to_text, micro_average,
-                                   split_corpus, token_score)
+                                   predicted_field_strings, split_corpus,
+                                   token_score)
+from scholarparse.tei import ExtractionResult, reference_id
 
 
 class TestTokenScore:
@@ -90,6 +94,22 @@ class TestAggregate:
         d2 = {f: TokenMetrics(tp=2, fp=0, fn=1) for f in REPORT_FIELDS}
         agg = aggregate([d1, d2])
         assert agg["title"] == TokenMetrics(tp=3, fp=1, fn=1)
+
+
+class TestPredictedFieldStrings:
+    @pytest.mark.parametrize("index, number", [(None, "2"), (7, "7")])
+    def test_cite_ref_uses_the_reference_number(self, index, number):
+        # An unindexed reference is numbered by its 1-based position, as
+        # its TEI id is.
+        refs = [Reference(index=None, raw_text="Singh, M. 2013. A."),
+                Reference(index=index, raw_text="Goyal, P. 2014. B.")]
+        (cit,) = extract_citations("as Goyal (2014) argued")
+        result = ExtractionResult(references=refs, citations=[
+            CitationLink(citation=cit, reference=refs[1],
+                         method="author-year")])
+        assert (predicted_field_strings(result)["cite_ref"]
+                == f"goyal_(2014)={number}")
+        assert reference_id(refs[1], 1) == f"ref-{number}"
 
 
 class TestGroundTruthIO:

@@ -1,5 +1,7 @@
 """Unit tests for metadata extraction helpers."""
 
+import pytest
+
 from scholarparse.context import build_context
 from scholarparse.metadata import (Affiliation, AuthorName, EmailAddress,
                                    _run_to_name, _split_runs,
@@ -101,7 +103,7 @@ class TestRunToName:
 
 
 def email(user, domain="cse.example.org"):
-    return EmailAddress(user=user, domain=domain, raw=f"{user}@{domain}")
+    return EmailAddress(user=user, domain=domain)
 
 
 def name(first, last, middle=""):
@@ -172,10 +174,17 @@ class TestAffiliations:
         return ctx
 
     def test_cue_and_country_match(self):
+        # The cue line is kept whole; the chunk with no cue is skipped.
         out = extract_affiliations(self._context())
-        assert len(out) == 1
-        assert "Institute" in out[0].matched_cues
-        assert "India" in out[0].matched_cues
+        assert out == [Affiliation(text="Indian Institute of Technology, India")]
+
+    @pytest.mark.parametrize("words", [["Mountain", "Institute"],
+                                       ["Kharagpur,", "India."]])
+    def test_either_lexicon_alone_is_a_cue(self, words):
+        line = [tok(w, 60.0 * i, bold=False, size=10.0)
+                for i, w in enumerate(words)]
+        out = extract_affiliations(context_of(line))
+        assert out == [Affiliation(text=" ".join(words))]
 
     def test_superscript_marker_captured(self):
         marked = [tok("1", 0, bold=False, size=6.0, sup=True),

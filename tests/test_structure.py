@@ -6,8 +6,7 @@ from scholarparse.model import Document, Page, Token, make_chunk
 from scholarparse.structure import (CaptionHeading, Footnote, Section,
                                     SectionHeading, _split_footnote_chunk,
                                     extract_caption_headings, extract_urls,
-                                    map_sections, parse_enumeration,
-                                    section_chunks)
+                                    map_sections, section_chunks)
 
 
 def tok(text, x=0.0, baseline=100.0, size=10.0, bold=False, sup=False):
@@ -25,33 +24,12 @@ def chunk(words, **kw):
     return make_chunk(toks)
 
 
-class TestEnumeration:
-    def test_arabic_levels(self):
-        assert parse_enumeration("3") == ("arabic", "3", 1)
-        assert parse_enumeration("3.") == ("arabic", "3", 1)
-        assert parse_enumeration("3.1") == ("arabic", "3.1", 2)
-        assert parse_enumeration("3.1.2") == ("arabic", "3.1.2", 3)
-
-    def test_roman_converted_to_int(self):
-        assert parse_enumeration("IV.") == ("roman", "4", 1)
-        assert parse_enumeration("XII") == ("roman", "12", 1)
-
-    def test_alpha(self):
-        assert parse_enumeration("A.") == ("alpha", "A", 1)
-        assert parse_enumeration("B.2") == ("alpha", "B.2", 2)
-
-    def test_plain_word_is_none(self):
-        assert parse_enumeration("Introduction") is None
-
-
 class TestMapSections:
     def test_front_matter_then_bodies(self):
         chunks = [chunk(["front"]), chunk(["1", "Intro"]), chunk(["body1"]),
                   chunk(["2", "Methods"]), chunk(["body2"]), chunk(["body3"])]
-        headings = [SectionHeading(text="1 Intro", enumeration=("arabic", "1"),
-                                   chunk_index=1),
-                    SectionHeading(text="2 Methods", enumeration=("arabic", "2"),
-                                   chunk_index=3)]
+        headings = [SectionHeading(text="1 Intro", chunk_index=1),
+                    SectionHeading(text="2 Methods", chunk_index=3)]
         sections = map_sections(chunks, headings)
         assert sections[0].heading is None
         assert sections[0].paragraphs[0] == "front"
@@ -62,8 +40,7 @@ class TestMapSections:
         chunks = [chunk(["front"]), chunk(["1", "Intro"]), chunk(["body1"]),
                   chunk(["2", "Methods"]), chunk(["body2"]), chunk(["body3"]),
                   chunk(["3", "More"])]
-        headings = [SectionHeading(text=c.text, enumeration=None,
-                                   chunk_index=i)
+        headings = [SectionHeading(text=c.text, chunk_index=i)
                     for i, c in enumerate(chunks) if i in (1, 3, 6)]
         sections = map_sections(chunks, headings)
         for section in sections[1:]:
@@ -140,9 +117,8 @@ class TestCaptions:
     def test_figure_caption(self):
         c = chunk(["Figure", "2:", "A", "nice", "plot."], size=9.0, bold=True)
         (cap,) = extract_caption_headings([c])
-        assert cap.kind == "figure"
-        assert cap.label == "Figure 2"
-        assert cap.full == "Figure 2: A nice plot."
+        assert cap == CaptionHeading(kind="figure",
+                                     text="Figure 2: A nice plot.")
 
     def test_table_caption_filters_cell_text(self):
         toks = [tok("Table", 0, size=9.0, bold=True),
@@ -151,8 +127,7 @@ class TestCaptions:
                 tok("cell1", 120, size=9.0),
                 tok("cell2", 160, size=9.0)]
         (cap,) = extract_caption_headings([make_chunk(toks)])
-        assert cap.kind == "table"
-        assert cap.full == "Table 1: Results"
+        assert cap == CaptionHeading(kind="table", text="Table 1: Results")
 
     def test_non_caption_chunks_ignored(self):
         assert extract_caption_headings([chunk(["Plain", "text"])]) == []
@@ -160,12 +135,5 @@ class TestCaptions:
     def test_fig_abbreviation(self):
         c = chunk(["Fig.", "3:", "overview"], size=9.0, bold=True)
         (cap,) = extract_caption_headings([c])
-        assert cap.kind == "figure"
-        assert cap.label == "Fig 3"
-
-    def test_full_prefers_source_text(self):
-        cap = CaptionHeading(kind="figure", label="Figure 1", text="x",
-                             source_text="Figure 1: x")
-        assert cap.full == "Figure 1: x"
-        bare = CaptionHeading(kind="figure", label="Figure 1", text="x")
-        assert bare.full == "Figure 1 x"
+        # The label keeps its tokens as read.
+        assert cap == CaptionHeading(kind="figure", text="Fig. 3: overview")

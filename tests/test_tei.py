@@ -14,18 +14,15 @@ NS = {"tei": "http://www.tei-c.org/ns/1.0"}
 
 
 def sample_result():
-    refs = [Reference(index=1, raw_text="Singh, M. 2013. A paper.",
-                      first_author_last="Singh", year=2013),
-            Reference(index=2, raw_text="Goyal, P. 2014. Other.",
-                      first_author_last="Goyal", year=2014)]
+    refs = [Reference(index=1, raw_text="Singh, M. 2013. A paper.", year=2013),
+            Reference(index=2, raw_text="Goyal, P. 2014. Other.", year=2014)]
     (cit,) = extract_citations("see [1] here")
     import dataclasses
     cit = dataclasses.replace(cit, section_heading="1 Intro")
-    heading = SectionHeading(text="1 Intro", enumeration=("arabic", "1"),
-                             chunk_index=1)
+    heading = SectionHeading(text="1 Intro", chunk_index=1)
     author = AuthorRecord(
         name=AuthorName(first="Mayank", middle="K", last="Singh"),
-        email=EmailAddress(user="mayanks", domain="x.org", raw="mayanks@x.org"),
+        email=EmailAddress(user="mayanks", domain="x.org"),
         affiliation=Affiliation(text="IIT Kharagpur, India"))
     return ExtractionResult(
         source_id="doc-1",
@@ -35,8 +32,7 @@ def sample_result():
                   Section(heading=heading, paragraphs=("body",))],
         urls=["http://example.org/x"],
         footnotes=[Footnote(marker="1", text="a note", page_no=1)],
-        captions=[CaptionHeading(kind="figure", label="Figure 1",
-                                 text="plot", source_text="Figure 1: plot")],
+        captions=[CaptionHeading(kind="figure", text="Figure 1: plot")],
         references=refs,
         citations=[CitationLink(citation=cit, reference=refs[0],
                                 method="index")],

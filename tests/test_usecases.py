@@ -13,8 +13,7 @@ from scholarparse.usecases import (SectionMap, _generic_by_heading,
 def section(heading_text, words=()):
     heading = None
     if heading_text is not None:
-        heading = SectionHeading(text=heading_text, enumeration=None,
-                                 chunk_index=0)
+        heading = SectionHeading(text=heading_text, chunk_index=0)
     paragraphs = (" ".join(words),) if words else ()
     return Section(heading=heading, paragraphs=paragraphs)
 
