@@ -11,6 +11,14 @@ output.
 ``gc`` is process-wide: while a paused call runs, every other thread of the
 process also runs without automatic collection.  A caller that had
 disabled the collector finds it still disabled afterwards.
+
+The pause defers the collection of what a call allocated; it does not
+drop it.  The collector comes back on with the young generation's count
+still holding every container object the call left alive, so a caller
+that allocates between two paused calls (``parse_rich_xml``, then
+``extract_document``) sets off one young collection over everything the
+first call returned, a whole parsed document.  A caller that allocates
+nothing between them pays no such collection.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .features import strip_enumeration
+from .features import heading_key
 from .structure import Section
 
 # An author name, and the leading author of an author-led style: a name
@@ -104,37 +104,19 @@ class CitationLink:
     ambiguous: bool = False
 
 
-def locate_reference_section(sections: list[Section]):
-    """The References/Bibliography section with the paragraphs of the
-    sections after it up to the first appendix heading folded in, and the
-    other sections."""
-    ref_idx = None
-    for i, section in enumerate(sections):
-        if section.heading is None:
-            continue
-        head = strip_enumeration(section.heading.text).lower()
-        if head.startswith("references") or head.startswith("bibliography"):
-            ref_idx = i
-            break
-    if ref_idx is None:
+def locate_reference_section(sections: list[Section]) -> tuple[int, int]:
+    """``(start, stop)``: ``sections[start]`` is the first References or
+    Bibliography section, and ``sections[start:stop]`` the run read as the
+    reference list, up to the first later appendix heading or the end."""
+    keys = [heading_key(section.heading.text) if section.heading else ""
+            for section in sections]
+    start = next((i for i, key in enumerate(keys)
+                  if key.startswith(("references", "bibliography"))), None)
+    if start is None:
         raise NoReferenceSectionError("no reference section")
-
-    ref_section = sections[ref_idx]
-    extra = []
-    remainder = sections[:ref_idx]
-    folding = True
-    for section in sections[ref_idx + 1:]:
-        head = "" if section.heading is None else strip_enumeration(
-            section.heading.text).lower()
-        if head.startswith("appendix"):
-            folding = False
-        if folding:
-            extra.extend(section.paragraphs)
-        else:
-            remainder.append(section)
-    combined = Section(heading=ref_section.heading,
-                       paragraphs=ref_section.paragraphs + tuple(extra))
-    return combined, remainder
+    stop = next((i for i in range(start + 1, len(keys))
+                 if keys[i].startswith("appendix")), len(keys))
+    return start, stop
 
 
 _BRACKET_START = re.compile(r"^\[(\d{1,3})\]\s*")

@@ -73,9 +73,10 @@ def _each_input(work, items, setup=(), jobs=1) -> tuple[list, bool]:
     """The results of ``work(item, *setup)`` for the inputs that did not
     fail, in input order, and whether any failed.  Each failure is printed
     as ``error: <input>: <message>``, so one bad input loses no other.
-    With ``jobs`` > 1 the inputs run in that many worker processes; only
-    then is the process pool imported, so a one-process call never loads
-    ``multiprocessing``."""
+    With ``jobs`` > 1 and more than one input, the inputs run in worker
+    processes, at most one per input; only then is the process pool
+    imported, so a one-process call never loads ``multiprocessing``."""
+    jobs = min(jobs, len(items))
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,

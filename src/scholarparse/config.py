@@ -40,8 +40,10 @@ def _part(cls, values: dict):
 
 
 def parse_config(text: str) -> PipelineConfig:
-    """Parse key=value lines; '#' comments and blank lines are ignored."""
+    """Parse key=value lines; '#' comments and blank lines are ignored, and
+    a key may be set once."""
     values = {}
+    set_on = {}  # key -> the line that set it
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -52,6 +54,10 @@ def parse_config(text: str) -> PipelineConfig:
         key, raw = key.strip(), raw.strip()
         if key not in _DEFAULTS:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
+        if key in set_on:
+            raise ValueError(f"line {lineno}: key {key!r} already set on "
+                             f"line {set_on[key]}")
+        set_on[key] = lineno
         kind = type(_DEFAULTS[key])
         if kind is bool:
             if raw.lower() not in _BOOL_VALUES:

@@ -114,6 +114,12 @@ def strip_enumeration(text: str) -> str:
     return " ".join(words)
 
 
+def heading_key(text: str) -> str:
+    """A heading's text without its enumeration, lower-cased: the form in
+    which headings are matched by name."""
+    return strip_enumeration(text).lower()
+
+
 def _word_feature(text: str) -> str:
     return re.sub(r"\W+", "", text.lower()) or "_"
 

@@ -316,34 +316,26 @@ def map_authors_to_emails(names: list[AuthorName],
     def clean(s: str) -> str:
         return re.sub(r"[^a-z]", "", s.lower())
 
-    # Rule 1: substring match between username and first/last name.
-    for rec in records:
-        first, last = clean(rec.name.first), clean(rec.name.last)
-        for j, email in enumerate(emails):
-            if j in taken:
+    def assign(matches) -> None:
+        """Give each author without an e-mail the first untaken e-mail
+        whose cleaned user part ``matches(name, user)``."""
+        for rec in records:
+            if rec.email is not None:
                 continue
-            user = clean(email.user)
-            hit = any(
-                (len(part) >= 4 and part in user) or (len(user) >= 4 and user in part)
-                for part in (first, last))
-            if hit:
-                rec.email = email
-                taken.add(j)
-                break
+            for j, email in enumerate(emails):
+                if j not in taken and matches(rec.name, clean(email.user)):
+                    rec.email = email
+                    taken.add(j)
+                    break
 
+    # Rule 1: substring match between username and first/last name.
+    assign(lambda name, user: any(
+        (len(part) >= 4 and part in user) or (len(user) >= 4 and user in part)
+        for part in (clean(name.first), clean(name.last))))
     # Rule 2: abbreviated full name as username.
-    for rec in records:
-        if rec.email is not None:
-            continue
-        first, last = clean(rec.name.first), clean(rec.name.last)
-        forms = {first[:1] + last, clean(_initials(rec.name)) + last}
-        for j, email in enumerate(emails):
-            if j in taken:
-                continue
-            if clean(email.user) in forms:
-                rec.email = email
-                taken.add(j)
-                break
+    assign(lambda name, user: user in {
+        clean(name.first)[:1] + clean(name.last),
+        clean(_initials(name)) + clean(name.last)})
 
     # Rule 3: leftovers paired by order of occurrence.
     leftover_emails = [j for j in range(len(emails)) if j not in taken]

@@ -40,9 +40,8 @@ from .metadata import (extract_affiliations, extract_author_names,
                        extract_emails, extract_title, map_authors_to_emails,
                        title_fallback)
 from .model import Chunk, Document
-from .structure import (extract_caption_headings, extract_footnotes,
-                        extract_urls, label_headings, map_sections,
-                        section_chunks)
+from .structure import (Section, extract_caption_headings, extract_footnotes,
+                        extract_urls, label_headings, map_sections)
 from .tei import ExtractionResult
 
 
@@ -126,15 +125,20 @@ def extract_document(doc: Document, models: PipelineModels,
     result.captions = extract_caption_headings(chunks)
 
     try:
-        ref_section, remainder = locate_reference_section(sections)
+        start, stop = locate_reference_section(sections)
     except NoReferenceSectionError:
-        ref_section, remainder = None, sections
+        start = stop = len(sections)
+    run, remainder = sections[start:stop], sections[:start] + sections[stop:]
 
+    # The references are read from the run's chunks up to the heading that
+    # ends it, less the run's own headings.
     references = []
-    if ref_section is not None:
-        ref_chunks = section_chunks(chunks, headings, ref_section)
-        lines = [pair for chunk in ref_chunks
-                 for pair in chunk_to_lines(chunk)]
+    if run:
+        end = (sections[stop].heading.chunk_index if stop < len(sections)
+               else len(chunks))
+        own = {section.heading.chunk_index for section in run}
+        lines = [pair for i in range(run[0].heading.chunk_index + 1, end)
+                 if i not in own for pair in chunk_to_lines(chunks[i])]
         if lines:
             references = split_references(lines)
     result.references = references
@@ -147,7 +151,12 @@ def extract_document(doc: Document, models: PipelineModels,
                 cit, section_heading=heading_text))
     result.citations = map_citations_to_references(citations, references)
 
-    result.sections = remainder + ([ref_section] if ref_section else [])
+    # The run is one section: its paragraphs under its first heading.
+    result.sections = remainder
+    if run:
+        result.sections.append(Section(
+            heading=run[0].heading,
+            paragraphs=tuple(p for section in run for p in section.paragraphs)))
 
     seen = set()
     urls = []

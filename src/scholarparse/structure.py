@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import islice
 
 from .context import DocumentContext
 from .crf import CrfModel, viterbi_decode
@@ -107,19 +106,6 @@ def map_sections(chunks: list[Chunk],
             body.append(chunk.text)
     sections.append(Section(heading=current, paragraphs=tuple(body)))
     return sections
-
-
-def section_chunks(chunks: list[Chunk], headings: list[SectionHeading],
-                   section: Section) -> list[Chunk]:
-    """The chunks whose texts are a headed section's paragraphs, for a
-    section of ``map_sections(chunks, headings)`` or a run of consecutive
-    ones folded under the first one's heading: as many non-heading chunks
-    as it has paragraphs, from its heading on."""
-    heading_at = {h.chunk_index for h in headings}
-    start = section.heading.chunk_index + 1
-    body = (chunk for i, chunk in enumerate(chunks[start:], start)
-            if i not in heading_at)
-    return list(islice(body, len(section.paragraphs)))
 
 
 def extract_urls(text: str) -> list[str]:

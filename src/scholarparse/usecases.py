@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .features import strip_enumeration
+from .features import heading_key
 from .structure import extract_urls
 from .tei import ExtractionResult
 
@@ -21,10 +21,6 @@ GENERIC_SECTIONS = (
 # URLs containing one of these substrings count as dataset links regardless
 # of the section they appear in.
 DATASET_URL_TOKENS = ("datasets", "data", "dumps")
-
-
-def _normalize_heading(text: str) -> str:
-    return strip_enumeration(text).lower()
 
 
 @dataclass
@@ -47,11 +43,11 @@ class SectionMap:
             if not line or line.startswith("#"):
                 continue
             specific, generic = line.split("\t")
-            mapping[_normalize_heading(specific)] = generic
+            mapping[heading_key(specific)] = generic
         return cls(mapping=mapping)
 
     def lookup(self, heading_text: str) -> str | None:
-        return self.mapping.get(_normalize_heading(heading_text))
+        return self.mapping.get(heading_key(heading_text))
 
 
 @dataclass

@@ -263,26 +263,20 @@ class TestLocateReferenceSection:
     def test_found_by_name(self):
         sections = [_section(None), _section("1 Intro"),
                     _section("References")]
-        combined, rest = locate_reference_section(sections)
-        assert combined.heading.text == "References"
-        assert [s.heading.text if s.heading else None for s in rest] == [
-            None, "1 Intro"]
+        assert locate_reference_section(sections) == (2, 3)
 
     def test_enumerated_heading_matches(self):
-        sections = [_section("7 References")]
-        combined, _ = locate_reference_section(sections)
-        assert combined.heading.text == "7 References"
+        sections = [_section("1 Intro"), _section("7 References")]
+        assert locate_reference_section(sections) == (1, 2)
 
     def test_bibliography_matches(self):
-        combined, _ = locate_reference_section([_section("Bibliography")])
-        assert combined.heading.text == "Bibliography"
+        assert locate_reference_section([_section("Bibliography")]) == (0, 1)
 
     def test_trailing_sections_folded_until_appendix(self):
-        sections = [_section("References"), _section("Spilled", ["x"]),
-                    _section("Appendix A")]
-        combined, rest = locate_reference_section(sections)
-        assert combined.paragraphs == ("x",)
-        assert rest[-1].heading.text == "Appendix A"
+        sections = [_section("1 Intro"), _section("References"),
+                    _section("Spilled", ["x"]), _section("Appendix A"),
+                    _section("Appendix B")]
+        assert locate_reference_section(sections) == (1, 3)
 
     def test_missing_raises(self):
         with pytest.raises(NoReferenceSectionError):

@@ -71,6 +71,12 @@ class TestConfig:
             parse_config(f"# comment\n{key} = abc\n")
         assert str(err.value) == f"line 2: bad value for {key}: 'abc'"
 
+    def test_repeated_key_names_both_lines(self):
+        with pytest.raises(ValueError) as err:
+            parse_config("gap_factor=2\n# comment\ngap_factor=3\n")
+        assert str(err.value) == ("line 3: key 'gap_factor' already set on "
+                                  "line 1")
+
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_config(tmp_path / "absent.conf")
@@ -80,6 +86,27 @@ class TestConfig:
         assert cfg.chunk == ChunkParams(gap_factor=1.8)
         assert cfg.train == TrainConfig(l2_lambda=0.5)
         assert cfg.dehyphenate is True
+
+
+def _extract_loads_multiprocessing(corpus_dir, out, *flags) -> bool:
+    """Whether ``extract`` of the corpus's first document to ``out`` with
+    ``flags`` loads ``multiprocessing``, run in a fresh interpreter (this
+    one may have run a pool already)."""
+    xml = sorted(corpus_dir.glob("*.xml"))[0]
+    script = ("import sys, scholarparse.cli\n"
+              "assert scholarparse.cli.main(sys.argv[1:]) == 0\n"
+              "print('multiprocessing' in sys.modules)\n")
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "extract", str(xml),
+         "--out", str(out), *flags],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (out / (xml.stem + ".tei.xml")).exists()
+    loaded = proc.stdout.split()
+    assert loaded in (["True"], ["False"])
+    return loaded == ["True"]
 
 
 @pytest.fixture(scope="module")
@@ -275,20 +302,12 @@ class TestCli:
 
     def test_one_process_extract_loads_no_process_pool(self, corpus_dir,
                                                        tmp_path):
-        # A fresh interpreter: this one may have run a pool already.
-        xml = sorted(corpus_dir.glob("*.xml"))[0]
-        script = ("import sys, scholarparse.cli\n"
-                  "assert scholarparse.cli.main(sys.argv[1:]) == 0\n"
-                  "print('multiprocessing' in sys.modules)\n")
-        env = {**os.environ,
-               "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-        proc = subprocess.run(
-            [sys.executable, "-c", script, "extract", str(xml),
-             "--out", str(tmp_path)],
-            env=env, capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["False"]
-        assert (tmp_path / (xml.stem + ".tei.xml")).exists()
+        assert not _extract_loads_multiprocessing(corpus_dir, tmp_path)
+
+    def test_one_input_runs_in_process_whatever_the_jobs(self, corpus_dir,
+                                                           tmp_path):
+        assert not _extract_loads_multiprocessing(corpus_dir, tmp_path,
+                                                  "--jobs", "4")
 
     def test_extract_jobs_send_models_once_per_worker(self, corpus_dir,
                                                       tmp_path, monkeypatch):

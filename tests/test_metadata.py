@@ -137,6 +137,12 @@ class TestAuthorEmailMapping:
                                         [email("gokafor")])
         assert records[0].email.user == "gokafor"
 
+    def test_abbreviation_rule_pairs_short_names(self):
+        # Too short for the substring rule, and not in positional order.
+        records = map_authors_to_emails(
+            [name("Bo", "Li"), name("Al", "Yu")], [email("ayu"), email("bli")])
+        assert [r.email.user for r in records] == ["bli", "ayu"]
+
     def test_positional_fallback(self):
         records = map_authors_to_emails(
             [name("Xq", "Zw"), name("Jk", "Vt")],

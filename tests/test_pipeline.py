@@ -14,14 +14,17 @@ from conftest import mutate_xml, xml_mutations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scholarparse import training
+from scholarparse import pipeline, training
+from scholarparse.bibliography import split_references
 from scholarparse.chunker import chunk_document
 from scholarparse.context import build_context
 from scholarparse.ingest import parse_rich_xml
 from scholarparse.metadata import extract_affiliations, extract_emails
+from scholarparse.model import Line, Token
 from scholarparse.pipeline import (PipelineModels, chunk_to_lines,
                                    extract_document, load_default_models,
                                    load_models_from_dir)
+from scholarparse.structure import SectionHeading, label_headings
 from scholarparse.synth import STYLES, generate_synthetic_document
 from scholarparse.tei import TEI_NS, export_tei
 from scholarparse.training import TASKS
@@ -177,6 +180,94 @@ class TestChunkToLines:
         assert all(isinstance(t, str) and isinstance(x, float)
                    for t, x in lines)
         assert " ".join(t for t, _ in lines) == chunks[0].text
+
+
+class TestReferenceRun:
+    """A References heading followed by another heading and then an
+    appendix: the sections up to the appendix are read as one reference
+    list under the References heading."""
+
+    FOLDED = "Spilled Heading"
+    SPILLED_REF = "[9] Spilled, Ann. 2001. A late entry."
+    APPENDIX = "Appendix A"
+    APPENDIX_BODY = "appendix body text"
+
+    def document(self):
+        """A generated article with four lines added below its reference
+        list, each its own chunk: two bold headings, each followed by a
+        body line."""
+        xml, _ = generate_synthetic_document("single-col-numbered", 901)
+        doc, _ = parse_rich_xml(xml)
+        last = doc.pages[-1]
+        below = last.lines[-1]
+        size = below.tokens[0].font_size
+        lines = []
+        for n, (text, bold) in enumerate(
+                [(self.FOLDED, True), (self.SPILLED_REF, False),
+                 (self.APPENDIX, True), (self.APPENDIX_BODY, False)], 1):
+            baseline = below.baseline_y + 40.0 * n
+            x, tokens = below.x, []
+            for word in text.split():
+                tokens.append(Token(word, last.number, x, baseline - size,
+                                    5.0 * len(word), size, size, bold=bold))
+                x += 5.0 * len(word) + 5.0
+            lines.append(Line(tuple(tokens), baseline))
+        page = dataclasses.replace(last, lines=last.lines + tuple(lines))
+        return dataclasses.replace(doc, pages=doc.pages[:-1] + (page,))
+
+    def headings(self, ctx, model):
+        """The labeler's headings plus the two added heading chunks."""
+        found = label_headings(ctx, model)
+        marked = {h.chunk_index for h in found}
+        found += [SectionHeading(chunk.text, i)
+                  for i, chunk in enumerate(ctx.chunks)
+                  if chunk.text in (self.FOLDED, self.APPENDIX)
+                  and i not in marked]
+        return sorted(found, key=lambda h: h.chunk_index)
+
+    @pytest.fixture
+    def extracted(self, models, monkeypatch):
+        doc = self.document()
+        ctx = build_context(doc)
+        headings = self.headings(ctx, models.heading)
+        monkeypatch.setattr(pipeline, "label_headings", self.headings)
+        return extract_document(doc, models), ctx.chunks, headings
+
+    def test_references_come_from_the_chunks_before_the_appendix(
+            self, extracted):
+        result, chunks, headings = extracted
+        at = {h.text: h.chunk_index for h in headings}
+        start, stop = at["6 References"], at[self.APPENDIX]
+        assert start < at[self.FOLDED] < stop
+        between = [pair for i in range(start + 1, stop) if i not in
+                   {h.chunk_index for h in headings}
+                   for pair in chunk_to_lines(chunks[i])]
+        assert result.references == split_references(between)
+        assert result.references[-1].index == 9
+        assert result.references[-1].raw_text == self.SPILLED_REF[4:]
+
+    def test_folded_heading_is_in_no_reference_and_no_section(
+            self, extracted):
+        result, _, _ = extracted
+        assert not any(self.FOLDED in ref.raw_text
+                       for ref in result.references)
+        for section in result.sections:
+            if section.heading is not None:
+                assert self.FOLDED not in section.heading.text
+            assert self.FOLDED not in section.body_text
+        ref_section = result.sections[-1]
+        assert ref_section.heading.text == "6 References"
+        assert ref_section.paragraphs[-1] == self.SPILLED_REF
+
+    def test_appendix_stays_a_section_of_its_own(self, extracted):
+        result, _, _ = extracted
+        appendix = [s for s in result.sections
+                    if s.heading is not None
+                    and s.heading.text == self.APPENDIX]
+        assert [s.paragraphs for s in appendix] == [(self.APPENDIX_BODY,)]
+        assert not any(self.APPENDIX_BODY in ref.raw_text
+                       or self.APPENDIX in ref.raw_text
+                       for ref in result.references)
 
 
 # --- extraction and export over mutated XML ---------------------------------

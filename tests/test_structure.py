@@ -6,7 +6,7 @@ from scholarparse.model import Document, Page, Token, make_chunk
 from scholarparse.structure import (CaptionHeading, Footnote, Section,
                                     SectionHeading, _split_footnote_chunk,
                                     extract_caption_headings, extract_urls,
-                                    map_sections, section_chunks)
+                                    map_sections)
 
 
 def tok(text, x=0.0, baseline=100.0, size=10.0, bold=False, sup=False):
@@ -35,22 +35,6 @@ class TestMapSections:
         assert sections[0].paragraphs[0] == "front"
         assert sections[1].heading.text == "1 Intro"
         assert list(sections[2].paragraphs) == ["body2", "body3"]
-
-    def test_section_chunks_hold_the_paragraphs(self):
-        chunks = [chunk(["front"]), chunk(["1", "Intro"]), chunk(["body1"]),
-                  chunk(["2", "Methods"]), chunk(["body2"]), chunk(["body3"]),
-                  chunk(["3", "More"])]
-        headings = [SectionHeading(text=c.text, chunk_index=i)
-                    for i, c in enumerate(chunks) if i in (1, 3, 6)]
-        sections = map_sections(chunks, headings)
-        for section in sections[1:]:
-            assert ([c.text for c in section_chunks(chunks, headings, section)]
-                    == list(section.paragraphs))
-        folded = Section(heading=sections[1].heading,
-                         paragraphs=sections[1].paragraphs
-                         + sections[2].paragraphs)
-        assert section_chunks(chunks, headings, folded) == [
-            chunks[2], chunks[4], chunks[5]]
 
     def test_body_text_joins_chunks(self):
         section = Section(heading=None, paragraphs=("a b", "c"))
