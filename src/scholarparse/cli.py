@@ -4,15 +4,17 @@ Subcommands: extract (rich XML to TEI), train (fit task models), eval
 (score a corpus against ground truth), generate (synthetic corpus), and
 usecase (corpus analyses).  Exit codes: 0 success, 1 processing failure,
 2 usage error.  The configuration is checked before any input is read.
-extract, usecase, eval and train run their inputs through ``_each_input``:
+extract, usecase, eval and train run their inputs through ``_each_result``:
 an input that fails costs one ``error: <input>: <message>`` line, and the
 command goes on with the rest.  eval and train read each X.xml/X.gt.txt
 pair with ``training.read_pair``, as extract reads a document; with no
 readable input, usecase prints no analysis, eval writes no report and
-train no model.  extract --out names each output after its input's stem,
-so two inputs with one stem are a usage error, as is a --jobs or --count
-below 1.  train --stats writes each task's training log as JSON lines, one
-per iteration and one for the stop reason, each naming its task.
+train no model.  extract writes each input's TEI as soon as that input
+and every earlier one are done, also with --jobs.  extract --out names
+each output after its input's stem, so two inputs with one stem are a
+usage error, as is a --jobs or --count below 1.  train --stats writes
+each task's training log as JSON lines, one per iteration and one for the
+stop reason, each naming its task.
 
 A command imports what only it uses (training, evaluation, the generator,
 the corpus analyses) when it runs, so ``extract`` loads no more than
@@ -69,11 +71,9 @@ def _attempt_in_worker(item) -> tuple[bool, object]:
     return _attempt(item, *_worker_setup)
 
 
-def _each_input(work, items, setup=(), jobs=1) -> tuple[list, bool]:
-    """The results of ``work(item, *setup)`` for the inputs that did not
-    fail, in input order, and whether any failed.  Each failure is printed
-    as ``error: <input>: <message>``, so one bad input loses no other.
-    With ``jobs`` > 1 and more than one input, the inputs run in worker
+def _outcomes(work, items, setup, jobs):
+    """``_attempt``'s outcome for each input, in input order.  With
+    ``jobs`` > 1 and more than one input, the inputs run in worker
     processes, at most one per input; only then is the process pool
     imported, so a one-process call never loads ``multiprocessing``."""
     jobs = min(jobs, len(items))
@@ -81,13 +81,27 @@ def _each_input(work, items, setup=(), jobs=1) -> tuple[list, bool]:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
                                  initargs=(work, setup)) as pool:
-            outcomes = list(pool.map(_attempt_in_worker, items))
+            yield from pool.map(_attempt_in_worker, items)
     else:
-        outcomes = [_attempt(item, work, setup) for item in items]
-    for item, (ok, value) in zip(items, outcomes):
-        if not ok:
+        for item in items:
+            yield _attempt(item, work, setup)
+
+
+def _each_result(work, items, setup=(), jobs=1):
+    """Yield ``work(item, *setup)`` for each input that did not fail, in
+    input order, each as soon as that input and every earlier one are done.
+    Each failure is printed as ``error: <input>: <message>``, so one bad
+    input loses no other."""
+    for item, (ok, value) in zip(items, _outcomes(work, items, setup, jobs)):
+        if ok:
+            yield value
+        else:
             print(f"error: {item}: {value}", file=sys.stderr)
-    results = [value for ok, value in outcomes if ok]
+
+
+def _each_input(work, items, setup=(), jobs=1) -> tuple[list, bool]:
+    """The results of ``_each_result``, and whether any input failed."""
+    results = list(_each_result(work, items, setup, jobs))
     return results, len(results) < len(items)
 
 
@@ -116,14 +130,17 @@ def cmd_extract(args) -> int:
     out_dir = Path(args.out) if args.out else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
-    outputs, failed = _each_input(_extract_tei, [Path(p) for p in args.inputs],
-                                  (models, cfg), args.jobs)
-    for stem, tei in outputs:
+    inputs = [Path(p) for p in args.inputs]
+    written = 0
+    for stem, tei in _each_result(_extract_tei, inputs, (models, cfg),
+                                  args.jobs):
         if out_dir:
             (out_dir / (stem + ".tei.xml")).write_text(tei, "utf-8")
         else:
             sys.stdout.write(tei)
-    return int(failed)
+            sys.stdout.flush()
+        written += 1
+    return int(written < len(inputs))
 
 
 def _open_stats(path):

@@ -2,10 +2,11 @@
 
 Coordinates follow the usual PDF-to-XML emitter convention: the origin is
 the top-left corner of the page and y grows downward, so "lower half of the
-page" means y > page.height / 2.  Token is an immutable tuple-backed record
-(a ``typing.NamedTuple``) that checks its values when called; every other
-type is a frozen dataclass.  All are safe to share between concurrently
-processed documents.
+page" means y > page.height / 2.  Token and Line are immutable tuple-backed
+records (``typing.NamedTuple``s), so that ingest, which builds one per word
+and one per visual line, builds them cheaply; each checks its values when
+called.  Every other type is a frozen dataclass.  All are safe to share
+between concurrently processed documents.
 """
 
 from __future__ import annotations
@@ -67,16 +68,25 @@ class Token(_TokenFields):
         return self.y + self.height
 
 
-@dataclass(frozen=True)
-class Line:
-    """Tokens sharing one visual line, ordered by ascending x; at least one."""
-
+class _LineFields(NamedTuple):
     tokens: tuple[Token, ...]
     baseline_y: float
 
-    def __post_init__(self):
-        if not self.tokens:
+
+class Line(_LineFields):
+    """Tokens sharing one visual line, ordered by ascending x; at least one.
+
+    A tuple underneath, like Token: calling ``Line(...)`` rejects an empty
+    line, and ``tuple.__new__(Line, (tokens, baseline_y))`` builds one
+    without the check.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, tokens: tuple[Token, ...], baseline_y: float):
+        if not tokens:
             raise ValueError("a line must hold at least one token")
+        return tuple.__new__(cls, (tokens, baseline_y))
 
     @property
     def text(self) -> str:

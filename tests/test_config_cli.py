@@ -5,11 +5,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 from xml.etree import ElementTree as ET
 
 import pytest
 
+from scholarparse import cli
 from scholarparse.chunker import ChunkParams
 from scholarparse.cli import main
 from scholarparse.config import PipelineConfig, load_config, parse_config
@@ -299,6 +301,28 @@ class TestCli:
                              for p in out.glob("*.tei.xml")}
         assert len(written["1"]) == len(inputs)
         assert written["2"] == written["1"]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_extract_writes_an_output_before_reading_a_later_input(
+            self, corpus_dir, tmp_path, monkeypatch, jobs):
+        first, second = sorted(corpus_dir.glob("*.xml"))[:2]
+        out = tmp_path / "tei"
+        first_tei = out / (first.stem + ".tei.xml")
+        extract_tei = cli._extract_tei
+
+        def after_the_first_output(path, *setup):
+            if path == second:
+                deadline = time.monotonic() + 10
+                while not first_tei.exists():
+                    if time.monotonic() > deadline:
+                        raise RuntimeError("the first output is not written")
+                    time.sleep(0.01)
+            return extract_tei(path, *setup)
+
+        monkeypatch.setattr(cli, "_extract_tei", after_the_first_output)
+        assert main(["extract", str(first), str(second), "--out", str(out),
+                     "--jobs", jobs]) == 0
+        assert (out / (second.stem + ".tei.xml")).exists()
 
     def test_one_process_extract_loads_no_process_pool(self, corpus_dir,
                                                        tmp_path):

@@ -12,6 +12,7 @@ from conftest import (ODD_VALUES, TOKEN_ATTRS, mutate_xml,
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scholarparse import ingest
 from scholarparse.ingest import (SUP_FONT_RATIO, SUP_RISE_PT,
                                  RichXmlParseError, document_to_xml,
                                  parse_rich_xml)
@@ -337,6 +338,96 @@ class TestAgainstTwoPassOracle:
         assert doc == expected[0]
         assert repr(doc) == repr(expected[0])  # also tells -0.0 from 0.0
         assert report == expected[1]
+
+
+# --- the streamed parse, slice by slice ---------------------------------------
+
+def parse_outcome(parse, data: bytes) -> str:
+    """The repr of a parse's Document and report, or of its error's
+    message and byte offset."""
+    try:
+        return repr(parse(data, source_id="s"))
+    except RichXmlParseError as exc:
+        return repr((str(exc), exc.byte_offset))
+
+
+@cache
+def multibyte_article() -> bytes:
+    """A generated article whose every seventh token reads ``†``, ``x¹``
+    or ``naïve``, so that slices split multi-byte characters."""
+    root = ET.fromstring(generate_synthetic_document("two-col-indexed", 7)[0])
+    tokens = root.findall("./PAGE/TEXT/TOKEN")
+    for i, tok in enumerate(tokens[::7]):
+        tok.text = ("†", "x¹", "naïve")[i % 3]
+    return ET.tostring(root, encoding="utf-8", xml_declaration=True)
+
+
+def multibyte_cuts(data: bytes) -> list[int]:
+    """Where to truncate ``data``: inside and after a ``†`` and a ``¹``, in
+    the middle of a tag, and at a few fixed fractions."""
+    cuts = [len(data) // k for k in (2, 3, 5, 11)] + [len(data) - 20]
+    for char in ("†", "¹"):
+        at = data.index(char.encode("utf-8"))
+        cuts += [at + 1, at + len(char.encode("utf-8"))]
+    cuts.append(data.index(b"<TOKEN", len(data) // 2) + 3)
+    return sorted(cuts)
+
+
+@pytest.fixture(params=[1, 7, 4096], ids=lambda n: f"slice{n}")
+def feed_bytes(request, monkeypatch):
+    monkeypatch.setattr(ingest, "FEED_BYTES", request.param)
+    return request.param
+
+
+class TestStreamedParse:
+    """``parse_rich_xml`` parses its input slice by slice; whatever the
+    slice size, it gives what parsing the whole input at once gives."""
+
+    def test_article_is_larger_than_the_slices(self):
+        data = multibyte_article()
+        assert len(data) > 4 * 4096
+        assert "†".encode() in data and "¹".encode() in data
+
+    def test_multibyte_article(self, feed_bytes):
+        data = multibyte_article()
+        outcome = parse_outcome(parse_rich_xml, data)
+        assert outcome == parse_outcome(reference_parse_rich_xml, data)
+        assert "†" in outcome and "naïve" in outcome
+
+    def test_truncated_copies(self, feed_bytes):
+        data = multibyte_article()
+        for cut in multibyte_cuts(data):
+            expected = parse_outcome(reference_parse_rich_xml, data[:cut])
+            assert "byte offset" in expected
+            assert parse_outcome(parse_rich_xml, data[:cut]) == expected, cut
+
+    def test_page_inside_an_unknown_element_is_skipped_with_it(self,
+                                                                feed_bytes):
+        page = SIMPLE.split(b"<DOCUMENT>")[1].split(b"</DOCUMENT>")[0]
+        data = (b"<DOCUMENT><WRAP>" + page + b"</WRAP>"
+                + page.replace(b'number="1"', b'number="2"')
+                + b"</DOCUMENT>")
+        doc, report = parse_rich_xml(data)
+        assert [p.number for p in doc.pages] == [2]
+        assert report.skipped_elements == 1
+        assert (parse_outcome(parse_rich_xml, data)
+                == parse_outcome(reference_parse_rich_xml, data))
+
+    def test_unknown_element_after_the_last_page_is_counted(self,
+                                                            feed_bytes):
+        data = SIMPLE.replace(b"</PAGE>", b"</PAGE><NOISE><PAGE/></NOISE>")
+        doc, report = parse_rich_xml(data)
+        assert len(doc.pages) == 1 and report.skipped_elements == 1
+        assert (parse_outcome(parse_rich_xml, data)
+                == parse_outcome(reference_parse_rich_xml, data))
+
+    @pytest.mark.parametrize("data", [
+        b"", b"  ", b"<DOCUMENT/>", b"<DOCUMENT></DOCUMENT>",
+        b'<?xml version="1.0"?>\n<DOCUMENT>\n</DOCUMENT>\n',
+        b"<DOCUMENT/><DOCUMENT/>", b"<DOCUMENT>"])
+    def test_empty_input_and_a_root_without_pages(self, feed_bytes, data):
+        assert (parse_outcome(parse_rich_xml, data)
+                == parse_outcome(reference_parse_rich_xml, data))
 
 
 def assert_tokens_pass_their_checks(doc):
