@@ -4,7 +4,7 @@ Subcommands: extract (rich XML to TEI), train (fit task models), eval
 (score a corpus against ground truth), generate (synthetic corpus), and
 usecase (corpus analyses).  Exit codes: 0 success, 1 processing failure,
 2 usage error.  The configuration is checked before any input is read.
-extract, usecase, eval and train run their inputs through ``_each_result``:
+extract, usecase, eval and train run their inputs through ``_each_input``:
 an input that fails costs one ``error: <input>: <message>`` line, and the
 command goes on with the rest.  eval and train read each X.xml/X.gt.txt
 pair with ``training.read_pair``, as extract reads a document; with no
@@ -71,38 +71,39 @@ def _attempt_in_worker(item) -> tuple[bool, object]:
     return _attempt(item, *_worker_setup)
 
 
-def _outcomes(work, items, setup, jobs):
-    """``_attempt``'s outcome for each input, in input order.  With
-    ``jobs`` > 1 and more than one input, the inputs run in worker
-    processes, at most one per input; only then is the process pool
-    imported, so a one-process call never loads ``multiprocessing``."""
+def _each_input(work, items, setup=(), jobs=1, each=None) -> tuple[list, bool]:
+    """The results of ``work(item, *setup)`` for the inputs that did not
+    fail, in input order, and whether any failed.  Each failure is printed
+    as ``error: <input>: <message>``, so one bad input loses no other.
+    Given ``each``, each result goes to ``each`` as soon as that input and
+    every earlier one are done, and none is kept.  With ``jobs`` > 1 and
+    more than one input, the inputs run in worker processes, at most one
+    per input; only then is the process pool imported, so a one-process
+    call never loads ``multiprocessing``."""
     jobs = min(jobs, len(items))
+    pool = None
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
-                                 initargs=(work, setup)) as pool:
-            yield from pool.map(_attempt_in_worker, items)
+        pool = ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
+                                   initargs=(work, setup))
+        outcomes = pool.map(_attempt_in_worker, items)
     else:
-        for item in items:
-            yield _attempt(item, work, setup)
-
-
-def _each_result(work, items, setup=(), jobs=1):
-    """Yield ``work(item, *setup)`` for each input that did not fail, in
-    input order, each as soon as that input and every earlier one are done.
-    Each failure is printed as ``error: <input>: <message>``, so one bad
-    input loses no other."""
-    for item, (ok, value) in zip(items, _outcomes(work, items, setup, jobs)):
-        if ok:
-            yield value
-        else:
-            print(f"error: {item}: {value}", file=sys.stderr)
-
-
-def _each_input(work, items, setup=(), jobs=1) -> tuple[list, bool]:
-    """The results of ``_each_result``, and whether any input failed."""
-    results = list(_each_result(work, items, setup, jobs))
-    return results, len(results) < len(items)
+        outcomes = (_attempt(item, work, setup) for item in items)
+    results = []
+    failed = False
+    try:
+        for item, (ok, value) in zip(items, outcomes):
+            if not ok:
+                print(f"error: {item}: {value}", file=sys.stderr)
+                failed = True
+            elif each:
+                each(value)
+            else:
+                results.append(value)
+    finally:
+        if pool is not None:
+            pool.shutdown()
+    return results, failed
 
 
 def _extract(path: Path, models, cfg: PipelineConfig) -> ExtractionResult:
@@ -130,17 +131,19 @@ def cmd_extract(args) -> int:
     out_dir = Path(args.out) if args.out else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
-    inputs = [Path(p) for p in args.inputs]
-    written = 0
-    for stem, tei in _each_result(_extract_tei, inputs, (models, cfg),
-                                  args.jobs):
+
+    def write(output: tuple[str, str]) -> None:
+        stem, tei = output
         if out_dir:
             (out_dir / (stem + ".tei.xml")).write_text(tei, "utf-8")
         else:
             sys.stdout.write(tei)
             sys.stdout.flush()
-        written += 1
-    return int(written < len(inputs))
+
+    _outputs, failed = _each_input(_extract_tei,
+                                   [Path(p) for p in args.inputs],
+                                   (models, cfg), args.jobs, write)
+    return int(failed)
 
 
 def _open_stats(path):

@@ -19,12 +19,12 @@ field by field to name what is wrong.  A missing, zero or unparseable width
 or height is 0.0.  A line's baseline is the median of its tokens'
 baselines.
 
-The XML is parsed as a stream (``_root_children``): the bytes go to an
-``XMLPullParser`` FEED_BYTES at a time, and each child of the root is read
-and dropped as soon as the next one starts, the last ones once the input
-ends.  So at any moment the parse holds the element tree of about one
-page, plus what one slice starts, never the whole document's: the memory
-it needs above the Document it returns does not grow with the page count.
+The XML is parsed as a stream (``_root_children``): the bytes are read a
+slice at a time, and each child of the root is read and dropped as soon
+as the next one starts, the last ones once the input ends.  So at any
+moment the parse holds the element tree of about one page, plus what one
+slice starts, never the whole document's: the memory it needs above the
+Document it returns does not grow with the page count.
 A parse error raises ``RichXmlParseError`` with the message and byte offset
 that parsing the whole input at once gives.
 
@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from io import BytesIO
 from operator import attrgetter, itemgetter
 from xml.etree import ElementTree as ET
 
@@ -57,13 +58,6 @@ from .model import Document, Line, Page, Token
 # Superscript detection (see the module docstring).
 SUP_FONT_RATIO = 0.8
 SUP_RISE_PT = 1.5
-
-# Bytes fed to the XML parser at a time.  A slice is read to its end before
-# any complete root child is dropped, so a larger slice holds more of the
-# tree at once, and it parses slower: against parsing the whole input in
-# one piece, ingest of 45-page documents took about 1% less time with
-# 16 KiB slices and about 5% more with 64 KiB slices.
-FEED_BYTES = 16 * 1024
 
 
 class RichXmlParseError(ValueError):
@@ -222,29 +216,37 @@ def _parse_page(page_elem, number: int, report: IngestReport) -> tuple[Line, ...
     return tuple(built)
 
 
+def _start_events(source):
+    """The ``("start", element)`` events of the XML that ``source`` reads,
+    as ``ET.iterparse(source, ("start",))`` gives them, without the class
+    that ``iterparse`` builds on each call and leaves in reference cycles.
+    The input is read a slice at a time, and the event queue is drained
+    after every slice and once more after the input ends, since expat may
+    report a start tag only then."""
+    parser = ET.XMLPullParser(events=("start",))
+    while data := source.read(16 * 1024):
+        parser.feed(data)
+        yield from parser.read_events()
+    parser.close()
+    yield from parser.read_events()
+
+
 def _root_children(data: bytes):
     """Each child element of the root, complete, in document order.
 
     A child is yielded once a later sibling has started, or once the input
     has ended, and is dropped from the tree when the caller asks for the
-    next one.  The parser's event queue is emptied after every slice: an
-    event left in it keeps its element alive, and a parse error waits in it
-    until it is read.
+    next one.
     """
-    parser = ET.XMLPullParser(events=("start",))
-    root = None
     try:
-        for start in range(0, len(data), FEED_BYTES):
-            parser.feed(data[start:start + FEED_BYTES])
-            for _event, elem in parser.read_events():
-                if root is None:
-                    root = elem
-            if root is not None and len(root) > 1:
+        events = _start_events(BytesIO(data))
+        _event, root = next(events)
+        for _event in events:
+            if len(root) > 1:
                 done = root[:-1]
                 del root[:-1]
                 yield from done
                 del done
-        parser.close()
     except ET.ParseError as exc:
         line, col = exc.position
         offset = sum(len(l) + 1 for l in data.split(b"\n")[: line - 1]) + col

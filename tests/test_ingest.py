@@ -1,5 +1,6 @@
 """Unit tests for rich XML ingestion."""
 
+import io
 import re
 import statistics
 import string
@@ -373,9 +374,19 @@ def multibyte_cuts(data: bytes) -> list[int]:
     return sorted(cuts)
 
 
+class Trickle(io.BytesIO):
+    """An in-memory input whose every read returns at most ``size`` bytes."""
+
+    size = 1
+
+    def read(self, n=-1):
+        return super().read(self.size if n < 0 else min(n, self.size))
+
+
 @pytest.fixture(params=[1, 7, 4096], ids=lambda n: f"slice{n}")
 def feed_bytes(request, monkeypatch):
-    monkeypatch.setattr(ingest, "FEED_BYTES", request.param)
+    monkeypatch.setattr(Trickle, "size", request.param)
+    monkeypatch.setattr(ingest, "BytesIO", Trickle)
     return request.param
 
 
@@ -426,6 +437,15 @@ class TestStreamedParse:
         b'<?xml version="1.0"?>\n<DOCUMENT>\n</DOCUMENT>\n',
         b"<DOCUMENT/><DOCUMENT/>", b"<DOCUMENT>"])
     def test_empty_input_and_a_root_without_pages(self, feed_bytes, data):
+        assert (parse_outcome(parse_rich_xml, data)
+                == parse_outcome(reference_parse_rich_xml, data))
+
+    @pytest.mark.parametrize("body", [b"/>", b">" + SIMPLE.split(
+        b"<DOCUMENT>")[1]], ids=["empty", "one-page"])
+    def test_root_after_a_long_prolog(self, body):
+        # The root's start tag comes after more than one slice of comment,
+        # so a parser may report it only once the input is closed.
+        data = b"<!--" + b"x" * (20 * 1024) + b"-->\n<DOCUMENT" + body
         assert (parse_outcome(parse_rich_xml, data)
                 == parse_outcome(reference_parse_rich_xml, data))
 
