@@ -1,7 +1,7 @@
 """Run a per-document entry point with automatic garbage collection paused.
 
 Parsing, extracting and exporting one document allocate many container
-objects (element trees, token tuples, frozen records) and form no
+objects (element trees, token tuples, tuple records) and form no
 reference cycles, so reference counting frees all of them.  The cyclic
 collector still runs, set off by those allocations alone, and each of its
 collections walks the caller's whole live heap: models, modules, inputs and

@@ -13,7 +13,7 @@ character class, and tries every position when it starts with ``\b``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .features import heading_key
 from .structure import Section
@@ -63,8 +63,7 @@ class NoReferenceSectionError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Reference:
+class Reference(NamedTuple):
     """One entry of the reference list: its number when the list is indexed,
     its text, and the first year read from that text."""
 
@@ -79,8 +78,7 @@ def reference_number(ref: Reference, position: int) -> int:
     return ref.index if ref.index is not None else position + 1
 
 
-@dataclass(frozen=True)
-class CitationInstance:
+class CitationInstance(NamedTuple):
     """One citation found in body text by the citation style ``style_id``: the
     authors and year, or reference numbers, it names, and where it matched."""
 
@@ -94,8 +92,7 @@ class CitationInstance:
     section_heading: str | None = None  # owning section, filled by the pipeline
 
 
-@dataclass(frozen=True)
-class CitationLink:
+class CitationLink(NamedTuple):
     """A citation with the reference it was resolved to, if any, and how."""
 
     citation: CitationInstance

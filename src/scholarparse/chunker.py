@@ -11,7 +11,7 @@ chunked per column, left column first.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import Chunk, Document, Line, Page, make_chunk
 
@@ -21,19 +21,27 @@ COLUMN_GAP_FRACTION = 0.2
 MIN_COLUMN_LINES = 2
 
 
-@dataclass(frozen=True)
-class ChunkParams:
-    """Thresholds that break a page's lines into chunks; checked when built."""
+class _ChunkParamsFields(NamedTuple):
+    # The defaults are ChunkParams.__new__'s.
+    gap_factor: float
+    font_jump: float
+    boldness_break: bool
 
-    gap_factor: float = 1.5
-    font_jump: float = 0.15
-    boldness_break: bool = True
 
-    def __post_init__(self):
-        if not (math.isfinite(self.gap_factor) and self.gap_factor > 1.0):
+class ChunkParams(_ChunkParamsFields):
+    """Thresholds that break a page's lines into chunks.  Calling
+    ``ChunkParams(...)`` checks them, as ``model.Token`` checks its values;
+    ``_make`` and ``_replace`` do not."""
+
+    __slots__ = ()
+
+    def __new__(cls, gap_factor: float = 1.5, font_jump: float = 0.15,
+                boldness_break: bool = True):
+        if not (math.isfinite(gap_factor) and gap_factor > 1.0):
             raise ValueError("gap_factor must be finite and exceed 1.0")
-        if not 0 < self.font_jump < 1:
+        if not 0 < font_jump < 1:
             raise ValueError("font_jump must lie in (0, 1)")
+        return tuple.__new__(cls, (gap_factor, font_jump, boldness_break))
 
 
 def _line_font(line: Line) -> float:

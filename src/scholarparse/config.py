@@ -8,15 +8,14 @@ bad value fails ``parse_config``, before any input is read.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from typing import NamedTuple
 
 from .chunker import ChunkParams
 from .crf import TrainConfig
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
+class PipelineConfig(NamedTuple):
     """Chunking and training settings, and whether ingest dehyphenates."""
 
     chunk: ChunkParams = ChunkParams()
@@ -26,8 +25,8 @@ class PipelineConfig:
 
 # Every key a file may set, with its default; a value is read as the type
 # of its key's default.
-_DEFAULTS = {**asdict(ChunkParams()), **asdict(TrainConfig()),
-             "dehyphenate": PipelineConfig.dehyphenate}
+_DEFAULTS = {**ChunkParams()._asdict(), **TrainConfig()._asdict(),
+             "dehyphenate": PipelineConfig().dehyphenate}
 
 _BOOL_VALUES = {"true": True, "false": False, "yes": True, "no": False,
                 "1": True, "0": False}
@@ -35,8 +34,8 @@ _BOOL_VALUES = {"true": True, "false": False, "yes": True, "no": False,
 
 def _part(cls, values: dict):
     """A ``cls`` built from the keys of ``values`` that are its fields."""
-    return cls(**{f.name: values[f.name] for f in fields(cls)
-                  if f.name in values})
+    return cls(**{name: values[name] for name in cls._fields
+                  if name in values})
 
 
 def parse_config(text: str) -> PipelineConfig:

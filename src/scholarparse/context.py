@@ -14,15 +14,14 @@ document's.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .chunker import ChunkParams, chunk_document
 from .features import font_counts, modal_font
 from .model import Chunk, Document, Page
 
 
-@dataclass(frozen=True)
-class PageContext:
+class PageContext(NamedTuple):
     """One page with its chunks and its own body font size."""
 
     page: Page
@@ -30,8 +29,7 @@ class PageContext:
     body_font: float  # body font size of this page alone
 
 
-@dataclass(frozen=True)
-class DocumentContext:
+class DocumentContext(NamedTuple):
     """What every stage reads of one document; made by build_context."""
 
     chunks: tuple[Chunk, ...]  # all chunks in reading order

@@ -47,7 +47,6 @@ enumeration of every label path, and so the interface that vouches for
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import reduce
 from itertools import islice, repeat
 from operator import add, index
@@ -72,8 +71,7 @@ class ModelFormatError(CrfError):
     """Unreadable, truncated, or wrong-version model payload."""
 
 
-@dataclass(frozen=True)
-class FeatureTemplate:
+class FeatureTemplate(NamedTuple):
     """A family of features a task's feature functions emit, by id and kind."""
 
     id: str
@@ -81,8 +79,7 @@ class FeatureTemplate:
     description: str = ""
 
 
-@dataclass
-class LabeledSequence:
+class LabeledSequence(NamedTuple):
     """Ordered (active-feature-set, label) pairs for one training sequence."""
 
     items: list[tuple[tuple[str, ...], str]]
@@ -94,27 +91,34 @@ class LabeledSequence:
         return [label for _, label in self.items]
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    """L2 strength, iteration limit and convergence tolerance of ``train``;
-    checked when built."""
+class _TrainConfigFields(NamedTuple):
+    # The defaults are TrainConfig.__new__'s.
+    l2_lambda: float
+    max_iterations: int
+    convergence_tol: float
 
-    l2_lambda: float = 1.0
-    max_iterations: int = 200
-    convergence_tol: float = 1e-5
 
-    def __post_init__(self):
-        if not (math.isfinite(self.l2_lambda) and self.l2_lambda > 0):
+class TrainConfig(_TrainConfigFields):
+    """L2 strength, iteration limit and convergence tolerance of ``train``.
+    Calling ``TrainConfig(...)`` checks them, as ``model.Token`` checks its
+    values; ``_make`` and ``_replace`` do not."""
+
+    __slots__ = ()
+
+    def __new__(cls, l2_lambda: float = 1.0, max_iterations: int = 200,
+                convergence_tol: float = 1e-5):
+        if not (math.isfinite(l2_lambda) and l2_lambda > 0):
             raise ValueError("l2_lambda must be finite and positive")
         try:
-            index(self.max_iterations)
+            index(max_iterations)
         except TypeError:
             raise ValueError("max_iterations must be an integer") from None
-        if self.max_iterations < 0:
+        if max_iterations < 0:
             raise ValueError("max_iterations must not be negative")
-        if not (math.isfinite(self.convergence_tol)
-                and self.convergence_tol >= 0):
+        if not (math.isfinite(convergence_tol) and convergence_tol >= 0):
             raise ValueError("convergence_tol must be finite and not negative")
+        return tuple.__new__(cls, (l2_lambda, max_iterations,
+                                   convergence_tol))
 
 
 def _label_index(labels: tuple[str, ...], label: str) -> int:
@@ -124,34 +128,35 @@ def _label_index(labels: tuple[str, ...], label: str) -> int:
         raise CrfError(f"unknown label {label!r}") from None
 
 
-@dataclass(eq=False)
 class CrfModel:
     """``unary[i][j]`` weighs feature ``features[i]`` under ``labels[j]``;
     ``transitions[a][b]`` weighs label a followed by label b.  Both are
     tuples of rows of floats, read into the decoding tables when the model
     is built, so changed weights make a new model.  The labels are
-    distinct, and there is at least one."""
+    distinct, and there is at least one.  Two models are equal only if
+    they are the same object."""
 
-    labels: tuple[str, ...]
-    features: tuple[str, ...]
-    unary: tuple[tuple[float, ...], ...]
-    transitions: tuple[tuple[float, ...], ...]
-    templates: tuple[FeatureTemplate, ...] = ()
-    task_name: str = ""
-    feature_rows: dict[str, int] = field(init=False, repr=False)
-    # Per label, the ``get`` of a feature -> weight dict: what
-    # ``viterbi_decode`` reads.
-    label_weights: tuple = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if not self.labels:
+    def __init__(self, labels: tuple[str, ...], features: tuple[str, ...],
+                 unary: tuple[tuple[float, ...], ...],
+                 transitions: tuple[tuple[float, ...], ...],
+                 templates: tuple[FeatureTemplate, ...] = (),
+                 task_name: str = ""):
+        if not labels:
             raise CrfError("a model needs at least one label")
-        if len(set(self.labels)) != len(self.labels):
-            raise CrfError(f"repeated label in {self.labels!r}")
-        self.feature_rows = {f: i for i, f in enumerate(self.features)}
+        if len(set(labels)) != len(labels):
+            raise CrfError(f"repeated label in {labels!r}")
+        self.labels = labels
+        self.features = features
+        self.unary = unary
+        self.transitions = transitions
+        self.templates = templates
+        self.task_name = task_name
+        self.feature_rows = {f: i for i, f in enumerate(features)}
+        # Per label, the ``get`` of a feature -> weight dict: what
+        # ``viterbi_decode`` reads.
         self.label_weights = tuple(
-            dict(zip(self.features, [row[j] for row in self.unary])).get
-            for j in range(len(self.labels)))
+            dict(zip(features, [row[j] for row in unary])).get
+            for j in range(len(labels)))
 
     @classmethod
     def from_weights(cls, labels, unary_weights, transition_weights,

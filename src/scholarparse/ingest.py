@@ -47,9 +47,9 @@ test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from io import BytesIO
 from operator import attrgetter, itemgetter
+from typing import NamedTuple
 from xml.etree import ElementTree as ET
 
 from ._gcpause import gc_paused
@@ -61,21 +61,32 @@ SUP_RISE_PT = 1.5
 
 
 class RichXmlParseError(ValueError):
-    """Malformed XML input; carries the approximate byte offset."""
+    """Malformed XML input; carries the byte offset of the error."""
 
     def __init__(self, message: str, byte_offset: int):
         super().__init__(f"{message} (byte offset {byte_offset})")
         self.byte_offset = byte_offset
 
 
-@dataclass
-class IngestReport:
-    """What parsing a rich XML document read, skipped and warned about."""
+class _IngestReportFields(NamedTuple):
+    # The defaults are IngestReport.__new__'s.
+    token_count: int
+    page_count: int
+    skipped_elements: int
+    warnings: list[str]
 
-    token_count: int = 0
-    page_count: int = 0
-    skipped_elements: int = 0
-    warnings: list[str] = field(default_factory=list)
+
+class IngestReport(_IngestReportFields):
+    """What parsing a rich XML document read, skipped and warned about;
+    built once the parse is done.  ``warnings`` is a new list unless one
+    is given."""
+
+    __slots__ = ()
+
+    def __new__(cls, token_count: int = 0, page_count: int = 0,
+                skipped_elements: int = 0, warnings: list[str] | None = None):
+        return tuple.__new__(cls, (token_count, page_count, skipped_elements,
+                                   [] if warnings is None else warnings))
 
 
 def _get_float(elem, name):
@@ -96,7 +107,7 @@ def _page_number(raw: str) -> int:
 
 
 def _page_extent(page_elem, name: str, default: float, number: int,
-                 report: IngestReport) -> float:
+                 warnings: list[str]) -> float:
     """A PAGE width or height; a missing one is the US Letter default, and
     so, with a warning, is one that is not a finite positive number."""
     raw = page_elem.get(name)
@@ -105,8 +116,8 @@ def _page_extent(page_elem, name: str, default: float, number: int,
     value = _get_float(page_elem, name)
     if value is not None and math.isfinite(value) and value > 0:
         return value
-    report.warnings.append(f"page {number}: PAGE {name} {raw!r} is not a "
-                           f"finite positive number; using {default:g}")
+    warnings.append(f"page {number}: PAGE {name} {raw!r} is not a "
+                    f"finite positive number; using {default:g}")
     return default
 
 
@@ -145,8 +156,10 @@ def _is_superscript(font_size: float, baseline_y: float, line_baseline: float,
             and line_baseline - baseline_y >= SUP_RISE_PT)
 
 
-def _parse_page(page_elem, number: int, report: IngestReport) -> tuple[Line, ...]:
-    """The lines of one PAGE, each token built as its TOKEN is read.
+def _parse_page(page_elem, number: int,
+                warnings: list[str]) -> tuple[tuple[Line, ...], int]:
+    """The lines of one PAGE, each token built as its TOKEN is read, and
+    the number of elements skipped.
 
     The page's median font is known only once every TOKEN is read, so the
     tokens are built with ``sup_flag`` False and, after that, the few that
@@ -154,14 +167,15 @@ def _parse_page(page_elem, number: int, report: IngestReport) -> tuple[Line, ...
     """
     lines = []
     fonts = []
+    skipped = 0
     for text_elem in page_elem:
         if text_elem.tag != "TEXT":
-            report.skipped_elements += 1
+            skipped += 1
             continue
         tokens = []
         for tok_elem in text_elem:
             if tok_elem.tag != "TOKEN":
-                report.skipped_elements += 1
+                skipped += 1
                 continue
             attrib = tok_elem.attrib
             text = (tok_elem.text or "").strip()
@@ -181,9 +195,9 @@ def _parse_page(page_elem, number: int, report: IngestReport) -> tuple[Line, ...
             if not valid:
                 geometry = _token_geometry(tok_elem, text)
                 if isinstance(geometry, str):
-                    report.skipped_elements += 1
-                    report.warnings.append(f"page {number}: skipped TOKEN "
-                                           f"{text!r} with {geometry}")
+                    skipped += 1
+                    warnings.append(f"page {number}: skipped TOKEN {text!r} "
+                                    f"with {geometry}")
                     continue
                 x, y, width, height, font_size = geometry
             # Both paths above reject every value Token() would, so the
@@ -196,9 +210,8 @@ def _parse_page(page_elem, number: int, report: IngestReport) -> tuple[Line, ...
         if tokens:
             tokens.sort(key=attrgetter("x"))
             lines.append(tokens)
-            report.token_count += len(tokens)
     if not fonts:
-        return ()
+        return (), skipped
     median_font = _median(fonts)
     small = SUP_FONT_RATIO * median_font
     built = []
@@ -213,7 +226,7 @@ def _parse_page(page_elem, number: int, report: IngestReport) -> tuple[Line, ...
         # running Line's check again.
         built.append(tuple.__new__(Line, (tuple(tokens), baseline)))
     built.sort(key=itemgetter(1))
-    return tuple(built)
+    return tuple(built), skipped
 
 
 def _start_events(source):
@@ -248,67 +261,100 @@ def _root_children(data: bytes):
                 yield from done
                 del done
     except ET.ParseError as exc:
-        line, col = exc.position
-        offset = sum(len(l) + 1 for l in data.split(b"\n")[: line - 1]) + col
-        raise RichXmlParseError(str(exc), offset) from exc
+        raise RichXmlParseError(str(exc), _byte_offset(data, *exc.position)) \
+            from exc
     yield from root
+
+
+def _byte_offset(data: bytes, line: int, column: int) -> int:
+    """The offset in ``data`` of expat's 1-based ``line`` and 0-based
+    ``column``.  Expat ends a line at LF, CR or CR LF, as
+    ``bytes.splitlines`` does, and counts the column in characters, so the
+    line's first ``column`` characters are measured in UTF-8 bytes; a byte
+    that is not UTF-8 counts as one character."""
+    lines = data.splitlines(keepends=True)
+    start = sum(map(len, lines[:line - 1]))
+    text = b"".join(lines[line - 1:line]).decode("utf-8", "surrogateescape")
+    return start + len(text[:column].encode("utf-8", "surrogateescape"))
 
 
 @gc_paused
 def parse_rich_xml(data: bytes, *, dehyphenate: bool = False,
                    source_id: str = "") -> tuple[Document, IngestReport]:
     """Parse rich XML bytes into a Document plus an ingest report."""
-    report = IngestReport()
     pages = []
+    warnings: list[str] = []
+    skipped = 0
     used: set[int] = set()
     for page_elem in _root_children(data):
         if page_elem.tag != "PAGE":
-            report.skipped_elements += 1
+            skipped += 1
             continue
         raw_number = page_elem.get("number", str(len(pages) + 1))
         number = _page_number(raw_number)
         if number < 1 or number in used:
             number = max(used, default=0) + 1
-            report.warnings.append(
+            warnings.append(
                 f"PAGE number {raw_number!r} is not a positive integer or "
                 f"repeats an earlier page; renumbered {number}")
         used.add(number)
-        width = _page_extent(page_elem, "width", 612.0, number, report)
-        height = _page_extent(page_elem, "height", 792.0, number, report)
-        pages.append(Page(number=number, width=width, height=height,
-                          lines=_parse_page(page_elem, number, report)))
-        report.page_count += 1
+        width = _page_extent(page_elem, "width", 612.0, number, warnings)
+        height = _page_extent(page_elem, "height", 792.0, number, warnings)
+        lines, page_skipped = _parse_page(page_elem, number, warnings)
+        skipped += page_skipped
+        pages.append(Page(number, width, height, lines))
         page_elem.clear()
 
+    report = IngestReport(
+        token_count=sum(len(line.tokens) for page in pages
+                        for line in page.lines),
+        page_count=len(pages), skipped_elements=skipped, warnings=warnings)
     if dehyphenate:
         pages = [_dehyphenate_page(p) for p in pages]
     return Document(source_id=source_id, pages=tuple(pages)), report
 
 
 def _dehyphenate_page(page: Page) -> Page:
-    """Join a line-final token ending in '-' with the next line's first token."""
+    """Join a line-final token ending in '-' with the first token of the
+    next line of its column: the next line below whose x-extent meets the
+    hyphenated line's, so that on a two-column page the other column's
+    line at the same height is passed over."""
     lines = list(page.lines)
     new_lines = []
-    i = 0
-    while i < len(lines):
-        line = lines[i]
+    # A join changes or drops only a later line, which the loop reaches
+    # as it is then.
+    for i, line in enumerate(lines):
         last = line.tokens[-1]
-        if last.text.endswith("-") and len(last.text) > 1 and i + 1 < len(lines):
-            nxt = lines[i + 1]
+        j = (_next_in_column(lines, i)
+             if last.text.endswith("-") and len(last.text) > 1 else None)
+        if j is not None:
+            nxt = lines[j]
             joined = last._replace(text=last.text[:-1] + nxt.tokens[0].text)
-            new_lines.append(Line(tokens=line.tokens[:-1] + (joined,),
-                                  baseline_y=line.baseline_y))
+            line = Line(tokens=line.tokens[:-1] + (joined,),
+                        baseline_y=line.baseline_y)
             rest = nxt.tokens[1:]
             if rest:
-                lines[i + 1] = Line(tokens=rest, baseline_y=nxt.baseline_y)
+                lines[j] = Line(tokens=rest, baseline_y=nxt.baseline_y)
             else:
-                del lines[i + 1]
-            i += 1
-            continue
+                del lines[j]
         new_lines.append(line)
-        i += 1
-    return Page(number=page.number, width=page.width, height=page.height,
-                lines=tuple(new_lines))
+    return page._replace(lines=tuple(new_lines))
+
+
+def _x_extent(line: Line) -> tuple[float, float]:
+    last = line.tokens[-1]
+    return line.tokens[0].x, last.x + last.width
+
+
+def _next_in_column(lines: list[Line], i: int) -> int | None:
+    """The index of the first line after ``lines[i]`` whose x-extent meets
+    its own, or None."""
+    left, right = _x_extent(lines[i])
+    for j in range(i + 1, len(lines)):
+        x0, x1 = _x_extent(lines[j])
+        if x0 <= right and left <= x1:
+            return j
+    return None
 
 
 def document_to_xml(doc: Document) -> bytes:

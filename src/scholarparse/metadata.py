@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
 from importlib import resources
 from itertools import groupby
+from typing import NamedTuple
 
 from .context import DocumentContext
 from .crf import CrfModel, viterbi_decode
@@ -32,8 +32,7 @@ department college research laboratories corporation email abstract
 NAME_TOKEN = re.compile(r"^[A-Z][A-Za-z'\-]*$")
 
 
-@dataclass(frozen=True)
-class AuthorName:
+class AuthorName(NamedTuple):
     """An author's name in first, middle and last parts."""
 
     first: str
@@ -45,8 +44,7 @@ class AuthorName:
         return " ".join(p for p in (self.first, self.middle, self.last) if p)
 
 
-@dataclass(frozen=True)
-class EmailAddress:
+class EmailAddress(NamedTuple):
     """An e-mail address, split at the ``@``."""
 
     user: str
@@ -57,16 +55,14 @@ class EmailAddress:
         return f"{self.user}@{self.domain}"
 
 
-@dataclass(frozen=True)
-class Affiliation:
+class Affiliation(NamedTuple):
     """An affiliation line and its author marker if it has one."""
 
     text: str
     marker: str | None = None
 
 
-@dataclass
-class AuthorRecord:
+class AuthorRecord(NamedTuple):
     """An author with the e-mail address and affiliation mapped to them."""
 
     name: AuthorName
@@ -310,7 +306,8 @@ def _initials(name: AuthorName) -> str:
 def map_authors_to_emails(names: list[AuthorName],
                           emails: list[EmailAddress]) -> list[AuthorRecord]:
     """Pair authors with e-mails: substring, abbreviation, then position."""
-    records = [AuthorRecord(name=n) for n in names]
+    # The e-mail given to each name so far, by the name's position.
+    given: list[EmailAddress | None] = [None] * len(names)
     taken: set[int] = set()
 
     def clean(s: str) -> str:
@@ -319,12 +316,12 @@ def map_authors_to_emails(names: list[AuthorName],
     def assign(matches) -> None:
         """Give each author without an e-mail the first untaken e-mail
         whose cleaned user part ``matches(name, user)``."""
-        for rec in records:
-            if rec.email is not None:
+        for k, name in enumerate(names):
+            if given[k] is not None:
                 continue
             for j, email in enumerate(emails):
-                if j not in taken and matches(rec.name, clean(email.user)):
-                    rec.email = email
+                if j not in taken and matches(name, clean(email.user)):
+                    given[k] = email
                     taken.add(j)
                     break
 
@@ -339,8 +336,7 @@ def map_authors_to_emails(names: list[AuthorName],
 
     # Rule 3: leftovers paired by order of occurrence.
     leftover_emails = [j for j in range(len(emails)) if j not in taken]
-    leftover_recs = [rec for rec in records if rec.email is None]
-    for rec, j in zip(leftover_recs, leftover_emails):
-        rec.email = emails[j]
-        taken.add(j)
-    return records
+    leftover_names = [k for k in range(len(names)) if given[k] is None]
+    for k, j in zip(leftover_names, leftover_emails):
+        given[k] = emails[j]
+    return [AuthorRecord(name, email) for name, email in zip(names, given)]

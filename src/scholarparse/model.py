@@ -5,14 +5,13 @@ the top-left corner of the page and y grows downward, so "lower half of the
 page" means y > page.height / 2.  Token and Line are immutable tuple-backed
 records (``typing.NamedTuple``s), so that ingest, which builds one per word
 and one per visual line, builds them cheaply; each checks its values when
-called.  Every other type is a frozen dataclass.  All are safe to share
-between concurrently processed documents.
+called.  Page, Document and Chunk are plain ``NamedTuple``s too, built
+once with every value known.  All are safe to share between concurrently
+processed documents.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from operator import add
 from typing import NamedTuple
 
@@ -97,8 +96,7 @@ class Line(_LineFields):
         return self.tokens[0].x
 
 
-@dataclass(frozen=True)
-class Page:
+class Page(NamedTuple):
     """One page: its number, its size and its lines from top to bottom."""
 
     number: int
@@ -111,29 +109,24 @@ class Page:
             yield from line.tokens
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(NamedTuple):
     """A parsed article: its source id and its pages."""
 
     source_id: str
     pages: tuple[Page, ...] = ()
 
 
-@dataclass(frozen=True)
-class Chunk:
-    """A contiguous, visually coherent token group."""
+class Chunk(NamedTuple):
+    """A contiguous, visually coherent token group, with its tokens' texts
+    joined by single spaces: URL scanning, section bodies and TEI export all
+    read that text, so ``make_chunk`` joins it once."""
 
     tokens: tuple[Token, ...]
     page_no: int
     avg_font_size: float
     avg_boldness: float
     bbox: tuple[float, float, float, float]
-
-    @cached_property
-    def text(self) -> str:
-        """The tokens' texts joined by single spaces, joined on first use
-        and kept: URL scanning, section bodies and TEI export all read it."""
-        return " ".join(t.text for t in self.tokens)
+    text: str
 
 
 def chunk_stats(tokens) -> tuple[float, float, tuple[float, float, float, float]]:
@@ -155,7 +148,8 @@ def chunk_stats(tokens) -> tuple[float, float, tuple[float, float, float, float]
 
 
 def make_chunk(tokens) -> Chunk:
-    """Build a Chunk with derived statistics from a non-empty token list."""
+    """Build a Chunk with derived statistics and its text from a non-empty
+    token list."""
     tokens = tuple(tokens)
     avg_font, avg_bold, bbox = chunk_stats(tokens)
     return Chunk(
@@ -164,4 +158,5 @@ def make_chunk(tokens) -> Chunk:
         avg_font_size=avg_font,
         avg_boldness=avg_bold,
         bbox=bbox,
+        text=" ".join([t.text for t in tokens]),
     )

@@ -7,13 +7,13 @@ citation-reference linking.  Every stage is deterministic, so equal inputs
 produce equal results.
 
 The stages read the document's chunks and tokens through one
-``DocumentContext``; the result they fill holds only text, numbers and the
-small result records (sections hold paragraph text, see ``structure``).
-So nothing of the parsed document outlives ``extract_document``, and a
-batch of held results costs memory in proportion to its output, not to its
-token count.  The reference splitter is the one stage that reads visual
-lines: it takes them from the reference section's chunks while the context
-is alive.
+``DocumentContext``; the result, built once from their outputs, holds only
+text, numbers and the small result records (sections hold paragraph text,
+see ``structure``).  So nothing of the parsed document outlives
+``extract_document``, and a batch of held results costs memory in
+proportion to its output, not to its token count.  The reference splitter
+is the one stage that reads visual lines: it takes them from the reference
+section's chunks while the context is alive.
 
 ``extract_document`` runs with automatic garbage collection paused
 (``_gcpause``): what the stages build holds no reference cycles, so
@@ -24,10 +24,9 @@ the call also runs without automatic collection until it returns.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from ._gcpause import gc_paused
 from .bibliography import (NoReferenceSectionError, extract_citations,
@@ -45,8 +44,7 @@ from .structure import (Section, extract_caption_headings, extract_footnotes,
 from .tei import ExtractionResult
 
 
-@dataclass
-class PipelineModels:
+class PipelineModels(NamedTuple):
     """The trained CRF of each labeling task, one field per task."""
 
     title: CrfModel
@@ -56,7 +54,7 @@ class PipelineModels:
 
 
 # The labeling tasks, in the order they run and train.
-TASKS = tuple(f.name for f in dataclasses.fields(PipelineModels))
+TASKS = PipelineModels._fields
 
 
 def load_models_from_dir(directory) -> PipelineModels:
@@ -88,14 +86,13 @@ def chunk_to_lines(chunk: Chunk) -> list[tuple[str, float]]:
 
 
 def _attach_affiliations(records, affiliations):
-    if not affiliations:
-        return
+    """The records with the affiliations attached: the one affiliation to
+    every author, else each in turn to the author at its position."""
     if len(affiliations) == 1:
-        for rec in records:
-            rec.affiliation = affiliations[0]
-        return
-    for rec, aff in zip(records, affiliations):
-        rec.affiliation = aff
+        affiliations = affiliations * len(records)
+    attached = [rec._replace(affiliation=aff)
+                for rec, aff in zip(records, affiliations)]
+    return attached + records[len(attached):]
 
 
 @gc_paused
@@ -104,25 +101,22 @@ def extract_document(doc: Document, models: PipelineModels,
     """Run the full extraction pipeline over one parsed document."""
     ctx = build_context(doc, params)
     chunks = ctx.chunks
-    result = ExtractionResult(source_id=doc.source_id)
     if not chunks:
-        return result
+        return ExtractionResult(source_id=doc.source_id)
 
     title_span = extract_title(ctx, models.title)
     if not title_span:
         title_span = title_fallback(ctx.first_page_chunks)
-    result.title = " ".join(t.text for t in title_span)
 
     names = extract_author_names(ctx, title_span, models.author)
     emails = extract_emails(ctx)
-    records = map_authors_to_emails(names, emails)
-    _attach_affiliations(records, extract_affiliations(ctx))
-    result.authors = records
+    authors = _attach_affiliations(map_authors_to_emails(names, emails),
+                                   extract_affiliations(ctx))
 
     headings = label_headings(ctx, models.heading)
     sections = map_sections(chunks, headings)
-    result.footnotes = extract_footnotes(ctx, models.footnote)
-    result.captions = extract_caption_headings(chunks)
+    footnotes = extract_footnotes(ctx, models.footnote)
+    captions = extract_caption_headings(chunks)
 
     try:
         start, stop = locate_reference_section(sections)
@@ -141,20 +135,16 @@ def extract_document(doc: Document, models: PipelineModels,
                  if i not in own for pair in chunk_to_lines(chunks[i])]
         if lines:
             references = split_references(lines)
-    result.references = references
 
     citations = []
     for section in remainder:
         heading_text = None if section.heading is None else section.heading.text
         for cit in extract_citations(section.body_text):
-            citations.append(dataclasses.replace(
-                cit, section_heading=heading_text))
-    result.citations = map_citations_to_references(citations, references)
+            citations.append(cit._replace(section_heading=heading_text))
 
     # The run is one section: its paragraphs under its first heading.
-    result.sections = remainder
     if run:
-        result.sections.append(Section(
+        remainder.append(Section(
             heading=run[0].heading,
             paragraphs=tuple(p for section in run for p in section.paragraphs)))
 
@@ -165,5 +155,13 @@ def extract_document(doc: Document, models: PipelineModels,
             if url not in seen:
                 seen.add(url)
                 urls.append(url)
-    result.urls = urls
-    return result
+    return ExtractionResult(
+        source_id=doc.source_id,
+        title=" ".join(t.text for t in title_span),
+        authors=authors,
+        sections=remainder,
+        urls=urls,
+        footnotes=footnotes,
+        captions=captions,
+        references=references,
+        citations=map_citations_to_references(citations, references))

@@ -8,7 +8,7 @@ alive once extraction returns.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .context import DocumentContext
 from .crf import CrfModel, viterbi_decode
@@ -28,8 +28,7 @@ URL_PATTERN = re.compile(
     r"https?://(?:[a-zA-Z0-9]|[$-_@.&+]|[!*(),]|%[0-9a-fA-F]{2})+")
 
 
-@dataclass(frozen=True)
-class SectionHeading:
+class SectionHeading(NamedTuple):
     """A heading chunk's text, enumeration included, and its index among
     the document's chunks."""
 
@@ -37,8 +36,7 @@ class SectionHeading:
     chunk_index: int
 
 
-@dataclass(frozen=True)
-class Section:
+class Section(NamedTuple):
     """A heading, or None for the text before the first one, and the
     paragraphs under it."""
 
@@ -50,8 +48,7 @@ class Section:
         return " ".join(self.paragraphs)
 
 
-@dataclass(frozen=True)
-class Footnote:
+class Footnote(NamedTuple):
     """A footnote's marker, text and page number."""
 
     marker: str | None
@@ -59,8 +56,7 @@ class Footnote:
     page_no: int
 
 
-@dataclass(frozen=True)
-class CaptionHeading:
+class CaptionHeading(NamedTuple):
     """A figure or table caption: its kind and its text, label included as
     read ("Fig. 3: overview")."""
 

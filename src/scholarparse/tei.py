@@ -17,7 +17,7 @@ without automatic collection until it returns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 from xml.etree import ElementTree as ET
 
 from ._gcpause import gc_paused
@@ -28,20 +28,38 @@ from .structure import CaptionHeading, Footnote, Section
 TEI_NS = "http://www.tei-c.org/ns/1.0"
 
 
-@dataclass
-class ExtractionResult:
-    """Everything extracted from one document, as text, numbers and the small
-    result records; ``export_tei`` writes it as TEI."""
+class _ExtractionResultFields(NamedTuple):
+    # The defaults are ExtractionResult.__new__'s.
+    source_id: str
+    title: str
+    authors: list[AuthorRecord]
+    sections: list[Section]
+    urls: list[str]
+    footnotes: list[Footnote]
+    captions: list[CaptionHeading]
+    references: list[Reference]
+    citations: list[CitationLink]
 
-    source_id: str = ""
-    title: str = ""
-    authors: list[AuthorRecord] = field(default_factory=list)
-    sections: list[Section] = field(default_factory=list)
-    urls: list[str] = field(default_factory=list)
-    footnotes: list[Footnote] = field(default_factory=list)
-    captions: list[CaptionHeading] = field(default_factory=list)
-    references: list[Reference] = field(default_factory=list)
-    citations: list[CitationLink] = field(default_factory=list)
+
+class ExtractionResult(_ExtractionResultFields):
+    """Everything extracted from one document, as text, numbers and the small
+    result records; ``export_tei`` writes it as TEI.  Each list left out is
+    a new empty list."""
+
+    __slots__ = ()
+
+    def __new__(cls, source_id: str = "", title: str = "",
+                authors: list[AuthorRecord] | None = None,
+                sections: list[Section] | None = None,
+                urls: list[str] | None = None,
+                footnotes: list[Footnote] | None = None,
+                captions: list[CaptionHeading] | None = None,
+                references: list[Reference] | None = None,
+                citations: list[CitationLink] | None = None):
+        lists = (authors, sections, urls, footnotes, captions, references,
+                 citations)
+        return tuple.__new__(cls, (source_id, title, *[
+            [] if value is None else value for value in lists]))
 
 
 def reference_id(ref: Reference, position: int) -> str:

@@ -295,15 +295,15 @@ def _reference_float(elem, name):
         return None
 
 
-def _reference_extent(page_elem, name, default, number, report):
+def _reference_extent(page_elem, name, default, number, warnings):
     raw = page_elem.get(name)
     if raw is None:
         return default
     value = _reference_float(page_elem, name)
     if value is not None and math.isfinite(value) and value > 0:
         return value
-    report.warnings.append(f"page {number}: PAGE {name} {raw!r} is not a "
-                           f"finite positive number; using {default:g}")
+    warnings.append(f"page {number}: PAGE {name} {raw!r} is not a "
+                    f"finite positive number; using {default:g}")
     return default
 
 
@@ -332,21 +332,27 @@ def reference_parse_rich_xml(data: bytes, *, dehyphenate: bool = False,
 
     Every TOKEN is read field by field, every line's baseline is a
     ``statistics.median``, and a second pass over each page rebuilds the
-    tokens it flags as superscripts.
+    tokens it flags as superscripts.  The error's byte offset is the UTF-8
+    length of the text before expat's position, which counts characters.
     """
-    report = IngestReport()
     try:
         root = ET.fromstring(data)
     except ET.ParseError as exc:
         line, col = exc.position
-        offset = sum(len(l) + 1 for l in data.split(b"\n")[: line - 1]) + col
+        text = data.decode("utf-8", "surrogateescape")
+        # Expat ends a line at CR LF, CR or LF.
+        line_starts = [0] + [m.end() for m in re.finditer(r"\r\n?|\n", text)]
+        before = text[:line_starts[line - 1] + col]
+        offset = len(before.encode("utf-8", "surrogateescape"))
         raise RichXmlParseError(str(exc), offset) from exc
 
     pages = []
+    warnings = []
+    skipped = token_count = 0
     used: set[int] = set()
     for page_elem in root:
         if page_elem.tag != "PAGE":
-            report.skipped_elements += 1
+            skipped += 1
             continue
         raw_number = page_elem.get("number", str(len(pages) + 1))
         try:
@@ -355,21 +361,22 @@ def reference_parse_rich_xml(data: bytes, *, dehyphenate: bool = False,
             number = 0
         if number < 1 or number in used:
             number = max(used, default=0) + 1
-            report.warnings.append(
+            warnings.append(
                 f"PAGE number {raw_number!r} is not a positive integer or "
                 f"repeats an earlier page; renumbered {number}")
         used.add(number)
-        width = _reference_extent(page_elem, "width", 612.0, number, report)
-        height = _reference_extent(page_elem, "height", 792.0, number, report)
+        width = _reference_extent(page_elem, "width", 612.0, number, warnings)
+        height = _reference_extent(page_elem, "height", 792.0, number,
+                                   warnings)
         lines = []
         for text_elem in page_elem:
             if text_elem.tag != "TEXT":
-                report.skipped_elements += 1
+                skipped += 1
                 continue
             tokens = []
             for tok_elem in text_elem:
                 if tok_elem.tag != "TOKEN":
-                    report.skipped_elements += 1
+                    skipped += 1
                     continue
                 x = _reference_float(tok_elem, "x")
                 y = _reference_float(tok_elem, "y")
@@ -387,8 +394,8 @@ def reference_parse_rich_xml(data: bytes, *, dehyphenate: bool = False,
                 else:
                     problem = ""
                 if problem:
-                    report.skipped_elements += 1
-                    report.warnings.append(
+                    skipped += 1
+                    warnings.append(
                         f"page {number}: skipped TOKEN {text!r} with {problem}")
                     continue
                 tokens.append(Token(
@@ -403,15 +410,16 @@ def reference_parse_rich_xml(data: bytes, *, dehyphenate: bool = False,
             tokens.sort(key=lambda t: t.x)
             baseline = statistics.median(t.baseline_y for t in tokens)
             lines.append(Line(tokens=tuple(tokens), baseline_y=baseline))
-            report.token_count += len(tokens)
+            token_count += len(tokens)
         lines.sort(key=lambda l: l.baseline_y)
         pages.append(Page(number=number, width=width, height=height,
                           lines=tuple(lines)))
-        report.page_count += 1
 
     pages = [_reference_flag_superscripts(p) for p in pages]
     if dehyphenate:
         pages = [_dehyphenate_page(p) for p in pages]
+    report = IngestReport(token_count=token_count, page_count=len(pages),
+                          skipped_elements=skipped, warnings=warnings)
     return Document(source_id=source_id, pages=tuple(pages)), report
 
 
@@ -435,7 +443,8 @@ def _reference_chunk(tokens):
     tokens = tuple(tokens)
     avg_font, avg_bold, bbox = _reference_chunk_stats(tokens)
     return Chunk(tokens=tokens, page_no=tokens[0].page_no,
-                 avg_font_size=avg_font, avg_boldness=avg_bold, bbox=bbox)
+                 avg_font_size=avg_font, avg_boldness=avg_bold, bbox=bbox,
+                 text=" ".join(t.text for t in tokens))
 
 
 def _reference_line_font(line):

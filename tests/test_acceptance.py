@@ -6,7 +6,6 @@ extraction on the held-out 80 documents at the stated micro-averaged
 token-F thresholds.
 """
 
-import dataclasses
 import hashlib
 import random
 import time
@@ -280,7 +279,7 @@ class TestCriterion9UseCases:
         links = []
         for text, heading in placed:
             (cit,) = extract_citations(text)
-            cit = dataclasses.replace(cit, section_heading=heading)
+            cit = cit._replace(section_heading=heading)
             links.append(CitationLink(citation=cit, reference=None,
                                       method="unresolved"))
         result = ExtractionResult(

@@ -75,6 +75,32 @@ class TestParse:
             parse_rich_xml(b"<DOCUMENT><PAGE></DOCUMENT>")
         assert err.value.byte_offset > 0
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"],
+                             ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("body, bad", [
+        ("ééééé\x01", b"\x01"), ("naïve † x¹ <1/>", b"1"),
+        ("a\U0001F600b\x01", b"\x01")], ids=["latin", "mixed", "astral"])
+    def test_offset_counts_bytes_on_a_multibyte_line(self, body, bad,
+                                                     newline):
+        # Expat's column counts characters; the offset counts bytes.
+        data = (f"<DOCUMENT>{newline}<PAGE>é{newline}<TEXT>{body}</TEXT>"
+                f"</PAGE></DOCUMENT>").encode("utf-8")
+        with pytest.raises(RichXmlParseError) as err:
+            parse_rich_xml(data)
+        offset = err.value.byte_offset
+        assert data[offset:offset + 1] == bad
+        assert f"byte offset {offset})" in str(err.value)
+        assert parse_outcome(reference_parse_rich_xml, data) == \
+            parse_outcome(parse_rich_xml, data)
+
+    @pytest.mark.parametrize("data", [b"<DOCUMENT>\n",
+                                      b"<DOCUMENT>\r<PAGE>\n",
+                                      b"<DOCUMENT>\r\n<PAGE>\r\n"])
+    def test_offset_of_an_error_after_the_last_line_break(self, data):
+        with pytest.raises(RichXmlParseError) as err:
+            parse_rich_xml(data)
+        assert err.value.byte_offset == len(data)
+
     def test_lines_sorted_by_baseline(self):
         data = b"""<DOCUMENT><PAGE number="1" width="612" height="792">
         <TEXT><TOKEN x="0" y="200" width="5" height="10" font-size="10">low</TOKEN></TEXT>
@@ -251,6 +277,44 @@ class TestDehyphenation:
         assert type(after) is Token
         assert after == before._replace(text="example")
         assert joined.pages[0].lines[1].text == "rest"
+
+    def test_joins_within_its_column_on_a_two_column_page(self):
+        # The right column's first line shares the hyphenated line's
+        # baseline, so it comes next in baseline order.
+        data = b"""<DOCUMENT><PAGE number="1" width="612" height="792">
+        <TEXT>
+          <TOKEN x="50" y="50" width="20" height="10" font-size="10">We</TOKEN>
+          <TOKEN x="75" y="50" width="40" height="10" font-size="10">exam-</TOKEN>
+        </TEXT>
+        <TEXT>
+          <TOKEN x="320" y="50" width="30" height="10" font-size="10">Right</TOKEN>
+          <TOKEN x="355" y="50" width="40" height="10" font-size="10">column</TOKEN>
+        </TEXT>
+        <TEXT>
+          <TOKEN x="50" y="65" width="20" height="10" font-size="10">ple</TOKEN>
+          <TOKEN x="75" y="65" width="20" height="10" font-size="10">text</TOKEN>
+        </TEXT>
+        <TEXT>
+          <TOKEN x="320" y="65" width="30" height="10" font-size="10">more</TOKEN>
+          <TOKEN x="355" y="65" width="40" height="10" font-size="10">words</TOKEN>
+        </TEXT></PAGE></DOCUMENT>"""
+        plain, _ = parse_rich_xml(data)
+        assert [l.text for l in plain.pages[0].lines] == [
+            "We exam-", "Right column", "ple text", "more words"]
+        doc, _ = parse_rich_xml(data, dehyphenate=True)
+        assert [l.text for l in doc.pages[0].lines] == [
+            "We example", "Right column", "text", "more words"]
+
+    def test_hyphen_with_no_line_below_in_its_column_is_kept(self):
+        data = b"""<DOCUMENT><PAGE number="1" width="612" height="792">
+        <TEXT>
+          <TOKEN x="50" y="65" width="40" height="10" font-size="10">exam-</TOKEN>
+        </TEXT>
+        <TEXT>
+          <TOKEN x="320" y="80" width="30" height="10" font-size="10">Right</TOKEN>
+        </TEXT></PAGE></DOCUMENT>"""
+        doc, _ = parse_rich_xml(data, dehyphenate=True)
+        assert [l.text for l in doc.pages[0].lines] == ["exam-", "Right"]
 
 
 class TestRoundTrip:

@@ -53,6 +53,20 @@ assert scholarparse.cli.main(["extract", *sys.argv[1:]]) == 0
 print(" ".join(sorted(m for m in sys.modules if m.startswith("scholarparse."))))
 """
 
+# Set up, extract one article in process and once through the command line;
+# prints which of the modules that dataclasses load are then loaded.
+NO_DATACLASSES = """\
+import sys
+import scholarparse
+import scholarparse.cli
+models = scholarparse.load_default_models()
+doc, _report = scholarparse.parse_rich_xml(open(sys.argv[1], "rb").read())
+assert "<title" in scholarparse.export_tei(
+    scholarparse.extract_document(doc, models))
+assert scholarparse.cli.main(["extract", *sys.argv[1:]]) == 0
+print(" ".join(m for m in ("dataclasses", "inspect") if m in sys.modules))
+"""
+
 BARE_IMPORT = """\
 import sys
 import scholarparse
@@ -96,6 +110,13 @@ class TestImportGraph:
         assert (tmp_path / "paper.tei.xml").exists()
         for name in ("evaluate", "synth", "training", "usecases"):
             assert f"scholarparse.{name}" not in loaded
+
+    def test_extraction_never_imports_dataclasses(self, article, tmp_path):
+        # Its records are NamedTuples: building a dataclass execs its
+        # generated methods, and importing dataclasses imports inspect,
+        # which would be a large share of set-up.
+        assert _run(NO_DATACLASSES, article, "--out", tmp_path).split() == []
+        assert (tmp_path / "paper.tei.xml").exists()
 
 
 class TestNamespace:
@@ -146,10 +167,17 @@ class TestNamespace:
         assert "scholarparse.ingest" in holders
 
 
+def is_record(cls) -> bool:
+    """A dataclass or a NamedTuple class."""
+    return dataclasses.is_dataclass(cls) or (issubclass(cls, tuple)
+                                             and hasattr(cls, "_fields"))
+
+
 def test_no_public_class_has_a_generated_docstring():
+    # Both kinds generate "Name(field, ...)" for a class without its own.
     classes = [getattr(scholarparse, name) for name in scholarparse.__all__
                if inspect.isclass(getattr(scholarparse, name))]
-    assert sum(map(dataclasses.is_dataclass, classes)) > 20
+    assert sum(map(is_record, classes)) > 20
     for cls in classes:
         assert cls.__doc__, cls.__name__
         assert not cls.__doc__.startswith(cls.__name__ + "("), cls.__name__

@@ -1,6 +1,5 @@
 """Integration tests for the end-to-end pipeline with the bundled models."""
 
-import dataclasses
 import os
 import re
 import subprocess
@@ -64,7 +63,7 @@ class TestDefaultModels:
 
 
 def test_pipeline_models_hold_one_model_per_task():
-    assert [f.name for f in dataclasses.fields(PipelineModels)] == list(TASKS)
+    assert list(PipelineModels._fields) == list(TASKS)
     assert tuple(training._BUILDERS) == TASKS
 
 
@@ -212,8 +211,8 @@ class TestReferenceRun:
                                     5.0 * len(word), size, size, bold=bold))
                 x += 5.0 * len(word) + 5.0
             lines.append(Line(tuple(tokens), baseline))
-        page = dataclasses.replace(last, lines=last.lines + tuple(lines))
-        return dataclasses.replace(doc, pages=doc.pages[:-1] + (page,))
+        page = last._replace(lines=last.lines + tuple(lines))
+        return doc._replace(pages=doc.pages[:-1] + (page,))
 
     def headings(self, ctx, model):
         """The labeler's headings plus the two added heading chunks."""

@@ -17,8 +17,7 @@ def sample_result():
     refs = [Reference(index=1, raw_text="Singh, M. 2013. A paper.", year=2013),
             Reference(index=2, raw_text="Goyal, P. 2014. Other.", year=2014)]
     (cit,) = extract_citations("see [1] here")
-    import dataclasses
-    cit = dataclasses.replace(cit, section_heading="1 Intro")
+    cit = cit._replace(section_heading="1 Intro")
     heading = SectionHeading(text="1 Intro", chunk_index=1)
     author = AuthorRecord(
         name=AuthorName(first="Mayank", middle="K", last="Singh"),

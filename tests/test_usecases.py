@@ -1,6 +1,5 @@
 """Unit tests for the corpus-analysis use cases."""
 
-import dataclasses
 
 from scholarparse.bibliography import CitationLink, extract_citations
 from scholarparse.structure import Section, SectionHeading
@@ -91,7 +90,7 @@ class TestHistogram:
         links = []
         for text, heading in pairs:
             (cit,) = extract_citations(text)
-            cit = dataclasses.replace(cit, section_heading=heading)
+            cit = cit._replace(section_heading=heading)
             links.append(CitationLink(citation=cit, reference=None,
                                       method="unresolved"))
         return links
@@ -109,7 +108,7 @@ class TestHistogram:
 
     def test_multi_index_citation_counted_once(self):
         (cit,) = extract_citations("[1, 2]")
-        cit = dataclasses.replace(cit, section_heading="Introduction")
+        cit = cit._replace(section_heading="Introduction")
         links = [CitationLink(citation=cit, reference=None, method="unresolved"),
                  CitationLink(citation=cit, reference=None, method="unresolved")]
         result = ExtractionResult(sections=[section("Introduction")],
