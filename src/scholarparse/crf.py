@@ -636,8 +636,9 @@ def save_model(model: CrfModel) -> bytes:
 def load_model(data: bytes) -> CrfModel:
     """Parse save_model output; field-for-field round trip.  Every weight
     must be finite, which is what ``viterbi_decode``'s tie rule assumes;
-    the labels must be distinct and at least one, and no weight, labels
-    or task record may be given twice."""
+    the labels must be distinct and at least one, no weight, labels, task
+    or template record may be given twice, and a template record holds an
+    id, a kind and at most a description."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -665,8 +666,10 @@ def load_model(data: bytes) -> CrfModel:
             if labels is not None:
                 raise ModelFormatError(f"repeated labels record {line!r}")
             labels = tuple(fields)
-        elif kind == "template" and len(fields) >= 2:
-            templates.append(FeatureTemplate(*fields[:3]))
+        elif kind == "template" and len(fields) in (2, 3):
+            if any(tpl.id == fields[0] for tpl in templates):
+                raise ModelFormatError(f"repeated template record {line!r}")
+            templates.append(FeatureTemplate(*fields))
         elif kind in ("unary", "trans"):
             weights = unary if kind == "unary" else trans
             try:

@@ -10,12 +10,12 @@ from typing import NamedTuple
 
 from .context import DocumentContext
 from .crf import CrfModel, viterbi_decode
-from .features import SUPERSCRIPT_TO_ASCII, is_marker, token_features
+from .features import (LABELING_TASKS, SUPERSCRIPT_TO_ASCII, is_marker,
+                       token_features)
 from .model import Token
 
-TITLE_LABEL = "TITLE"
-AUTHOR_LABEL = "AUTHOR"
-OTHER_LABEL = "OTHER"
+OTHER_LABEL, TITLE_LABEL = LABELING_TASKS["title"].labels
+AUTHOR_LABEL = LABELING_TASKS["author"].labels[1]
 
 # Candidate tokens for author names must fall in the first chunk region or
 # within this many tokens after the title.

@@ -4,7 +4,9 @@ Stages run in a fixed order: chunking, title, authors, e-mails,
 affiliations, section headings, section mapping, footnotes, captions,
 reference splitting, citation-instance extraction per section, and
 citation-reference linking.  Every stage is deterministic, so equal inputs
-produce equal results.
+produce equal results.  The four labeling stages decode with one model each;
+``load_models_from_dir`` checks every model against its task's entry in
+``features.LABELING_TASKS``, the labels and templates its stage reads.
 
 The stages read the document's chunks and tokens through one
 ``DocumentContext``; the result, built once from their outputs, holds only
@@ -34,7 +36,8 @@ from .bibliography import (NoReferenceSectionError, extract_citations,
                            map_citations_to_references, split_references)
 from .chunker import ChunkParams
 from .context import build_context
-from .crf import CrfModel, load_model
+from .crf import CrfModel, ModelFormatError, load_model
+from .features import LABELING_TASKS
 from .metadata import (extract_affiliations, extract_author_names,
                        extract_emails, extract_title, map_authors_to_emails,
                        title_fallback)
@@ -58,11 +61,25 @@ TASKS = PipelineModels._fields
 
 
 def load_models_from_dir(directory) -> PipelineModels:
-    """Every task's model from <task>.crf in a directory or package resource."""
+    """Every task's model from <task>.crf in a directory or package resource.
+    Each model's task record, labels and template ids must be its task's
+    entry in ``features.LABELING_TASKS``, the vocabulary its decoder reads;
+    a mismatch is a ``ModelFormatError`` naming the file and the field."""
     root = directory if hasattr(directory, "joinpath") else Path(directory)
-    return PipelineModels(**{
-        task: load_model(root.joinpath(f"{task}.crf").read_bytes())
-        for task in TASKS})
+    models = {}
+    for task in TASKS:
+        name = f"{task}.crf"
+        models[task] = model = load_model(root.joinpath(name).read_bytes())
+        spec = LABELING_TASKS[task]
+        for field, found, expected in (
+                ("task", model.task_name, task),
+                ("labels", model.labels, spec.labels),
+                ("templates", [t.id for t in model.templates],
+                 [t.id for t in spec.templates])):
+            if found != expected:
+                raise ModelFormatError(
+                    f"{name}: {field} is {found!r}, expected {expected!r}")
+    return PipelineModels(**models)
 
 
 def load_default_models() -> PipelineModels:

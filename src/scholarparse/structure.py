@@ -12,12 +12,13 @@ from typing import NamedTuple
 
 from .context import DocumentContext
 from .crf import CrfModel, viterbi_decode
-from .features import (SUPERSCRIPT_TO_ASCII, footnote_chunk_features,
-                       heading_chunk_features, is_marker)
+from .features import (LABELING_TASKS, SUPERSCRIPT_TO_ASCII,
+                       footnote_chunk_features, heading_chunk_features,
+                       is_marker)
 from .model import Chunk
 
-HEADING_LABEL = "HEADING"
-FOOTNOTE_LABEL = "FOOTNOTE"
+HEADING_LABEL = LABELING_TASKS["heading"].labels[1]
+FOOTNOTE_LABEL = LABELING_TASKS["footnote"].labels[1]
 
 FIGURE_KEYWORDS = ("FIGURE", "Figure", "FIG.", "Fig.")
 TABLE_KEYWORDS = ("Table", "TABLE")

@@ -3,7 +3,9 @@
 Each builder turns (DocumentContext, GroundTruth) examples into
 LabeledSequence lists: it labels the sequences its task's decoder reads,
 built by the same function (``metadata.title_sequences`` and so on), so a
-trained model sees the same items and features in both directions.
+trained model sees the same items and features in both directions.  A
+task's labels and templates are its entry in ``features.LABELING_TASKS``;
+the model records them, and ``pipeline.load_models_from_dir`` checks them.
 """
 
 from __future__ import annotations
@@ -13,9 +15,10 @@ from pathlib import Path
 
 from .chunker import ChunkParams
 from .context import DocumentContext, build_context
-from .crf import CrfModel, LabeledSequence, TrainConfig, train
+from .crf import (CrfModel, FeatureTemplate, LabeledSequence, TrainConfig,
+                  train)
 from .evaluate import GroundTruth, ground_truth_from_text
-from .features import FOOTNOTE_TEMPLATES, HEADING_TEMPLATES, TOKEN_TEMPLATES
+from .features import LABELING_TASKS
 from .ingest import parse_rich_xml
 from .metadata import (AUTHOR_LABEL, OTHER_LABEL, TITLE_LABEL,
                        author_sequences, title_sequences)
@@ -140,13 +143,14 @@ def build_footnote_sequences(examples):
             for _page, chunks, feats in footnote_sequences(ctx)]
 
 
-# Sequence builder, labels and feature templates of each task, in the order
-# of ``TASKS``.
+# The sequence builder of each task, in the order of ``TASKS``, each in a
+# tuple, where a tracer that patches the functions in a module's dicts of
+# tuples (``perfbench``) finds it.
 _BUILDERS = {
-    "title": (build_title_sequences, (OTHER_LABEL, TITLE_LABEL), TOKEN_TEMPLATES),
-    "author": (build_author_sequences, (OTHER_LABEL, AUTHOR_LABEL), TOKEN_TEMPLATES),
-    "heading": (build_heading_sequences, (OTHER_LABEL, HEADING_LABEL), HEADING_TEMPLATES),
-    "footnote": (build_footnote_sequences, (OTHER_LABEL, FOOTNOTE_LABEL), FOOTNOTE_TEMPLATES),
+    "title": (build_title_sequences,),
+    "author": (build_author_sequences,),
+    "heading": (build_heading_sequences,),
+    "footnote": (build_footnote_sequences,),
 }
 
 
@@ -156,9 +160,12 @@ def train_task(task: str, examples, config: TrainConfig = TrainConfig(),
     ``log`` is passed to ``crf.train``."""
     if task not in _BUILDERS:
         raise ValueError(f"unknown task {task!r}")
-    builder, labels, templates = _BUILDERS[task]
-    dataset = builder(examples)
-    return train(dataset, labels, templates, config, task_name=task, log=log)
+    (builder,) = _BUILDERS[task]
+    spec = LABELING_TASKS[task]
+    templates = [FeatureTemplate(t.id, t.kind, t.description)
+                 for t in spec.templates]
+    return train(builder(examples), spec.labels, templates, config,
+                 task_name=task, log=log)
 
 
 def train_all(pairs, config: TrainConfig = TrainConfig(),

@@ -16,7 +16,8 @@ from scholarparse.chunker import ChunkParams, _split_columns
 from scholarparse.context import DocumentContext
 from scholarparse.crf import (CrfError, CrfModel, _emissions, _logaddexp,
                               _occurrences, _path_score, _split)
-from scholarparse.features import token_features
+from scholarparse.features import (_case, _decile, _size_bucket,
+                                   _word_feature, enumeration_kind, is_marker)
 from scholarparse.ingest import (SUP_FONT_RATIO, SUP_RISE_PT, IngestReport,
                                  RichXmlParseError, _dehyphenate_page)
 from scholarparse.metadata import AUTHOR_WINDOW
@@ -504,8 +505,69 @@ def reference_positions(ctx: DocumentContext) -> dict[int, int]:
 def reference_token_features(ctx: DocumentContext, tokens,
                              positions: dict[int, int]):
     """Title/author features of ``tokens`` at their id-map positions."""
-    return token_features(tokens, [positions[id(t)] for t in tokens],
-                          len(positions), ctx.body_font)
+    return reference_token_rows(tokens, [positions[id(t)] for t in tokens],
+                                len(positions), ctx.body_font)
+
+
+# --- feature rows -------------------------------------------------------------
+# Oracles for ``features.token_features``, ``heading_chunk_features`` and
+# ``footnote_chunk_features``: the builders as they were written before the
+# rows were built from the task table, each feature string by hand.
+
+def reference_token_rows(tokens, doc_positions, doc_token_count: int,
+                         body_font: float):
+    n = len(tokens)
+    out = []
+    for i, tok in enumerate(tokens):
+        relpos_doc = doc_positions[i] / max(doc_token_count, 1)
+        feats = [
+            "bias",
+            f"relpos_doc:{_decile(relpos_doc)}",
+            f"relpos_chunk:{_decile(i / max(n, 1))}",
+            f"relsize:{_size_bucket(tok.font_size, body_font)}",
+            f"case:{_case(tok.text)}",
+        ]
+        if tok.bold:
+            feats.append("bold")
+            feats.append(f"bold_size:{_size_bucket(tok.font_size, body_font)}")
+        nxt = _case(tokens[i + 1].text) if i + 1 < n else "_"
+        prv = _case(tokens[i - 1].text) if i > 0 else "_"
+        feats.append(f"case_next:{_case(tok.text)}{nxt}")
+        feats.append(f"case_prev:{_case(tok.text)}{prv}")
+        out.append(tuple(feats))
+    return out
+
+
+def reference_heading_rows(chunks, body_font: float):
+    out = []
+    for chunk in chunks:
+        first = chunk.tokens[0].text
+        second = chunk.tokens[1].text if len(chunk.tokens) > 1 else "_"
+        out.append((
+            "bias",
+            f"first:{_word_feature(first)}",
+            f"second:{_word_feature(second)}",
+            f"boldness:{min(4, int(chunk.avg_boldness * 4))}",
+            f"size:{_size_bucket(chunk.avg_font_size, body_font)}",
+            f"enum:{enumeration_kind(first)}",
+            f"ntok:{min(5, len(chunk.tokens) // 3)}",
+        ))
+    return out
+
+
+def reference_footnote_rows(chunks, page: Page, body_font: float):
+    out = []
+    for chunk in chunks:
+        feats = [
+            "bias",
+            f"size:{_size_bucket(chunk.avg_font_size, body_font)}",
+            f"ypos:{_decile(chunk.bbox[1] / max(page.height, 1.0))}",
+            f"ntok:{min(5, len(chunk.tokens) // 3)}",
+        ]
+        if is_marker(chunk.tokens[0]):
+            feats.append("sup_lead")
+        out.append(tuple(feats))
+    return out
 
 
 def reference_author_window(ctx: DocumentContext, title_span):

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from importlib import resources
 from pathlib import Path
 from xml.etree import ElementTree as ET
 
@@ -182,6 +183,27 @@ class TestCli:
         assert main(["extract", xml]) == 0
         out = capsys.readouterr().out
         assert out.startswith('<?xml version="1.0" encoding="UTF-8"?>')
+
+    @pytest.mark.parametrize("to_directory", (False, True))
+    def test_extract_rejects_a_model_of_another_task(self, corpus_dir,
+                                                     tmp_path, capsys,
+                                                     to_directory):
+        bundled = resources.files("scholarparse.data").joinpath("models")
+        models = tmp_path / "models"
+        models.mkdir()
+        for task in TASKS:
+            source = "title" if task == "author" else task
+            (models / f"{task}.crf").write_bytes(
+                bundled.joinpath(f"{source}.crf").read_bytes())
+        xml = str(sorted(corpus_dir.glob("*.xml"))[0])
+        out = tmp_path / "tei"
+        where = ["--out", str(out)] if to_directory else []
+        assert main(["extract", xml, "--models", str(models), *where]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: author.crf: task is 'title', expected 'author'"]
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_eval_writes_report(self, corpus_dir, tmp_path):
         report = tmp_path / "report.txt"

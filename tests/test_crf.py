@@ -677,6 +677,19 @@ class TestSerialization:
             load_model(b"OCRPP-CRF 1\nlabels\tA\tB\ntask\tx\ntask\ty\n"
                        b"end\n")
 
+    def test_repeated_template_record_rejected(self):
+        # The template used to be recorded twice.
+        with pytest.raises(ModelFormatError, match="repeated template"):
+            load_model(b"OCRPP-CRF 1\nlabels\tA\tB\ntemplate\tbias\tboolean\n"
+                       b"template\tbias\tboolean\nend\n")
+
+    def test_template_record_with_extra_fields_rejected(self):
+        # The fields after the description used to be dropped.
+        with pytest.raises(ModelFormatError, match="malformed record"):
+            load_model(b"OCRPP-CRF 1\nlabels\tA\tB\n"
+                       b"template\tbias\tboolean\talways-on bias\textra\n"
+                       b"end\n")
+
     @pytest.mark.parametrize("record", [b"unary\tx\tA\t2.0",
                                         b"trans\tA\tA\t-0.25"])
     def test_repeated_weight_record_rejected(self, record):

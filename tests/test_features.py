@@ -1,15 +1,25 @@
 """Unit tests for the feature builders."""
 
+import re
 from collections import Counter
 
+from conftest import (reference_footnote_rows, reference_heading_rows,
+                      reference_token_rows)
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from scholarparse.context import build_context
-from scholarparse.features import (_case, _decile, _size_bucket,
-                                   enumeration_kind, font_counts,
-                                   footnote_chunk_features,
+from scholarparse.features import (LABELING_TASKS, _case, _decile,
+                                   _size_bucket, enumeration_kind,
+                                   font_counts, footnote_chunk_features,
                                    heading_chunk_features, is_marker,
                                    modal_font, strip_enumeration,
                                    token_features)
+from scholarparse.ingest import parse_rich_xml
 from scholarparse.model import Document, Line, Page, Token, make_chunk
+from scholarparse.synth import STYLES, generate_synthetic_document
+
+FONT_SIZE = re.compile(rb'font-size="([^"]+)"')
 
 
 def tok(text, size=10.0, bold=False, x=0.0, y=90.0, sup=False):
@@ -107,6 +117,54 @@ class TestChunkFeatures:
         assert is_marker(tok("*note"))
         assert is_marker(tok("²note"))
         assert not is_marker(tok("note"))
+
+
+def test_rows_emit_each_recorded_template_once():
+    for task in LABELING_TASKS.values():
+        assert task.labels[0] == "OTHER" and len(task.labels) == 2
+        ids = [tpl.id for tpl in task.templates]
+        assert len(set(ids)) == len(ids)
+        assert sorted(tpl.id for tpl in task.row) == sorted(ids)
+
+
+def shifted_context(style: str, seed: int, shift: float):
+    """A generator article's context, every font ``shift`` pt larger."""
+    xml, _ = generate_synthetic_document(style, seed)
+    xml = FONT_SIZE.sub(lambda m: b'font-size="%r"' % (float(m[1]) + shift),
+                        xml)
+    return build_context(parse_rich_xml(xml)[0])
+
+
+class TestRowsMatchTheReferenceBuilders:
+    @given(st.sampled_from(STYLES), st.integers(0, 40),
+           st.sampled_from((0.0, 0.2)))
+    @settings(max_examples=40)
+    def test_generator_articles(self, style, seed, shift):
+        ctx = shifted_context(style, seed, shift)
+        start = 0
+        for chunk in ctx.chunks:
+            tokens = list(chunk.tokens)
+            positions = range(start, start + len(tokens))
+            start += len(tokens)
+            args = (tokens, positions, ctx.token_count, ctx.body_font)
+            assert token_features(*args) == reference_token_rows(*args)
+        assert (heading_chunk_features(ctx.chunks, ctx.body_font)
+                == reference_heading_rows(ctx.chunks, ctx.body_font))
+        for pc in ctx.pages:
+            args = (pc.chunks, pc.page, pc.body_font)
+            assert (footnote_chunk_features(*args)
+                    == reference_footnote_rows(*args))
+
+    def test_shifted_fonts_reach_buckets_the_generator_never_writes(self):
+        def buckets(shift):
+            contexts = [shifted_context(style, seed, shift)
+                        for style in STYLES for seed in range(5)]
+            return {f for ctx in contexts
+                    for row in heading_chunk_features(ctx.chunks,
+                                                      ctx.body_font)
+                    for f in row if f.startswith("size:")}
+
+        assert buckets(0.2) - buckets(0.0)
 
 
 class TestBodyFont:

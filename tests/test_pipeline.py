@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 from functools import cache
+from importlib import resources
 from pathlib import Path
 from xml.etree import ElementTree as ET
 
@@ -17,6 +18,8 @@ from scholarparse import pipeline, training
 from scholarparse.bibliography import split_references
 from scholarparse.chunker import chunk_document
 from scholarparse.context import build_context
+from scholarparse.crf import ModelFormatError, TrainConfig, save_model
+from scholarparse.features import LABELING_TASKS
 from scholarparse.ingest import parse_rich_xml
 from scholarparse.metadata import extract_affiliations, extract_emails
 from scholarparse.model import Line, Token
@@ -65,6 +68,63 @@ class TestDefaultModels:
 def test_pipeline_models_hold_one_model_per_task():
     assert list(PipelineModels._fields) == list(TASKS)
     assert tuple(training._BUILDERS) == TASKS
+    assert tuple(LABELING_TASKS) == TASKS
+
+
+def bundled_model(task: str) -> bytes:
+    return resources.files("scholarparse.data").joinpath(
+        f"models/{task}.crf").read_bytes()
+
+
+def model_dir(path, **payloads) -> Path:
+    """``path`` holding every bundled model, but the given ones replaced."""
+    for task in TASKS:
+        (path / f"{task}.crf").write_bytes(
+            payloads.get(task, bundled_model(task)))
+    return path
+
+
+def edited_author(old: bytes, new: bytes) -> bytes:
+    payload = bundled_model("author")
+    assert payload.count(old) == 1
+    return payload.replace(old, new)
+
+
+class TestLoadCheck:
+    """``load_models_from_dir`` holds each model to its task's table entry."""
+
+    @pytest.mark.parametrize("payload, message", [
+        (bundled_model("title"),
+         "author.crf: task is 'title', expected 'author'"),
+        (edited_author(b"labels\tOTHER\tAUTHOR\n",
+                       b"labels\tAUTHOR\tOTHER\n"),
+         "author.crf: labels is ('AUTHOR', 'OTHER'), "
+         "expected ('OTHER', 'AUTHOR')"),
+        (edited_author(b"template\tbias\t",
+                       b"template\textra\tboolean\t\ntemplate\tbias\t"),
+         "author.crf: templates is ['extra', 'bias', "),
+        (edited_author(b"template\tcase_prev\tcategorical\t"
+                       b"case of current and previous token\n", b""),
+         "author.crf: templates is ['bias', "),
+    ], ids=["swapped file", "swapped labels", "extra template",
+            "missing template"])
+    def test_mismatch_names_the_file_and_the_field(self, tmp_path, payload,
+                                                   message):
+        with pytest.raises(ModelFormatError) as info:
+            load_models_from_dir(model_dir(tmp_path, author=payload))
+        assert str(info.value).startswith(message)
+
+    def test_bundled_and_freshly_trained_models_load(self, tmp_path):
+        pairs = []
+        for style in STYLES:
+            xml, truth = generate_synthetic_document(style, 77)
+            pairs.append(training.TrainingPair(parse_rich_xml(xml)[0], truth))
+        trained = training.train_all(pairs, TrainConfig(max_iterations=2))
+        directory = model_dir(tmp_path, **{
+            task: save_model(model) for task, model in trained.items()})
+        for task, model in load_models_from_dir(directory)._asdict().items():
+            assert save_model(model) == save_model(trained[task])
+        assert load_default_models().author.task_name == "author"
 
 
 def test_import_and_default_models_need_no_scipy():
