@@ -515,14 +515,11 @@ def log_likelihood(weights: np.ndarray, data: CompiledDataset,
     ``ForwardPass``es, which ``log_likelihood_and_gradient`` can reuse.
     """
     stack = weights.reshape(-1, weights.shape[-1])
-    n_unary = stack.shape[1] - data.n_labels ** 2
     values = []
     passes = _forward_passes(stack, data)
     for vector, forward in zip(stack, passes):
-        squares = (vector * vector).tolist()
-        norm2 = sum(squares[:n_unary]) + sum(squares[n_unary:])
-        values.append(_objective(vector, data, 0.5 * l2_lambda * norm2,
-                                 forward=forward))
+        penalty = 0.5 * l2_lambda * float(vector @ vector)
+        values.append(_objective(vector, data, penalty, forward=forward))
     return values[0] if weights.ndim == 1 else (values, passes)
 
 

@@ -1,5 +1,11 @@
 """Token-level scoring, micro-averaging, corpus splitting, ground-truth IO.
 
+``REPORT_FIELDS`` is the table of report fields, in the order the subtask
+accuracy table presents them.  Each entry gives a field's strings as a
+list, once from an ``ExtractionResult`` (``predicted``) and once from a
+``GroundTruth`` (``gold``); ``evaluate_extraction`` scores each side joined
+with spaces, and ``aggregate`` and ``render_report`` walk the table.
+
 Token comparison is case-insensitive multiset overlap over whitespace
 tokens.  Mapping pairs (author-email, citation-reference) are scored as
 single composite tokens so a pair is either right or wrong.
@@ -11,29 +17,11 @@ import math
 import random
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import Callable, NamedTuple
 
 from .bibliography import reference_number
 from .tei import ExtractionResult
-
-# Report rows, in the order the subtask accuracy table is presented.
-REPORT_FIELDS = [
-    "title",
-    "author_first",
-    "author_middle",
-    "author_last",
-    "email",
-    "affiliation",
-    "section_headings",
-    "figure_headings",
-    "table_headings",
-    "urls",
-    "footnotes",
-    "author_email",
-    "citations",
-    "references",
-    "cite_ref",
-]
 
 
 @dataclass
@@ -54,6 +42,80 @@ class GroundTruth:
     citations: list[str] = field(default_factory=list)
     author_email: list[tuple[str, str]] = field(default_factory=list)
     cite_ref: list[tuple[str, str]] = field(default_factory=list)
+
+
+def _pair_token(*parts: str) -> str:
+    return "=".join(re.sub(r"\s+", "_", p.strip().lower()) for p in parts)
+
+
+class ReportField(NamedTuple):
+    """How a report field reads its strings from each side."""
+
+    predicted: Callable[[ExtractionResult], list[str]]
+    gold: Callable[[GroundTruth], list[str]]
+
+
+def _name_part(i: int) -> ReportField:
+    """An author name part (0 first, 1 middle, 2 last) of every author."""
+    return ReportField(
+        lambda result: [r.name[i] for r in result.authors if r.name[i]],
+        lambda gt: [a[i] for a in gt.authors if a[i]])
+
+
+def _captions(kind: str) -> Callable[[ExtractionResult], list[str]]:
+    return lambda result: [c.text for c in result.captions if c.kind == kind]
+
+
+def _affiliations(result: ExtractionResult) -> list[str]:
+    """Each affiliation attached to an author, once."""
+    return list({id(r.affiliation): r.affiliation.text for r in result.authors
+                 if r.affiliation is not None}.values())
+
+
+def _cite_refs(result: ExtractionResult) -> list[str]:
+    """Each linked citation paired with its reference's number."""
+    ordinals = {id(ref): str(reference_number(ref, i))
+                for i, ref in enumerate(result.references)}
+    return [_pair_token(link.citation.matched_text, ordinals[id(link.reference)])
+            for link in result.citations if link.reference is not None]
+
+
+REPORT_FIELDS: dict[str, ReportField] = {
+    "title": ReportField(lambda result: [result.title],
+                         lambda gt: [gt.title]),
+    "author_first": _name_part(0),
+    "author_middle": _name_part(1),
+    "author_last": _name_part(2),
+    "email": ReportField(
+        lambda result: [r.email.address for r in result.authors if r.email],
+        lambda gt: gt.emails),
+    "affiliation": ReportField(_affiliations, lambda gt: gt.affiliations),
+    "section_headings": ReportField(
+        lambda result: [s.heading.text for s in result.sections
+                        if s.heading is not None],
+        lambda gt: gt.section_headings),
+    "figure_headings": ReportField(_captions("figure"),
+                                   lambda gt: gt.figure_headings),
+    "table_headings": ReportField(_captions("table"),
+                                  lambda gt: gt.table_headings),
+    "urls": ReportField(lambda result: list(result.urls), lambda gt: gt.urls),
+    "footnotes": ReportField(
+        lambda result: [f.text for f in result.footnotes],
+        lambda gt: gt.footnotes),
+    "author_email": ReportField(
+        lambda result: [_pair_token(r.name.full, r.email.address)
+                        for r in result.authors if r.email is not None],
+        lambda gt: [_pair_token(*pair) for pair in gt.author_email]),
+    "citations": ReportField(
+        lambda result: [link.citation.matched_text
+                        for link in result.citations],
+        lambda gt: gt.citations),
+    "references": ReportField(
+        lambda result: [r.raw_text for r in result.references],
+        lambda gt: gt.references),
+    "cite_ref": ReportField(
+        _cite_refs, lambda gt: [_pair_token(*pair) for pair in gt.cite_ref]),
+}
 
 
 @dataclass(frozen=True)
@@ -112,79 +174,12 @@ def split_corpus(doc_ids, train_fraction: float, seed: int):
     return doc_ids[:n_train], doc_ids[n_train:]
 
 
-def _pair_token(*parts: str) -> str:
-    return "=".join(re.sub(r"\s+", "_", p.strip().lower()) for p in parts)
-
-
-def predicted_field_strings(result: ExtractionResult) -> dict[str, str]:
-    """Flatten an ExtractionResult into one comparable string per field."""
-    ordinals = {id(ref): str(reference_number(ref, i))
-                for i, ref in enumerate(result.references)}
-    cite_ref_tokens = [
-        _pair_token(link.citation.matched_text, ordinals[id(link.reference)])
-        for link in result.citations if link.reference is not None
-    ]
-    author_email_tokens = [
-        _pair_token(rec.name.full, rec.email.address)
-        for rec in result.authors if rec.email is not None
-    ]
-    return {
-        "title": result.title,
-        "author_first": " ".join(r.name.first for r in result.authors),
-        "author_middle": " ".join(r.name.middle for r in result.authors if r.name.middle),
-        "author_last": " ".join(r.name.last for r in result.authors),
-        "email": " ".join(r.email.address for r in result.authors if r.email),
-        "affiliation": " ".join(a.text for a in
-                                {id(r.affiliation): r.affiliation
-                                 for r in result.authors
-                                 if r.affiliation is not None}.values()),
-        "section_headings": " ".join(s.heading.text for s in result.sections
-                                     if s.heading is not None),
-        "figure_headings": " ".join(c.text for c in result.captions
-                                    if c.kind == "figure"),
-        "table_headings": " ".join(c.text for c in result.captions
-                                   if c.kind == "table"),
-        "urls": " ".join(result.urls),
-        "footnotes": " ".join(f.text for f in result.footnotes),
-        "author_email": " ".join(author_email_tokens),
-        "citations": " ".join(l.citation.matched_text for l in result.citations),
-        "references": " ".join(r.raw_text for r in result.references),
-        "cite_ref": " ".join(cite_ref_tokens),
-    }
-
-
-# Report fields scored as one GroundTruth list joined with spaces.
-_GOLD_LISTS = {
-    "email": "emails", "affiliation": "affiliations",
-    "section_headings": "section_headings", "urls": "urls",
-    "figure_headings": "figure_headings", "table_headings": "table_headings",
-    "footnotes": "footnotes", "citations": "citations",
-    "references": "references",
-}
-
-
-def gold_field_strings(gt: GroundTruth) -> dict[str, str]:
-    fields = {name: " ".join(getattr(gt, attr))
-              for name, attr in _GOLD_LISTS.items()}
-    fields.update(
-        title=gt.title,
-        author_first=" ".join(a[0] for a in gt.authors),
-        author_middle=" ".join(a[1] for a in gt.authors if a[1]),
-        author_last=" ".join(a[2] for a in gt.authors),
-        author_email=" ".join(_pair_token(name, email)
-                              for name, email in gt.author_email),
-        cite_ref=" ".join(_pair_token(text, ordinal)
-                          for text, ordinal in gt.cite_ref),
-    )
-    return fields
-
-
 def evaluate_extraction(result: ExtractionResult,
                         gt: GroundTruth) -> dict[str, TokenMetrics]:
     """Per-field token metrics for one document."""
-    pred = predicted_field_strings(result)
-    gold = gold_field_strings(gt)
-    return {f: token_score(pred[f], gold[f]) for f in REPORT_FIELDS}
+    return {name: token_score(" ".join(f.predicted(result)),
+                              " ".join(f.gold(gt)))
+            for name, f in REPORT_FIELDS.items()}
 
 
 def aggregate(per_doc: list[dict[str, TokenMetrics]]) -> dict[str, TokenMetrics]:
@@ -210,19 +205,16 @@ def render_report(metrics: dict[str, TokenMetrics]) -> str:
 
 
 # Ground-truth file IO: one "KIND<TAB>value" record per line, UTF-8, with
-# the kinds in this order.  TITLE is written only when non-empty, an AUTHOR
+# one kind per GroundTruth field, in the fields' order.  TITLE is written only when non-empty, an AUTHOR
 # value is "first|middle|last", and the pair kinds carry two values.  A
 # value is escaped so that it holds no tab and nothing str.splitlines breaks
 # on: a backslash is written "\\", a tab "\t", a newline "\n", and the other
 # line breaks (and "|" in an AUTHOR part) "\uXXXX".
-GROUND_TRUTH_RECORDS = (
-    ("TITLE", "title"), ("AUTHOR", "authors"), ("EMAIL", "emails"),
-    ("AFFILIATION", "affiliations"), ("SECTION_HEADING", "section_headings"),
-    ("FIGURE_HEADING", "figure_headings"), ("TABLE_HEADING", "table_headings"),
-    ("URL", "urls"), ("FOOTNOTE", "footnotes"), ("REFERENCE", "references"),
-    ("CITATION", "citations"), ("AUTHOR_EMAIL", "author_email"),
-    ("CITE_REF", "cite_ref"),
-)
+GROUND_TRUTH_RECORDS = tuple(zip(
+    ("TITLE", "AUTHOR", "EMAIL", "AFFILIATION", "SECTION_HEADING",
+     "FIGURE_HEADING", "TABLE_HEADING", "URL", "FOOTNOTE", "REFERENCE",
+     "CITATION", "AUTHOR_EMAIL", "CITE_REF"),
+    (f.name for f in fields(GroundTruth))))
 _PAIR_KINDS = ("AUTHOR_EMAIL", "CITE_REF")
 _ESCAPES = {ord(c): f"\\u{ord(c):04x}"
             for c in "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"}

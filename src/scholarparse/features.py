@@ -20,7 +20,6 @@ import re
 from collections import Counter
 from typing import Callable, NamedTuple
 
-from .crf import FeatureTemplate
 from .model import Chunk, Page, Token
 
 ARABIC_ENUM = re.compile(r"^\d+(\.\d+)*\.?$")

@@ -47,6 +47,7 @@ test.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from io import BytesIO
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
@@ -68,25 +69,14 @@ class RichXmlParseError(ValueError):
         self.byte_offset = byte_offset
 
 
-class _IngestReportFields(NamedTuple):
-    # The defaults are IngestReport.__new__'s.
-    token_count: int
-    page_count: int
-    skipped_elements: int
-    warnings: list[str]
-
-
-class IngestReport(_IngestReportFields):
+class IngestReport(NamedTuple):
     """What parsing a rich XML document read, skipped and warned about;
-    built once the parse is done.  ``warnings`` is a new list unless one
-    is given."""
+    built once the parse is done."""
 
-    __slots__ = ()
-
-    def __new__(cls, token_count: int = 0, page_count: int = 0,
-                skipped_elements: int = 0, warnings: list[str] | None = None):
-        return tuple.__new__(cls, (token_count, page_count, skipped_elements,
-                                   [] if warnings is None else warnings))
+    token_count: int = 0
+    page_count: int = 0
+    skipped_elements: int = 0
+    warnings: Sequence[str] = ()
 
 
 def _get_float(elem, name):

@@ -63,13 +63,17 @@ TASKS = PipelineModels._fields
 def load_models_from_dir(directory) -> PipelineModels:
     """Every task's model from <task>.crf in a directory or package resource.
     Each model's task record, labels and template ids must be its task's
-    entry in ``features.LABELING_TASKS``, the vocabulary its decoder reads;
-    a mismatch is a ``ModelFormatError`` naming the file and the field."""
+    entry in ``features.LABELING_TASKS``, the vocabulary its decoder reads.
+    A malformed file or a mismatch is a ``ModelFormatError`` whose message
+    starts with the file name; a mismatch's names the field too."""
     root = directory if hasattr(directory, "joinpath") else Path(directory)
     models = {}
     for task in TASKS:
         name = f"{task}.crf"
-        models[task] = model = load_model(root.joinpath(name).read_bytes())
+        try:
+            models[task] = model = load_model(root.joinpath(name).read_bytes())
+        except ModelFormatError as exc:
+            raise ModelFormatError(f"{name}: {exc}") from exc
         spec = LABELING_TASKS[task]
         for field, found, expected in (
                 ("task", model.task_name, task),

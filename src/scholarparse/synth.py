@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from .bibliography import INDEXED_STYLES
 from .evaluate import GroundTruth
 from .ingest import document_to_xml
 from .model import Document, Line, Page, Token
@@ -97,7 +98,7 @@ CITATION_FORMATS = {
     15: "{surname} ({year})",
     16: "[{index}]",
 }
-INDEXED_CITE_STYLES = [1, 2, 3, 16]
+INDEXED_CITE_STYLES = sorted(INDEXED_STYLES)
 AUTHOR_YEAR_CITE_STYLES = sorted(CITATION_FORMATS.keys()
                                  - set(INDEXED_CITE_STYLES))
 

@@ -17,6 +17,7 @@ without automatic collection until it returns.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from typing import NamedTuple
 from xml.etree import ElementTree as ET
 
@@ -28,38 +29,19 @@ from .structure import CaptionHeading, Footnote, Section
 TEI_NS = "http://www.tei-c.org/ns/1.0"
 
 
-class _ExtractionResultFields(NamedTuple):
-    # The defaults are ExtractionResult.__new__'s.
-    source_id: str
-    title: str
-    authors: list[AuthorRecord]
-    sections: list[Section]
-    urls: list[str]
-    footnotes: list[Footnote]
-    captions: list[CaptionHeading]
-    references: list[Reference]
-    citations: list[CitationLink]
-
-
-class ExtractionResult(_ExtractionResultFields):
+class ExtractionResult(NamedTuple):
     """Everything extracted from one document, as text, numbers and the small
-    result records; ``export_tei`` writes it as TEI.  Each list left out is
-    a new empty list."""
+    result records; ``export_tei`` writes it as TEI."""
 
-    __slots__ = ()
-
-    def __new__(cls, source_id: str = "", title: str = "",
-                authors: list[AuthorRecord] | None = None,
-                sections: list[Section] | None = None,
-                urls: list[str] | None = None,
-                footnotes: list[Footnote] | None = None,
-                captions: list[CaptionHeading] | None = None,
-                references: list[Reference] | None = None,
-                citations: list[CitationLink] | None = None):
-        lists = (authors, sections, urls, footnotes, captions, references,
-                 citations)
-        return tuple.__new__(cls, (source_id, title, *[
-            [] if value is None else value for value in lists]))
+    source_id: str = ""
+    title: str = ""
+    authors: Sequence[AuthorRecord] = ()
+    sections: Sequence[Section] = ()
+    urls: Sequence[str] = ()
+    footnotes: Sequence[Footnote] = ()
+    captions: Sequence[CaptionHeading] = ()
+    references: Sequence[Reference] = ()
+    citations: Sequence[CitationLink] = ()
 
 
 def reference_id(ref: Reference, position: int) -> str:

@@ -11,7 +11,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from scholarparse.bibliography import (_BRACKET_START, _NUMBER_START, _finish,
-                                       _instance)
+                                       _instance, reference_number)
 from scholarparse.chunker import ChunkParams, _split_columns
 from scholarparse.context import DocumentContext
 from scholarparse.crf import (CrfError, CrfModel, _emissions, _logaddexp,
@@ -585,6 +585,81 @@ def reference_author_window(ctx: DocumentContext, title_span):
     window_ids = {id(t) for t in ctx.chunks[0].tokens}
     window_ids.update(id(t) for t in stream[title_end: title_end + AUTHOR_WINDOW])
     return [t for t in stream if id(t) in window_ids]
+
+
+# --- report fields -----------------------------------------------------------
+
+def _reference_pair_token(*parts: str) -> str:
+    return "=".join(re.sub(r"\s+", "_", p.strip().lower()) for p in parts)
+
+
+def reference_predicted_field_strings(result) -> dict[str, str]:
+    """Oracle for ``evaluate.REPORT_FIELDS``' predicted side: the report
+    fields, in report order, each flattened into one string as they were
+    before the table."""
+    ordinals = {id(ref): str(reference_number(ref, i))
+                for i, ref in enumerate(result.references)}
+    cite_ref_tokens = [
+        _reference_pair_token(link.citation.matched_text,
+                              ordinals[id(link.reference)])
+        for link in result.citations if link.reference is not None
+    ]
+    author_email_tokens = [
+        _reference_pair_token(rec.name.full, rec.email.address)
+        for rec in result.authors if rec.email is not None
+    ]
+    return {
+        "title": result.title,
+        "author_first": " ".join(r.name.first for r in result.authors),
+        "author_middle": " ".join(r.name.middle for r in result.authors
+                                  if r.name.middle),
+        "author_last": " ".join(r.name.last for r in result.authors),
+        "email": " ".join(r.email.address for r in result.authors if r.email),
+        "affiliation": " ".join(a.text for a in
+                                {id(r.affiliation): r.affiliation
+                                 for r in result.authors
+                                 if r.affiliation is not None}.values()),
+        "section_headings": " ".join(s.heading.text for s in result.sections
+                                     if s.heading is not None),
+        "figure_headings": " ".join(c.text for c in result.captions
+                                    if c.kind == "figure"),
+        "table_headings": " ".join(c.text for c in result.captions
+                                   if c.kind == "table"),
+        "urls": " ".join(result.urls),
+        "footnotes": " ".join(f.text for f in result.footnotes),
+        "author_email": " ".join(author_email_tokens),
+        "citations": " ".join(l.citation.matched_text
+                              for l in result.citations),
+        "references": " ".join(r.raw_text for r in result.references),
+        "cite_ref": " ".join(cite_ref_tokens),
+    }
+
+
+_REFERENCE_GOLD_LISTS = {
+    "email": "emails", "affiliation": "affiliations",
+    "section_headings": "section_headings", "urls": "urls",
+    "figure_headings": "figure_headings", "table_headings": "table_headings",
+    "footnotes": "footnotes", "citations": "citations",
+    "references": "references",
+}
+
+
+def reference_gold_field_strings(gt) -> dict[str, str]:
+    """Oracle for ``evaluate.REPORT_FIELDS``' gold side, as it was written
+    before the table."""
+    fields = {name: " ".join(getattr(gt, attr))
+              for name, attr in _REFERENCE_GOLD_LISTS.items()}
+    fields.update(
+        title=gt.title,
+        author_first=" ".join(a[0] for a in gt.authors),
+        author_middle=" ".join(a[1] for a in gt.authors if a[1]),
+        author_last=" ".join(a[2] for a in gt.authors),
+        author_email=" ".join(_reference_pair_token(name, email)
+                              for name, email in gt.author_email),
+        cite_ref=" ".join(_reference_pair_token(text, ordinal)
+                          for text, ordinal in gt.cite_ref),
+    )
+    return fields
 
 
 # --- mutated rich XML --------------------------------------------------------

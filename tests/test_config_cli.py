@@ -184,17 +184,26 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.startswith('<?xml version="1.0" encoding="UTF-8"?>')
 
+    @staticmethod
+    def bundled_model(task: str) -> bytes:
+        return resources.files("scholarparse.data").joinpath(
+            f"models/{task}.crf").read_bytes()
+
+    def models_with_author(self, tmp_path, payload: bytes) -> Path:
+        """A models directory: the bundled models, ``author.crf`` replaced."""
+        models = tmp_path / "models"
+        models.mkdir()
+        for task in TASKS:
+            (models / f"{task}.crf").write_bytes(
+                payload if task == "author" else self.bundled_model(task))
+        return models
+
     @pytest.mark.parametrize("to_directory", (False, True))
     def test_extract_rejects_a_model_of_another_task(self, corpus_dir,
                                                      tmp_path, capsys,
                                                      to_directory):
-        bundled = resources.files("scholarparse.data").joinpath("models")
-        models = tmp_path / "models"
-        models.mkdir()
-        for task in TASKS:
-            source = "title" if task == "author" else task
-            (models / f"{task}.crf").write_bytes(
-                bundled.joinpath(f"{source}.crf").read_bytes())
+        models = self.models_with_author(tmp_path,
+                                         self.bundled_model("title"))
         xml = str(sorted(corpus_dir.glob("*.xml"))[0])
         out = tmp_path / "tei"
         where = ["--out", str(out)] if to_directory else []
@@ -202,6 +211,20 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err.splitlines() == [
             "error: author.crf: task is 'title', expected 'author'"]
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_extract_names_a_truncated_model_file(self, corpus_dir, tmp_path,
+                                                  capsys):
+        models = self.models_with_author(
+            tmp_path, self.bundled_model("author")[:2000])
+        xml = str(sorted(corpus_dir.glob("*.xml"))[0])
+        out = tmp_path / "tei"
+        assert main(["extract", xml, "--models", str(models),
+                     "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: author.crf: truncated payload"]
         assert captured.out == ""
         assert not out.exists()
 

@@ -1,16 +1,26 @@
 """Unit tests for token-level scoring and ground-truth IO."""
 
+import ast
+import inspect
+from functools import cache
+
 import pytest
+from conftest import (reference_gold_field_strings,
+                      reference_predicted_field_strings)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scholarparse import evaluate
 from scholarparse.bibliography import (CitationLink, Reference,
                                        extract_citations)
-from scholarparse.evaluate import (GroundTruth, TokenMetrics, aggregate,
+from scholarparse.evaluate import (REPORT_FIELDS, GroundTruth, TokenMetrics,
+                                   aggregate, evaluate_extraction,
                                    ground_truth_from_text,
                                    ground_truth_to_text, micro_average,
-                                   predicted_field_strings, split_corpus,
-                                   token_score)
+                                   render_report, split_corpus, token_score)
+from scholarparse.ingest import parse_rich_xml
+from scholarparse.pipeline import extract_document, load_default_models
+from scholarparse.synth import STYLES, generate_synthetic_document
 from scholarparse.tei import ExtractionResult, reference_id
 
 
@@ -86,10 +96,6 @@ class TestSplitCorpus:
 
 class TestAggregate:
     def test_per_field_micro(self):
-        d1 = {f: TokenMetrics(tp=1, fp=0, fn=0) for f in
-              ("title",)}
-        # aggregate expects every report field; build full dicts
-        from scholarparse.evaluate import REPORT_FIELDS
         d1 = {f: TokenMetrics(tp=1, fp=1, fn=0) for f in REPORT_FIELDS}
         d2 = {f: TokenMetrics(tp=2, fp=0, fn=1) for f in REPORT_FIELDS}
         agg = aggregate([d1, d2])
@@ -107,9 +113,71 @@ class TestPredictedFieldStrings:
         result = ExtractionResult(references=refs, citations=[
             CitationLink(citation=cit, reference=refs[1],
                          method="author-year")])
-        assert (predicted_field_strings(result)["cite_ref"]
-                == f"goyal_(2014)={number}")
+        assert (REPORT_FIELDS["cite_ref"].predicted(result)
+                == [f"goyal_(2014)={number}"])
         assert reference_id(refs[1], 1) == f"ref-{number}"
+
+
+@cache
+def extracted(style: str, seed: int):
+    xml, truth = generate_synthetic_document(style, seed)
+    result = extract_document(parse_rich_xml(xml)[0], load_default_models())
+    return result, truth
+
+
+class TestReportFields:
+    """``REPORT_FIELDS`` scores each field as the per-field string
+    functions written before it did (``conftest``'s oracles)."""
+
+    def test_table_keeps_the_report_order(self):
+        assert (list(REPORT_FIELDS)
+                == list(reference_predicted_field_strings(ExtractionResult())))
+
+    def test_report_rows_follow_the_table(self):
+        report = render_report(dict.fromkeys(REPORT_FIELDS, TokenMetrics()))
+        table, keys = report.split("\n\n")
+        assert [row.split()[0] for row in table.splitlines()[1:]] == list(
+            REPORT_FIELDS)
+        assert [line.partition(".")[0] for line in keys.splitlines()] == [
+            f for f in REPORT_FIELDS for _ in range(3)]
+
+    def test_each_field_name_is_written_once(self):
+        literals = [node.value for node in ast.walk(
+            ast.parse(inspect.getsource(evaluate)))
+            if isinstance(node, ast.Constant)]
+        assert {f: literals.count(f) for f in REPORT_FIELDS} == dict.fromkeys(
+            REPORT_FIELDS, 1)
+
+    @staticmethod
+    def removed_from(result, removed, rnd):
+        """``result`` with the title blanked or about half of each other
+        named field's items dropped; a citation whose reference is dropped
+        is left unresolved."""
+        result = result._replace(**{
+            name: "" if name == "title" else
+            [item for item in getattr(result, name) if rnd.random() < 0.5]
+            for name in removed})
+        kept = {id(ref) for ref in result.references}
+        return result._replace(citations=[
+            link if link.reference is None or id(link.reference) in kept
+            else link._replace(reference=None, method="unresolved")
+            for link in result.citations])
+
+    @given(st.sampled_from(STYLES), st.integers(9000, 9011),
+           st.sets(st.sampled_from(("authors", "citations", "references",
+                                    "urls", "title"))),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=80)
+    def test_scores_match_the_oracle(self, style, seed, removed, rnd):
+        result, truth = extracted(style, seed)
+        result = self.removed_from(result, removed, rnd)
+        predicted = reference_predicted_field_strings(result)
+        gold = reference_gold_field_strings(truth)
+        assert evaluate_extraction(result, truth) == {
+            f: token_score(predicted[f], gold[f]) for f in REPORT_FIELDS}
+        for name, f in REPORT_FIELDS.items():
+            assert " ".join(f.predicted(result)).split() == predicted[name].split()
+            assert " ".join(f.gold(truth)).split() == gold[name].split()
 
 
 class TestGroundTruthIO:

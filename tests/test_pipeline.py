@@ -114,6 +114,16 @@ class TestLoadCheck:
             load_models_from_dir(model_dir(tmp_path, author=payload))
         assert str(info.value).startswith(message)
 
+    @pytest.mark.parametrize("payload, message", [
+        (bundled_model("author")[:2000], "author.crf: truncated payload"),
+        (b"\xff" + bundled_model("author"),
+         "author.crf: undecodable model payload: "),
+    ], ids=["truncated", "not UTF-8"])
+    def test_malformed_file_is_named(self, tmp_path, payload, message):
+        with pytest.raises(ModelFormatError) as info:
+            load_models_from_dir(model_dir(tmp_path, author=payload))
+        assert str(info.value).startswith(message)
+
     def test_bundled_and_freshly_trained_models_load(self, tmp_path):
         pairs = []
         for style in STYLES:
@@ -227,7 +237,7 @@ class TestExtraction:
     def test_empty_document(self, models):
         from scholarparse.model import Document
         res = extract_document(Document(source_id="empty"), models)
-        assert res.title == "" and res.sections == []
+        assert res.title == "" and res.sections == ()
 
 
 class TestChunkToLines:
