@@ -24,9 +24,10 @@ is a few numpy calls whose overhead, not the row count, sets its cost.  It
 accepts the first of them that passes the Armijo test, as a search of one
 step at a time would, and hands that trial's emissions, forward scores and
 log partitions to the next gradient, which then runs only the backward
-pass.  None of this moves a bit: every elementwise op and every fold over
-labels keeps its order, and ``exp`` and ``log1p`` still run on fresh
-contiguous arrays.
+pass.  A pass makes its arrays and views once, positions first, and each
+step writes into contiguous rows of them (``_fold``).  None of this moves a
+bit: every elementwise op and every fold over labels keeps its order, and
+``exp`` and ``log1p`` still run on contiguous arrays.
 
 A model holds its weights as rows of plain floats, and decoding runs on
 them alone, so extracting with trained models never imports numpy, which
@@ -64,7 +65,7 @@ class CrfError(ValueError):
 
 
 class CrfNumericError(CrfError):
-    """Non-finite value encountered during forward-backward."""
+    """Non-finite value in forward-backward: raised, never a numpy warning."""
 
 
 class ModelFormatError(CrfError):
@@ -298,28 +299,37 @@ def viterbi_decode(model: CrfModel, sequence_features) -> list[str]:
     return [model.labels[i] for i in path]
 
 
+def _fold(terms, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """``_logaddexp`` folded left over ``terms``: its ops in its order, run in
+    the contiguous scratch ``hi`` and ``lo``.  Gives ``lo``, or a lone term."""
+    import numpy as np
+    acc = terms[0]
+    for term in terms[1:]:
+        np.maximum(acc, term, out=hi)
+        np.subtract(np.minimum(acc, term, out=lo), hi, out=lo)
+        np.log1p(np.exp(lo, out=lo), out=lo)
+        acc = np.add(lo, hi, out=lo)
+    return acc
+
+
 def _forward(em: np.ndarray, T: np.ndarray, last: np.ndarray):
     """Log forward scores of a (B, N, L) batch of sequences padded to one
     length, and each sequence's log partition, read at its last position.
     ``T`` holds each row's transitions, (B, L, L), or one (L, L) block that
-    every row shares.  Each step folds ``alpha[i] + T[i]`` over the
-    previous labels i."""
+    every row shares.  The steps run on an (N, B, L) copy of the emissions:
+    each writes ``alpha[i] + T[i]`` for every i into one (L, B, L) buffer,
+    folds it over the previous labels i and adds it to its row."""
     import numpy as np
     T = T.reshape(-1, *T.shape[-2:])
-    alpha = em[:, 0]
-    steps = [alpha]
-    for t in range(1, em.shape[1]):
-        acc = alpha[:, :1] + T[:, 0]
-        for i in range(1, T.shape[1]):
-            acc = _logaddexp(acc, alpha[:, i:i + 1] + T[:, i])
-        alpha = em[:, t] + acc
-        steps.append(alpha)
-    log_alpha = np.stack(steps, axis=1)
-    end = log_alpha[np.arange(len(em)), last]
-    log_z = end[:, 0]
-    for i in range(1, T.shape[1]):
-        log_z = _logaddexp(log_z, end[:, i])
-    return log_alpha, log_z
+    B, _, L = em.shape
+    steps = em.swapaxes(0, 1).copy()
+    cand, (hi, lo) = np.empty((L, B, L)), np.empty((2, B, L))
+    terms, T_rows = list(cand), T.swapaxes(0, 1)
+    for prev, row in zip(steps[:-1].transpose(0, 2, 1)[..., None], steps[1:]):
+        np.add(prev, T_rows, out=cand)
+        np.add(row, _fold(terms, hi, lo), out=row)
+    log_alpha = steps.swapaxes(0, 1).copy()
+    return log_alpha, reduce(_logaddexp, log_alpha[np.arange(B), last].T)
 
 
 def _forward_backward(em: np.ndarray, T: np.ndarray, last: np.ndarray,
@@ -328,23 +338,23 @@ def _forward_backward(em: np.ndarray, T: np.ndarray, last: np.ndarray,
     with transitions per row as in ``_forward``; both marginals are zero
     past each sequence's last position.  ``forward``, the ``(log_alpha,
     log_z)`` that ``_forward`` gives for these arguments, spares running it
-    again; its ``log_alpha`` is set to -inf past each last position.  Each
-    backward step folds ``T[:, j] + em[j] + beta[j]`` over the next labels
-    j, and is 0.0 from each sequence's last position on."""
+    again; its ``log_alpha`` is set to -inf past each last position.  A
+    backward step folds ``T[:, j] + em[j] + beta[j]``, written into one
+    (L, B, L) buffer, over j into its row; from each last on it stays 0.0."""
     import numpy as np
     T = T.reshape(-1, *T.shape[-2:])
+    B, N, L = em.shape
     log_alpha, log_z = _forward(em, T, last) if forward is None else forward
-    past = np.arange(em.shape[1]) > last[:, None]
-    beta = np.zeros_like(em[:, 0])
-    steps = [beta]
-    for t in range(em.shape[1] - 2, -1, -1):
-        x = em[:, t + 1] + beta
-        acc = T[:, :, 0] + x[:, :1]
-        for j in range(1, T.shape[1]):
-            acc = _logaddexp(acc, T[:, :, j] + x[:, j:j + 1])
-        beta = np.where(past[:, t + 1, None], 0.0, acc)
-        steps.append(beta)
-    log_beta = np.stack(steps[::-1], axis=1)
+    past = np.arange(N) > last[:, None]
+    steps, emits = np.zeros((N, B, L)), em.swapaxes(0, 1).copy()
+    cand, (x, hi, lo) = np.empty((L, B, L)), np.empty((3, B, L))
+    terms, T_cols, x_cols = list(cand), T.transpose(2, 0, 1), x.T[..., None]
+    for row, nxt, emit, live in zip(steps[-2::-1], steps[:0:-1], emits[:0:-1],
+                                    ~past.T[:0:-1, :, None]):
+        np.add(emit, nxt, out=x)
+        np.add(T_cols, x_cols, out=cand)
+        np.copyto(row, _fold(terms, hi, lo), where=live)
+    log_beta = steps.swapaxes(0, 1).copy()
     log_alpha[past] = log_beta[past] = -np.inf
     shift = log_z[:, None, None]
     marginals = np.exp(log_alpha + log_beta - shift)
@@ -364,8 +374,10 @@ def forward_backward(model: CrfModel, sequence_features):
     import numpy as np
     n = len(sequence_features)
     unary, T = _arrays(model)
-    em = _emissions(unary, *_occurrences(model, sequence_features), (1, n))
-    log_z, marginals, pairwise = _forward_backward(em, T, np.array([n - 1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        em = _emissions(unary, *_occurrences(model, sequence_features), (1, n))
+        log_z, marginals, pairwise = _forward_backward(em, T,
+                                                       np.array([n - 1]))
     return log_z[0], marginals[0], pairwise[0]
 
 
@@ -500,8 +512,9 @@ def log_likelihood_and_gradient(weights: np.ndarray, data: CompiledDataset,
     backward pass runs."""
     import numpy as np
     grad = np.zeros_like(weights)
-    penalty = 0.5 * l2_lambda * float(weights @ weights)
-    ll = _objective(weights, data, penalty, grad, forward)
+    with np.errstate(over="ignore", invalid="ignore"):
+        penalty = 0.5 * l2_lambda * float(weights @ weights)
+        ll = _objective(weights, data, penalty, grad, forward)
     grad -= l2_lambda * weights
     return ll, grad
 
@@ -514,12 +527,14 @@ def log_likelihood(weights: np.ndarray, data: CompiledDataset,
     forward pass and gives the list of their values and the list of their
     ``ForwardPass``es, which ``log_likelihood_and_gradient`` can reuse.
     """
+    import numpy as np
     stack = weights.reshape(-1, weights.shape[-1])
     values = []
-    passes = _forward_passes(stack, data)
-    for vector, forward in zip(stack, passes):
-        penalty = 0.5 * l2_lambda * float(vector @ vector)
-        values.append(_objective(vector, data, penalty, forward=forward))
+    with np.errstate(over="ignore", invalid="ignore"):
+        passes = _forward_passes(stack, data)
+        for vector, forward in zip(stack, passes):
+            penalty = 0.5 * l2_lambda * float(vector @ vector)
+            values.append(_objective(vector, data, penalty, forward=forward))
     return values[0] if weights.ndim == 1 else (values, passes)
 
 

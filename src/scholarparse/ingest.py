@@ -4,11 +4,12 @@ Expected schema: root DOCUMENT, PAGE @number @width @height, TEXT (one per
 visual line), TOKEN @x @y @width @height @font-size @bold @italic @font-name
 with the word as text content.  bold/italic are literal "yes"/"no".  Unknown
 elements are skipped and counted.  A TOKEN missing x, y or font-size, or
-with a non-finite coordinate or size, a negative width or height, or a
-font-size that is not positive, is skipped with a warning, never a fatal
-error.  A PAGE number that is not a positive integer, or that repeats an
-earlier page's, becomes one more than the largest number used so far, with
-a warning, so that page numbers identify pages.  A PAGE width or height that
+with blank text, a non-finite coordinate or size, a negative width or
+height, or a font-size that is not positive, is skipped with a warning that
+names the first of these it meets, never a fatal error.  A PAGE number that
+is not a positive integer, or that repeats an earlier page's, becomes one
+more than the largest number used so far, with a warning, so that page
+numbers identify pages.  A PAGE width or height that
 is not a finite positive number becomes US Letter's 612 or 792, with a
 warning.
 
@@ -120,8 +121,10 @@ def _token_geometry(tok_elem, text: str):
     font_size = _get_float(tok_elem, "font-size")
     width = _get_float(tok_elem, "width") or 0.0
     height = _get_float(tok_elem, "height") or 0.0
-    if x is None or y is None or font_size is None or not text:
+    if x is None or y is None or font_size is None:
         return "missing attributes"
+    if not text:
+        return "no text"
     if not all(map(math.isfinite, (x, y, width, height, font_size))):
         return "a non-finite coordinate or size"
     if width < 0 or height < 0 or font_size <= 0:

@@ -14,8 +14,8 @@ from scholarparse.bibliography import (_BRACKET_START, _NUMBER_START, _finish,
                                        _instance, reference_number)
 from scholarparse.chunker import ChunkParams, _split_columns
 from scholarparse.context import DocumentContext
-from scholarparse.crf import (CrfError, CrfModel, _emissions, _logaddexp,
-                              _occurrences, _path_score, _split)
+from scholarparse.crf import (CrfError, CrfModel, CrfNumericError, _emissions,
+                              _logaddexp, _occurrences, _path_score, _split)
 from scholarparse.features import (_case, _decile, _size_bucket,
                                    _word_feature, enumeration_kind, is_marker)
 from scholarparse.ingest import (SUP_FONT_RATIO, SUP_RISE_PT, IngestReport,
@@ -144,6 +144,56 @@ def _fold(terms):
     for term in terms[1:]:
         acc = _logaddexp(acc, term)
     return acc
+
+
+def reference_forward(em: np.ndarray, T: np.ndarray, last: np.ndarray):
+    """Oracle for ``crf._forward``: the recursion with fresh arrays at every
+    step, as the models were first trained with."""
+    T = T.reshape(-1, *T.shape[-2:])
+    alpha = em[:, 0]
+    steps = [alpha]
+    for t in range(1, em.shape[1]):
+        acc = alpha[:, :1] + T[:, 0]
+        for i in range(1, T.shape[1]):
+            acc = _logaddexp(acc, alpha[:, i:i + 1] + T[:, i])
+        alpha = em[:, t] + acc
+        steps.append(alpha)
+    log_alpha = np.stack(steps, axis=1)
+    end = log_alpha[np.arange(len(em)), last]
+    log_z = end[:, 0]
+    for i in range(1, T.shape[1]):
+        log_z = _logaddexp(log_z, end[:, i])
+    return log_alpha, log_z
+
+
+def reference_forward_backward(em: np.ndarray, T: np.ndarray,
+                               last: np.ndarray, forward=None):
+    """Oracle for ``crf._forward_backward``, with fresh arrays at every
+    step; raises ``CrfNumericError`` where it does."""
+    T = T.reshape(-1, *T.shape[-2:])
+    log_alpha, log_z = (reference_forward(em, T, last) if forward is None
+                        else forward)
+    past = np.arange(em.shape[1]) > last[:, None]
+    beta = np.zeros_like(em[:, 0])
+    steps = [beta]
+    for t in range(em.shape[1] - 2, -1, -1):
+        x = em[:, t + 1] + beta
+        acc = T[:, :, 0] + x[:, :1]
+        for j in range(1, T.shape[1]):
+            acc = _logaddexp(acc, T[:, :, j] + x[:, j:j + 1])
+        beta = np.where(past[:, t + 1, None], 0.0, acc)
+        steps.append(beta)
+    log_beta = np.stack(steps[::-1], axis=1)
+    log_alpha[past] = log_beta[past] = -np.inf
+    shift = log_z[:, None, None]
+    marginals = np.exp(log_alpha + log_beta - shift)
+    pairwise = np.exp(log_alpha[:, :-1, :, None] + T[:, None]
+                      + (em[:, 1:] + log_beta[:, 1:])[:, :, None, :]
+                      - shift[..., None])
+    if not (np.isfinite(log_z).all() and np.isfinite(marginals).all()
+            and np.isfinite(pairwise).all()):
+        raise CrfNumericError("numeric overflow")
+    return log_z, marginals, pairwise
 
 
 def per_sequence_objective(model: CrfModel, dataset):
@@ -385,8 +435,10 @@ def reference_parse_rich_xml(data: bytes, *, dehyphenate: bool = False,
                 text = (tok_elem.text or "").strip()
                 tok_width = _reference_float(tok_elem, "width") or 0.0
                 tok_height = _reference_float(tok_elem, "height") or 0.0
-                if x is None or y is None or font_size is None or not text:
+                if x is None or y is None or font_size is None:
                     problem = "missing attributes"
+                elif not text:
+                    problem = "no text"
                 elif not all(map(math.isfinite,
                                  (x, y, tok_width, tok_height, font_size))):
                     problem = "a non-finite coordinate or size"

@@ -8,16 +8,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import (brute_force_decode, enumerate_paths,
                       per_sequence_objective, random_instance,
+                      reference_forward, reference_forward_backward,
                       reference_logsumexp, reference_viterbi_decode)
 from scholarparse import crf
-from scholarparse.crf import (CrfError, CrfModel, LabeledSequence,
-                              ModelFormatError, TrainConfig, compile_dataset,
-                              forward_backward, load_model, log_likelihood,
-                              log_likelihood_and_gradient, save_model, score,
-                              train, viterbi_decode)
+from scholarparse.crf import (CrfError, CrfModel, CrfNumericError,
+                              LabeledSequence, ModelFormatError, TrainConfig,
+                              compile_dataset, forward_backward, load_model,
+                              log_likelihood, log_likelihood_and_gradient,
+                              save_model, score, train, viterbi_decode)
 from scholarparse.ingest import parse_rich_xml
 from scholarparse.pipeline import load_default_models
 from scholarparse.synth import STYLES, generate_synthetic_document
@@ -178,6 +180,13 @@ class TestForwardBackward:
         with pytest.raises(CrfError, match="empty sequence"):
             forward_backward(tiny_model(), [])
 
+    def test_overflow_raises_numeric_error_not_a_warning(self):
+        model = CrfModel.from_weights(
+            ("A", "B"), {("x", "A"): 1e308, ("x", "B"): 1e308},
+            {(a, b): 1e308 for a in "AB" for b in "AB"})
+        with pytest.raises(CrfNumericError):
+            forward_backward(model, [("x",)] * 3)
+
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=25, deadline=None)
     def test_partition_dominates_any_path(self, seed):
@@ -254,6 +263,51 @@ class TestLogAddExp:
             assert not marginals[b, last[b] + 1:].any()
 
 
+def _numeric_outcome(recursion, *args):
+    """What a recursion gives on ``args``, or None where it raises
+    ``CrfNumericError``; overflow on extreme draws is expected."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            return recursion(*args)
+        except CrfNumericError:
+            return None
+
+
+class TestRecursionsMatchFreshArrayOracle:
+    """The recursions, which write every step into buffers made once per
+    pass, give the bits of the ones that made fresh arrays at every step,
+    at every label count (the pins only exercise two labels)."""
+
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_same_bits(self, data):
+        B, N, L = (data.draw(st.integers(1, 5), label="B"),
+                   data.draw(st.integers(1, 10), label="N"),
+                   data.draw(st.integers(1, 4), label="L"))
+        values = st.one_of(st.floats(-30.0, 30.0),
+                           st.integers(-2, 2).map(float))
+        if data.draw(st.booleans(), label="extreme"):
+            values |= st.sampled_from((-math.inf, -1e308, 1e308))
+        shape = data.draw(st.sampled_from(((L, L), (B, L, L))), label="T")
+        em = data.draw(hnp.arrays(float, (B, N, L), elements=values))
+        T = data.draw(hnp.arrays(float, shape, elements=values))
+        last = data.draw(hnp.arrays(np.intp, B,
+                                    elements=st.integers(0, N - 1)))
+        forward = _numeric_outcome(crf._forward, em, T, last)
+        reference = _numeric_outcome(reference_forward, em, T, last)
+        assert all(map(same_bits, forward, reference))
+        reuse = data.draw(st.booleans(), label="forward=")
+        got = _numeric_outcome(crf._forward_backward, em, T, last,
+                               forward if reuse else None)
+        expected = _numeric_outcome(reference_forward_backward, em, T, last,
+                                    reference if reuse else None)
+        assert (got is None) == (expected is None)
+        if got is not None:
+            assert all(map(same_bits, got, expected))
+        if reuse:
+            assert same_bits(forward[0], reference[0])
+
+
 class TestGradient:
     def _dataset(self, rng, k=2):
         model, feats = random_instance(rng, max_len=6, max_labels=3)
@@ -288,6 +342,15 @@ class TestGradient:
         w = flat_weights(model)
         ll_full, _ = log_likelihood_and_gradient(w, data, 1.0)
         assert log_likelihood(w, data, 1.0) == pytest.approx(ll_full)
+
+    @pytest.mark.parametrize("kernel", (log_likelihood,
+                                        log_likelihood_and_gradient))
+    def test_overflow_raises_numeric_error_not_a_warning(self, kernel):
+        data = compile_dataset(tiny_model(), [LabeledSequence(
+            items=[(("x",), "A"), (("y",), "B")])])
+        weights = np.full(len(flat_weights(tiny_model())), 1e308)
+        with pytest.raises(CrfNumericError):
+            kernel(weights, data, 1.0)
 
     def test_empty_dataset_raises(self):
         with pytest.raises(CrfError):

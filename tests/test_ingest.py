@@ -65,6 +65,16 @@ class TestParse:
         assert report.skipped_elements == 1
         assert len(report.warnings) == 1 and "world" in report.warnings[0]
 
+    @pytest.mark.parametrize("blank", [b"", b"   ", b"\n\t "],
+                             ids=("empty", "spaces", "white space"))
+    def test_blank_token_skipped_as_having_no_text(self, blank):
+        data = SIMPLE.replace(b">world<", b">%s<" % blank)
+        doc, report = parse_rich_xml(data)
+        assert doc.pages[0].lines[0].text == "Hello"
+        assert report.token_count == 1
+        assert report.skipped_elements == 1
+        assert report.warnings == ["page 1: skipped TOKEN '' with no text"]
+
     def test_unknown_elements_counted_not_fatal(self):
         data = SIMPLE.replace(b"</TEXT>", b"</TEXT><NOISE/>")
         _, report = parse_rich_xml(data)
