@@ -5,12 +5,12 @@ linear-chain CRF for the learned labeling subtasks.
 The public names load on first use: ``import scholarparse`` imports no
 submodule, and each name in ``__all__`` imports its defining module when it
 is first looked up (PEP 562).  So extraction loads only the modules it runs
-(``pipeline``, its stages, ``crf``, ``tei`` and the bundled models), and a
-document then imports nothing more; the generator, training, evaluation
-and the corpus analyses load only when one of their names is used.  The
-command line does the same: a command imports the modules only it uses
-when it runs.  Every submodule also resolves as an attribute,
-``scholarparse.crf`` for example.
+(``pipeline``, its stages, the decoder ``crfmodel``, ``tei`` and the
+bundled models), and a document then imports nothing more; the generator,
+training (``crf`` among it), evaluation and the corpus analyses load only
+when one of their names is used.  The command line does the same: a
+command imports the modules only it uses when it runs.  Every submodule
+also resolves as an attribute, ``scholarparse.crf`` for example.
 """
 
 from importlib import import_module
@@ -23,11 +23,12 @@ _SOURCES = {
         "CitationInstance", "CitationLink", "Reference", "extract_citations",
         "map_citations_to_references", "split_references"),
     "chunker": ("ChunkParams", "chunk_document", "chunk_page"),
-    "config": ("PipelineConfig", "load_config", "parse_config"),
+    "config": (
+        "PipelineConfig", "TrainConfig", "load_config", "parse_config"),
     "context": ("DocumentContext", "build_context"),
-    "crf": (
-        "CrfModel", "FeatureTemplate", "LabeledSequence", "TrainConfig",
-        "forward_backward", "load_model", "save_model", "train",
+    "crf": ("LabeledSequence", "forward_backward", "train"),
+    "crfmodel": (
+        "CrfModel", "FeatureTemplate", "load_model", "save_model",
         "viterbi_decode"),
     "evaluate": (
         "GroundTruth", "TokenMetrics", "aggregate", "evaluate_extraction",

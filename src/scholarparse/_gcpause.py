@@ -14,11 +14,18 @@ disabled the collector finds it still disabled afterwards.
 
 The pause defers the collection of what a call allocated; it does not
 drop it.  The collector comes back on with the young generation's count
-still holding every container object the call left alive, so a caller
-that allocates between two paused calls (``parse_rich_xml``, then
-``extract_document``) sets off one young collection over everything the
-first call returned, a whole parsed document.  A caller that allocates
-nothing between them pays no such collection.
+still holding every container object the call left alive, so the next
+container object the process allocates, from anywhere, sets off one young
+collection over everything the call returned, a whole parsed document.
+Only objects reused from the interpreter's free lists (small tuples, for
+one) do not count.  A caller whose own code allocates nothing between two
+paused calls (``parse_rich_xml``, then ``extract_document``) can still pay
+that collection, because the interpreter allocates for it.  On CPython
+3.11.7, in a loop of such calls, it fired at either of:
+- the tuple iterator that unpacks the returned ``(document, report)`` in
+  code that has run too few times to be specialized;
+- under ``sys.setprofile``, the profiler's call on the return of
+  ``gc.enable()``, which puts the collection inside the paused call.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ from collections import Counter
 from pathlib import Path
 
 from .config import PipelineConfig, load_config
-from .crf import save_model
+from .crfmodel import save_model
 from .ingest import parse_rich_xml
 from .pipeline import (TASKS, extract_document, load_default_models,
                        load_models_from_dir)

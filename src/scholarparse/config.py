@@ -2,17 +2,49 @@
 
 Each key is sent to the part of ``PipelineConfig`` it sets: the chunking
 thresholds to ``chunk`` (``ChunkParams``), the training hyperparameters to
-``train`` (``TrainConfig``).  The parts check their values when built, so a
-bad value fails ``parse_config``, before any input is read.
+``train`` (``TrainConfig``, defined here).  The parts check their values
+when built, so a bad value fails ``parse_config``, before any input is
+read.
 """
 
 from __future__ import annotations
 
+import math
+from operator import index
 from pathlib import Path
 from typing import NamedTuple
 
 from .chunker import ChunkParams
-from .crf import TrainConfig
+
+
+class _TrainConfigFields(NamedTuple):
+    # The defaults are TrainConfig.__new__'s.
+    l2_lambda: float
+    max_iterations: int
+    convergence_tol: float
+
+
+class TrainConfig(_TrainConfigFields):
+    """L2 strength, iteration limit and convergence tolerance of
+    ``crf.train``.  Calling ``TrainConfig(...)`` checks them, as
+    ``model.Token`` checks its values; ``_make`` and ``_replace`` do not."""
+
+    __slots__ = ()
+
+    def __new__(cls, l2_lambda: float = 1.0, max_iterations: int = 200,
+                convergence_tol: float = 1e-5):
+        if not (math.isfinite(l2_lambda) and l2_lambda > 0):
+            raise ValueError("l2_lambda must be finite and positive")
+        try:
+            index(max_iterations)
+        except TypeError:
+            raise ValueError("max_iterations must be an integer") from None
+        if max_iterations < 0:
+            raise ValueError("max_iterations must not be negative")
+        if not (math.isfinite(convergence_tol) and convergence_tol >= 0):
+            raise ValueError("convergence_tol must be finite and not negative")
+        return tuple.__new__(cls, (l2_lambda, max_iterations,
+                                   convergence_tol))
 
 
 class PipelineConfig(NamedTuple):

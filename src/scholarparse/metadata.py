@@ -9,7 +9,7 @@ from itertools import groupby
 from typing import NamedTuple
 
 from .context import DocumentContext
-from .crf import CrfModel, viterbi_decode
+from .crfmodel import CrfModel, viterbi_decode
 from .features import (LABELING_TASKS, SUPERSCRIPT_TO_ASCII, is_marker,
                        token_features)
 from .model import Token

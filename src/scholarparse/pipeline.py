@@ -36,7 +36,7 @@ from .bibliography import (NoReferenceSectionError, extract_citations,
                            map_citations_to_references, split_references)
 from .chunker import ChunkParams
 from .context import build_context
-from .crf import CrfModel, ModelFormatError, load_model
+from .crfmodel import CrfModel, ModelFormatError, load_model
 from .features import LABELING_TASKS
 from .metadata import (extract_affiliations, extract_author_names,
                        extract_emails, extract_title, map_authors_to_emails,

@@ -11,7 +11,7 @@ import re
 from typing import NamedTuple
 
 from .context import DocumentContext
-from .crf import CrfModel, viterbi_decode
+from .crfmodel import CrfModel, viterbi_decode
 from .features import (LABELING_TASKS, SUPERSCRIPT_TO_ASCII,
                        footnote_chunk_features, heading_chunk_features,
                        is_marker)

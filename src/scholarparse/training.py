@@ -15,8 +15,9 @@ from pathlib import Path
 
 from .chunker import ChunkParams
 from .context import DocumentContext, build_context
-from .crf import (CrfModel, FeatureTemplate, LabeledSequence, TrainConfig,
-                  train)
+from .config import TrainConfig
+from .crf import LabeledSequence, train
+from .crfmodel import CrfModel, FeatureTemplate
 from .evaluate import GroundTruth, ground_truth_from_text
 from .features import LABELING_TASKS
 from .ingest import parse_rich_xml

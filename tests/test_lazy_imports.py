@@ -1,7 +1,9 @@
 """The package namespace loads names on first use, and extraction loads
 only the modules it runs."""
 
+import ast
 import dataclasses
+import importlib
 import inspect
 import json
 import os
@@ -17,13 +19,13 @@ from scholarparse.synth import generate_synthetic_document
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 EXTRACTION_MODULES = [
-    "_gcpause", "bibliography", "chunker", "context", "crf", "data",
+    "_gcpause", "bibliography", "chunker", "context", "crfmodel", "data",
     "features", "ingest", "metadata", "model", "pipeline", "structure", "tei",
 ]
 SUBMODULES = [
-    "bibliography", "chunker", "cli", "config", "context", "crf", "evaluate",
-    "features", "ingest", "metadata", "model", "pipeline", "structure",
-    "styles", "synth", "tei", "training", "usecases",
+    "bibliography", "chunker", "cli", "config", "context", "crf", "crfmodel",
+    "evaluate", "features", "ingest", "metadata", "model", "pipeline",
+    "structure", "styles", "synth", "tei", "training", "usecases",
 ]
 
 # Set up as the benchmark does (import, load the bundled models), look up
@@ -108,7 +110,7 @@ class TestImportGraph:
                                                        tmp_path):
         loaded = _run(CLI_EXTRACT, article, "--out", tmp_path).split()
         assert (tmp_path / "paper.tei.xml").exists()
-        for name in ("evaluate", "synth", "training", "usecases"):
+        for name in ("crf", "evaluate", "synth", "training", "usecases"):
             assert f"scholarparse.{name}" not in loaded
 
     def test_extraction_never_imports_dataclasses(self, article, tmp_path):
@@ -117,6 +119,35 @@ class TestImportGraph:
         # which would be a large share of set-up.
         assert _run(NO_DATACLASSES, article, "--out", tmp_path).split() == []
         assert (tmp_path / "paper.tei.xml").exists()
+
+
+class TestDecoderBoundary:
+    """The decoder module stands alone; ``crf`` binds its names and
+    ``TrainConfig`` as the same objects."""
+
+    def test_decoder_imports_neither_numpy_nor_crf(self):
+        tree = ast.parse((SRC / "scholarparse" / "crfmodel.py").read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                imported.add("." * node.level + (node.module or ""))
+        assert imported
+        for name in imported:
+            assert name.split(".")[0] != "numpy", name
+            assert name.lstrip(".") not in ("crf", "scholarparse.crf"), name
+
+    @pytest.mark.parametrize("module, name", [
+        *(("crfmodel", name) for name in (
+            "MODEL_MAGIC", "MODEL_VERSION", "CrfError", "ModelFormatError",
+            "FeatureTemplate", "CrfModel", "_label_index", "viterbi_decode",
+            "save_model", "load_model")),
+        ("config", "TrainConfig")])
+    def test_crf_binds_the_defining_module_object(self, module, name):
+        from scholarparse import crf
+        defining = importlib.import_module(f"scholarparse.{module}")
+        assert getattr(crf, name) is getattr(defining, name)
 
 
 class TestNamespace:

@@ -1,5 +1,5 @@
-"""Extraction runs without numpy, and training still reaches the CRF kernels
-under the names a tracer patches."""
+"""Extraction and evaluation run without numpy, and training still reaches
+the CRF kernels under the names a tracer patches."""
 
 import os
 import subprocess
@@ -46,6 +46,29 @@ def test_parse_extract_and_export_import_no_numpy(tmp_path):
     assert (tmp_path / "tei" / "paper.tei.xml").exists()
 
 
+# Generate a two-article corpus and score the bundled models on it through
+# the CLI; print whether numpy was ever imported.
+EVAL_WITHOUT_NUMPY = """\
+import sys
+import scholarparse.cli
+corpus, report = sys.argv[1:]
+assert scholarparse.cli.main(["generate", "--out", corpus, "--count", "2"]) == 0
+assert scholarparse.cli.main(["eval", "--corpus", corpus, "--out", report]) == 0
+print("numpy" in sys.modules)
+"""
+
+
+def test_eval_imports_no_numpy(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-c", EVAL_WITHOUT_NUMPY, str(tmp_path / "corpus"),
+         str(tmp_path / "report.txt")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+    assert "title.f=" in (tmp_path / "report.txt").read_text()
+
+
 def test_training_reaches_the_kernels_by_their_crf_names(monkeypatch):
     # Wrap each kernel wherever a scholarparse module holds it, as the
     # benchmark's tracer does; a kernel reached some other way (a module
@@ -78,5 +101,6 @@ def test_public_kernels_are_the_crf_functions():
     assert scholarparse.forward_backward is crf.forward_backward
     assert scholarparse.viterbi_decode is crf.viterbi_decode
     for fn in (crf.train, crf.forward_backward, crf.log_likelihood,
-               crf.log_likelihood_and_gradient, crf.viterbi_decode):
+               crf.log_likelihood_and_gradient):
         assert fn.__module__ == "scholarparse.crf"
+    assert crf.viterbi_decode.__module__ == "scholarparse.crfmodel"
