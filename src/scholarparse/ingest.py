@@ -18,14 +18,17 @@ as its TOKEN is read.  A TOKEN's five numbers are read together; only a
 TOKEN that fails that read, or whose values are out of range, is read again
 field by field to name what is wrong.  A missing, zero or unparseable width
 or height is 0.0.  A line's baseline is the median of its tokens'
-baselines.
+baselines; the baselines and the line's smallest font come from the numbers
+read once per TOKEN, not from the built tokens.
 
 The XML is parsed as a stream (``_root_children``): the bytes are read a
-slice at a time, and each child of the root is read and dropped as soon
-as the next one starts, the last ones once the input ends.  So at any
-moment the parse holds the element tree of about one page, plus what one
-slice starts, never the whole document's: the memory it needs above the
-Document it returns does not grow with the page count.
+slice at a time.  The root's start is the only event the parser reports;
+after it the parser builds the tree with no event per element.  After each
+slice, every child of the root but the last, which may still be open, is
+read and dropped, and the last ones once the input ends.  So at any moment
+the parse holds the element tree of about one page, plus what one slice
+starts, never the whole document's: the memory it needs above the Document
+it returns does not grow with the page count.
 A parse error raises ``RichXmlParseError`` with the message and byte offset
 that parsing the whole input at once gives.
 
@@ -150,13 +153,14 @@ def _is_superscript(font_size: float, baseline_y: float, line_baseline: float,
 
 
 def _parse_page(page_elem, number: int,
-                warnings: list[str]) -> tuple[tuple[Line, ...], int]:
-    """The lines of one PAGE, each token built as its TOKEN is read, and
-    the number of elements skipped.
+                warnings: list[str]) -> tuple[tuple[Line, ...], int, int]:
+    """The lines of one PAGE, each token built as its TOKEN is read, the
+    number of elements skipped and the number of tokens built.
 
-    The page's median font is known only once every TOKEN is read, so the
-    tokens are built with ``sup_flag`` False and, after that, the few that
-    the superscript rule flags are rebuilt.
+    A line's baselines and smallest font are gathered from the numbers
+    just read.  The page's median font is known only once every TOKEN is
+    read, so the tokens are built with ``sup_flag`` False and, after that,
+    the few that the superscript rule flags are rebuilt.
     """
     lines = []
     fonts = []
@@ -166,6 +170,8 @@ def _parse_page(page_elem, number: int,
             skipped += 1
             continue
         tokens = []
+        baselines = []
+        first = len(fonts)
         for tok_elem in text_elem:
             if tok_elem.tag != "TOKEN":
                 skipped += 1
@@ -199,18 +205,18 @@ def _parse_page(page_elem, number: int,
                 text, number, x, y, width, height, font_size,
                 attrib.get("bold") == "yes", attrib.get("italic") == "yes",
                 attrib.get("font-name", ""), False)))
+            baselines.append(y + height)
             fonts.append(font_size)
         if tokens:
             tokens.sort(key=attrgetter("x"))
-            lines.append(tokens)
+            lines.append((tokens, _median(baselines), min(fonts[first:])))
     if not fonts:
-        return (), skipped
+        return (), skipped, 0
     median_font = _median(fonts)
     small = SUP_FONT_RATIO * median_font
     built = []
-    for tokens in lines:
-        baseline = _median([t.y + t.height for t in tokens])
-        if min([t.font_size for t in tokens]) <= small:
+    for tokens, baseline, smallest in lines:
+        if smallest <= small:
             for i, t in enumerate(tokens):
                 if _is_superscript(t.font_size, t.y + t.height, baseline,
                                    median_font):
@@ -219,44 +225,49 @@ def _parse_page(page_elem, number: int,
         # running Line's check again.
         built.append(tuple.__new__(Line, (tuple(tokens), baseline)))
     built.sort(key=itemgetter(1))
-    return tuple(built), skipped
-
-
-def _start_events(source):
-    """The ``("start", element)`` events of the XML that ``source`` reads,
-    as ``ET.iterparse(source, ("start",))`` gives them, without the class
-    that ``iterparse`` builds on each call and leaves in reference cycles.
-    The input is read a slice at a time, and the event queue is drained
-    after every slice and once more after the input ends, since expat may
-    report a start tag only then."""
-    parser = ET.XMLPullParser(events=("start",))
-    while data := source.read(16 * 1024):
-        parser.feed(data)
-        yield from parser.read_events()
-    parser.close()
-    yield from parser.read_events()
+    return tuple(built), skipped, len(fonts)
 
 
 def _root_children(data: bytes):
     """Each child element of the root, complete, in document order.
 
-    A child is yielded once a later sibling has started, or once the input
-    has ended, and is dropped from the tree when the caller asks for the
-    next one.
+    The input is read a slice at a time.  The parser reports the root's
+    start and then no further events: its events are switched off through
+    ``_setevents``, the hook that ``XMLPullParser`` itself is built on.
+    After each slice, every child of the root but the last, which may
+    still be open, is yielded and dropped from the tree when the caller
+    asks for the next one; the rest once the input ends.
     """
+    source = BytesIO(data)
+    parser = ET.XMLPullParser(events=("start",))
+    root = None
     try:
-        events = _start_events(BytesIO(data))
-        _event, root = next(events)
-        for _event in events:
-            if len(root) > 1:
+        while chunk := source.read(16 * 1024):
+            parser.feed(chunk)
+            root = _drain_events(parser, root)
+            if root is not None and len(root) > 1:
                 done = root[:-1]
                 del root[:-1]
                 yield from done
                 del done
+        parser.close()
+        # Expat may report the root's start tag only once the input ends.
+        root = _drain_events(parser, root)
     except ET.ParseError as exc:
         raise RichXmlParseError(str(exc), _byte_offset(data, *exc.position)) \
             from exc
     yield from root
+
+
+def _drain_events(parser, root):
+    """Empty ``parser``'s event queue and return the root: ``root``, or the
+    element of the first start event, after which the parser's events are
+    switched off.  A parse error that ``feed`` queued is raised here."""
+    for _event, elem in parser.read_events():
+        if root is None:
+            root = elem
+            parser._parser._setevents(parser._events_queue, ())
+    return root
 
 
 def _byte_offset(data: bytes, line: int, column: int) -> int:
@@ -278,6 +289,7 @@ def parse_rich_xml(data: bytes, *, dehyphenate: bool = False,
     pages = []
     warnings: list[str] = []
     skipped = 0
+    token_count = 0
     used: set[int] = set()
     for page_elem in _root_children(data):
         if page_elem.tag != "PAGE":
@@ -293,15 +305,15 @@ def parse_rich_xml(data: bytes, *, dehyphenate: bool = False,
         used.add(number)
         width = _page_extent(page_elem, "width", 612.0, number, warnings)
         height = _page_extent(page_elem, "height", 792.0, number, warnings)
-        lines, page_skipped = _parse_page(page_elem, number, warnings)
+        lines, page_skipped, page_tokens = _parse_page(page_elem, number,
+                                                       warnings)
         skipped += page_skipped
+        token_count += page_tokens
         pages.append(Page(number, width, height, lines))
         page_elem.clear()
 
-    report = IngestReport(
-        token_count=sum(len(line.tokens) for page in pages
-                        for line in page.lines),
-        page_count=len(pages), skipped_elements=skipped, warnings=warnings)
+    report = IngestReport(token_count=token_count, page_count=len(pages),
+                          skipped_elements=skipped, warnings=warnings)
     if dehyphenate:
         pages = [_dehyphenate_page(p) for p in pages]
     return Document(source_id=source_id, pages=tuple(pages)), report

@@ -772,6 +772,27 @@ def mutate_xml(data: bytes, mutations) -> bytes:
     return data if cut is None else data[:cut * len(data) // 10_000]
 
 
+def numpy_dispatch_key() -> tuple[str, str, str]:
+    """numpy's version and the SIMD targets its float64 ``exp`` and
+    ``log1p`` loops run on in this process.  Training calls both, and
+    their AVX-512 loops round differently from their AVX2 and baseline
+    loops, so trained weights are exact only for one key."""
+    from numpy.lib.introspect import opt_func_info
+    info = opt_func_info(func_name="^(exp|log1p)$", signature="float64")
+    return (np.__version__, info["exp"]["dd"]["current"],
+            info["log1p"]["dd"]["current"])
+
+
+def dispatch_pins(pins_by_key: dict) -> dict:
+    """The pins recorded for this process's ``numpy_dispatch_key``; with
+    none recorded for it, the test fails naming the key."""
+    key = numpy_dispatch_key()
+    if key not in pins_by_key:
+        pytest.fail(f"no training pins recorded for numpy dispatch key "
+                    f"{key!r}; record a set under that key")
+    return pins_by_key[key]
+
+
 @pytest.fixture
 def rng():
     return random.Random(20260823)

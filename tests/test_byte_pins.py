@@ -1,7 +1,9 @@
 """Byte pins for refactors: the generated articles and ground truth of
 seeds 0-39 per style, the TEI of one fixed article per style, the four
 training-sequence sets built from the same articles, and the four models
-trained on them with their training logs.
+trained on them with their training logs.  The model and training-log
+pins hold for one numpy dispatch key each, since numpy's SIMD loops give
+training other bits on other CPUs.
 
 Code that keeps the extraction, feature and training behaviour keeps these
 digests;
@@ -13,6 +15,7 @@ import hashlib
 import re
 
 import pytest
+from conftest import dispatch_pins, numpy_dispatch_key
 
 from scholarparse.crf import TrainConfig, save_model
 from scholarparse.evaluate import ground_truth_to_text
@@ -88,22 +91,41 @@ SEQUENCES_SHA256 = {
 }
 
 # save_model bytes of train_all(pairs, TrainConfig(max_iterations=6)): the
-# trained weights, bit for bit.
+# trained weights, bit for bit.  One set per numpy dispatch key
+# (conftest.numpy_dispatch_key): numpy's version, then the targets of its
+# float64 exp and log1p loops.  The AVX2 set was recorded on an AVX-512 CPU
+# with NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR".
 MODEL_SHA256 = {
-    "author": "2bd1ebd7d1688355717c7971075d549468b771554f60b89f0ee65004a6f5b0b0",
-    "footnote": "cbffbb128219b6ce83d3ee98d081583b6a2736624ba0943ff8f51ab475e5b740",
-    "heading": "c7e78f9824e356bdec3efaddb3678d6ca4e489c6e2474a1e67ba5f6c0f513602",
-    "title": "e3506172e196341f795779cdb050c5bb335c957af65cc9f217cf6c3242ef6505",
+    ("2.4.6", "X86_V4", "X86_V4"): {
+        "author": "2bd1ebd7d1688355717c7971075d549468b771554f60b89f0ee65004a6f5b0b0",
+        "footnote": "cbffbb128219b6ce83d3ee98d081583b6a2736624ba0943ff8f51ab475e5b740",
+        "heading": "c7e78f9824e356bdec3efaddb3678d6ca4e489c6e2474a1e67ba5f6c0f513602",
+        "title": "e3506172e196341f795779cdb050c5bb335c957af65cc9f217cf6c3242ef6505",
+    },
+    ("2.4.6", "X86_V3", "baseline(X86_V2)"): {
+        "author": "5c6039147e3925d79fa8f7963790df1a4f55149c99efc59a31d7e199abcc45e6",
+        "footnote": "cf738eb9e1f703d68e11b8a30110b5d53ec32315a4b7d291bdec7be07c144464",
+        "heading": "7d6aa9cb581349dd4c04eee1fe78e5adcc2ff12a040dd190f977d13447515a7c",
+        "title": "41b99689dab598cf632c2834eb0d2d000deab76902182e00fd7d441dcee39eef",
+    },
 }
 
 # repr of each task's crf.train log in that training: per iteration its
 # log-likelihood, gradient norm, accepted step and line-search trials, then
-# the stop reason.
+# the stop reason.  Keyed as MODEL_SHA256.
 TRAIN_LOG_SHA256 = {
-    "author": "30d359a854ddcbc891c293843ca5ac455f17bc00a45757d028f0140533ba55eb",
-    "footnote": "58d27dce54c00d2e9709f833250bd9e6203979a02e8b2014421f01fc7270dd4c",
-    "heading": "c4983d5336d79d65ad178c9646b9208077bfc782ab2316a5f2c5673e64a22ed7",
-    "title": "b3fa2afbf4df5ba2ac49ceb56edf4a2159dfbb5c960369f8d035a659e17bdbe3",
+    ("2.4.6", "X86_V4", "X86_V4"): {
+        "author": "30d359a854ddcbc891c293843ca5ac455f17bc00a45757d028f0140533ba55eb",
+        "footnote": "58d27dce54c00d2e9709f833250bd9e6203979a02e8b2014421f01fc7270dd4c",
+        "heading": "c4983d5336d79d65ad178c9646b9208077bfc782ab2316a5f2c5673e64a22ed7",
+        "title": "b3fa2afbf4df5ba2ac49ceb56edf4a2159dfbb5c960369f8d035a659e17bdbe3",
+    },
+    ("2.4.6", "X86_V3", "baseline(X86_V2)"): {
+        "author": "40726230c820b623f3fc9ca2ce3106650150fbd530ce5660683b475282f2cb9e",
+        "footnote": "dfa671161b34962fda5ffd31de3024ed7a4e4d8be9e4d770bafaf88bcd87e28a",
+        "heading": "9133214d7864ad1e26f184a56ca89828caaf4e917209edbd9d6b50ec068e8919",
+        "title": "35e3e111a52285a92f162ee5095c4da0739ad8d77899046c5155f4ddd3c0b9d5",
+    },
 }
 
 BUILDERS = {
@@ -178,16 +200,23 @@ def trained(pairs):
     return train_all(pairs, TrainConfig(max_iterations=6))
 
 
-@pytest.mark.parametrize("task", sorted(MODEL_SHA256))
+def test_a_dispatch_key_with_no_pins_fails_naming_it():
+    with pytest.raises(pytest.fail.Exception,
+                       match=re.escape(repr(numpy_dispatch_key()))):
+        dispatch_pins({})
+
+
+@pytest.mark.parametrize("task", sorted(BUILDERS))
 def test_trained_model_bytes(trained, task):
     digest = hashlib.sha256(save_model(trained[task])).hexdigest()
-    assert digest == MODEL_SHA256[task]
+    assert digest == dispatch_pins(MODEL_SHA256)[task]
 
 
-@pytest.mark.parametrize("task", sorted(TRAIN_LOG_SHA256))
+@pytest.mark.parametrize("task", sorted(BUILDERS))
 def test_training_log_bytes(pairs, task):
     log = []
     model = train_task(task, training_examples(pairs),
                        TrainConfig(max_iterations=6), log)
-    assert sha256(repr(log)) == TRAIN_LOG_SHA256[task]
-    assert hashlib.sha256(save_model(model)).hexdigest() == MODEL_SHA256[task]
+    assert sha256(repr(log)) == dispatch_pins(TRAIN_LOG_SHA256)[task]
+    assert (hashlib.sha256(save_model(model)).hexdigest()
+            == dispatch_pins(MODEL_SHA256)[task])

@@ -524,6 +524,32 @@ class TestStreamedParse:
                 == parse_outcome(reference_parse_rich_xml, data))
 
 
+class CountingPullParser(ET.XMLPullParser):
+    """An ``XMLPullParser`` that counts the events ``read_events`` yields."""
+
+    events = 0
+
+    def read_events(self):
+        for event in super().read_events():
+            type(self).events += 1
+            yield event
+
+
+def test_parser_events_come_from_the_first_slice_only(monkeypatch):
+    # Only the root's start event is used, and the parser's events are
+    # switched off after it: a parse reads events at most for the elements
+    # that start in its first 16 KiB slice, not one per element.  A parser
+    # that ignores the switch fails here rather than just running slower.
+    data = generate_synthetic_document("two-col-indexed", 0)[0]
+    monkeypatch.setattr(CountingPullParser, "events", 0)
+    monkeypatch.setattr(ingest.ET, "XMLPullParser", CountingPullParser)
+    doc, _report = parse_rich_xml(data)
+    first_slice = len(re.findall(rb"<[A-Za-z]", data[:16 * 1024]))
+    assert len(doc.pages) > 1
+    assert len(re.findall(rb"<[A-Za-z]", data)) > 5 * first_slice
+    assert 1 <= CountingPullParser.events <= first_slice
+
+
 def assert_tokens_pass_their_checks(doc):
     for page in doc.pages:
         for t in page.tokens():
