@@ -13,12 +13,13 @@ Run from the repository root:
 """
 
 from scholarparse.crf import TrainConfig
-from scholarparse.evaluate import (aggregate, evaluate_extraction,
-                                   render_report, split_corpus)
+from scholarparse.evaluate import (TrainingPair, aggregate,
+                                   evaluate_extraction, render_report,
+                                   split_corpus)
 from scholarparse.ingest import parse_rich_xml
 from scholarparse.pipeline import PipelineModels, extract_document
 from scholarparse.synth import STYLES, generate_synthetic_document
-from scholarparse.training import TrainingPair, train_all
+from scholarparse.training import train_all
 
 CORPUS_SIZE = 20
 

@@ -31,8 +31,9 @@ _SOURCES = {
         "CrfModel", "FeatureTemplate", "load_model", "save_model",
         "viterbi_decode"),
     "evaluate": (
-        "GroundTruth", "TokenMetrics", "aggregate", "evaluate_extraction",
-        "ground_truth_from_text", "ground_truth_to_text", "micro_average",
+        "GroundTruth", "TokenMetrics", "TrainingPair", "aggregate",
+        "evaluate_extraction", "ground_truth_from_text",
+        "ground_truth_to_text", "load_corpus", "micro_average",
         "render_report", "split_corpus", "token_score"),
     "ingest": (
         "IngestReport", "RichXmlParseError", "document_to_xml",
@@ -52,9 +53,7 @@ _SOURCES = {
     "styles": ("STYLES",),
     "synth": ("generate_synthetic_document",),
     "tei": ("ExtractionResult", "export_tei"),
-    "training": (
-        "TrainingPair", "load_corpus", "train_all", "train_task",
-        "training_examples"),
+    "training": ("train_all", "train_task", "training_examples"),
     "usecases": (
         "CitationHistogram", "SectionMap", "curate_dataset_links",
         "section_citation_distribution"),

@@ -7,7 +7,7 @@ usecase (corpus analyses).  Exit codes: 0 success, 1 processing failure,
 extract, usecase, eval and train run their inputs through ``_each_input``:
 an input that fails costs one ``error: <input>: <message>`` line, and the
 command goes on with the rest.  eval and train read each X.xml/X.gt.txt
-pair with ``training.read_pair``, as extract reads a document; with no
+pair with ``evaluate.read_pair``, as extract reads a document; with no
 readable input, usecase prints no analysis, eval writes no report and
 train no model.  extract writes each input's TEI as soon as that input
 and every earlier one are done, also with --jobs.  extract --out names
@@ -18,7 +18,8 @@ stop reason, each naming its task.
 
 A command imports what only it uses (training, evaluation, the generator,
 the corpus analyses) when it runs, so ``extract`` loads no more than
-extraction does.
+extraction does, and ``eval`` adds evaluation alone: neither training nor
+``crf``, and so not numpy.
 """
 
 from __future__ import annotations
@@ -118,8 +119,7 @@ def _extract_tei(path: Path, models, cfg: PipelineConfig) -> tuple[str, str]:
 
 
 def _score(xml_path: Path, models, cfg: PipelineConfig) -> dict:
-    from .evaluate import evaluate_extraction
-    from .training import read_pair
+    from .evaluate import evaluate_extraction, read_pair
     pair = read_pair(xml_path, cfg.dehyphenate)
     return evaluate_extraction(
         extract_document(pair.document, models, cfg.chunk), pair.truth)
@@ -158,8 +158,8 @@ def _open_stats(path):
 
 def cmd_train(args) -> int:
     import json
-    from .training import (corpus_files, read_pair, train_task,
-                           training_examples)
+    from .evaluate import corpus_files, read_pair
+    from .training import train_task, training_examples
     cfg = _load_config(args)
     pairs, failed = _each_input(read_pair, corpus_files(args.corpus),
                                 (cfg.dehyphenate,))
@@ -184,8 +184,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from .evaluate import aggregate, render_report
-    from .training import corpus_files
+    from .evaluate import aggregate, corpus_files, render_report
     cfg = _load_config(args)
     models = _load_models(args)
     per_doc, failed = _each_input(_score, corpus_files(args.corpus),

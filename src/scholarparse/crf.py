@@ -1,9 +1,7 @@
-"""Linear-chain CRF: path scores, marginals and training.
+"""Linear-chain CRF: path scores, marginals and training, on numpy.
 
 The model, its file format and the Viterbi decoder are in ``crfmodel``,
-which extraction loads without this module; every name defined there, and
-``TrainConfig`` from ``config``, is also bound here as the same object, so
-``crf.viterbi_decode`` is the function extraction calls.
+which extraction and evaluation load without this module or numpy.
 
 Training maximizes the L2-regularized conditional log-likelihood of one
 flat vector, the unary rows then the transition rows, by batch gradient
@@ -31,12 +29,7 @@ step writes into contiguous rows of them (``_fold``).  None of this moves a
 bit: every elementwise op and every fold over labels keeps its order, and
 ``exp`` and ``log1p`` still run on contiguous arrays.
 
-Importing this module does not import numpy: ``scholarparse eval`` loads it
-(through ``training.read_pair``) and runs without numpy.  Only the
-training and marginal functions import it, each inside its body:
-``score``, ``forward_backward``, ``compile_dataset``, ``log_likelihood``,
-``log_likelihood_and_gradient``, ``train`` and their array helpers.  Their
-names stay module attributes, so a caller that patches
+The kernels are module attributes, so a caller that patches
 ``crf.log_likelihood`` reaches the one ``train`` calls.
 
 ``score`` and ``forward_backward`` are public although neither extraction
@@ -50,16 +43,14 @@ from __future__ import annotations
 
 import math
 from functools import reduce
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
-# Every name below is bound here too, for callers of ``crf.<name>``.
+import numpy as np
+
 from .config import TrainConfig
-from .crfmodel import (MODEL_MAGIC, MODEL_VERSION, CrfError, CrfModel,
-                       FeatureTemplate, ModelFormatError, _label_index,
-                       load_model, save_model, viterbi_decode)
-
-if TYPE_CHECKING:
-    import numpy as np
+# ``viterbi_decode`` is bound here only for the benchmark's tracer, which
+# times the decoder as ``crf.viterbi_decode`` (``perfbench/layers.py``).
+from .crfmodel import CrfError, CrfModel, viterbi_decode
 
 
 class CrfNumericError(CrfError):
@@ -84,7 +75,6 @@ def _rows(flat: list[float], width: int) -> tuple[tuple[float, ...], ...]:
 
 def _arrays(model: CrfModel):
     """The model's unary and transition weights as float arrays."""
-    import numpy as np
     L = len(model.labels)
     return (np.array(model.unary, dtype=float).reshape(-1, L),
             np.array(model.transitions, dtype=float).reshape(L, L))
@@ -93,7 +83,6 @@ def _arrays(model: CrfModel):
 def _occurrences(model: CrfModel, sequence_features):
     """Positions and unary rows of the active features the model knows, in
     sequence order; unknown features weigh nothing and are left out."""
-    import numpy as np
     positions, rows = [], []
     get = model.feature_rows.get
     for t, feats in enumerate(sequence_features):
@@ -110,7 +99,6 @@ def _emissions(unary, cells, rows, shape: tuple[int, ...]) -> np.ndarray:
     unary blocks gives K such batches, one after another along the first
     axis, in one ``np.add.at``.  Its index is flat: numpy's fast path for
     ``ufunc.at`` takes only a 1-D index, and is several times faster."""
-    import numpy as np
     L = unary.shape[-1]
     stack = unary if unary.ndim == 3 else unary[None]
     em = np.zeros((len(stack) * shape[0], *shape[1:], L))
@@ -122,7 +110,6 @@ def _emissions(unary, cells, rows, shape: tuple[int, ...]) -> np.ndarray:
 
 def _path_score(unary, transitions, positions, rows, gold) -> float:
     """Unary then transition terms, summed left to right from 0.0."""
-    import numpy as np
     terms = np.concatenate(([0.0], unary[rows, gold[positions]],
                             transitions[gold[:-1], gold[1:]]))
     return float(np.cumsum(terms)[-1])
@@ -139,7 +126,6 @@ def _logaddexp(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     are numpy ufuncs on fresh contiguous arrays, as the models were trained
     with: libm's ``exp`` and ``log1p`` may differ in the last bit.
     """
-    import numpy as np
     hi = np.maximum(a, b)
     return np.log1p(np.exp(np.minimum(a, b) - hi)) + hi
 
@@ -148,17 +134,14 @@ def score(model: CrfModel, sequence_features, label_path) -> float:
     """Score one label path: unary terms plus adjacent transition terms."""
     if len(sequence_features) != len(label_path):
         raise CrfError("path length must match sequence length")
-    import numpy as np
     gold = np.array([*map(model.label_index, label_path)], dtype=np.intp)
     return _path_score(*_arrays(model),
                        *_occurrences(model, sequence_features), gold)
 
 
-
 def _fold(terms, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     """``_logaddexp`` folded left over ``terms``: its ops in its order, run in
     the contiguous scratch ``hi`` and ``lo``.  Gives ``lo``, or a lone term."""
-    import numpy as np
     acc = terms[0]
     for term in terms[1:]:
         np.maximum(acc, term, out=hi)
@@ -175,7 +158,6 @@ def _forward(em: np.ndarray, T: np.ndarray, last: np.ndarray):
     every row shares.  The steps run on an (N, B, L) copy of the emissions:
     each writes ``alpha[i] + T[i]`` for every i into one (L, B, L) buffer,
     folds it over the previous labels i and adds it to its row."""
-    import numpy as np
     T = T.reshape(-1, *T.shape[-2:])
     B, _, L = em.shape
     steps = em.swapaxes(0, 1).copy()
@@ -197,7 +179,6 @@ def _forward_backward(em: np.ndarray, T: np.ndarray, last: np.ndarray,
     again; its ``log_alpha`` is set to -inf past each last position.  A
     backward step folds ``T[:, j] + em[j] + beta[j]``, written into one
     (L, B, L) buffer, over j into its row; from each last on it stays 0.0."""
-    import numpy as np
     T = T.reshape(-1, *T.shape[-2:])
     B, N, L = em.shape
     log_alpha, log_z = _forward(em, T, last) if forward is None else forward
@@ -227,7 +208,6 @@ def forward_backward(model: CrfModel, sequence_features):
     """Log partition, per-position marginals, and pairwise marginals."""
     if not sequence_features:
         raise CrfError("empty sequence")
-    import numpy as np
     n = len(sequence_features)
     unary, T = _arrays(model)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -265,7 +245,6 @@ def compile_dataset(model: CrfModel, dataset) -> CompiledDataset:
         raise CrfError("empty dataset")
     if not all(seq.items for seq in dataset):
         raise CrfError("empty sequence")
-    import numpy as np
     L = len(model.labels)
     base = len(model.features) * L
     zero = base + L * L
@@ -320,7 +299,6 @@ def _forward_passes(weights: np.ndarray,
     """The forward pass at each vector of a (K, n) stack, all run as one:
     K copies of the batch, one after another, each row with its vector's
     emissions and transitions.  Each vector's pass is a view of its rows."""
-    import numpy as np
     K, L = len(weights), data.n_labels
     B = data.shape[0]
     em = _emissions(weights[:, :-L * L].reshape(K, -1, L), data.cells,
@@ -339,7 +317,6 @@ def _objective(weights, data: CompiledDataset, penalty: float, grad=None,
     ``weights``, spares running it again.  Each path score is summed left to
     right from 0.0, and each gradient entry gets its counts in sequence
     order."""
-    import numpy as np
     if forward is None:
         forward, = _forward_passes(weights[None], data)
     if grad is not None:
@@ -366,7 +343,6 @@ def log_likelihood_and_gradient(weights: np.ndarray, data: CompiledDataset,
     """L2-regularized conditional log-likelihood and its gradient.  Given
     ``forward``, the pass ``log_likelihood`` ran at these weights, only the
     backward pass runs."""
-    import numpy as np
     grad = np.zeros_like(weights)
     with np.errstate(over="ignore", invalid="ignore"):
         penalty = 0.5 * l2_lambda * float(weights @ weights)
@@ -383,7 +359,6 @@ def log_likelihood(weights: np.ndarray, data: CompiledDataset,
     forward pass and gives the list of their values and the list of their
     ``ForwardPass``es, which ``log_likelihood_and_gradient`` can reuse.
     """
-    import numpy as np
     stack = weights.reshape(-1, weights.shape[-1])
     values = []
     with np.errstate(over="ignore", invalid="ignore"):
@@ -415,7 +390,6 @@ def _line_search(w, grad, ll: float, gnorm2: float, step: float,
     from ``s = step`` down, with its forward pass; None if none does.
     Counts in ``record`` the steps tried, up to the accepted one, and sets
     its ``step``."""
-    import numpy as np
     for steps in _step_groups(step):
         trials = [w + s * grad for s in steps]
         values, passes = log_likelihood(np.stack(trials), data, l2_lambda)
@@ -438,7 +412,6 @@ def train(dataset, labels, templates, config: TrainConfig = TrainConfig(),
     ``zero_gradient``, ``line_search_failed`` or ``max_iterations``.  The
     log only observes; the model is the same without it.
     """
-    import numpy as np
     labels, templates = tuple(labels), tuple(templates)
     features = tuple(sorted({f for seq in dataset for feats in seq.features()
                              for f in feats}))

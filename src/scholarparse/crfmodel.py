@@ -7,8 +7,7 @@ carries a set of active features, and a path is scored by summing unary
 adjacent pairs.  A model holds its weights as rows of plain floats, and
 decoding runs on them alone, so nothing here imports numpy, which would be
 about half the time a fresh interpreter takes to start.  Training and
-marginals are in ``crf``, which extraction never loads; it re-exports every
-name defined here, so ``crf.viterbi_decode`` is this module's function.
+marginals are in ``crf``, which neither extraction nor evaluation loads.
 
 Model files are a versioned, deterministic key-value text format: the
 bundled models' bytes are pinned, so ``save_model`` writes its records in

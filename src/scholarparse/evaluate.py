@@ -1,4 +1,5 @@
-"""Token-level scoring, micro-averaging, corpus splitting, ground-truth IO.
+"""Token-level scoring, micro-averaging, corpus splitting, ground-truth IO
+and corpus reading.
 
 ``REPORT_FIELDS`` is the table of report fields, in the order the subtask
 accuracy table presents them.  Each entry gives a field's strings as a
@@ -9,6 +10,11 @@ with spaces, and ``aggregate`` and ``render_report`` walk the table.
 Token comparison is case-insensitive multiset overlap over whitespace
 tokens.  Mapping pairs (author-email, citation-reference) are scored as
 single composite tokens so a pair is either right or wrong.
+
+A corpus is a directory of X.xml/X.gt.txt pairs; ``read_pair`` reads one
+as ``scholarparse extract`` reads a document, for training and for
+evaluation alike, so ``scholarparse eval`` loads neither the trainer nor
+numpy.
 """
 
 from __future__ import annotations
@@ -18,9 +24,12 @@ import random
 import re
 from collections import Counter
 from dataclasses import dataclass, field, fields
+from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .bibliography import reference_number
+from .ingest import parse_rich_xml
+from .model import Document
 from .tei import ExtractionResult
 
 
@@ -272,3 +281,38 @@ def ground_truth_from_text(text: str) -> GroundTruth:
             getattr(gt, attrs[kind]).append(
                 tuple(values) if arity == 2 else values[0])
     return gt
+
+
+@dataclass
+class TrainingPair:
+    """A parsed document with the ground truth it is trained against."""
+
+    document: Document
+    truth: GroundTruth
+
+
+def corpus_files(directory) -> list[Path]:
+    """The X.xml files under a directory that have an X.gt.txt, sorted."""
+    directory = Path(directory)
+    files = [path for path in sorted(directory.glob("*.xml"))
+             if path.with_name(path.stem + ".gt.txt").exists()]
+    if not files:
+        raise ValueError(f"no xml/gt pairs under {directory}")
+    return files
+
+
+def read_pair(xml_path, dehyphenate: bool = False) -> TrainingPair:
+    """X.xml with its X.gt.txt, the document read as ``scholarparse
+    extract`` reads it: ``source_id`` is the file stem."""
+    xml_path = Path(xml_path)
+    doc, _report = parse_rich_xml(xml_path.read_bytes(),
+                                  dehyphenate=dehyphenate,
+                                  source_id=xml_path.stem)
+    truth = ground_truth_from_text(
+        xml_path.with_name(xml_path.stem + ".gt.txt").read_text("utf-8"))
+    return TrainingPair(document=doc, truth=truth)
+
+
+def load_corpus(directory) -> list[TrainingPair]:
+    """Every pair of ``corpus_files(directory)``, read in that order."""
+    return [read_pair(path) for path in corpus_files(directory)]

@@ -6,62 +6,25 @@ built by the same function (``metadata.title_sequences`` and so on), so a
 trained model sees the same items and features in both directions.  A
 task's labels and templates are its entry in ``features.LABELING_TASKS``;
 the model records them, and ``pipeline.load_models_from_dir`` checks them.
+Examples come from ``evaluate.TrainingPair``s, which ``evaluate.read_pair``
+reads from a corpus directory.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from pathlib import Path
 
 from .chunker import ChunkParams
 from .context import DocumentContext, build_context
 from .config import TrainConfig
 from .crf import LabeledSequence, train
 from .crfmodel import CrfModel, FeatureTemplate
-from .evaluate import GroundTruth, ground_truth_from_text
+from .evaluate import GroundTruth
 from .features import LABELING_TASKS
-from .ingest import parse_rich_xml
 from .metadata import (AUTHOR_LABEL, OTHER_LABEL, TITLE_LABEL,
                        author_sequences, title_sequences)
-from .model import Chunk, Document
+from .model import Chunk
 from .pipeline import TASKS
 from .structure import (FOOTNOTE_LABEL, HEADING_LABEL, footnote_sequences,
                         heading_sequences)
-
-
-@dataclass
-class TrainingPair:
-    """A parsed document with the ground truth it is trained against."""
-
-    document: Document
-    truth: GroundTruth
-
-
-def corpus_files(directory) -> list[Path]:
-    """The X.xml files under a directory that have an X.gt.txt, sorted."""
-    directory = Path(directory)
-    files = [path for path in sorted(directory.glob("*.xml"))
-             if path.with_name(path.stem + ".gt.txt").exists()]
-    if not files:
-        raise ValueError(f"no xml/gt pairs under {directory}")
-    return files
-
-
-def read_pair(xml_path, dehyphenate: bool = False) -> TrainingPair:
-    """X.xml with its X.gt.txt, the document read as ``scholarparse
-    extract`` reads it: ``source_id`` is the file stem."""
-    xml_path = Path(xml_path)
-    doc, _report = parse_rich_xml(xml_path.read_bytes(),
-                                  dehyphenate=dehyphenate,
-                                  source_id=xml_path.stem)
-    truth = ground_truth_from_text(
-        xml_path.with_name(xml_path.stem + ".gt.txt").read_text("utf-8"))
-    return TrainingPair(document=doc, truth=truth)
-
-
-def load_corpus(directory) -> list[TrainingPair]:
-    """Every pair of ``corpus_files(directory)``, read in that order."""
-    return [read_pair(path) for path in corpus_files(directory)]
 
 
 def training_examples(pairs, params: ChunkParams = ChunkParams()

@@ -16,10 +16,11 @@ import pytest
 
 from conftest import brute_force_decode, dispatch_pins, random_instance
 from scholarparse.crf import (LabeledSequence, TrainConfig, compile_dataset,
-                              log_likelihood_and_gradient, save_model, score,
+                              log_likelihood_and_gradient, score,
                               viterbi_decode)
-from scholarparse.evaluate import (aggregate, evaluate_extraction,
-                                   split_corpus)
+from scholarparse.crfmodel import save_model
+from scholarparse.evaluate import (TrainingPair, aggregate,
+                                   evaluate_extraction, split_corpus)
 from scholarparse.ingest import parse_rich_xml
 from scholarparse.metadata import expand_email_group
 from scholarparse.bibliography import extract_citations
@@ -27,8 +28,7 @@ from scholarparse.pipeline import PipelineModels, extract_document
 from scholarparse.structure import Section, SectionHeading
 from scholarparse.synth import STYLES, generate_synthetic_document
 from scholarparse.tei import ExtractionResult, export_tei
-from scholarparse.training import (TrainingPair, train_all, train_task,
-                                   training_examples)
+from scholarparse.training import train_all, train_task, training_examples
 from scholarparse.usecases import curate_dataset_links
 
 CORPUS_SIZE = 100

@@ -17,13 +17,14 @@ import re
 import pytest
 from conftest import dispatch_pins, numpy_dispatch_key
 
-from scholarparse.crf import TrainConfig, save_model
-from scholarparse.evaluate import ground_truth_to_text
+from scholarparse.crf import TrainConfig
+from scholarparse.crfmodel import save_model
+from scholarparse.evaluate import TrainingPair, ground_truth_to_text
 from scholarparse.ingest import parse_rich_xml
 from scholarparse.pipeline import extract_document, load_default_models
 from scholarparse.synth import STYLES, generate_synthetic_document
 from scholarparse.tei import export_tei
-from scholarparse.training import (TrainingPair, build_author_sequences,
+from scholarparse.training import (build_author_sequences,
                                    build_footnote_sequences,
                                    build_heading_sequences,
                                    build_title_sequences, train_all,

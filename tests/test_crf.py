@@ -16,14 +16,16 @@ from conftest import (brute_force_decode, enumerate_paths,
                       reference_logsumexp, reference_viterbi_decode)
 from scholarparse import crf
 from scholarparse.crf import (CrfError, CrfModel, CrfNumericError,
-                              LabeledSequence, ModelFormatError, TrainConfig,
-                              compile_dataset, forward_backward, load_model,
-                              log_likelihood, log_likelihood_and_gradient,
-                              save_model, score, train, viterbi_decode)
+                              LabeledSequence, TrainConfig, compile_dataset,
+                              forward_backward, log_likelihood,
+                              log_likelihood_and_gradient, score, train,
+                              viterbi_decode)
+from scholarparse.crfmodel import ModelFormatError, load_model, save_model
+from scholarparse.evaluate import TrainingPair
 from scholarparse.ingest import parse_rich_xml
 from scholarparse.pipeline import load_default_models
 from scholarparse.synth import STYLES, generate_synthetic_document
-from scholarparse.training import (TASKS, TrainingPair, build_author_sequences,
+from scholarparse.training import (TASKS, build_author_sequences,
                                    build_footnote_sequences,
                                    build_heading_sequences,
                                    build_title_sequences, training_examples)

@@ -121,9 +121,18 @@ class TestImportGraph:
         assert (tmp_path / "paper.tei.xml").exists()
 
 
+def _numpy_imports(tree):
+    """The import statements under ``tree`` that import numpy."""
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            and any(a.name.split(".")[0] == "numpy" for a in node.names)
+            or isinstance(node, ast.ImportFrom) and node.level == 0
+            and node.module.split(".")[0] == "numpy"]
+
+
 class TestDecoderBoundary:
-    """The decoder module stands alone; ``crf`` binds its names and
-    ``TrainConfig`` as the same objects."""
+    """The decoder module stands alone; ``crf`` binds the names it uses
+    from it and ``TrainConfig`` as the same objects."""
 
     def test_decoder_imports_neither_numpy_nor_crf(self):
         tree = ast.parse((SRC / "scholarparse" / "crfmodel.py").read_text())
@@ -140,14 +149,20 @@ class TestDecoderBoundary:
 
     @pytest.mark.parametrize("module, name", [
         *(("crfmodel", name) for name in (
-            "MODEL_MAGIC", "MODEL_VERSION", "CrfError", "ModelFormatError",
-            "FeatureTemplate", "CrfModel", "_label_index", "viterbi_decode",
-            "save_model", "load_model")),
+            "CrfError", "CrfModel", "viterbi_decode")),
         ("config", "TrainConfig")])
     def test_crf_binds_the_defining_module_object(self, module, name):
         from scholarparse import crf
         defining = importlib.import_module(f"scholarparse.{module}")
         assert getattr(crf, name) is getattr(defining, name)
+
+    def test_only_crf_imports_numpy_once_at_module_level(self):
+        trees = {path.name: ast.parse(path.read_text())
+                 for path in sorted((SRC / "scholarparse").glob("*.py"))}
+        assert [name for name, tree in trees.items()
+                if _numpy_imports(tree)] == ["crf.py"]
+        crf = trees["crf.py"]
+        assert [node in crf.body for node in _numpy_imports(crf)] == [True]
 
 
 class TestNamespace:

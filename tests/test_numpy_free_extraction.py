@@ -10,9 +10,10 @@ from pathlib import Path
 import scholarparse
 from scholarparse import crf
 from scholarparse.crf import TrainConfig
+from scholarparse.evaluate import TrainingPair
 from scholarparse.ingest import parse_rich_xml
 from scholarparse.synth import generate_synthetic_document
-from scholarparse.training import TrainingPair, train_task, training_examples
+from scholarparse.training import train_task, training_examples
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -47,14 +48,16 @@ def test_parse_extract_and_export_import_no_numpy(tmp_path):
 
 
 # Generate a two-article corpus and score the bundled models on it through
-# the CLI; print whether numpy was ever imported.
+# the CLI; print whether numpy, the trainer or the CRF trainer was ever
+# imported.
 EVAL_WITHOUT_NUMPY = """\
 import sys
 import scholarparse.cli
 corpus, report = sys.argv[1:]
 assert scholarparse.cli.main(["generate", "--out", corpus, "--count", "2"]) == 0
 assert scholarparse.cli.main(["eval", "--corpus", corpus, "--out", report]) == 0
-print("numpy" in sys.modules)
+for name in ("numpy", "scholarparse.training", "scholarparse.crf"):
+    print(name, name in sys.modules)
 """
 
 
@@ -65,7 +68,9 @@ def test_eval_imports_no_numpy(tmp_path):
          str(tmp_path / "report.txt")],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False"]
+    assert proc.stdout.splitlines() == ["numpy False",
+                                        "scholarparse.training False",
+                                        "scholarparse.crf False"]
     assert "title.f=" in (tmp_path / "report.txt").read_text()
 
 

@@ -18,7 +18,9 @@ from scholarparse import pipeline, training
 from scholarparse.bibliography import split_references
 from scholarparse.chunker import chunk_document
 from scholarparse.context import build_context
-from scholarparse.crf import ModelFormatError, TrainConfig, save_model
+from scholarparse.crf import TrainConfig
+from scholarparse.crfmodel import ModelFormatError, save_model
+from scholarparse.evaluate import TrainingPair
 from scholarparse.features import LABELING_TASKS
 from scholarparse.ingest import parse_rich_xml
 from scholarparse.metadata import extract_affiliations, extract_emails
@@ -55,7 +57,6 @@ class TestDefaultModels:
         assert models.footnote.task_name == "footnote"
 
     def test_load_from_directory(self, tmp_path, models):
-        from scholarparse.crf import save_model
         for task in TASKS:
             (tmp_path / f"{task}.crf").write_bytes(
                 save_model(getattr(models, task)))
@@ -128,7 +129,7 @@ class TestLoadCheck:
         pairs = []
         for style in STYLES:
             xml, truth = generate_synthetic_document(style, 77)
-            pairs.append(training.TrainingPair(parse_rich_xml(xml)[0], truth))
+            pairs.append(TrainingPair(parse_rich_xml(xml)[0], truth))
         trained = training.train_all(pairs, TrainConfig(max_iterations=2))
         directory = model_dir(tmp_path, **{
             task: save_model(model) for task, model in trained.items()})

@@ -3,15 +3,14 @@
 import pytest
 
 from scholarparse.crf import TrainConfig, viterbi_decode
-from scholarparse.evaluate import ground_truth_to_text
+from scholarparse.evaluate import (TrainingPair, corpus_files, load_corpus,
+                                   ground_truth_to_text, read_pair)
 from scholarparse.ingest import parse_rich_xml
 from scholarparse.synth import STYLES, generate_synthetic_document
-from scholarparse.training import (TASKS, TrainingPair,
-                                   build_author_sequences,
+from scholarparse.training import (TASKS, build_author_sequences,
                                    build_footnote_sequences,
                                    build_heading_sequences,
-                                   build_title_sequences, corpus_files,
-                                   load_corpus, read_pair, train_task,
+                                   build_title_sequences, train_task,
                                    training_examples)
 
 
