@@ -25,9 +25,13 @@ accepts the first of them that passes the Armijo test, as a search of one
 step at a time would, and hands that trial's emissions, forward scores and
 log partitions to the next gradient, which then runs only the backward
 pass.  A pass makes its arrays and views once, positions first, and each
-step writes into contiguous rows of them (``_fold``).  None of this moves a
-bit: every elementwise op and every fold over labels keeps its order, and
-``exp`` and ``log1p`` still run on contiguous arrays.
+step writes into contiguous rows of them (``_fold``).  The flat indices a
+pass gathers weights from and scatters them into are compiled once per
+dataset (``compile_dataset``), and the emissions and the gradient's counts
+are each one ``np.bincount``, which adds its terms in the order they come
+(``_scatter_add``).  None of this moves a bit: every elementwise op, every
+sum and every fold over labels keeps its order, and ``exp`` and ``log1p``
+still run on contiguous arrays.
 
 The kernels are module attributes, so a caller that patches
 ``crf.log_likelihood`` reaches the one ``train`` calls.
@@ -43,6 +47,7 @@ from __future__ import annotations
 
 import math
 from functools import reduce
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -80,32 +85,47 @@ def _arrays(model: CrfModel):
             np.array(model.transitions, dtype=float).reshape(L, L))
 
 
-def _occurrences(model: CrfModel, sequence_features):
+def _occurrences(model: CrfModel, sequences):
     """Positions and unary rows of the active features the model knows, in
-    sequence order; unknown features weigh nothing and are left out."""
-    positions, rows = [], []
+    order; unknown features weigh nothing and are left out.  Positions count
+    through the sequences one after another, so one sequence's are its own."""
     get = model.feature_rows.get
-    for t, feats in enumerate(sequence_features):
-        for row in map(get, feats):
-            if row is not None:
-                positions.append(t)
-                rows.append(row)
-    return np.array(positions, dtype=np.intp), np.array(rows, dtype=np.intp)
+    items = [*chain.from_iterable(sequences)]
+    rows = np.fromiter(map(get, chain.from_iterable(items), repeat(-1)),
+                       np.intp)
+    positions = np.repeat(np.arange(len(items)),
+                          np.fromiter(map(len, items), np.intp, len(items)))
+    known = rows >= 0
+    return positions[known], rows[known]
 
 
-def _emissions(unary, cells, rows, shape: tuple[int, ...]) -> np.ndarray:
-    """Label scores per cell of ``shape`` (positions, or sequences by
-    positions), each cell's rows added in order.  A (K, F, L) stack of
-    unary blocks gives K such batches, one after another along the first
-    axis, in one ``np.add.at``.  Its index is flat: numpy's fast path for
-    ``ufunc.at`` takes only a 1-D index, and is several times faster."""
-    L = unary.shape[-1]
-    stack = unary if unary.ndim == 3 else unary[None]
-    em = np.zeros((len(stack) * shape[0], *shape[1:], L))
-    cells = np.arange(len(stack))[:, None] * math.prod(shape) + cells
-    np.add.at(em.reshape(-1), (cells[..., None] * L + np.arange(L)).ravel(),
-              stack[:, rows].ravel())
-    return em
+def _flat(index: np.ndarray, L: int) -> np.ndarray:
+    """Each entry's L flat indices ``index * L + label``, labels in order."""
+    return (index[:, None] * L + np.arange(L)).ravel()
+
+
+def _scatter_add(index: np.ndarray, values: np.ndarray, size: int):
+    """``values`` summed into ``size`` cells at ``index``, each cell's in
+    order from +0.0: ``np.bincount`` adds them one after another into a
+    zeroed output, so these are the bits of ``np.add.at`` into zeros.  Given
+    no index, ``np.bincount`` gives integer zeros, hence the cast."""
+    return np.bincount(index, values, size).astype(float, copy=False)
+
+
+def _emissions(weights: np.ndarray, gather: np.ndarray, scatter: np.ndarray,
+               shape: tuple[int, ...]) -> np.ndarray:
+    """Label scores in a (sequences, positions, labels) ``shape``: the
+    weights at ``gather`` added in order into the flat cells at
+    ``scatter``.  A (K, n) stack of weight vectors gives K
+    such batches, one after another along the first axis, in one
+    ``_scatter_add``; each vector's block offsets both indices by one
+    broadcast add, so any K takes the same path."""
+    K, n = weights.shape
+    size = math.prod(shape)
+    blocks = np.arange(K)[:, None]
+    em = _scatter_add((blocks * size + scatter).ravel(),
+                      weights.ravel()[(blocks * n + gather).ravel()], K * size)
+    return em.reshape(K * shape[0], *shape[1:])
 
 
 def _path_score(unary, transitions, positions, rows, gold) -> float:
@@ -136,7 +156,7 @@ def score(model: CrfModel, sequence_features, label_path) -> float:
         raise CrfError("path length must match sequence length")
     gold = np.array([*map(model.label_index, label_path)], dtype=np.intp)
     return _path_score(*_arrays(model),
-                       *_occurrences(model, sequence_features), gold)
+                       *_occurrences(model, [sequence_features]), gold)
 
 
 def _fold(terms, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
@@ -210,23 +230,30 @@ def forward_backward(model: CrfModel, sequence_features):
         raise CrfError("empty sequence")
     n = len(sequence_features)
     unary, T = _arrays(model)
+    L = len(T)
+    positions, rows = _occurrences(model, [sequence_features])
     with np.errstate(over="ignore", invalid="ignore"):
-        em = _emissions(unary, *_occurrences(model, sequence_features), (1, n))
+        em = _emissions(unary.reshape(1, -1), _flat(rows, L),
+                        _flat(positions, L), (1, n, L))
         log_z, marginals, pairwise = _forward_backward(em, T,
                                                        np.array([n - 1]))
     return log_z[0], marginals[0], pairwise[0]
 
 
 class CompiledDataset(NamedTuple):
-    """Training sequences as arrays over one model's rows and labels."""
+    """Training sequences as arrays over one model's rows and labels: every
+    index the passes read, built once per dataset."""
 
     n_labels: int
-    # The batch: sequences by positions up to the longest, the flat cell and
-    # unary row of every feature occurrence in order, and each last position.
+    # The batch: sequences by positions up to the longest, and each
+    # sequence's last position.
     shape: tuple[int, int]
-    cells: np.ndarray
-    rows: np.ndarray
     last: np.ndarray
+    # Per feature occurrence in order, then per label: the flat weight index
+    # ``row * L + label`` and the flat emission index ``cell * L + label``,
+    # its cell counted through the batch.
+    gather: np.ndarray
+    scatter: np.ndarray
     # Per sequence, the flat weight index of each gold path term: a 0.0
     # appended to the weights, the unary terms, then the transitions; padded
     # with the 0.0.
@@ -239,8 +266,17 @@ class CompiledDataset(NamedTuple):
     sources: np.ndarray
 
 
+def _by_sequence(keys, *columns):
+    """The sequence keys and each column's arrays, concatenated and sorted
+    stably by key: per sequence, the first arrays' entries, then the next."""
+    key = np.concatenate(keys)
+    order = np.argsort(key, kind="stable")
+    return [key[order], *(np.concatenate(c)[order] for c in columns)]
+
+
 def compile_dataset(model: CrfModel, dataset) -> CompiledDataset:
-    """Resolve every feature and label of a dataset against a model once."""
+    """Resolve every feature and label of a dataset against a model once,
+    in array operations over the whole dataset."""
     if not dataset:
         raise CrfError("empty dataset")
     if not all(seq.items for seq in dataset):
@@ -248,36 +284,39 @@ def compile_dataset(model: CrfModel, dataset) -> CompiledDataset:
     L = len(model.labels)
     base = len(model.features) * L
     zero = base + L * L
-    width = max(len(seq.items) for seq in dataset)
-    pair_source = 1 + len(dataset) * width * L
-    labels, pairs = np.arange(L), np.arange(L * L)
-    cells, rows, last, paths = [], [], [], []
-    counts, sources, pair_counts, pair_sources = [], [], [], []
-    for b, seq in enumerate(dataset):
-        positions, seq_rows = _occurrences(model, seq.features())
-        gold = np.array([*map(model.label_index, seq.labels())],
-                        dtype=np.intp)
-        cell = b * width + positions
-        unary_terms = seq_rows * L + gold[positions]
-        transitions = base + gold[:-1] * L + gold[1:]
-        cells.append(cell)
-        rows.append(seq_rows)
-        last.append(len(gold) - 1)
-        paths.append(np.concatenate(([zero], unary_terms, transitions)))
-        counts.append(np.column_stack(
-            (unary_terms, seq_rows[:, None] * L + labels)).ravel())
-        sources.append(np.column_stack(
-            (np.zeros_like(cell), 1 + cell[:, None] * L + labels)).ravel())
-        pair_counts += [transitions, base + pairs]
-        pair_sources += [np.zeros_like(transitions),
-                         pair_source + b * L * L + pairs]
-    path = np.full((len(paths), max(map(len, paths))), zero, dtype=np.intp)
-    for b, terms in enumerate(paths):
-        path[b, :len(terms)] = terms
+    B = len(dataset)
+    lengths = np.array([len(seq.items) for seq in dataset], dtype=np.intp)
+    width = int(lengths.max())
+    # Per position, counted through the dataset: its cell in the batch (the
+    # batch's live cells in order), its sequence and its gold label.
+    cell_of = np.flatnonzero(np.arange(width) < lengths[:, None])
+    seq_of = cell_of // width
+    gold = np.array([*map(model.label_index, chain.from_iterable(
+        seq.labels() for seq in dataset))], dtype=np.intp)
+    positions, rows = _occurrences(model, [seq.features() for seq in dataset])
+    cells = cell_of[positions]
+    gather, scatter = _flat(rows, L), _flat(cells, L)
+    unary_terms = rows * L + gold[positions]
+    later = np.flatnonzero(cell_of % width)
+    transitions = base + gold[later - 1] * L + gold[later]
+    key, terms = _by_sequence((seq_of[positions], seq_of[later]),
+                              (unary_terms, transitions))
+    sizes = np.bincount(key, minlength=B)
+    path = np.full((B, 1 + sizes.max()), zero, dtype=np.intp)
+    path[key, 1 + np.arange(len(key)) - (np.cumsum(sizes) - sizes)[key]] = \
+        terms
+    pair_source = 1 + B * width * L
+    _, pair_counts, pair_sources = _by_sequence(
+        (seq_of[later], np.repeat(np.arange(B), L * L)),
+        (transitions, np.tile(base + np.arange(L * L), B)),
+        (np.zeros_like(transitions), pair_source + np.arange(B * L * L)))
+    counts = np.column_stack((unary_terms, gather.reshape(-1, L))).ravel()
+    sources = np.column_stack((np.zeros_like(cells),
+                               1 + scatter.reshape(-1, L))).ravel()
     return CompiledDataset(
-        L, (len(dataset), width), np.concatenate(cells), np.concatenate(rows),
-        np.array(last), path, np.concatenate(counts + pair_counts),
-        np.concatenate(sources + pair_sources))
+        L, (B, width), lengths - 1, gather, scatter, path,
+        np.concatenate((counts, pair_counts)),
+        np.concatenate((sources, pair_sources)))
 
 
 def _split(weights: np.ndarray, L: int):
@@ -301,8 +340,7 @@ def _forward_passes(weights: np.ndarray,
     emissions and transitions.  Each vector's pass is a view of its rows."""
     K, L = len(weights), data.n_labels
     B = data.shape[0]
-    em = _emissions(weights[:, :-L * L].reshape(K, -1, L), data.cells,
-                    data.rows, data.shape)
+    em = _emissions(weights, data.gather, data.scatter, (*data.shape, L))
     T = np.repeat(weights[:, -L * L:].reshape(K, L, L), B, axis=0)
     log_alpha, log_z = _forward(em, T, np.tile(data.last, K))
     rows = [slice(k * B, (k + 1) * B) for k in range(K)]
@@ -325,7 +363,7 @@ def _objective(weights, data: CompiledDataset, penalty: float, grad=None,
             forward.em, T, data.last, (forward.log_alpha, forward.log_z))
         values = np.concatenate(([1.0], -marginals.ravel(),
                                  -pairwise.sum(axis=1).ravel()))
-        np.add.at(grad, data.counts, values[data.sources])
+        grad += _scatter_add(data.counts, values[data.sources], len(grad))
     scores = np.cumsum(np.append(weights, 0.0)[data.path], axis=1)[:, -1]
     ll = 0.0
     for path_score, z in zip(scores.tolist(), forward.log_z.tolist()):

@@ -107,9 +107,10 @@ def viterbi_decode(model: CrfModel, sequence_features) -> list[str]:
     The recursion runs over plain floats: on the two-label models an array
     call per position costs more than its arithmetic.  Each position's
     emission under a label adds the weights of its features in order,
-    starting from 0.0, with an unknown feature adding 0.0: the sums
-    ``np.add.at`` makes, bit for bit, since a sum that starts at +0.0 is
-    never -0.0 (``sum`` is not used: from Python 3.12 it compensates).  A
+    starting from 0.0, with an unknown feature adding 0.0: the sums the
+    trainer's emissions make (``crf._emissions``, one ``np.bincount`` that
+    adds in order from 0.0), bit for bit, since a sum that starts at +0.0
+    is never -0.0 (``sum`` is not used: from Python 3.12 it compensates).  A
     later label replaces the best only when strictly greater and the last
     position takes its first maximum, so on finite weights the path is the
     one ``np.argmax`` (lowest index wins ties) would give.

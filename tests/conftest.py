@@ -3,6 +3,7 @@ import math
 import random
 import re
 import statistics
+from typing import NamedTuple
 from xml.etree import ElementTree as ET
 
 import numpy as np
@@ -14,8 +15,8 @@ from scholarparse.bibliography import (_BRACKET_START, _NUMBER_START, _finish,
                                        _instance, reference_number)
 from scholarparse.chunker import ChunkParams, _split_columns
 from scholarparse.context import DocumentContext
-from scholarparse.crf import (CrfError, CrfModel, CrfNumericError, _emissions,
-                              _logaddexp, _occurrences, _path_score, _split)
+from scholarparse.crf import (CrfError, CrfModel, CrfNumericError, _logaddexp,
+                              _path_score, _split)
 from scholarparse.features import (_case, _decile, _size_bucket,
                                    _word_feature, enumeration_kind, is_marker)
 from scholarparse.ingest import (SUP_FONT_RATIO, SUP_RISE_PT, IngestReport,
@@ -104,13 +105,97 @@ def brute_force_decode(model: CrfModel, feats, tol: float = 1e-9):
     return [model.labels[i] for i in idx], best
 
 
+def reference_occurrences(model: CrfModel, sequence_features):
+    """Oracle for ``crf._occurrences`` on one sequence: positions and unary
+    rows of the known features, found one position at a time."""
+    positions, rows = [], []
+    get = model.feature_rows.get
+    for t, feats in enumerate(sequence_features):
+        for row in map(get, feats):
+            if row is not None:
+                positions.append(t)
+                rows.append(row)
+    return np.array(positions, dtype=np.intp), np.array(rows, dtype=np.intp)
+
+
+def reference_emissions(unary, cells, rows, shape: tuple[int, ...]):
+    """Oracle for ``crf._emissions``: label scores per cell of ``shape``,
+    each cell's rows of a (F, L) unary block, or of each block of a (K, F,
+    L) stack, added in order by ``np.add.at`` into zeros."""
+    L = unary.shape[-1]
+    stack = unary if unary.ndim == 3 else unary[None]
+    em = np.zeros((len(stack) * shape[0], *shape[1:], L))
+    cells = np.arange(len(stack))[:, None] * math.prod(shape) + cells
+    np.add.at(em.reshape(-1), (cells[..., None] * L + np.arange(L)).ravel(),
+              stack[:, rows].ravel())
+    return em
+
+
+class ReferenceDataset(NamedTuple):
+    """What ``reference_compile_dataset`` gives: the batch shape, the flat
+    cell and unary row of every feature occurrence, each last position, and
+    the path, count and source indices of ``crf.CompiledDataset``."""
+
+    n_labels: int
+    shape: tuple[int, int]
+    cells: np.ndarray
+    rows: np.ndarray
+    last: np.ndarray
+    path: np.ndarray
+    counts: np.ndarray
+    sources: np.ndarray
+
+
+def reference_compile_dataset(model: CrfModel, dataset) -> ReferenceDataset:
+    """Oracle for ``crf.compile_dataset``: the same indices, built with a
+    dozen array calls per sequence."""
+    if not dataset:
+        raise CrfError("empty dataset")
+    if not all(seq.items for seq in dataset):
+        raise CrfError("empty sequence")
+    L = len(model.labels)
+    base = len(model.features) * L
+    zero = base + L * L
+    width = max(len(seq.items) for seq in dataset)
+    pair_source = 1 + len(dataset) * width * L
+    labels, pairs = np.arange(L), np.arange(L * L)
+    cells, rows, last, paths = [], [], [], []
+    counts, sources, pair_counts, pair_sources = [], [], [], []
+    for b, seq in enumerate(dataset):
+        positions, seq_rows = reference_occurrences(model, seq.features())
+        gold = np.array([*map(model.label_index, seq.labels())],
+                        dtype=np.intp)
+        cell = b * width + positions
+        unary_terms = seq_rows * L + gold[positions]
+        transitions = base + gold[:-1] * L + gold[1:]
+        cells.append(cell)
+        rows.append(seq_rows)
+        last.append(len(gold) - 1)
+        paths.append(np.concatenate(([zero], unary_terms, transitions)))
+        counts.append(np.column_stack(
+            (unary_terms, seq_rows[:, None] * L + labels)).ravel())
+        sources.append(np.column_stack(
+            (np.zeros_like(cell), 1 + cell[:, None] * L + labels)).ravel())
+        pair_counts += [transitions, base + pairs]
+        pair_sources += [np.zeros_like(transitions),
+                         pair_source + b * L * L + pairs]
+    path = np.full((len(paths), max(map(len, paths))), zero, dtype=np.intp)
+    for b, terms in enumerate(paths):
+        path[b, :len(terms)] = terms
+    return ReferenceDataset(
+        L, (len(dataset), width), np.concatenate(cells), np.concatenate(rows),
+        np.array(last), path, np.concatenate(counts + pair_counts),
+        np.concatenate(sources + pair_sources))
+
+
 def reference_viterbi_decode(model: CrfModel, feats):
     """Oracle for ``crf.viterbi_decode``: the numpy recursion it replaced,
     with one ``np.argmax`` per position (lowest index wins ties)."""
     if not feats:
         raise CrfError("empty sequence")
     unary, T = weight_arrays(model)
-    em = _emissions(unary, *_occurrences(model, feats), (len(feats),))
+    em = reference_emissions(unary, *reference_occurrences(model, feats),
+                             (len(feats),))
     n, L = em.shape
     delta = np.empty((n, L))
     back = np.zeros((n, L), dtype=int)
@@ -206,7 +291,7 @@ def per_sequence_objective(model: CrfModel, dataset):
     L, base = len(model.labels), weight_arrays(model)[0].size
     sequences = []
     for seq in dataset:
-        positions, rows = _occurrences(model, seq.features())
+        positions, rows = reference_occurrences(model, seq.features())
         gold = np.array([model.labels.index(lab) for lab in seq.labels()],
                         dtype=np.intp)
         per_feature = np.column_stack(
@@ -220,7 +305,7 @@ def per_sequence_objective(model: CrfModel, dataset):
         ll = 0.0
         for positions, rows, gold, counts in sequences:
             n = len(gold)
-            em = _emissions(unary, positions, rows, (n,))
+            em = reference_emissions(unary, positions, rows, (n,))
             ll += _path_score(unary, T, positions, rows, gold)
             log_alpha = np.empty_like(em)
             log_alpha[0] = em[0]

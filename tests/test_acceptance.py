@@ -51,6 +51,12 @@ MODEL_SHA256 = {
         "heading": "ca6cf3298ec6f1532b44c914741a94b0ad47b924f465897c3442e40647c9e1b9",
         "title": "a8214a1a9c6201c2c5ca923abbb35bf2afe9880087ba5014bd1209820b7a8d80",
     },
+    ("2.4.6", "baseline(X86_V2)", "baseline(X86_V2)"): {
+        "author": "03f5d8b677d712947c7e302ebb8407b2c7ca16307da462c2f4f08b0dd2052795",
+        "footnote": "d5cd617a653963efd762e252023ac9cc422c2313fc24e8f6066c82133ee8c1d6",
+        "heading": "ca6cf3298ec6f1532b44c914741a94b0ad47b924f465897c3442e40647c9e1b9",
+        "title": "a8214a1a9c6201c2c5ca923abbb35bf2afe9880087ba5014bd1209820b7a8d80",
+    },
 }
 TASKS = ("author", "footnote", "heading", "title")
 

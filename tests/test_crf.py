@@ -12,6 +12,7 @@ from hypothesis.extra import numpy as hnp
 
 from conftest import (brute_force_decode, enumerate_paths,
                       per_sequence_objective, random_instance,
+                      reference_compile_dataset, reference_emissions,
                       reference_forward, reference_forward_backward,
                       reference_logsumexp, reference_viterbi_decode)
 from scholarparse import crf
@@ -672,6 +673,84 @@ class TestBatchedLineSearch:
                                                        labels, config):
         log = self._check(dataset, labels, config)
         assert log[-1] == {"stop": stop}
+
+
+# Terms whose sums depend on the order they are added in: signed zeros,
+# sums that overflow, and -inf, which meets +inf as NaN.
+SCATTER_VALUES = st.one_of(st.floats(-30.0, 30.0),
+                           st.sampled_from((0.0, -0.0, 1e308, -1e308,
+                                            -math.inf)))
+
+
+def flat_index(index, L):
+    return (np.asarray(index, dtype=np.intp)[:, None] * L
+            + np.arange(L)).ravel()
+
+
+class TestScatterMatchesAddAt:
+    """Emissions and the gradient's counts, summed by ``np.bincount``, have
+    the bits of ``np.add.at`` sums into zeros."""
+
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_emissions_same_bits(self, data):
+        K, F, L, B, N = (data.draw(st.integers(1, 4), label=name)
+                         for name in ("K", "F", "L", "B", "N"))
+        # A few cells drawn from a small range, so cells repeat.
+        cells = data.draw(st.lists(st.integers(0, B * N - 1), max_size=12),
+                          label="cells")
+        rows = data.draw(st.lists(st.integers(0, F - 1), min_size=len(cells),
+                                  max_size=len(cells)), label="rows")
+        extra = data.draw(st.integers(0, 3), label="weights past the unary")
+        weights = data.draw(hnp.arrays(float, (K, F * L + extra),
+                                       elements=SCATTER_VALUES))
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = crf._emissions(weights, flat_index(rows, L),
+                                 flat_index(cells, L), (B, N, L))
+            expected = reference_emissions(
+                weights[:, :F * L].reshape(K, F, L),
+                np.array(cells, dtype=np.intp), np.array(rows, dtype=np.intp),
+                (B, N))
+        assert got.dtype == expected.dtype
+        assert same_bits(got, expected)
+
+    @given(st.integers(1, 8).flatmap(lambda size: st.tuples(
+        st.just(size), st.lists(st.integers(0, size - 1), max_size=20))),
+        st.data())
+    @settings(max_examples=300)
+    def test_gradient_scatter_same_bits(self, target, data):
+        size, index = target
+        values = data.draw(hnp.arrays(float, len(index),
+                                      elements=SCATTER_VALUES))
+        index = np.array(index, dtype=np.intp)
+        grad, expected = np.zeros(size), np.zeros(size)
+        with np.errstate(invalid="ignore", over="ignore"):
+            summed = crf._scatter_add(index, values, size)
+            grad += summed
+            np.add.at(expected, index, values)
+        assert summed.dtype == expected.dtype
+        assert same_bits(grad, expected)
+
+
+class TestCompileDataset:
+    @given(labeled_instances(max_sequences=6))
+    @settings(max_examples=200)
+    def test_indices_match_per_sequence_oracle(self, instance):
+        """The whole-dataset arrays equal, element for element and in the
+        same order, those built one sequence at a time."""
+        model, dataset = instance
+        data = compile_dataset(model, dataset)
+        expected = reference_compile_dataset(model, dataset)
+        L = expected.n_labels
+        assert (data.n_labels, data.shape) == (L, expected.shape)
+        pairs = ((data.gather, flat_index(expected.rows, L)),
+                 (data.scatter, flat_index(expected.cells, L)),
+                 (data.last, expected.last), (data.path, expected.path),
+                 (data.counts, expected.counts),
+                 (data.sources, expected.sources))
+        for got, want in pairs:
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
 
 
 class TestSerialization:
