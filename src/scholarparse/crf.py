@@ -10,12 +10,13 @@ throughout, over all sequences of a dataset at once, padded to the
 longest.  Every sum adds its terms in one fixed order (by sequence,
 position, then feature), so trained models are byte-stable.
 
-Each step of the recursions is a left fold over labels: the first label's
-term, then ``_logaddexp`` with each later label's, so a step costs a few
-ufunc calls on (B, L) arrays whatever L is.  On the two-label models every
-log-sum is of two terms, where ``_logaddexp`` gives the bits of the scipy
-formula the models were first trained with; for more labels the fold may
-differ from a one-shot log-sum in the last bit.
+Each step of the recursions, and each log partition, is a left fold over
+labels (``_fold``): the first label's term, then a log-add-exp with each
+later label's, so a step costs a few ufunc calls on (B, L) arrays whatever
+L is.  On the two-label models every log-sum is of two terms, where the
+fold gives the bits of the scipy formula the models were first trained
+with; for more labels it may differ from a one-shot log-sum in the last
+bit.
 
 The recursions take transitions per batch row, (B, L, L), or one (L, L)
 block for every row, so the line search scores a step and its half in one
@@ -40,13 +41,15 @@ The kernels are module attributes, so a caller that patches
 nor training calls them: they score one path and give one sequence's
 partition and marginals, which is what the tests check against brute-force
 enumeration of every label path, and so the interface that vouches for
-``viterbi_decode`` and for the batched kernel behind the gradient.
+``viterbi_decode``.  Each compiles its one sequence with
+``compile_dataset`` and runs training's path-score and forward-backward
+code on the model's flat weight vector, so those checks also vouch for
+``compile_dataset`` and the batched kernels behind the gradient.
 """
 
 from __future__ import annotations
 
 import math
-from functools import reduce
 from itertools import chain, repeat
 from typing import NamedTuple
 
@@ -76,13 +79,6 @@ class LabeledSequence(NamedTuple):
 
 def _rows(flat: list[float], width: int) -> tuple[tuple[float, ...], ...]:
     return tuple(tuple(flat[k:k + width]) for k in range(0, len(flat), width))
-
-
-def _arrays(model: CrfModel):
-    """The model's unary and transition weights as float arrays."""
-    L = len(model.labels)
-    return (np.array(model.unary, dtype=float).reshape(-1, L),
-            np.array(model.transitions, dtype=float).reshape(L, L))
 
 
 def _occurrences(model: CrfModel, sequences):
@@ -128,40 +124,19 @@ def _emissions(weights: np.ndarray, gather: np.ndarray, scatter: np.ndarray,
     return em.reshape(K * shape[0], *shape[1:])
 
 
-def _path_score(unary, transitions, positions, rows, gold) -> float:
-    """Unary then transition terms, summed left to right from 0.0."""
-    terms = np.concatenate(([0.0], unary[rows, gold[positions]],
-                            transitions[gold[:-1], gold[1:]]))
-    return float(np.cumsum(terms)[-1])
+def _fold(terms, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """log(exp(acc) + exp(term)), as ``log1p(exp(lo - hi)) + hi``, folded
+    left over ``terms`` in the contiguous scratch ``hi`` and ``lo``.  Gives
+    ``lo``, or a lone term.
 
-
-def _logaddexp(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """log(exp(a) + exp(b)) elementwise, as ``log1p(exp(lo - hi)) + hi``.
-
-    On terms that are finite or -inf these are the bits of the scipy
+    On two terms that are finite or -inf these are the bits of the scipy
     formula ``log1p(s / m) + log(m) + max``, the m maximal terms left out
     of s: when the terms differ, m = 1 and ``log(1)`` adds 0.0; when they
     are equal, s = 0 and numpy's ``log(2.0)`` is its ``log1p(1.0)``.  The
     two part only when both terms are +inf, an overflow either way.  Both
-    are numpy ufuncs on fresh contiguous arrays, as the models were trained
-    with: libm's ``exp`` and ``log1p`` may differ in the last bit.
+    are numpy ufuncs on contiguous arrays, as the models were trained with:
+    libm's ``exp`` and ``log1p`` may differ in the last bit.
     """
-    hi = np.maximum(a, b)
-    return np.log1p(np.exp(np.minimum(a, b) - hi)) + hi
-
-
-def score(model: CrfModel, sequence_features, label_path) -> float:
-    """Score one label path: unary terms plus adjacent transition terms."""
-    if len(sequence_features) != len(label_path):
-        raise CrfError("path length must match sequence length")
-    gold = np.array([*map(model.label_index, label_path)], dtype=np.intp)
-    return _path_score(*_arrays(model),
-                       *_occurrences(model, [sequence_features]), gold)
-
-
-def _fold(terms, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    """``_logaddexp`` folded left over ``terms``: its ops in its order, run in
-    the contiguous scratch ``hi`` and ``lo``.  Gives ``lo``, or a lone term."""
     acc = terms[0]
     for term in terms[1:]:
         np.maximum(acc, term, out=hi)
@@ -187,7 +162,8 @@ def _forward(em: np.ndarray, T: np.ndarray, last: np.ndarray):
         np.add(prev, T_rows, out=cand)
         np.add(row, _fold(terms, hi, lo), out=row)
     log_alpha = steps.swapaxes(0, 1).copy()
-    return log_alpha, reduce(_logaddexp, log_alpha[np.arange(B), last].T)
+    return log_alpha, _fold(log_alpha[np.arange(B), last].T,
+                            *np.empty((2, B)))
 
 
 def _forward_backward(em: np.ndarray, T: np.ndarray, last: np.ndarray,
@@ -222,22 +198,6 @@ def _forward_backward(em: np.ndarray, T: np.ndarray, last: np.ndarray,
             and np.isfinite(pairwise).all()):
         raise CrfNumericError("numeric overflow")
     return log_z, marginals, pairwise
-
-
-def forward_backward(model: CrfModel, sequence_features):
-    """Log partition, per-position marginals, and pairwise marginals."""
-    if not sequence_features:
-        raise CrfError("empty sequence")
-    n = len(sequence_features)
-    unary, T = _arrays(model)
-    L = len(T)
-    positions, rows = _occurrences(model, [sequence_features])
-    with np.errstate(over="ignore", invalid="ignore"):
-        em = _emissions(unary.reshape(1, -1), _flat(rows, L),
-                        _flat(positions, L), (1, n, L))
-        log_z, marginals, pairwise = _forward_backward(em, T,
-                                                       np.array([n - 1]))
-    return log_z[0], marginals[0], pairwise[0]
 
 
 class CompiledDataset(NamedTuple):
@@ -324,6 +284,12 @@ def _split(weights: np.ndarray, L: int):
     return weights[:-L * L].reshape(-1, L), weights[-L * L:].reshape(L, L)
 
 
+def _path_scores(weights: np.ndarray, data: CompiledDataset) -> np.ndarray:
+    """Each sequence's gold path score at ``weights``: its unary then
+    transition terms, summed left to right from 0.0."""
+    return np.cumsum(np.append(weights, 0.0)[data.path], axis=1)[:, -1]
+
+
 class ForwardPass(NamedTuple):
     """A compiled dataset's emissions, log forward scores and log partitions
     at one weight vector: what its gradient's backward pass reads."""
@@ -364,15 +330,47 @@ def _objective(weights, data: CompiledDataset, penalty: float, grad=None,
         values = np.concatenate(([1.0], -marginals.ravel(),
                                  -pairwise.sum(axis=1).ravel()))
         grad += _scatter_add(data.counts, values[data.sources], len(grad))
-    scores = np.cumsum(np.append(weights, 0.0)[data.path], axis=1)[:, -1]
     ll = 0.0
-    for path_score, z in zip(scores.tolist(), forward.log_z.tolist()):
+    for path_score, z in zip(_path_scores(weights, data).tolist(),
+                             forward.log_z.tolist()):
         ll += path_score
         ll -= z
     ll -= penalty
     if not math.isfinite(ll):
         raise CrfNumericError("numeric overflow")
     return ll
+
+
+def _one_sequence(model: CrfModel, sequence_features, label_path):
+    """The model's weights as the flat vector training fits, the unary rows
+    then the transition rows, and one sequence labeled with ``label_path``
+    compiled against the model."""
+    weights = np.fromiter(chain(*model.unary, *model.transitions), float)
+    sequence = LabeledSequence([*zip(sequence_features, label_path)])
+    return weights, compile_dataset(model, [sequence])
+
+
+def score(model: CrfModel, sequence_features, label_path) -> float:
+    """Score one label path: unary terms plus adjacent transition terms."""
+    if len(sequence_features) != len(label_path):
+        raise CrfError("path length must match sequence length")
+    if not label_path:  # ``compile_dataset`` rejects an empty sequence
+        return 0.0
+    path_score, = _path_scores(*_one_sequence(model, sequence_features,
+                                              label_path)).tolist()
+    return path_score
+
+
+def forward_backward(model: CrfModel, sequence_features):
+    """Log partition, per-position marginals, and pairwise marginals."""
+    weights, data = _one_sequence(model, sequence_features,
+                                  repeat(model.labels[0]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        forward, = _forward_passes(weights[None], data)
+        log_z, marginals, pairwise = _forward_backward(
+            forward.em, _split(weights, data.n_labels)[1], data.last,
+            (forward.log_alpha, forward.log_z))
+    return log_z[0], marginals[0], pairwise[0]
 
 
 def log_likelihood_and_gradient(weights: np.ndarray, data: CompiledDataset,
@@ -407,28 +405,15 @@ def log_likelihood(weights: np.ndarray, data: CompiledDataset,
     return values[0] if weights.ndim == 1 else (values, passes)
 
 
-# Steps the line search scores in one forward pass: a step and its half.
-STEPS_PER_PASS = 2
-
-
-def _step_groups(step: float) -> list[list[float]]:
-    """The line search's steps: ``step``, halved while above 1e-12, in
-    groups of ``STEPS_PER_PASS``."""
-    steps = []
-    while step > 1e-12:
-        steps.append(step)
-        step *= 0.5
-    return [steps[k:k + STEPS_PER_PASS]
-            for k in range(0, len(steps), STEPS_PER_PASS)]
-
-
 def _line_search(w, grad, ll: float, gnorm2: float, step: float,
                  data: CompiledDataset, l2_lambda: float, record: dict):
     """The first trial ``w + s * grad`` that passes the Armijo test, tried
-    from ``s = step`` down, with its forward pass; None if none does.
+    from ``s = step`` down, halving while above 1e-12, with its forward
+    pass; None if none does.  Each forward pass scores a step and its half.
     Counts in ``record`` the steps tried, up to the accepted one, and sets
     its ``step``."""
-    for steps in _step_groups(step):
+    while step > 1e-12:
+        steps = [s for s in (step, step * 0.5) if s > 1e-12]
         trials = [w + s * grad for s in steps]
         values, passes = log_likelihood(np.stack(trials), data, l2_lambda)
         for s, trial, value, forward in zip(steps, trials, values, passes):
@@ -436,6 +421,7 @@ def _line_search(w, grad, ll: float, gnorm2: float, step: float,
             if value > ll + 1e-4 * s * gnorm2:
                 record["step"] = s
                 return trial, forward
+        step *= 0.25
     return None
 
 

@@ -134,12 +134,13 @@ def _split_runs(tokens: list[Token]) -> list[list[Token]]:
             runs.append([b])
         else:
             runs[-1].append(b)
-    # Separator tokens ("and", "&") split rather than join names.
+    # Separator tokens ("and", "&", a comma of its own) split rather than
+    # join names.
     split_runs: list[list[Token]] = []
     for run in runs:
         current: list[Token] = []
         for tok in run:
-            if tok.text.strip(",").lower() in {"and", "&", ","}:
+            if tok.text.strip(",").lower() in {"and", "&", ""}:
                 if current:
                     split_runs.append(current)
                 current = []

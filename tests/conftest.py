@@ -15,8 +15,7 @@ from scholarparse.bibliography import (_BRACKET_START, _NUMBER_START, _finish,
                                        _instance, reference_number)
 from scholarparse.chunker import ChunkParams, _split_columns
 from scholarparse.context import DocumentContext
-from scholarparse.crf import (CrfError, CrfModel, CrfNumericError, _logaddexp,
-                              _path_score, _split)
+from scholarparse.crf import CrfError, CrfModel, CrfNumericError, _split
 from scholarparse.features import (_case, _decile, _size_bucket,
                                    _word_feature, enumeration_kind, is_marker)
 from scholarparse.ingest import (SUP_FONT_RATIO, SUP_RISE_PT, IngestReport,
@@ -188,6 +187,41 @@ def reference_compile_dataset(model: CrfModel, dataset) -> ReferenceDataset:
         np.concatenate(sources + pair_sources))
 
 
+def reference_path_score(unary, transitions, positions, rows, gold) -> float:
+    """Oracle for ``crf._path_scores`` on one sequence: unary then
+    transition terms, summed left to right from 0.0."""
+    terms = np.concatenate(([0.0], unary[rows, gold[positions]],
+                            transitions[gold[:-1], gold[1:]]))
+    return float(np.cumsum(terms)[-1])
+
+
+def reference_score(model: CrfModel, sequence_features, label_path) -> float:
+    """Oracle for ``crf.score``: one path's score from the model's weight
+    arrays and the sequence's own occurrences, without ``compile_dataset``."""
+    if len(sequence_features) != len(label_path):
+        raise CrfError("path length must match sequence length")
+    gold = np.array([*map(model.label_index, label_path)], dtype=np.intp)
+    return reference_path_score(
+        *weight_arrays(model),
+        *reference_occurrences(model, sequence_features), gold)
+
+
+def reference_sequence_forward_backward(model: CrfModel, sequence_features):
+    """Oracle for ``crf.forward_backward``: one sequence's emissions from the
+    model's weight arrays, without ``compile_dataset``, through
+    ``reference_forward_backward``."""
+    if not sequence_features:
+        raise CrfError("empty sequence")
+    n = len(sequence_features)
+    unary, T = weight_arrays(model)
+    positions, rows = reference_occurrences(model, sequence_features)
+    with np.errstate(over="ignore", invalid="ignore"):
+        em = reference_emissions(unary, positions, rows, (1, n))
+        log_z, marginals, pairwise = reference_forward_backward(
+            em, T, np.array([n - 1]))
+    return log_z[0], marginals[0], pairwise[0]
+
+
 def reference_viterbi_decode(model: CrfModel, feats):
     """Oracle for ``crf.viterbi_decode``: the numpy recursion it replaced,
     with one ``np.argmax`` per position (lowest index wins ties)."""
@@ -212,9 +246,9 @@ def reference_viterbi_decode(model: CrfModel, feats):
 
 
 def reference_logsumexp(a: np.ndarray, axis: int):
-    """Oracle for ``crf._logaddexp``: log(sum(exp(a))) along an axis as
-    scipy.special.logsumexp computes it, log1p(s / m) + log(m) + max, the m
-    maximal entries left out of s."""
+    """Oracle for ``crf._fold`` over two terms: log(sum(exp(a))) along an
+    axis as scipy.special.logsumexp computes it, log1p(s / m) + log(m) +
+    max, the m maximal entries left out of s."""
     a_max = np.maximum.reduce(a, axis=axis, keepdims=True)
     is_max = a == a_max
     m = np.add.reduce(is_max, axis=axis, dtype=float, keepdims=True)
@@ -223,11 +257,18 @@ def reference_logsumexp(a: np.ndarray, axis: int):
     return np.squeeze(np.log1p(s / m) + np.log(m) + a_max, axis=axis)[()]
 
 
+def reference_logaddexp(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """log(exp(a) + exp(b)) elementwise, as ``log1p(exp(lo - hi)) + hi``, on
+    fresh contiguous arrays: one step of ``crf._fold``."""
+    hi = np.maximum(a, b)
+    return np.log1p(np.exp(np.minimum(a, b) - hi)) + hi
+
+
 def _fold(terms):
-    """``_logaddexp`` folded from the left over a list of arrays."""
+    """``reference_logaddexp`` folded from the left over a list of arrays."""
     acc = terms[0]
     for term in terms[1:]:
-        acc = _logaddexp(acc, term)
+        acc = reference_logaddexp(acc, term)
     return acc
 
 
@@ -240,14 +281,14 @@ def reference_forward(em: np.ndarray, T: np.ndarray, last: np.ndarray):
     for t in range(1, em.shape[1]):
         acc = alpha[:, :1] + T[:, 0]
         for i in range(1, T.shape[1]):
-            acc = _logaddexp(acc, alpha[:, i:i + 1] + T[:, i])
+            acc = reference_logaddexp(acc, alpha[:, i:i + 1] + T[:, i])
         alpha = em[:, t] + acc
         steps.append(alpha)
     log_alpha = np.stack(steps, axis=1)
     end = log_alpha[np.arange(len(em)), last]
     log_z = end[:, 0]
     for i in range(1, T.shape[1]):
-        log_z = _logaddexp(log_z, end[:, i])
+        log_z = reference_logaddexp(log_z, end[:, i])
     return log_alpha, log_z
 
 
@@ -265,7 +306,7 @@ def reference_forward_backward(em: np.ndarray, T: np.ndarray,
         x = em[:, t + 1] + beta
         acc = T[:, :, 0] + x[:, :1]
         for j in range(1, T.shape[1]):
-            acc = _logaddexp(acc, T[:, :, j] + x[:, j:j + 1])
+            acc = reference_logaddexp(acc, T[:, :, j] + x[:, j:j + 1])
         beta = np.where(past[:, t + 1, None], 0.0, acc)
         steps.append(beta)
     log_beta = np.stack(steps[::-1], axis=1)
@@ -306,7 +347,7 @@ def per_sequence_objective(model: CrfModel, dataset):
         for positions, rows, gold, counts in sequences:
             n = len(gold)
             em = reference_emissions(unary, positions, rows, (n,))
-            ll += _path_score(unary, T, positions, rows, gold)
+            ll += reference_path_score(unary, T, positions, rows, gold)
             log_alpha = np.empty_like(em)
             log_alpha[0] = em[0]
             for t in range(1, n):

@@ -14,7 +14,9 @@ from conftest import (brute_force_decode, enumerate_paths,
                       per_sequence_objective, random_instance,
                       reference_compile_dataset, reference_emissions,
                       reference_forward, reference_forward_backward,
-                      reference_logsumexp, reference_viterbi_decode)
+                      reference_logsumexp, reference_score,
+                      reference_sequence_forward_backward,
+                      reference_viterbi_decode)
 from scholarparse import crf
 from scholarparse.crf import (CrfError, CrfModel, CrfNumericError,
                               LabeledSequence, TrainConfig, compile_dataset,
@@ -61,12 +63,16 @@ class TestScore:
         model = tiny_model()
         assert score(model, [("unseen",)], ["A"]) == 0.0
 
+    def test_empty_path_scores_zero(self):
+        assert score(tiny_model(), [], []) == 0.0
+
     def test_length_mismatch_raises(self):
-        with pytest.raises(CrfError):
+        with pytest.raises(CrfError,
+                           match="^path length must match sequence length$"):
             score(tiny_model(), [("x",)], ["A", "B"])
 
     def test_unknown_label_raises(self):
-        with pytest.raises(CrfError):
+        with pytest.raises(CrfError, match="^unknown label 'C'$"):
             score(tiny_model(), [("x",)], ["C"])
 
     def test_adds_terms_left_to_right(self, rng):
@@ -180,7 +186,7 @@ class TestForwardBackward:
                 assert pairwise[t].sum() == pytest.approx(1.0)
 
     def test_empty_sequence_raises(self):
-        with pytest.raises(CrfError, match="empty sequence"):
+        with pytest.raises(CrfError, match="^empty sequence$"):
             forward_backward(tiny_model(), [])
 
     def test_overflow_raises_numeric_error_not_a_warning(self):
@@ -212,9 +218,15 @@ def same_bits(x, y) -> bool:
          | (np.isnan(x) & np.isnan(y))).all())
 
 
+def fold_two(a, b):
+    """``crf._fold`` over the two terms ``a`` and ``b``."""
+    return crf._fold([a, b], np.empty_like(a), np.empty_like(a))
+
+
 class TestLogAddExp:
-    """``_logaddexp`` gives the two-term scipy logsumexp bit for bit; the
-    recursions that fold it over more labels agree with a plain log-sum."""
+    """``_fold`` over two terms gives the two-term scipy logsumexp bit for
+    bit; the recursions that fold over more labels agree with a plain
+    log-sum."""
 
     @given(st.lists(st.one_of(
         st.tuples(FINITE, FINITE),
@@ -228,20 +240,20 @@ class TestLogAddExp:
         a, b = (np.array(column) for column in zip(*pairs))
         expected = reference_logsumexp(np.stack((a, b)), axis=0)
         with np.errstate(over="ignore", invalid="ignore"):
-            got = crf._logaddexp(a, b)
+            got = fold_two(a, b)
         assert same_bits(got, expected)
         for x, y in pairs:
-            assert same_bits(crf._logaddexp(np.array([x]), np.array([y])),
+            assert same_bits(fold_two(np.array([x]), np.array([y])),
                              reference_logsumexp(np.array([[x], [y]]), axis=0))
 
     @given(FINITE, FINITE)
     def test_symmetric(self, x, y):
         a, b = np.array([x]), np.array([y])
-        assert same_bits(crf._logaddexp(a, b), crf._logaddexp(b, a))
+        assert same_bits(fold_two(a, b), fold_two(b, a))
 
     def test_equal_terms_add_log_two(self):
         v = np.array([0.0, -3.5, 700.0])
-        assert same_bits(crf._logaddexp(v, v), np.log(2.0) + v)
+        assert same_bits(fold_two(v, v), np.log(2.0) + v)
 
     @pytest.mark.parametrize("n_labels", (3, 4, 6))
     def test_fold_over_more_labels_matches_plain_logsumexp(self, rng,
@@ -264,6 +276,29 @@ class TestLogAddExp:
             assert np.allclose(marginals[b, :last[b] + 1].sum(axis=1), 1.0,
                                rtol=0.0, atol=1e-12)
             assert not marginals[b, last[b] + 1:].any()
+
+
+class TestScorersMatchPerSequenceOracle:
+    """``score`` and ``forward_backward``, which compile their one sequence
+    and run training's kernels, give the bits of the oracles that build one
+    sequence's arrays on their own."""
+
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=200)
+    def test_same_bits(self, rng):
+        model, feats = random_instance(
+            rng, n_labels=rng.randint(1, 4),
+            integer_weights=rng.random() < 0.25)
+        # An unknown feature, and features repeated within a position.
+        feats = [active + ("unseen",) * rng.randint(0, 1)
+                 + active[:rng.randint(0, 2)] for active in feats]
+        path = [rng.choice(model.labels) for _ in feats]
+        got = score(model, feats, path)
+        assert type(got) is float
+        assert same_bits(got, reference_score(model, feats, path))
+        got = forward_backward(model, feats)
+        expected = reference_sequence_forward_backward(model, feats)
+        assert all(map(same_bits, got, expected))
 
 
 def _numeric_outcome(recursion, *args):

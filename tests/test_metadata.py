@@ -82,6 +82,15 @@ class TestRunSplitting:
         assert [[t.text for t in r] for r in runs] == [
             ["Alice", "Smith,"], ["Bob", "Jones"]]
 
+    def test_comma_token_splits_and_keeps_the_name_before_it(self):
+        toks = [tok("Carlos", 0.0), tok("Kowalski", 35.0), tok(",", 80.0),
+                tok("Elena", 90.0), tok("Novak", 120.0)]
+        runs = _split_runs(toks)
+        assert [[t.text for t in r] for r in runs] == [
+            ["Carlos", "Kowalski"], ["Elena", "Novak"]]
+        assert [(n.first, n.last) for n in map(_run_to_name, runs)] == [
+            ("Carlos", "Kowalski"), ("Elena", "Novak")]
+
 
 class TestRunToName:
     def test_first_middle_last(self):
