@@ -55,7 +55,7 @@ _SOURCES = {
     "tei": ("ExtractionResult", "export_tei"),
     "training": ("train_all", "train_task", "training_examples"),
     "usecases": (
-        "CitationHistogram", "SectionMap", "curate_dataset_links",
+        "CitationHistogram", "curate_dataset_links",
         "section_citation_distribution"),
 }
 # Public name -> the submodule that defines it.

@@ -218,24 +218,22 @@ def cmd_generate(args) -> int:
 
 
 def cmd_usecase(args) -> int:
-    from .usecases import (GENERIC_SECTIONS, SectionMap, curate_dataset_links,
+    from .usecases import (GENERIC_SECTIONS, curate_dataset_links,
                            section_citation_distribution)
     cfg = _load_config(args)
     models = _load_models(args)
-    section_map = SectionMap.load_default()
     results, failed = _each_input(_extract, [Path(p) for p in args.inputs],
                                   (models, cfg))
     if not results:
         print("error: no input could be read", file=sys.stderr)
         return 1
     if args.name == "dataset-links":
-        for url, source in curate_dataset_links(results, section_map):
+        for url, source in curate_dataset_links(results):
             print(f"{url}\t{source}")
     else:
         total = Counter()
         for result in results:
-            total.update(
-                section_citation_distribution(result, section_map).counts)
+            total.update(section_citation_distribution(result).counts)
         for name in GENERIC_SECTIONS:
             print(f"{name}\t{total[name]}")
     return int(failed)

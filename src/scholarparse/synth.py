@@ -244,7 +244,6 @@ def generate_synthetic_document(style: str, seed: int,
     rng = random.Random((STYLES.index(style) + 1) * 1_000_003 + seed)
     two_col = style.startswith("two-col")
     indexed = style in ("single-col-numbered", "two-col-indexed")
-    numbered_headings = style in ("single-col-numbered", "two-col-indexed")
     gt = GroundTruth()
     writer = _Writer(two_col=two_col)
     if not source_id:
@@ -299,15 +298,13 @@ def generate_synthetic_document(style: str, seed: int,
     pattern = rng.randint(1, 4)
     users = [f.lower() for f, _, _ in authors]
     domain = "cse.example.org"
-    if pattern == 1:
-        rendered = " ".join(f"{u}@{domain}" for u in users)
+    if pattern < 4:
         gt.emails = [f"{u}@{domain}" for u in users]
-    elif pattern == 2:
-        rendered = "{" + ", ".join(users) + "}@" + domain
-        gt.emails = [f"{u}@{domain}" for u in users]
-    elif pattern == 3:
-        rendered = "[" + ", ".join(users) + "]@" + domain
-        gt.emails = [f"{u}@{domain}" for u in users]
+        if pattern == 1:
+            rendered = " ".join(gt.emails)
+        else:
+            left, right = "{}" if pattern == 2 else "[]"
+            rendered = left + ", ".join(users) + right + "@" + domain
     else:
         subs = ["cse" if i % 2 == 0 else "ee" for i in range(len(users))]
         rendered = ("[" + ", ".join(f"{u}@{s}" for u, s in zip(users, subs))
@@ -328,17 +325,17 @@ def generate_synthetic_document(style: str, seed: int,
 
     # --- sections with citations, URLs, captions, footnotes ---
     n_sections = rng.randint(4, 7)
-    pool = [s for s in SECTION_POOL]
-    chosen = sorted(rng.sample(range(len(pool)), n_sections))
-    if rng.random() < 0.8 and pool.index(("Datasets", "Datasets")) not in chosen:
-        chosen = sorted(set(chosen) | {pool.index(("Datasets", "Datasets"))})
-    sections = [pool[i] for i in chosen]
+    datasets = SECTION_POOL.index(("Datasets", "Datasets"))
+    chosen = sorted(rng.sample(range(len(SECTION_POOL)), n_sections))
+    if rng.random() < 0.8 and datasets not in chosen:
+        chosen = sorted(set(chosen) | {datasets})
+    sections = [SECTION_POOL[i] for i in chosen]
 
     cite_styles = INDEXED_CITE_STYLES if indexed else AUTHOR_YEAR_CITE_STYLES
     fig_no, tab_no = 1, 1
     url_no = 0
     for s_i, (name, _generic) in enumerate(sections):
-        heading = f"{s_i + 1} {name}" if numbered_headings else name
+        heading = f"{s_i + 1} {name}" if indexed else name
         writer.vspace(14)
         writer.flow(_words(heading.split(), font=12.0, bold=True))
         gt.section_headings.append(heading)
@@ -415,7 +412,7 @@ def generate_synthetic_document(style: str, seed: int,
 
     # --- reference section ---
     ref_heading = (f"{len(sections) + 1} References"
-                   if numbered_headings else "References")
+                   if indexed else "References")
     writer.vspace(14)
     writer.flow(_words(ref_heading.split(), font=12.0, bold=True))
     gt.section_headings.append(ref_heading)

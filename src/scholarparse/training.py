@@ -107,24 +107,15 @@ def build_footnote_sequences(examples):
             for _page, chunks, feats in footnote_sequences(ctx)]
 
 
-# The sequence builder of each task, in the order of ``TASKS``, each in a
-# tuple, where a tracer that patches the functions in a module's dicts of
-# tuples (``perfbench``) finds it.
-_BUILDERS = {
-    "title": (build_title_sequences,),
-    "author": (build_author_sequences,),
-    "heading": (build_heading_sequences,),
-    "footnote": (build_footnote_sequences,),
-}
-
-
 def train_task(task: str, examples, config: TrainConfig = TrainConfig(),
                log: list | None = None) -> CrfModel:
     """Fit the CRF for one task name on examples from training_examples;
     ``log`` is passed to ``crf.train``."""
-    if task not in _BUILDERS:
+    if task not in TASKS:
         raise ValueError(f"unknown task {task!r}")
-    (builder,) = _BUILDERS[task]
+    # Looked up when called, in this module's namespace: where a tracer
+    # that patches the module's functions finds it.
+    builder = globals()[f"build_{task}_sequences"]
     spec = LABELING_TASKS[task]
     templates = [FeatureTemplate(t.id, t.kind, t.description)
                  for t in spec.templates]

@@ -1,134 +1,94 @@
-"""Corpus analyses: dataset-link curation and section-wise citation counts."""
+"""Corpus analyses: dataset-link curation and section-wise citation counts.
+
+Both read the bundled section map (``section_map.txt``), which maps a
+specific heading to a generic section and is read once per process.  A
+heading the map does not name counts as Method when a mapped Background
+heading comes before it and a mapped Result/Evaluation heading after it,
+and as Other otherwise.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from importlib import resources
+import functools
+from typing import NamedTuple
 
 from .features import heading_key
+from .metadata import load_lexicon
 from .structure import extract_urls
 from .tei import ExtractionResult
 
-GENERIC_SECTIONS = (
-    "Background",
-    "Datasets",
-    "Method",
-    "Result/Evaluation",
-    "Discussion/Conclusion",
-    "Other",
-)
+GENERIC_SECTIONS = ("Background", "Datasets", "Method", "Result/Evaluation",
+                    "Discussion/Conclusion", "Other")
 
 # URLs containing one of these substrings count as dataset links regardless
 # of the section they appear in.
 DATASET_URL_TOKENS = ("datasets", "data", "dumps")
 
 
-@dataclass
-class SectionMap:
-    """Case-insensitive specific-heading to generic-section lookup."""
-
-    mapping: dict[str, str] = field(default_factory=dict)
-
-    @classmethod
-    def load_default(cls) -> "SectionMap":
-        text = resources.files("scholarparse.data").joinpath(
-            "section_map.txt").read_text("utf-8")
-        return cls.from_text(text)
-
-    @classmethod
-    def from_text(cls, text: str) -> "SectionMap":
-        mapping = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            specific, generic = line.split("\t")
-            mapping[heading_key(specific)] = generic
-        return cls(mapping=mapping)
-
-    def lookup(self, heading_text: str) -> str | None:
-        return self.mapping.get(heading_key(heading_text))
+@functools.cache
+def section_map() -> dict[str, str]:
+    """The bundled map from a specific heading's ``heading_key`` to its
+    generic section name; every caller shares it, so none changes it."""
+    return {heading_key(specific): generic for specific, generic in (
+        entry.split("\t") for entry in load_lexicon("section_map.txt"))}
 
 
-@dataclass
-class CitationHistogram:
+class CitationHistogram(NamedTuple):
     """Citation counts per generic section name."""
 
-    counts: dict[str, int] = field(default_factory=lambda: {
-        name: 0 for name in GENERIC_SECTIONS})
+    counts: dict[str, int]
 
     @property
     def total(self) -> int:
         return sum(self.counts.values())
 
 
-def _generic_by_heading(result: ExtractionResult,
-                        section_map: SectionMap) -> dict[str, str]:
-    """Generic section per heading; unmapped headings between a mapped
-    Background and a mapped Result/Evaluation heading count as Method."""
+def _generic_by_heading(result: ExtractionResult) -> dict[str, str]:
+    """Generic section per heading text, by the module's Method rule."""
     headings = [s.heading.text for s in result.sections if s.heading is not None]
-    generics: list[str | None] = [section_map.lookup(h) for h in headings]
-    out = {}
-    for i, (heading, generic) in enumerate(zip(headings, generics)):
-        if generic is None:
-            before = set(g for g in generics[:i] if g is not None)
-            after = set(g for g in generics[i + 1:] if g is not None)
-            if "Background" in before and "Result/Evaluation" in after:
-                generic = "Method"
-            else:
-                generic = "Other"
-        out[heading] = generic
-    return out
+    lookup = section_map().get
+    generics = [lookup(heading_key(h)) for h in headings]
+    first_background = next((i for i, g in enumerate(generics)
+                             if g == "Background"), len(generics))
+    last_result = max((i for i, g in enumerate(generics)
+                       if g == "Result/Evaluation"), default=-1)
+    return {heading: generic or ("Method" if first_background < i < last_result
+                                 else "Other")
+            for i, (heading, generic) in enumerate(zip(headings, generics))}
 
 
-def curate_dataset_links(results: list[ExtractionResult],
-                         section_map: SectionMap | None = None):
+def curate_dataset_links(results: list[ExtractionResult]):
     """(url, source document) pairs likely pointing at public datasets.
 
     A URL is kept when it occurs in the body (including footnote chunks) of
     a Datasets-mapped section, or when its string contains a dataset token.
     De-duplicated globally, first occurrence wins.
     """
-    if section_map is None:
-        section_map = SectionMap.load_default()
-    seen = set()
-    kept = []
-
-    def keep(url: str, source: str):
-        if url not in seen:
-            seen.add(url)
-            kept.append((url, source))
-
+    kept = {}
     for result in results:
-        generic_of = _generic_by_heading(result, section_map)
+        generic_of = _generic_by_heading(result)
         for section in result.sections:
-            if section.heading is None:
-                continue
-            if generic_of.get(section.heading.text) != "Datasets":
-                continue
-            for url in extract_urls(section.body_text):
-                keep(url, result.source_id)
+            if (section.heading is not None
+                    and generic_of[section.heading.text] == "Datasets"):
+                for url in extract_urls(section.body_text):
+                    kept.setdefault(url, result.source_id)
         for url in result.urls:
             if any(tok in url for tok in DATASET_URL_TOKENS):
-                keep(url, result.source_id)
-    return kept
+                kept.setdefault(url, result.source_id)
+    return list(kept.items())
 
 
-def section_citation_distribution(result: ExtractionResult,
-                                  section_map: SectionMap | None = None
+def section_citation_distribution(result: ExtractionResult
                                   ) -> CitationHistogram:
     """Histogram of citation instances over the generic sections."""
-    if section_map is None:
-        section_map = SectionMap.load_default()
-    generic_of = _generic_by_heading(result, section_map)
-    hist = CitationHistogram()
+    generic_of = _generic_by_heading(result)
+    counts = dict.fromkeys(GENERIC_SECTIONS, 0)
     seen = set()
     for link in result.citations:
         cit = link.citation
         if id(cit) in seen:  # multi-index citations yield one link per index
             continue
         seen.add(id(cit))
-        if cit.section_heading is None:
-            continue
-        hist.counts[generic_of.get(cit.section_heading, "Other")] += 1
-    return hist
+        if cit.section_heading is not None:
+            counts[generic_of.get(cit.section_heading, "Other")] += 1
+    return CitationHistogram(counts)

@@ -3,6 +3,7 @@ import math
 import random
 import re
 import statistics
+from importlib import resources
 from typing import NamedTuple
 from xml.etree import ElementTree as ET
 
@@ -17,7 +18,8 @@ from scholarparse.chunker import ChunkParams, _split_columns
 from scholarparse.context import DocumentContext
 from scholarparse.crf import CrfError, CrfModel, CrfNumericError, _split
 from scholarparse.features import (_case, _decile, _size_bucket,
-                                   _word_feature, enumeration_kind, is_marker)
+                                   _word_feature, enumeration_kind,
+                                   heading_key, is_marker)
 from scholarparse.ingest import (SUP_FONT_RATIO, SUP_RISE_PT, IngestReport,
                                  RichXmlParseError, _dehyphenate_page)
 from scholarparse.metadata import AUTHOR_WINDOW
@@ -838,6 +840,43 @@ def reference_gold_field_strings(gt) -> dict[str, str]:
                           for text, ordinal in gt.cite_ref),
     )
     return fields
+
+
+# --- use cases ---------------------------------------------------------------
+
+def reference_section_map() -> dict[str, str]:
+    """The bundled section map, read here without the package's reader:
+    heading key to generic section name."""
+    text = resources.files("scholarparse.data").joinpath(
+        "section_map.txt").read_text("utf-8")
+    mapping = {}
+    for line in text.splitlines():
+        line = line.strip()
+        if line and not line.startswith("#"):
+            specific, generic = line.split("\t")
+            mapping[heading_key(specific)] = generic
+    return mapping
+
+
+def reference_generic_by_heading(result, mapping: dict[str, str]
+                                 ) -> dict[str, str]:
+    """Oracle for ``usecases._generic_by_heading``, as it was written with a
+    map passed in: an unmapped heading is Method when a mapped Background
+    heading precedes it and a mapped Result/Evaluation heading follows it,
+    and Other otherwise."""
+    headings = [s.heading.text for s in result.sections if s.heading is not None]
+    generics = [mapping.get(heading_key(h)) for h in headings]
+    out = {}
+    for i, (heading, generic) in enumerate(zip(headings, generics)):
+        if generic is None:
+            before = set(g for g in generics[:i] if g is not None)
+            after = set(g for g in generics[i + 1:] if g is not None)
+            if "Background" in before and "Result/Evaluation" in after:
+                generic = "Method"
+            else:
+                generic = "Other"
+        out[heading] = generic
+    return out
 
 
 # --- mutated rich XML --------------------------------------------------------

@@ -18,8 +18,10 @@ from scholarparse.cli import main
 from scholarparse.config import PipelineConfig, load_config, parse_config
 from scholarparse.crf import TrainConfig
 from scholarparse.evaluate import ground_truth_from_text
-from scholarparse.pipeline import TASKS, PipelineModels
-from scholarparse.usecases import SectionMap
+from scholarparse.ingest import parse_rich_xml
+from scholarparse.pipeline import (TASKS, PipelineModels, extract_document,
+                                   load_default_models)
+from scholarparse.usecases import section_citation_distribution, section_map
 
 
 class TestConfig:
@@ -474,21 +476,25 @@ class TestCli:
         assert err[1] == "error: no input could be read"
 
     @pytest.mark.parametrize("name", ["dataset-links", "citation-histogram"])
-    def test_usecase_reads_the_section_map_once(self, corpus_dir, monkeypatch,
-                                                capsys, name):
-        loads = []
-        load_default = SectionMap.load_default.__func__
-
-        def counted(cls):
-            loads.append(cls)
-            return load_default(cls)
-
-        monkeypatch.setattr(SectionMap, "load_default", classmethod(counted))
+    def test_usecase_reads_the_section_map_once(self, corpus_dir, capsys,
+                                                name):
+        section_map.cache_clear()
         xmls = sorted(str(p) for p in corpus_dir.glob("*.xml"))
         assert len(xmls) == 4
         assert main(["usecase", "--name", name, *xmls]) == 0
         assert capsys.readouterr().out
-        assert len(loads) == 1
+        assert section_map.cache_info().misses == 1
+
+    def test_histograms_read_the_section_map_once(self, corpus_dir):
+        # One call per document, as the benchmark and the demo make them.
+        models = load_default_models()
+        results = [extract_document(parse_rich_xml(p.read_bytes())[0], models)
+                   for p in sorted(corpus_dir.glob("*.xml"))]
+        assert len(results) == 4
+        section_map.cache_clear()
+        for result in results:
+            section_citation_distribution(result)
+        assert section_map.cache_info().misses == 1
 
     def test_extract_out_rejects_inputs_sharing_a_stem(self, corpus_dir,
                                                        tmp_path, capsys):

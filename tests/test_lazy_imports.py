@@ -69,6 +69,16 @@ assert scholarparse.cli.main(["extract", *sys.argv[1:]]) == 0
 print(" ".join(m for m in ("dataclasses", "inspect") if m in sys.modules))
 """
 
+# Runs both use cases through the command line; prints which of the modules
+# that dataclasses load are then loaded.
+USECASE_NO_DATACLASSES = """\
+import sys
+import scholarparse.cli
+for name in ("dataset-links", "citation-histogram"):
+    assert scholarparse.cli.main(["usecase", "--name", name, *sys.argv[1:]]) == 0
+print(" ".join(m for m in ("dataclasses", "inspect") if m in sys.modules))
+"""
+
 BARE_IMPORT = """\
 import sys
 import scholarparse
@@ -119,6 +129,12 @@ class TestImportGraph:
         # which would be a large share of set-up.
         assert _run(NO_DATACLASSES, article, "--out", tmp_path).split() == []
         assert (tmp_path / "paper.tei.xml").exists()
+
+    def test_usecase_never_imports_dataclasses(self, article):
+        # Its histogram is a NamedTuple and its section map a dict.
+        out = _run(USECASE_NO_DATACLASSES, article).splitlines()
+        assert len(out) > 1
+        assert out[-1].split() == []
 
 
 def _numpy_imports(tree):

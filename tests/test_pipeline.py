@@ -68,8 +68,11 @@ class TestDefaultModels:
 
 def test_pipeline_models_hold_one_model_per_task():
     assert list(PipelineModels._fields) == list(TASKS)
-    assert tuple(training._BUILDERS) == TASKS
     assert tuple(LABELING_TASKS) == TASKS
+    for task in TASKS:
+        assert callable(getattr(training, f"build_{task}_sequences"))
+    with pytest.raises(ValueError, match=r"^unknown task 'x'$"):
+        training.train_task("x", [])
 
 
 def bundled_model(task: str) -> bytes:
