@@ -22,7 +22,7 @@ _SOURCES = {
     "bibliography": (
         "CitationInstance", "CitationLink", "Reference", "extract_citations",
         "map_citations_to_references", "split_references"),
-    "chunker": ("ChunkParams", "chunk_document", "chunk_page"),
+    "chunker": ("chunk_document", "chunk_page"),
     "config": (
         "PipelineConfig", "TrainConfig", "load_config", "parse_config"),
     "context": ("DocumentContext", "build_context"),

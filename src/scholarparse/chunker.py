@@ -1,17 +1,19 @@
 """Page segmentation into chunks by spacing and style discontinuities.
 
 A new chunk starts when the vertical gap to the previous line exceeds
-gap_factor times the page's median inter-line gap, when the relative font
-size jumps by more than font_jump, or when line boldness flips.  A line's
-font is its tokens' mean font size and its boldness their majority.
-Two-column pages are detected from the distribution of line x-origins and
-chunked per column, left column first.
+``GAP_FACTOR`` times the column's median inter-line gap, when the relative
+font size changes by more than ``FONT_JUMP``, or when line boldness flips.
+A line's font is its tokens' mean font size and its boldness their
+majority.  Two-column pages are detected from the distribution of line
+x-origins and chunked per column, left column first.
+
+The thresholds are constants, as every other layout rule is: the bundled
+models were trained on the chunks they give, and a model file does not
+record them, so decoding with other values would put a model on chunks it
+never saw.
 """
 
 from __future__ import annotations
-
-import math
-from typing import NamedTuple
 
 from .model import Chunk, Document, Line, Page, make_chunk
 
@@ -19,29 +21,10 @@ from .model import Chunk, Document, Line, Page, make_chunk
 # is treated as two-column.
 COLUMN_GAP_FRACTION = 0.2
 MIN_COLUMN_LINES = 2
-
-
-class _ChunkParamsFields(NamedTuple):
-    # The defaults are ChunkParams.__new__'s.
-    gap_factor: float
-    font_jump: float
-    boldness_break: bool
-
-
-class ChunkParams(_ChunkParamsFields):
-    """Thresholds that break a page's lines into chunks.  Calling
-    ``ChunkParams(...)`` checks them, as ``model.Token`` checks its values;
-    ``_make`` and ``_replace`` do not."""
-
-    __slots__ = ()
-
-    def __new__(cls, gap_factor: float = 1.5, font_jump: float = 0.15,
-                boldness_break: bool = True):
-        if not (math.isfinite(gap_factor) and gap_factor > 1.0):
-            raise ValueError("gap_factor must be finite and exceed 1.0")
-        if not 0 < font_jump < 1:
-            raise ValueError("font_jump must lie in (0, 1)")
-        return tuple.__new__(cls, (gap_factor, font_jump, boldness_break))
+# A gap wider than this many median gaps, or a relative font change above
+# this fraction, starts a new chunk.
+GAP_FACTOR = 1.5
+FONT_JUMP = 0.15
 
 
 def _line_font(line: Line) -> float:
@@ -72,8 +55,7 @@ def _split_columns(page: Page) -> list[list[Line]]:
     return [left, right]
 
 
-def _chunk_lines(lines: list[Line], params: ChunkParams,
-                 median_gap: float) -> list[Chunk]:
+def _chunk_lines(lines: list[Line], median_gap: float) -> list[Chunk]:
     """Chunks of one column; each line's mean font and bold majority are
     computed once and compared with the previous line's."""
     chunks: list[Chunk] = []
@@ -85,9 +67,9 @@ def _chunk_lines(lines: list[Line], params: ChunkParams,
             gap = line.baseline_y - current[-1].baseline_y
             font_change = abs(font - prev_font) / prev_font
             breaks = (
-                (median_gap > 0 and gap > params.gap_factor * median_gap)
-                or font_change > params.font_jump
-                or (params.boldness_break and bold != prev_bold)
+                (median_gap > 0 and gap > GAP_FACTOR * median_gap)
+                or font_change > FONT_JUMP
+                or bold != prev_bold
             )
             if breaks:
                 chunks.append(make_chunk([t for l in current for t in l.tokens]))
@@ -99,7 +81,7 @@ def _chunk_lines(lines: list[Line], params: ChunkParams,
     return chunks
 
 
-def chunk_page(page: Page, params: ChunkParams = ChunkParams()) -> list[Chunk]:
+def chunk_page(page: Page) -> list[Chunk]:
     """Segment one page into chunks; empty page yields an empty list."""
     if not page.lines:
         return []
@@ -109,13 +91,13 @@ def chunk_page(page: Page, params: ChunkParams = ChunkParams()) -> list[Chunk]:
         gaps = [b.baseline_y - a.baseline_y for a, b in zip(column, column[1:])]
         gaps = sorted(g for g in gaps if g > 0)
         median_gap = gaps[len(gaps) // 2] if gaps else 0.0
-        chunks.extend(_chunk_lines(column, params, median_gap))
+        chunks.extend(_chunk_lines(column, median_gap))
     return chunks
 
 
-def chunk_document(doc: Document, params: ChunkParams = ChunkParams()) -> list[Chunk]:
+def chunk_document(doc: Document) -> list[Chunk]:
     """All chunks of a document in reading order (chunks stay page-local)."""
     chunks: list[Chunk] = []
     for page in doc.pages:
-        chunks.extend(chunk_page(page, params))
+        chunks.extend(chunk_page(page))
     return chunks

@@ -111,7 +111,7 @@ def _extract(path: Path, models, cfg: PipelineConfig) -> ExtractionResult:
     doc, _report = parse_rich_xml(path.read_bytes(),
                                   dehyphenate=cfg.dehyphenate,
                                   source_id=path.stem)
-    return extract_document(doc, models, cfg.chunk)
+    return extract_document(doc, models)
 
 
 def _extract_tei(path: Path, models, cfg: PipelineConfig) -> tuple[str, str]:
@@ -122,7 +122,7 @@ def _score(xml_path: Path, models, cfg: PipelineConfig) -> dict:
     from .evaluate import evaluate_extraction, read_pair
     pair = read_pair(xml_path, cfg.dehyphenate)
     return evaluate_extraction(
-        extract_document(pair.document, models, cfg.chunk), pair.truth)
+        extract_document(pair.document, models), pair.truth)
 
 
 def cmd_extract(args) -> int:
@@ -166,7 +166,7 @@ def cmd_train(args) -> int:
     if not pairs:
         print("error: no training pair could be read", file=sys.stderr)
         return 1
-    examples = training_examples(pairs, cfg.chunk)
+    examples = training_examples(pairs)
     tasks = TASKS if args.task == "all" else (args.task,)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -1,10 +1,10 @@
 """Flat key=value configuration files for the CLI and pipeline.
 
-Each key is sent to the part of ``PipelineConfig`` it sets: the chunking
-thresholds to ``chunk`` (``ChunkParams``), the training hyperparameters to
-``train`` (``TrainConfig``, defined here).  The parts check their values
-when built, so a bad value fails ``parse_config``, before any input is
-read.
+A file sets the training hyperparameters (``TrainConfig``, defined here)
+and whether ingest dehyphenates.  ``TrainConfig`` checks its values when
+built, so a bad value fails ``parse_config``, before any input is read.
+The chunking thresholds are not keys: they are ``chunker``'s constants,
+which the bundled models were trained with.
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ import math
 from operator import index
 from pathlib import Path
 from typing import NamedTuple
-
-from .chunker import ChunkParams
 
 
 class _TrainConfigFields(NamedTuple):
@@ -48,26 +46,19 @@ class TrainConfig(_TrainConfigFields):
 
 
 class PipelineConfig(NamedTuple):
-    """Chunking and training settings, and whether ingest dehyphenates."""
+    """Training settings, and whether ingest dehyphenates."""
 
-    chunk: ChunkParams = ChunkParams()
     train: TrainConfig = TrainConfig()
     dehyphenate: bool = False
 
 
 # Every key a file may set, with its default; a value is read as the type
 # of its key's default.
-_DEFAULTS = {**ChunkParams()._asdict(), **TrainConfig()._asdict(),
+_DEFAULTS = {**TrainConfig()._asdict(),
              "dehyphenate": PipelineConfig().dehyphenate}
 
 _BOOL_VALUES = {"true": True, "false": False, "yes": True, "no": False,
                 "1": True, "0": False}
-
-
-def _part(cls, values: dict):
-    """A ``cls`` built from the keys of ``values`` that are its fields."""
-    return cls(**{name: values[name] for name in cls._fields
-                  if name in values})
 
 
 def parse_config(text: str) -> PipelineConfig:
@@ -100,9 +91,8 @@ def parse_config(text: str) -> PipelineConfig:
             except ValueError:
                 raise ValueError(f"line {lineno}: bad value for {key}: "
                                  f"{raw!r}") from None
-    return PipelineConfig(chunk=_part(ChunkParams, values),
-                          train=_part(TrainConfig, values),
-                          dehyphenate=values.get("dehyphenate", False))
+    dehyphenate = values.pop("dehyphenate", False)
+    return PipelineConfig(train=TrainConfig(**values), dehyphenate=dehyphenate)
 
 
 def load_config(path) -> PipelineConfig:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import NamedTuple
 
-from .chunker import ChunkParams, chunk_document
+from .chunker import chunk_document
 from .features import font_counts, modal_font
 from .model import Chunk, Document, Page
 
@@ -43,11 +43,10 @@ class DocumentContext(NamedTuple):
         return self.pages[0].chunks if self.pages else ()
 
 
-def build_context(doc: Document,
-                  params: ChunkParams = ChunkParams()) -> DocumentContext:
+def build_context(doc: Document) -> DocumentContext:
     """Chunk ``doc`` and estimate its body fonts, once: each page's font
     sizes are counted once, and the document's counts are their sum."""
-    chunks = tuple(chunk_document(doc, params))
+    chunks = tuple(chunk_document(doc))
     by_page: dict[int, list[Chunk]] = {}
     for chunk in chunks:
         by_page.setdefault(chunk.page_no, []).append(chunk)

@@ -34,7 +34,6 @@ from ._gcpause import gc_paused
 from .bibliography import (NoReferenceSectionError, extract_citations,
                            locate_reference_section,
                            map_citations_to_references, split_references)
-from .chunker import ChunkParams
 from .context import build_context
 from .crfmodel import CrfModel, ModelFormatError, load_model
 from .features import LABELING_TASKS
@@ -117,10 +116,10 @@ def _attach_affiliations(records, affiliations):
 
 
 @gc_paused
-def extract_document(doc: Document, models: PipelineModels,
-                     params: ChunkParams = ChunkParams()) -> ExtractionResult:
+def extract_document(doc: Document,
+                     models: PipelineModels) -> ExtractionResult:
     """Run the full extraction pipeline over one parsed document."""
-    ctx = build_context(doc, params)
+    ctx = build_context(doc)
     chunks = ctx.chunks
     if not chunks:
         return ExtractionResult(source_id=doc.source_id)

@@ -23,10 +23,11 @@ FOOTNOTE_LABEL = LABELING_TASKS["footnote"].labels[1]
 FIGURE_KEYWORDS = ("FIGURE", "Figure", "FIG.", "Fig.")
 TABLE_KEYWORDS = ("Table", "TABLE")
 
-# URL pattern: scheme plus one or more characters from the letter, digit,
-# "$"-to-"_" range, bang/star/paren/comma classes, or a percent escape.
-URL_PATTERN = re.compile(
-    r"https?://(?:[a-zA-Z0-9]|[$-_@.&+]|[!*(),]|%[0-9a-fA-F]{2})+")
+# URL pattern: scheme plus one or more ASCII letters, digits and marks;
+# "<" and ">", which no URL holds and prose puts around one, end it.
+URL_PATTERN = re.compile(r"https?://[A-Za-z0-9!$%&'()*+,\-./:;=?@\[\\\]^_]+")
+# Closing brackets stripped from a URL's end while it holds fewer openers.
+_OPENERS = {")": "(", "]": "["}
 
 
 class SectionHeading(NamedTuple):
@@ -106,18 +107,15 @@ def map_sections(chunks: list[Chunk],
 
 
 def extract_urls(text: str) -> list[str]:
-    """Non-overlapping URL matches with trailing punctuation stripped."""
+    """Non-overlapping URL matches with trailing punctuation stripped:
+    periods, commas, semicolons and unbalanced closing brackets."""
     out = []
     for m in URL_PATTERN.finditer(text):
-        url = m.group(0)
-        while url and url[-1] in ".,":
+        url = m.group(0).rstrip(".,;")
+        while (url[-1] in _OPENERS
+               and url.count(url[-1]) > url.count(_OPENERS[url[-1]])):
             url = url[:-1]
-        while url.endswith(")") and url.count(")") > url.count("("):
-            url = url[:-1]
-        while url and url[-1] in ".,":
-            url = url[:-1]
-        if url:
-            out.append(url)
+        out.append(url.rstrip(".,;"))
     return out
 
 

@@ -12,7 +12,6 @@ reads from a corpus directory.
 
 from __future__ import annotations
 
-from .chunker import ChunkParams
 from .context import DocumentContext, build_context
 from .config import TrainConfig
 from .crf import LabeledSequence, train
@@ -27,12 +26,10 @@ from .structure import (FOOTNOTE_LABEL, HEADING_LABEL, footnote_sequences,
                         heading_sequences)
 
 
-def training_examples(pairs, params: ChunkParams = ChunkParams()
-                      ) -> list[tuple[DocumentContext, GroundTruth]]:
+def training_examples(pairs) -> list[tuple[DocumentContext, GroundTruth]]:
     """One (context, truth) example per pair; each document is chunked once
     and the examples serve every task."""
-    return [(build_context(pair.document, params), pair.truth)
-            for pair in pairs]
+    return [(build_context(pair.document), pair.truth) for pair in pairs]
 
 
 def _gold_title_tokens(chunks: list[Chunk], truth: GroundTruth):
@@ -123,8 +120,8 @@ def train_task(task: str, examples, config: TrainConfig = TrainConfig(),
                  task_name=task, log=log)
 
 
-def train_all(pairs, config: TrainConfig = TrainConfig(),
-              params: ChunkParams = ChunkParams()) -> dict[str, CrfModel]:
+def train_all(pairs, config: TrainConfig = TrainConfig()
+              ) -> dict[str, CrfModel]:
     """All four task models, keyed by task name."""
-    examples = training_examples(pairs, params)
+    examples = training_examples(pairs)
     return {task: train_task(task, examples, config) for task in TASKS}

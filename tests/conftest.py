@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from scholarparse.bibliography import (_BRACKET_START, _NUMBER_START, _finish,
                                        _instance, reference_number)
-from scholarparse.chunker import ChunkParams, _split_columns
+from scholarparse.chunker import _split_columns
 from scholarparse.context import DocumentContext
 from scholarparse.crf import CrfError, CrfModel, CrfNumericError, _split
 from scholarparse.features import (_case, _decile, _size_bucket,
@@ -636,10 +636,11 @@ def _reference_line_bold(line):
     return sum(1 for t in line.tokens if t.bold) > len(line.tokens) / 2
 
 
-def reference_chunk_page(page: Page, params: ChunkParams = ChunkParams()):
+def reference_chunk_page(page: Page):
     """Oracle for ``chunker.chunk_page``: chunk statistics taken token by
     token through generators, and each adjacent pair of lines compared by
-    recomputing both lines' mean font and bold majority."""
+    recomputing both lines' mean font and bold majority.  The thresholds
+    are written out, so the oracle does not follow a changed constant."""
     if not page.lines:
         return []
     chunks = []
@@ -655,10 +656,9 @@ def reference_chunk_page(page: Page, params: ChunkParams = ChunkParams()):
                 prev_font = _reference_line_font(prev)
                 font_change = (abs(_reference_line_font(line) - prev_font)
                                / prev_font)
-                if ((median_gap > 0 and gap > params.gap_factor * median_gap)
-                        or font_change > params.font_jump
-                        or (params.boldness_break
-                            and _reference_line_bold(line)
+                if ((median_gap > 0 and gap > 1.5 * median_gap)
+                        or font_change > 0.15
+                        or (_reference_line_bold(line)
                             != _reference_line_bold(prev))):
                     chunks.append(_reference_chunk(
                         [t for l in current for t in l.tokens]))
@@ -840,6 +840,30 @@ def reference_gold_field_strings(gt) -> dict[str, str]:
                           for text, ordinal in gt.cite_ref),
     )
     return fields
+
+
+# --- URLs --------------------------------------------------------------------
+
+_REFERENCE_URL_PATTERN = re.compile(
+    r"https?://(?:[a-zA-Z0-9]|[$-_@.&+]|[!*(),]|%[0-9a-fA-F]{2})+")
+
+
+def reference_extract_urls(text: str) -> list[str]:
+    """Oracle for ``structure.extract_urls`` on text holding none of ``<``,
+    ``>``, ``;`` and ``]``: the rule as it was when its character range ran
+    from ``$`` to ``_`` and only ``.``, ``,`` and ``)`` were stripped."""
+    out = []
+    for m in _REFERENCE_URL_PATTERN.finditer(text):
+        url = m.group(0)
+        while url and url[-1] in ".,":
+            url = url[:-1]
+        while url.endswith(")") and url.count(")") > url.count("("):
+            url = url[:-1]
+        while url and url[-1] in ".,":
+            url = url[:-1]
+        if url:
+            out.append(url)
+    return out
 
 
 # --- use cases ---------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Unit tests for page segmentation."""
 
+import math
 import pickle
 from collections import Counter
 
@@ -8,7 +9,8 @@ from conftest import reference_chunk_page
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scholarparse.chunker import ChunkParams, chunk_document, chunk_page
+from scholarparse.chunker import (FONT_JUMP, GAP_FACTOR, chunk_document,
+                                  chunk_page)
 from scholarparse.model import Document, Line, Page, Token
 
 
@@ -25,20 +27,6 @@ def line(text_words, baseline, x=60.0, size=10.0, bold=False, page_no=1):
 
 def page(lines, number=1):
     return Page(number=number, width=612.0, height=792.0, lines=tuple(lines))
-
-
-class TestParams:
-    def test_defaults(self):
-        p = ChunkParams()
-        assert p.gap_factor == 1.5 and p.font_jump == 0.15 and p.boldness_break
-
-    def test_gap_factor_must_exceed_one(self):
-        with pytest.raises(ValueError):
-            ChunkParams(gap_factor=1.0)
-
-    def test_font_jump_range(self):
-        with pytest.raises(ValueError):
-            ChunkParams(font_jump=1.5)
 
 
 class TestBreaks:
@@ -64,10 +52,29 @@ class TestBreaks:
         chunks = chunk_page(page(lines))
         assert [c.text for c in chunks] == ["plain", "bold"]
 
-    def test_boldness_break_can_be_disabled(self):
-        lines = [line(["plain"], 100), line(["bold"], 113, bold=True)]
-        chunks = chunk_page(page(lines), ChunkParams(boldness_break=False))
-        assert [c.text for c in chunks] == ["plain bold"]
+    @pytest.mark.parametrize("last, texts", [
+        (135.0, ["a b c d"]),
+        (math.nextafter(135.0, math.inf), ["a b c", "d"])])
+    def test_gap_of_exactly_gap_factor_medians_does_not_break(self, last,
+                                                             texts):
+        # Gaps 10, 10 and 15 (or just above): the median gap is 10.
+        assert GAP_FACTOR * 10 == 135.0 - 120.0
+        lines = [line(["a"], 100), line(["b"], 110), line(["c"], 120),
+                 line(["d"], last)]
+        assert [c.text for c in chunk_page(page(lines))] == texts
+
+    @pytest.mark.parametrize("size, texts", [
+        (11.5, ["a b c"]),
+        (math.nextafter(11.5, math.inf), ["a", "b c"]),
+        (8.5, ["a b c"]),
+        (math.nextafter(8.5, 0.0), ["a", "b c"])])
+    def test_font_change_of_exactly_font_jump_does_not_break(self, size,
+                                                             texts):
+        # From 10 pt, 11.5 and 8.5 pt are a relative change of FONT_JUMP.
+        assert abs(11.5 - 10.0) / 10.0 == abs(8.5 - 10.0) / 10.0 == FONT_JUMP
+        lines = [line(["a"], 100), line(["b"], 113, size=size),
+                 line(["c"], 126, size=size)]
+        assert [c.text for c in chunk_page(page(lines))] == texts
 
 
 class TestColumns:
@@ -90,6 +97,14 @@ class TestColumns:
         chunks = chunk_page(page(sorted(lines, key=lambda l: l.baseline_y)))
         all_text = " ".join(c.text for c in chunks)
         assert set(all_text.split()) == {"a0", "a1", "a2", "b0", "b1", "b2"}
+
+    @pytest.mark.parametrize("xs", [(60.0, 330.0, 60.0, 60.0),
+                                    (60.0, 330.0, 330.0, 330.0)])
+    def test_one_column_when_one_side_has_too_few_lines(self, xs):
+        # The widest x gap is wide enough, but one side of it holds a
+        # single line: the page stays one column, chunked in baseline order.
+        lines = [line([f"w{i}"], 100 + 13 * i, x=x) for i, x in enumerate(xs)]
+        assert [c.text for c in chunk_page(page(lines))] == ["w0 w1 w2 w3"]
 
     def test_partition_preserves_token_multiset(self):
         pg, _, _ = self._two_col_page()
@@ -140,12 +155,11 @@ def pages(draw):
 
 
 class TestAgainstPairwiseOracle:
-    @given(pages(), st.booleans())
+    @given(pages())
     @settings(max_examples=100)
-    def test_same_chunks_and_text(self, pg, boldness_break):
-        params = ChunkParams(boldness_break=boldness_break)
-        chunks = chunk_page(pg, params)
-        assert repr(chunks) == repr(reference_chunk_page(pg, params))
+    def test_same_chunks_and_text(self, pg):
+        chunks = chunk_page(pg)
+        assert repr(chunks) == repr(reference_chunk_page(pg))
         for chunk in chunks:
             joined = " ".join(t.text for t in chunk.tokens)
             assert pickle.loads(pickle.dumps(chunk)).text == joined

@@ -13,7 +13,6 @@ from xml.etree import ElementTree as ET
 import pytest
 
 from scholarparse import cli
-from scholarparse.chunker import ChunkParams
 from scholarparse.cli import main
 from scholarparse.config import PipelineConfig, load_config, parse_config
 from scholarparse.crf import TrainConfig
@@ -27,22 +26,21 @@ from scholarparse.usecases import section_citation_distribution, section_map
 class TestConfig:
     def test_defaults(self):
         cfg = PipelineConfig()
-        assert cfg.chunk.gap_factor == 1.5
         assert cfg.train.max_iterations == 200
 
     def test_defaults_are_those_of_chunking_and_training(self):
         cfg = PipelineConfig()
-        assert cfg.chunk == ChunkParams()
+        assert cfg._fields == ("train", "dehyphenate")
         assert cfg.train == TrainConfig()
         assert cfg.dehyphenate is False
 
     def test_parse_values(self):
-        cfg = parse_config("gap_factor = 2.0\nmax_iterations=10\n"
-                           "boldness_break = no\n# comment\n\n"
+        cfg = parse_config("l2_lambda = 2.0\nmax_iterations=10\n"
+                           "dehyphenate = yes\n# comment\n\n"
                            "convergence_tol=1e-4\n")
-        assert cfg.chunk.gap_factor == 2.0
+        assert cfg.train.l2_lambda == 2.0
         assert cfg.train.max_iterations == 10
-        assert cfg.chunk.boldness_break is False
+        assert cfg.dehyphenate is True
         assert cfg.train.convergence_tol == 1e-4
 
     def test_unknown_key_rejected(self):
@@ -51,11 +49,11 @@ class TestConfig:
 
     def test_missing_equals_rejected(self):
         with pytest.raises(ValueError, match="key=value"):
-            parse_config("gap_factor 2.0\n")
+            parse_config("l2_lambda 2.0\n")
 
     def test_bad_boolean_rejected(self):
         with pytest.raises(ValueError, match="boolean"):
-            parse_config("boldness_break=maybe\n")
+            parse_config("dehyphenate=maybe\n")
 
     @pytest.mark.parametrize("line", ["l2_lambda = nan", "l2_lambda = inf",
                                       "max_iterations = -3",
@@ -64,10 +62,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             parse_config(line)
 
+    # The chunking thresholds are chunker constants, not keys.
     @pytest.mark.parametrize("line", ["gap_factor = 0.5", "font_jump = 1.5",
                                       "gap_factor = nan", "gap_factor = inf"])
     def test_unchunkable_values_rejected(self, line):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^line 1: unknown key '"):
             parse_config(line)
 
     @pytest.mark.parametrize("key", ["max_iterations", "l2_lambda"])
@@ -78,8 +77,8 @@ class TestConfig:
 
     def test_repeated_key_names_both_lines(self):
         with pytest.raises(ValueError) as err:
-            parse_config("gap_factor=2\n# comment\ngap_factor=3\n")
-        assert str(err.value) == ("line 3: key 'gap_factor' already set on "
+            parse_config("l2_lambda=2\n# comment\nl2_lambda=3\n")
+        assert str(err.value) == ("line 3: key 'l2_lambda' already set on "
                                   "line 1")
 
     def test_missing_file_raises(self, tmp_path):
@@ -87,8 +86,7 @@ class TestConfig:
             load_config(tmp_path / "absent.conf")
 
     def test_derived_params(self):
-        cfg = parse_config("gap_factor=1.8\nl2_lambda=0.5\ndehyphenate=yes\n")
-        assert cfg.chunk == ChunkParams(gap_factor=1.8)
+        cfg = parse_config("l2_lambda=0.5\ndehyphenate=yes\n")
         assert cfg.train == TrainConfig(l2_lambda=0.5)
         assert cfg.dehyphenate is True
 
@@ -523,13 +521,13 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.count('<?xml version="1.0" encoding="UTF-8"?>') == 2
 
-    @pytest.mark.parametrize("command", ["extract", "usecase", "eval",
-                                         "train"])
-    def test_bad_chunk_config_is_one_error_before_any_input(
-            self, corpus_with_bad_pair, tmp_path, capsys, command):
-        _good, mixed = corpus_with_bad_pair
+    @staticmethod
+    def _run_with_config(command, mixed, tmp_path, capsys, text):
+        """Exit status and standard error of ``command`` over the corpus
+        with the bad pair, under a config file holding ``text``; the
+        command must write nothing."""
         cfg = tmp_path / "bad.conf"
-        cfg.write_text("gap_factor=0.5\n", "utf-8")
+        cfg.write_text(text, "utf-8")
         inputs = sorted(str(p) for p in mixed.glob("*.xml"))[1:]
         assert len(inputs) == 2
         out = tmp_path / "out"
@@ -539,12 +537,32 @@ class TestCli:
                 "eval": ["eval", "--corpus", str(mixed)],
                 "train": ["train", "--corpus", str(mixed), "--out", str(out)],
                 }[command]
-        assert main([*argv, "--config", str(cfg)]) == 1
+        status = main([*argv, "--config", str(cfg)])
         captured = capsys.readouterr()
         assert captured.out == ""
         assert not out.exists()
-        assert captured.err.splitlines() == [
-            "error: gap_factor must be finite and exceed 1.0"]
+        return status, captured.err.splitlines()
+
+    @pytest.mark.parametrize("command", ["extract", "usecase", "eval",
+                                         "train"])
+    def test_bad_chunk_config_is_one_error_before_any_input(
+            self, corpus_with_bad_pair, tmp_path, capsys, command):
+        _good, mixed = corpus_with_bad_pair
+        assert self._run_with_config(
+            command, mixed, tmp_path, capsys, "l2_lambda=nan\n") == (
+            1, ["error: l2_lambda must be finite and positive"])
+
+    @pytest.mark.parametrize("key", ["gap_factor", "font_jump",
+                                     "boldness_break"])
+    @pytest.mark.parametrize("command", ["extract", "usecase", "eval",
+                                         "train"])
+    def test_removed_chunking_key_is_unknown_before_any_input(
+            self, corpus_with_bad_pair, tmp_path, capsys, command, key):
+        _good, mixed = corpus_with_bad_pair
+        value = "no" if key == "boldness_break" else "1.5"
+        assert self._run_with_config(
+            command, mixed, tmp_path, capsys, f"{key} = {value}\n") == (
+            1, [f"error: line 1: unknown key {key!r}"])
 
     def test_eval_scores_the_dehyphenated_title_extract_writes(
             self, corpus_dir, tmp_path, capsys):

@@ -818,6 +818,10 @@ class TestSerialization:
         with pytest.raises(ModelFormatError):
             load_model(b"NOT-A-MODEL 1\nend\n")
 
+    def test_bad_magic_with_two_header_fields_rejected(self):
+        with pytest.raises(ModelFormatError, match="^bad magic header$"):
+            load_model(b"XXX 1\nend\n")
+
     def test_bad_version_rejected(self):
         with pytest.raises(ModelFormatError):
             load_model(b"OCRPP-CRF 99\nend\n")

@@ -37,6 +37,11 @@ class TestEmailPatterns:
         assert [e.address for e in out] == [
             "alice@cse.example.org", "bob@ee.example.org"]
 
+    def test_subdomain_entry_with_two_ats_splits_at_the_first(self):
+        out = expand_email_group("[alice@b@cse, bob@ee].example.org")
+        assert out == [EmailAddress("alice", "b@cse.example.org"),
+                       EmailAddress("bob", "ee.example.org")]
+
     def test_group_spans_consumed_before_plain_scan(self):
         out = expand_email_group("{a, b}@x.org and carol@y.org")
         assert [e.address for e in out] == ["a@x.org", "b@x.org", "carol@y.org"]

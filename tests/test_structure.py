@@ -1,6 +1,9 @@
 """Unit tests for structure extraction: headings, URLs, footnotes, captions."""
 
 import pytest
+from conftest import reference_extract_urls
+from hypothesis import given
+from hypothesis import strategies as st
 
 from scholarparse.model import Document, Page, Token, make_chunk
 from scholarparse.structure import (CaptionHeading, Footnote, Section,
@@ -41,6 +44,15 @@ class TestMapSections:
         assert section.body_text == "a b c"
 
 
+# Text with one to three URLs, each after a little prose and followed by
+# trailing punctuation.
+PROSE_WITH_URLS = st.lists(st.tuples(
+    st.text(max_size=3), st.sampled_from(["http://", "https://"]),
+    st.text("aZ9/.,()[%-_?=&'!*+$@:\\^", max_size=8),
+    st.text("()[.,", max_size=4)),
+    min_size=1, max_size=3).map(lambda urls: "".join(map("".join, urls)))
+
+
 class TestUrls:
     def test_basic_match(self):
         assert extract_urls("see http://example.org/x for details") == [
@@ -69,6 +81,22 @@ class TestUrls:
 
     def test_no_scheme_no_match(self):
         assert extract_urls("www.example.org only") == []
+
+    @pytest.mark.parametrize("text, urls", [
+        ("see <http://a.org/x>; and", ["http://a.org/x"]),
+        ("[http://b.org/y].", ["http://b.org/y"]),
+        ("[http://b.org/y];", ["http://b.org/y"]),
+        ("at http://a.org/x;", ["http://a.org/x"]),
+        ("(http://a.org/x]).", ["http://a.org/x"]),
+        ("http://c.org/a;b", ["http://c.org/a;b"]),
+        ("http://d.org/p?q=1&r=[2]", ["http://d.org/p?q=1&r=[2]"]),
+        ("http://[::1]/x", ["http://[::1]/x"])])
+    def test_prose_punctuation_ends_a_url(self, text, urls):
+        assert extract_urls(text) == urls
+
+    @given(PROSE_WITH_URLS.filter(lambda text: not set(text) & set("<>;]")))
+    def test_same_urls_as_the_range_rule_without_its_new_stops(self, text):
+        assert extract_urls(text) == reference_extract_urls(text)
 
 
 class TestFootnoteSplitting:

@@ -106,3 +106,12 @@ class TestReferenceIds:
         ids = [b.get("{http://www.w3.org/XML/1998/namespace}id")
                for b in root.findall(".//tei:listBibl/tei:bibl", NS)]
         assert len(ids) == len(set(ids)) == 2
+
+    def test_collision_id_is_the_one_based_position(self):
+        refs = [Reference(index=None, raw_text="a"),
+                Reference(index=None, raw_text="b"),
+                Reference(index=2, raw_text="c")]
+        root = ET.fromstring(export_tei(ExtractionResult(references=refs)))
+        ids = [b.get("{http://www.w3.org/XML/1998/namespace}id")
+               for b in root.findall(".//tei:listBibl/tei:bibl", NS)]
+        assert ids == ["ref-1", "ref-2", "ref-p3"]
