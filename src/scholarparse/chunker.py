@@ -5,7 +5,8 @@ A new chunk starts when the vertical gap to the previous line exceeds
 font size changes by more than ``FONT_JUMP``, or when line boldness flips.
 A line's font is its tokens' mean font size and its boldness their
 majority.  Two-column pages are detected from the distribution of line
-x-origins and chunked per column, left column first.
+x-origins and chunked per column, left column first.  A chunk keeps the
+page's ``Line``s it was cut from, which the reference splitter reads.
 
 The thresholds are constants, as every other layout rule is: the bundled
 models were trained on the chunks they give, and a model file does not
@@ -72,12 +73,12 @@ def _chunk_lines(lines: list[Line], median_gap: float) -> list[Chunk]:
                 or bold != prev_bold
             )
             if breaks:
-                chunks.append(make_chunk([t for l in current for t in l.tokens]))
+                chunks.append(make_chunk(current))
                 current = []
         current.append(line)
         prev_font, prev_bold = font, bold
     if current:
-        chunks.append(make_chunk([t for l in current for t in l.tokens]))
+        chunks.append(make_chunk(current))
     return chunks
 
 

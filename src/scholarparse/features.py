@@ -178,7 +178,7 @@ _NTOK = Template("ntok", "bucketed-real", "chunk length bucket",
                  lambda s: [min(5, len(c.tokens) // 3) for c in s.items])
 _YPOS = Template(
     "ypos", "bucketed-real", "vertical position of chunk top, deciles",
-    lambda s: [_decile(c.bbox[1] / max(s.page.height, 1.0)) for c in s.items])
+    lambda s: [_decile(c.top / max(s.page.height, 1.0)) for c in s.items])
 _SUP_LEAD = Template(
     "sup_lead", "boolean", "chunk starts with a superscript marker",
     lambda s: [is_marker(c.tokens[0]) for c in s.items])

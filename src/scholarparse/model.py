@@ -12,7 +12,6 @@ processed documents.
 
 from __future__ import annotations
 
-from operator import add
 from typing import NamedTuple
 
 
@@ -117,20 +116,22 @@ class Document(NamedTuple):
 
 
 class Chunk(NamedTuple):
-    """A contiguous, visually coherent token group, with its tokens' texts
-    joined by single spaces: URL scanning, section bodies and TEI export all
-    read that text, so ``make_chunk`` joins it once."""
+    """A visually coherent run of a page's ``lines``, as ingest built them,
+    with their ``tokens`` in turn, its ``top`` (smallest token y) and its
+    tokens' texts joined by single spaces: URL scanning, section bodies and
+    TEI export all read that text, so ``make_chunk`` joins it once."""
 
     tokens: tuple[Token, ...]
     page_no: int
     avg_font_size: float
     avg_boldness: float
-    bbox: tuple[float, float, float, float]
+    top: float
     text: str
+    lines: tuple[Line, ...]
 
 
-def chunk_stats(tokens) -> tuple[float, float, tuple[float, float, float, float]]:
-    """Mean font size, bold fraction and tight bounding box of a token group.
+def chunk_stats(tokens) -> tuple[float, float, float]:
+    """Mean font size, bold fraction and top (smallest y) of a token group.
 
     The tokens are read once, as columns; each sum runs over its column in
     token order, as a sum over the tokens would.
@@ -138,25 +139,16 @@ def chunk_stats(tokens) -> tuple[float, float, tuple[float, float, float, float]
     columns = tuple(zip(*tokens))
     if not columns:
         raise EmptyChunkError("empty chunk")
-    _text, _page, xs, ys, widths, heights, fonts, bolds = columns[:8]
-    n = len(xs)
-    avg_font = sum(fonts) / n
-    avg_bold = sum(map(bool, bolds)) / n
-    bbox = (min(xs), min(ys), max(map(add, xs, widths)),
-            max(map(add, ys, heights)))
-    return avg_font, avg_bold, bbox
+    ys, fonts, bolds = columns[3], columns[6], columns[7]
+    n = len(ys)
+    return sum(fonts) / n, sum(map(bool, bolds)) / n, min(ys)
 
 
-def make_chunk(tokens) -> Chunk:
-    """Build a Chunk with derived statistics and its text from a non-empty
-    token list."""
-    tokens = tuple(tokens)
-    avg_font, avg_bold, bbox = chunk_stats(tokens)
-    return Chunk(
-        tokens=tokens,
-        page_no=tokens[0].page_no,
-        avg_font_size=avg_font,
-        avg_boldness=avg_bold,
-        bbox=bbox,
-        text=" ".join([t.text for t in tokens]),
-    )
+def make_chunk(lines) -> Chunk:
+    """Build a Chunk, its tokens, statistics and text from a non-empty
+    sequence of lines."""
+    lines = tuple(lines)
+    tokens = tuple([t for line in lines for t in line.tokens])
+    avg_font, avg_bold, top = chunk_stats(tokens)
+    return Chunk(tokens, tokens[0].page_no, avg_font, avg_bold, top,
+                 " ".join([t.text for t in tokens]), lines)

@@ -14,8 +14,9 @@ text, numbers and the small result records (sections hold paragraph text,
 see ``structure``).  So nothing of the parsed document outlives
 ``extract_document``, and a batch of held results costs memory in
 proportion to its output, not to its token count.  The reference splitter
-is the one stage that reads visual lines: it takes them from the reference
-section's chunks while the context is alive.
+is the one stage that reads visual lines: it takes each ``Line`` of the
+reference run's chunks, the lines ingest built, as its text and x-origin
+while the context is alive.
 
 ``extract_document`` runs with automatic garbage collection paused
 (``_gcpause``): what the stages build holds no reference cycles, so
@@ -40,7 +41,7 @@ from .features import LABELING_TASKS
 from .metadata import (extract_affiliations, extract_author_names,
                        extract_emails, extract_title, map_authors_to_emails,
                        title_fallback)
-from .model import Chunk, Document
+from .model import Document
 from .structure import (Section, extract_caption_headings, extract_footnotes,
                         extract_urls, label_headings, map_sections)
 from .tei import ExtractionResult
@@ -91,20 +92,6 @@ def load_default_models() -> PipelineModels:
         resources.files("scholarparse.data").joinpath("models"))
 
 
-def chunk_to_lines(chunk: Chunk) -> list[tuple[str, float]]:
-    """(text, x-origin) per visual line of a chunk, split on baseline jumps."""
-    lines: list[list] = []
-    current: list = []
-    for tok in chunk.tokens:
-        if current and abs(tok.baseline_y - current[-1].baseline_y) > 0.5:
-            lines.append(current)
-            current = []
-        current.append(tok)
-    if current:
-        lines.append(current)
-    return [(" ".join(t.text for t in line), line[0].x) for line in lines]
-
-
 def _attach_affiliations(records, affiliations):
     """The records with the affiliations attached: the one affiliation to
     every author, else each in turn to the author at its position."""
@@ -151,8 +138,9 @@ def extract_document(doc: Document,
         end = (sections[stop].heading.chunk_index if stop < len(sections)
                else len(chunks))
         own = {section.heading.chunk_index for section in run}
-        lines = [pair for i in range(run[0].heading.chunk_index + 1, end)
-                 if i not in own for pair in chunk_to_lines(chunks[i])]
+        lines = [(line.text, line.x)
+                 for i in range(run[0].heading.chunk_index + 1, end)
+                 if i not in own for line in chunks[i].lines]
         if lines:
             references = split_references(lines)
 

@@ -26,6 +26,9 @@ TABLE_KEYWORDS = ("Table", "TABLE")
 # URL pattern: scheme plus one or more ASCII letters, digits and marks;
 # "<" and ">", which no URL holds and prose puts around one, end it.
 URL_PATTERN = re.compile(r"https?://[A-Za-z0-9!$%&'()*+,\-./:;=?@\[\\\]^_]+")
+# Prose punctuation stripped from a URL's end, before and after its
+# unbalanced closing brackets; inside a URL each stays.
+_TRAILING = ".,;:!?'*"
 # Closing brackets stripped from a URL's end while it holds fewer openers.
 _OPENERS = {")": "(", "]": "["}
 
@@ -107,15 +110,15 @@ def map_sections(chunks: list[Chunk],
 
 
 def extract_urls(text: str) -> list[str]:
-    """Non-overlapping URL matches with trailing punctuation stripped:
-    periods, commas, semicolons and unbalanced closing brackets."""
+    """Non-overlapping URL matches with trailing prose punctuation
+    (``_TRAILING``) and unbalanced closing brackets stripped."""
     out = []
     for m in URL_PATTERN.finditer(text):
-        url = m.group(0).rstrip(".,;")
+        url = m.group(0).rstrip(_TRAILING)
         while (url[-1] in _OPENERS
                and url.count(url[-1]) > url.count(_OPENERS[url[-1]])):
             url = url[:-1]
-        out.append(url.rstrip(".,;"))
+        out.append(url.rstrip(_TRAILING))
     return out
 
 
@@ -136,7 +139,7 @@ def extract_footnotes(ctx: DocumentContext,
         for chunk, lab in zip(chunks, labels):
             if lab != FOOTNOTE_LABEL:
                 continue
-            if chunk.bbox[1] <= page.height / 2:
+            if chunk.top <= page.height / 2:
                 continue
             out.extend(_split_footnote_chunk(chunk, page.number))
     return out

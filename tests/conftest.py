@@ -611,21 +611,24 @@ def _reference_chunk_stats(tokens):
     n = len(tokens)
     avg_font = sum(t.font_size for t in tokens) / n
     avg_bold = sum(1 for t in tokens if t.bold) / n
-    bbox = (
-        min(t.x for t in tokens),
-        min(t.y for t in tokens),
-        max(t.x + t.width for t in tokens),
-        max(t.y + t.height for t in tokens),
-    )
-    return avg_font, avg_bold, bbox
+    top = min(t.y for t in tokens)
+    return avg_font, avg_bold, top
 
 
-def _reference_chunk(tokens):
-    tokens = tuple(tokens)
-    avg_font, avg_bold, bbox = _reference_chunk_stats(tokens)
+def _reference_chunk(lines):
+    lines = tuple(lines)
+    tokens = tuple(t for l in lines for t in l.tokens)
+    avg_font, avg_bold, top = _reference_chunk_stats(tokens)
     return Chunk(tokens=tokens, page_no=tokens[0].page_no,
-                 avg_font_size=avg_font, avg_boldness=avg_bold, bbox=bbox,
-                 text=" ".join(t.text for t in tokens))
+                 avg_font_size=avg_font, avg_boldness=avg_bold, top=top,
+                 text=" ".join(t.text for t in tokens), lines=lines)
+
+
+def one_line(tokens) -> Line:
+    """A test's loose tokens as one ``Line``, on the first token's baseline,
+    the way ``make_chunk`` takes them."""
+    tokens = tuple(tokens)
+    return Line(tokens, tokens[0].baseline_y)
 
 
 def _reference_line_font(line):
@@ -660,14 +663,28 @@ def reference_chunk_page(page: Page):
                         or font_change > 0.15
                         or (_reference_line_bold(line)
                             != _reference_line_bold(prev))):
-                    chunks.append(_reference_chunk(
-                        [t for l in current for t in l.tokens]))
+                    chunks.append(_reference_chunk(current))
                     current = []
             current.append(line)
         if current:
-            chunks.append(_reference_chunk(
-                [t for l in current for t in l.tokens]))
+            chunks.append(_reference_chunk(current))
     return chunks
+
+
+def reference_baseline_lines(chunk) -> tuple[Line, ...]:
+    """A chunk's tokens regrouped into lines by the rule the reference
+    splitter's input was once built with: a new line wherever a token's
+    baseline is more than 0.5 pt from the previous token's.  Each line's
+    ``text`` and ``x`` are what that rule gave the splitter."""
+    lines, current = [], []
+    for tok in chunk.tokens:
+        if current and abs(tok.baseline_y - current[-1].baseline_y) > 0.5:
+            lines.append(current)
+            current = []
+        current.append(tok)
+    if current:
+        lines.append(current)
+    return tuple(Line(tuple(group), group[0].baseline_y) for group in lines)
 
 
 # --- token positions of the title and author sequences ----------------------
@@ -741,7 +758,7 @@ def reference_footnote_rows(chunks, page: Page, body_font: float):
         feats = [
             "bias",
             f"size:{_size_bucket(chunk.avg_font_size, body_font)}",
-            f"ypos:{_decile(chunk.bbox[1] / max(page.height, 1.0))}",
+            f"ypos:{_decile(chunk.top / max(page.height, 1.0))}",
             f"ntok:{min(5, len(chunk.tokens) // 3)}",
         ]
         if is_marker(chunk.tokens[0]):
@@ -863,6 +880,26 @@ def reference_extract_urls(text: str) -> list[str]:
             url = url[:-1]
         if url:
             out.append(url)
+    return out
+
+
+_PARENT_URL_PATTERN = re.compile(
+    r"https?://[A-Za-z0-9!$%&'()*+,\-./:;=?@\[\\\]^_]+")
+_PARENT_OPENERS = {")": "(", "]": "["}
+
+
+def reference_extract_urls_keeping_marks(text: str) -> list[str]:
+    """Oracle for ``structure.extract_urls`` on text holding none of ``'``,
+    ``!``, ``:`` (but a scheme's), ``?`` and ``*``: the rule as it was when
+    only ``.``, ``,`` and ``;`` and unbalanced closing brackets were
+    stripped from a URL's end."""
+    out = []
+    for m in _PARENT_URL_PATTERN.finditer(text):
+        url = m.group(0).rstrip(".,;")
+        while (url[-1] in _PARENT_OPENERS
+               and url.count(url[-1]) > url.count(_PARENT_OPENERS[url[-1]])):
+            url = url[:-1]
+        out.append(url.rstrip(".,;"))
     return out
 
 

@@ -120,6 +120,13 @@ class TestStylePrecedence:
         assert [c.char_span[0] for c in cits] == sorted(
             c.char_span[0] for c in cits)
 
+    def test_match_touching_an_earlier_styles_span_is_kept(self):
+        # Style 2 claims (3, 12) first; style 16's "[2]" ends where it
+        # starts, so the two spans touch and do not overlap.
+        cits = extract_citations("[2]Smith [1]")
+        assert [(c.style_id, c.matched_text, c.char_span) for c in cits] == [
+            (16, "[2]", (0, 3)), (2, "Smith [1]", (3, 12))]
+
     def test_spans_never_overlap(self):
         text = "Singh et al. [4] and Goyal [5] and [6, 7] and Kumar, 2013"
         spans = [c.char_span for c in extract_citations(text)]

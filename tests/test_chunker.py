@@ -5,13 +5,15 @@ import pickle
 from collections import Counter
 
 import pytest
-from conftest import reference_chunk_page
+from conftest import mutate_xml, reference_chunk_page, xml_mutations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scholarparse.chunker import (FONT_JUMP, GAP_FACTOR, chunk_document,
                                   chunk_page)
+from scholarparse.ingest import parse_rich_xml
 from scholarparse.model import Document, Line, Page, Token
+from scholarparse.synth import STYLES, generate_synthetic_document
 
 
 def line(text_words, baseline, x=60.0, size=10.0, bold=False, page_no=1):
@@ -165,3 +167,28 @@ class TestAgainstPairwiseOracle:
             assert pickle.loads(pickle.dumps(chunk)).text == joined
             assert chunk.text == joined
             assert pickle.loads(pickle.dumps(chunk)).text == joined
+
+
+class TestChunksKeepTheirLines:
+    @given(st.sampled_from(STYLES), st.integers(0, 10_000),
+           st.lists(xml_mutations(["x-", "*", "1", "References", "[3]"]),
+                    max_size=4))
+    @settings(max_examples=25, deadline=None)
+    def test_lines_are_the_pages_lines_in_order(self, style, seed, mutations):
+        """Each chunk's lines are ``Line``s of its own page, in page order;
+        their tokens in turn are the chunk's tokens, and their texts joined
+        by spaces are its text."""
+        xml = mutate_xml(generate_synthetic_document(style, seed)[0],
+                         mutations)
+        doc, _ = parse_rich_xml(xml)
+        for pg in doc.pages:
+            order = {id(l): i for i, l in enumerate(pg.lines)}
+            for chunk in chunk_page(pg):
+                assert chunk.lines and chunk.page_no == pg.number
+                assert all(type(l) is Line and id(l) in order
+                           for l in chunk.lines)
+                positions = [order[id(l)] for l in chunk.lines]
+                assert positions == sorted(positions)
+                assert chunk.tokens == tuple(t for l in chunk.lines
+                                             for t in l.tokens)
+                assert " ".join(l.text for l in chunk.lines) == chunk.text

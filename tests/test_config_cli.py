@@ -12,10 +12,11 @@ from xml.etree import ElementTree as ET
 
 import pytest
 
-from scholarparse import cli
+from scholarparse import cli, training
 from scholarparse.cli import main
 from scholarparse.config import PipelineConfig, load_config, parse_config
 from scholarparse.crf import TrainConfig
+from scholarparse.crfmodel import CrfModel
 from scholarparse.evaluate import ground_truth_from_text
 from scholarparse.ingest import parse_rich_xml
 from scholarparse.pipeline import (TASKS, PipelineModels, extract_document,
@@ -163,6 +164,11 @@ class TestCli:
         gts = sorted(corpus_dir.glob("*.gt.txt"))
         assert len(xmls) == 4 and len(gts) == 4
 
+    def test_generate_writes_four_pairs_by_default(self, tmp_path):
+        assert main(["generate", "--out", str(tmp_path)]) == 0
+        assert len(list(tmp_path.glob("*.xml"))) == 4
+        assert len(list(tmp_path.glob("*.gt.txt"))) == 4
+
     def test_generate_single_style(self, tmp_path):
         assert main(["generate", "--out", str(tmp_path), "--count", "2",
                      "--style", "single-col-numbered"]) == 0
@@ -243,6 +249,35 @@ class TestCli:
         assert main(["train", "--corpus", str(corpus_dir), "--out", str(out),
                      "--task", "title", "--config", str(cfg)]) == 0
         assert (out / "title.crf").read_bytes().startswith(b"OCRPP-CRF 1\n")
+
+    def test_train_reports_the_models_nonzero_unary_weights(
+            self, corpus_dir, tmp_path, capsys, monkeypatch):
+        # Trained weights are all nonzero here, so every third row of the
+        # trained model is zeroed before the command counts and saves it.
+        trained, made = training.train_task, []
+
+        def sparse(*args):
+            model = trained(*args)
+            unary = tuple(tuple(0.0 for _ in row) if i % 3 == 0 else row
+                          for i, row in enumerate(model.unary))
+            made.append(CrfModel(model.labels, model.features, unary,
+                                 model.transitions, model.templates,
+                                 model.task_name))
+            return made[-1]
+
+        monkeypatch.setattr(training, "train_task", sparse)
+        cfg = tmp_path / "fast.conf"
+        cfg.write_text("max_iterations=3\n", "utf-8")
+        out = tmp_path / "models"
+        capsys.readouterr()
+        assert main(["train", "--corpus", str(corpus_dir), "--out", str(out),
+                     "--task", "title", "--config", str(cfg)]) == 0
+        (model,) = made
+        weights = [w for row in model.unary for w in row]
+        nonzero = sum(w != 0.0 for w in weights)
+        assert 0 < nonzero < len(weights)
+        assert (f"trained title: {nonzero} unary weights"
+                in capsys.readouterr().err.splitlines())
 
     @pytest.mark.parametrize("target", ("file", "stdout"))
     def test_train_stats_logs_every_task_and_keeps_the_models(

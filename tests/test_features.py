@@ -3,7 +3,7 @@
 import re
 from collections import Counter
 
-from conftest import (reference_footnote_rows, reference_heading_rows,
+from conftest import (one_line, reference_footnote_rows, reference_heading_rows,
                       reference_token_rows)
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -39,6 +39,11 @@ class TestBuckets:
         assert _size_bucket(12.0, 10.0) != _size_bucket(10.0, 10.0)
         assert _size_bucket(17.0, 10.0) == 17
         assert _size_bucket(8.0, 10.0) == 8
+
+    def test_size_bucket_clips_ratios_of_two_and_above_to_19(self):
+        assert _size_bucket(19.5, 10.0) == 19
+        assert _size_bucket(20.0, 10.0) == 19
+        assert _size_bucket(25.0, 10.0) == 19
 
     def test_size_bucket_degenerate_reference(self):
         assert _size_bucket(10.0, 0.0) == 10
@@ -97,8 +102,8 @@ class TestTokenFeatures:
 
 class TestChunkFeatures:
     def test_heading_features(self):
-        chunk = make_chunk([tok("2", size=12.0, bold=True),
-                            tok("Methods", size=12.0, bold=True)])
+        chunk = make_chunk([one_line([tok("2", size=12.0, bold=True),
+                                      tok("Methods", size=12.0, bold=True)])])
         feats = heading_chunk_features([chunk], 10.0)[0]
         assert "enum:arabic" in feats
         assert "first:2" in feats
@@ -107,8 +112,8 @@ class TestChunkFeatures:
 
     def test_footnote_features_mark_superscript_lead(self):
         page = Page(number=1, width=612.0, height=792.0)
-        chunk = make_chunk([tok("1", size=6.0, y=730.0, sup=True),
-                            tok("note", size=8.0, y=732.0)])
+        chunk = make_chunk([one_line([tok("1", size=6.0, y=730.0, sup=True),
+                                      tok("note", size=8.0, y=732.0)])])
         feats = footnote_chunk_features([chunk], page, 10.0)[0]
         assert "sup_lead" in feats
         assert "ypos:9" in feats

@@ -1,6 +1,9 @@
 """Unit tests for metadata extraction helpers."""
 
+import math
+
 import pytest
+from conftest import one_line
 
 from scholarparse.context import build_context
 from scholarparse.metadata import (Affiliation, AuthorName, EmailAddress,
@@ -95,6 +98,26 @@ class TestRunSplitting:
             ["Carlos", "Kowalski"], ["Elena", "Novak"]]
         assert [(n.first, n.last) for n in map(_run_to_name, runs)] == [
             ("Carlos", "Kowalski"), ("Elena", "Novak")]
+
+    @pytest.mark.parametrize("x, texts", [
+        (15.0, [["A", "B", "C", "D", "E"]]),
+        (math.nextafter(15.0, math.inf), [["A"], ["B", "C", "D", "E"]])])
+    def test_gap_of_exactly_twice_the_word_gap_does_not_split(self, x, texts):
+        # Gaps 10 (or one float above), 5, 5 and 5: the word gap is 5.
+        toks = [tok("A", 0.0), tok("B", x), tok("C", 25.0), tok("D", 35.0),
+                tok("E", 45.0)]
+        assert (x - 5.0 > 2 * 5.0) == (len(texts) == 2)
+        runs = _split_runs(toks)
+        assert [[t.text for t in r] for r in runs] == texts
+
+    def test_word_gap_is_the_lower_quartile_of_four_gaps(self):
+        # Gaps 2, 5, 5 and 11: the word gap is the second smallest, 5, so
+        # only the gap of 11 splits; the smallest, 2, would split at 5 too.
+        toks = [tok("A", 0.0), tok("B", 7.0), tok("C", 17.0), tok("D", 27.0),
+                tok("E", 43.0)]
+        runs = _split_runs(toks)
+        assert [[t.text for t in r] for r in runs] == [
+            ["A", "B", "C", "D"], ["E"]]
 
 
 class TestRunToName:
@@ -223,8 +246,9 @@ class TestAffiliations:
 
 class TestTitleFallback:
     def test_largest_font_chunk_on_page_one(self):
-        small = make_chunk([tok("body", 0, bold=False, size=10.0)])
-        big = make_chunk([tok("Big", 0, size=17.0), tok("Title", 30, size=17.0)])
+        small = make_chunk([one_line([tok("body", 0, bold=False, size=10.0)])])
+        big = make_chunk([one_line([tok("Big", 0, size=17.0),
+                                    tok("Title", 30, size=17.0)])])
         assert [t.text for t in title_fallback([small, big])] == ["Big", "Title"]
 
     def test_empty_input(self):

@@ -72,10 +72,10 @@ class TestChunkStats:
     def test_hand_computed(self):
         tokens = [tok("a", x=0, y=0, w=10, h=10, size=10.0),
                   tok("b", x=20, y=5, w=10, h=10, size=14.0, bold=True)]
-        avg_font, avg_bold, bbox = chunk_stats(tokens)
+        avg_font, avg_bold, top = chunk_stats(tokens)
         assert avg_font == pytest.approx(12.0)
         assert avg_bold == pytest.approx(0.5)
-        assert bbox == (0.0, 0.0, 30.0, 15.0)
+        assert top == 0.0
 
     def test_empty_raises(self):
         with pytest.raises(EmptyChunkError):
@@ -85,16 +85,33 @@ class TestChunkStats:
                               st.floats(1, 50), st.floats(1, 50)),
                     min_size=1, max_size=20))
     @settings(max_examples=50, deadline=None)
-    def test_bbox_contains_every_token(self, boxes):
+    def test_top_is_smallest_token_y(self, boxes):
         tokens = [tok("w", x=x, y=y, w=w, h=h) for x, y, w, h in boxes]
-        _, _, bbox = chunk_stats(tokens)
-        for t in tokens:
-            assert bbox[0] <= t.x and t.x + t.width <= bbox[2] + 1e-9
-            assert bbox[1] <= t.y and t.y + t.height <= bbox[3] + 1e-9
+        _, _, top = chunk_stats(tokens)
+        assert top == min(y for _, y, _, _ in boxes)
+        assert all(top <= t.y for t in tokens)
 
 
 class TestMakeChunk:
     def test_text_and_page(self):
-        chunk = make_chunk([tok("hello"), tok("world", x=40.0)])
+        chunk = make_chunk([Line((tok("hello"), tok("world", x=40.0)), 10.0)])
         assert chunk.text == "hello world"
         assert chunk.page_no == 1
+
+    def test_keeps_its_lines_and_flattens_their_tokens(self):
+        first = Line((tok("a", y=5.0), tok("b", x=20.0, y=3.0)), 15.0)
+        second = Line((tok("c", y=20.0, bold=True),), 30.0)
+        chunk = make_chunk([first, second])
+        assert chunk.lines == (first, second)
+        assert chunk.tokens == first.tokens + second.tokens
+        assert chunk.text == "a b c"
+        assert chunk.top == 3.0
+        assert chunk.avg_boldness == pytest.approx(1 / 3)
+
+    def test_no_lines_raises(self):
+        with pytest.raises(EmptyChunkError):
+            make_chunk([])
+
+    def test_fields(self):
+        assert Chunk._fields == ("tokens", "page_no", "avg_font_size",
+                                 "avg_boldness", "top", "text", "lines")

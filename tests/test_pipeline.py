@@ -10,7 +10,7 @@ from pathlib import Path
 from xml.etree import ElementTree as ET
 
 import pytest
-from conftest import mutate_xml, xml_mutations
+from conftest import mutate_xml, reference_baseline_lines, xml_mutations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,9 +25,8 @@ from scholarparse.features import LABELING_TASKS
 from scholarparse.ingest import parse_rich_xml
 from scholarparse.metadata import extract_affiliations, extract_emails
 from scholarparse.model import Line, Token
-from scholarparse.pipeline import (PipelineModels, chunk_to_lines,
-                                   extract_document, load_default_models,
-                                   load_models_from_dir)
+from scholarparse.pipeline import (PipelineModels, extract_document,
+                                   load_default_models, load_models_from_dir)
 from scholarparse.structure import SectionHeading, label_headings
 from scholarparse.synth import STYLES, generate_synthetic_document
 from scholarparse.tei import TEI_NS, export_tei
@@ -244,15 +243,49 @@ class TestExtraction:
         assert res.title == "" and res.sections == ()
 
 
-class TestChunkToLines:
-    def test_splits_on_baseline_jumps(self, models):
-        xml, _ = generate_synthetic_document(STYLES[0], 903, source_id="x")
-        doc, _ = parse_rich_xml(xml, source_id="x")
-        chunks = chunk_document(doc)
-        lines = chunk_to_lines(chunks[0])
-        assert all(isinstance(t, str) and isinstance(x, float)
-                   for t, x in lines)
-        assert " ".join(t for t, _ in lines) == chunks[0].text
+class TestReferenceLines:
+    """The reference splitter reads ingest's lines.  On a reference page
+    with a footnote, the footnote's raised marker stays in its line, where
+    a line rebuilt from baseline jumps split it off; the references are
+    the same either way."""
+
+    def test_raised_marker_stays_in_its_line(self, models, monkeypatch):
+        xml, _ = generate_synthetic_document("single-col-numbered", 902)
+        doc, _ = parse_rich_xml(xml)
+        captured = []
+
+        def spy(lines):
+            captured.append(lines)
+            return split_references(lines)
+
+        monkeypatch.setattr(pipeline, "split_references", spy)
+        result = extract_document(doc, models)
+        (lines,) = captured
+        notes = [line for page in doc.pages for line in page.lines
+                 if line.tokens[0].sup_flag and (line.text, line.x) in lines]
+        assert notes
+        for note in notes:
+            assert len(note.tokens) > 1
+            assert (note.tokens[0].text, note.x) not in lines
+
+        # The same document with every chunk's lines rebuilt by the
+        # baseline-jump rule: the marker is a line of its own.
+        ctx = build_context(doc)
+        rebuilt = {id(c): c._replace(lines=reference_baseline_lines(c))
+                   for c in ctx.chunks}
+        ctx = ctx._replace(
+            chunks=tuple(rebuilt[id(c)] for c in ctx.chunks),
+            pages=tuple(pc._replace(chunks=tuple(rebuilt[id(c)]
+                                                 for c in pc.chunks))
+                        for pc in ctx.pages))
+        monkeypatch.setattr(pipeline, "build_context", lambda _doc: ctx)
+        captured.clear()
+        baseline_result = extract_document(doc, models)
+        (baseline_lines,) = captured
+        for note in notes:
+            assert (note.tokens[0].text, note.x) in baseline_lines
+        assert result.references == baseline_result.references
+        assert export_tei(result) == export_tei(baseline_result)
 
 
 class TestReferenceRun:
@@ -312,9 +345,9 @@ class TestReferenceRun:
         at = {h.text: h.chunk_index for h in headings}
         start, stop = at["6 References"], at[self.APPENDIX]
         assert start < at[self.FOLDED] < stop
-        between = [pair for i in range(start + 1, stop) if i not in
-                   {h.chunk_index for h in headings}
-                   for pair in chunk_to_lines(chunks[i])]
+        between = [(line.text, line.x) for i in range(start + 1, stop)
+                   if i not in {h.chunk_index for h in headings}
+                   for line in chunks[i].lines]
         assert result.references == split_references(between)
         assert result.references[-1].index == 9
         assert result.references[-1].raw_text == self.SPILLED_REF[4:]

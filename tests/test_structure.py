@@ -1,7 +1,8 @@
 """Unit tests for structure extraction: headings, URLs, footnotes, captions."""
 
 import pytest
-from conftest import reference_extract_urls
+from conftest import (one_line, reference_extract_urls,
+                      reference_extract_urls_keeping_marks)
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -24,7 +25,7 @@ def chunk(words, **kw):
     for w in words:
         toks.append(tok(w, x=cur, **kw))
         cur += 5.0 * len(w) + 5.0
-    return make_chunk(toks)
+    return make_chunk([one_line(toks)])
 
 
 class TestMapSections:
@@ -50,6 +51,17 @@ PROSE_WITH_URLS = st.lists(st.tuples(
     st.text(max_size=3), st.sampled_from(["http://", "https://"]),
     st.text("aZ9/.,()[%-_?=&'!*+$@:\\^", max_size=8),
     st.text("()[.,", max_size=4)),
+    min_size=1, max_size=3).map(lambda urls: "".join(map("".join, urls)))
+
+# Marks stripped from a URL's end since they end prose too.
+MARKS = "'!:?*"
+# The same kind of text with ";", "]", "<" and ">" and none of the marks,
+# but the scheme's colon.
+PROSE_WITHOUT_MARKS = st.lists(st.tuples(
+    st.text(max_size=3).filter(lambda prose: not set(prose) & set(MARKS)),
+    st.sampled_from(["http://", "https://"]),
+    st.text("aZ9/.,()[]%-_=&+$@;<>\\^", max_size=8),
+    st.text("()[].,;<>", max_size=4)),
     min_size=1, max_size=3).map(lambda urls: "".join(map("".join, urls)))
 
 
@@ -90,26 +102,42 @@ class TestUrls:
         ("(http://a.org/x]).", ["http://a.org/x"]),
         ("http://c.org/a;b", ["http://c.org/a;b"]),
         ("http://d.org/p?q=1&r=[2]", ["http://d.org/p?q=1&r=[2]"]),
-        ("http://[::1]/x", ["http://[::1]/x"])])
+        ("http://[::1]/x", ["http://[::1]/x"]),
+        ("see 'http://a.org/x'.", ["http://a.org/x"]),
+        ("Visit http://a.org/x!", ["http://a.org/x"]),
+        ("at http://a.org/x:", ["http://a.org/x"]),
+        ("is it http://a.org/x?", ["http://a.org/x"]),
+        ("http://a.org/x* (a note)", ["http://a.org/x"]),
+        ("(see http://a.org/x!).", ["http://a.org/x"]),
+        ("http://a.org/?q=1", ["http://a.org/?q=1"]),
+        ("http://a.org/a:b", ["http://a.org/a:b"]),
+        ("http://a.org/it's*x", ["http://a.org/it's*x"])])
     def test_prose_punctuation_ends_a_url(self, text, urls):
         assert extract_urls(text) == urls
 
-    @given(PROSE_WITH_URLS.filter(lambda text: not set(text) & set("<>;]")))
+    @given(PROSE_WITH_URLS.filter(
+        lambda text: not set(text) & set("<>;]") and not any(
+            url[-1] in MARKS for url in reference_extract_urls(text))))
     def test_same_urls_as_the_range_rule_without_its_new_stops(self, text):
         assert extract_urls(text) == reference_extract_urls(text)
+
+    @given(PROSE_WITHOUT_MARKS)
+    def test_same_urls_as_before_on_text_without_the_marks(self, text):
+        assert extract_urls(text) == reference_extract_urls_keeping_marks(text)
 
 
 class TestFootnoteSplitting:
     def test_marker_stripped(self):
-        c = make_chunk([tok("1", size=6.0, sup=True), tok("note", x=10.0),
-                        tok("text", x=40.0)])
+        c = make_chunk([one_line([tok("1", size=6.0, sup=True),
+                                  tok("note", x=10.0), tok("text", x=40.0)])])
         notes = _split_footnote_chunk(c, 1)
         assert notes == [Footnote(marker="1", text="note text", page_no=1)]
 
     def test_merged_chunk_split_at_markers(self):
-        c = make_chunk([tok("1", size=6.0, sup=True), tok("first", x=10.0),
-                        tok("2", x=50.0, size=6.0, sup=True),
-                        tok("second", x=60.0)])
+        c = make_chunk([one_line([tok("1", size=6.0, sup=True),
+                                  tok("first", x=10.0),
+                                  tok("2", x=50.0, size=6.0, sup=True),
+                                  tok("second", x=60.0)])])
         notes = _split_footnote_chunk(c, 1)
         assert [(n.marker, n.text) for n in notes] == [
             ("1", "first"), ("2", "second")]
@@ -120,7 +148,7 @@ class TestFootnoteSplitting:
         assert notes == [Footnote(marker=None, text="plain note", page_no=1)]
 
     def test_glyph_marker_translated(self):
-        c = make_chunk([tok("¹", size=6.0), tok("note", x=10.0)])
+        c = make_chunk([one_line([tok("¹", size=6.0), tok("note", x=10.0)])])
         notes = _split_footnote_chunk(c, 1)
         assert notes[0].marker == "1"
 
@@ -138,7 +166,7 @@ class TestCaptions:
                 tok("Results", 60, size=9.0, bold=True),
                 tok("cell1", 120, size=9.0),
                 tok("cell2", 160, size=9.0)]
-        (cap,) = extract_caption_headings([make_chunk(toks)])
+        (cap,) = extract_caption_headings([make_chunk([one_line(toks)])])
         assert cap == CaptionHeading(kind="table", text="Table 1: Results")
 
     def test_non_caption_chunks_ignored(self):

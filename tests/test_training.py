@@ -1,13 +1,17 @@
 """Unit tests for training-set construction and task fitting."""
 
 import pytest
+from conftest import one_line
 
 from scholarparse.crf import TrainConfig, viterbi_decode
-from scholarparse.evaluate import (TrainingPair, corpus_files, load_corpus,
-                                   ground_truth_to_text, read_pair)
+from scholarparse.evaluate import (GroundTruth, TrainingPair, corpus_files,
+                                   load_corpus, ground_truth_to_text,
+                                   read_pair)
 from scholarparse.ingest import parse_rich_xml
+from scholarparse.model import Token, make_chunk
 from scholarparse.synth import STYLES, generate_synthetic_document
-from scholarparse.training import (TASKS, build_author_sequences,
+from scholarparse.training import (TASKS, _gold_title_tokens,
+                                   build_author_sequences,
                                    build_footnote_sequences,
                                    build_heading_sequences,
                                    build_title_sequences, train_task,
@@ -56,6 +60,16 @@ class TestBuilders:
             labeled = sum(1 for seq in seqs for _, lab in seq.items
                           if lab == "FOOTNOTE")
             assert labeled == len(example[1].footnotes)
+
+
+class TestGoldTitleTokens:
+    def test_first_chunk_tokens_around_the_title_words_are_not_gold(self):
+        words = ["Preprint", "Deep", "Nets", "Deep", "revisited"]
+        tokens = [Token(w, 1, 40.0 * i, 90.0, 30.0, 10.0, 10.0)
+                  for i, w in enumerate(words)]
+        chunk = make_chunk([one_line(tokens)])
+        gold = _gold_title_tokens([chunk], GroundTruth(title="Deep Nets"))
+        assert gold == tokens[1:3]
 
 
 class TestTrainTask:

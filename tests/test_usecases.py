@@ -63,6 +63,13 @@ class TestGenericInference:
             self._result(["Wild Approach", "Results"]))
         assert generic["Wild Approach"] == "Other"
 
+    def test_heading_after_background_without_results_is_other(self):
+        # No Result/Evaluation heading follows, so nothing is sandwiched.
+        generic = _generic_by_heading(self._result(
+            ["Introduction", "Wild Approach", "Odd Part", "Tail"]))
+        assert [generic[h] for h in ("Wild Approach", "Odd Part", "Tail")] == [
+            "Other", "Other", "Other"]
+
 
 class TestDatasetLinks:
     def test_rule_a_datasets_section_urls(self):
