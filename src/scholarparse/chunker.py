@@ -84,8 +84,6 @@ def _chunk_lines(lines: list[Line], median_gap: float) -> list[Chunk]:
 
 def chunk_page(page: Page) -> list[Chunk]:
     """Segment one page into chunks; empty page yields an empty list."""
-    if not page.lines:
-        return []
     columns = _split_columns(page)
     chunks: list[Chunk] = []
     for column in columns:

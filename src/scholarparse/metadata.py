@@ -115,40 +115,30 @@ def _lower_quartile(values):
 def _split_runs(tokens: list[Token]) -> list[list[Token]]:
     """Split a consecutive labeled run into per-author groups.
 
-    The reference gap is the lower quartile of same-row gaps rather than the
-    median: separator gaps between adjacent authors can make up half of all
-    gaps, which would drag the median up to the separator width itself.
+    A group ends at a row change, at a gap wider than twice the word gap,
+    after a token ending in a comma, and at a separator token ("and", "&",
+    a comma of its own), which joins no group.  The word gap is the lower
+    quartile of same-row gaps rather than the median: separator gaps between
+    adjacent authors can make up half of all gaps, which would drag the
+    median up to the separator width itself.
     """
-    if not tokens:
-        return []
     gaps = []
     for a, b in zip(tokens, tokens[1:]):
         if abs(a.baseline_y - b.baseline_y) < 1.0:
             gaps.append(b.x - (a.x + a.width))
     word_gap = _lower_quartile([g for g in gaps if g > 0])
-    runs: list[list[Token]] = [[tokens[0]]]
-    for a, b in zip(tokens, tokens[1:]):
-        new_row = abs(a.baseline_y - b.baseline_y) >= 1.0
-        wide = word_gap > 0 and (b.x - (a.x + a.width)) > 2 * word_gap
-        if new_row or wide or a.text.endswith(","):
-            runs.append([b])
-        else:
+    runs: list[list[Token]] = [[]]
+    for a, b in zip([None, *tokens], tokens):
+        boundary = a is not None and (
+            abs(a.baseline_y - b.baseline_y) >= 1.0
+            or (word_gap > 0 and (b.x - (a.x + a.width)) > 2 * word_gap)
+            or a.text.endswith(","))
+        separator = b.text.strip(",").lower() in {"and", "&", ""}
+        if (boundary or separator) and runs[-1]:
+            runs.append([])
+        if not separator:
             runs[-1].append(b)
-    # Separator tokens ("and", "&", a comma of its own) split rather than
-    # join names.
-    split_runs: list[list[Token]] = []
-    for run in runs:
-        current: list[Token] = []
-        for tok in run:
-            if tok.text.strip(",").lower() in {"and", "&", ""}:
-                if current:
-                    split_runs.append(current)
-                current = []
-            else:
-                current.append(tok)
-        if current:
-            split_runs.append(current)
-    return split_runs
+    return [run for run in runs if run]
 
 
 def _run_to_name(run: list[Token]) -> AuthorName | None:
@@ -158,8 +148,6 @@ def _run_to_name(run: list[Token]) -> AuthorName | None:
     for w in words:
         if not NAME_TOKEN.match(w) or w.lower() in NAME_STOPWORDS:
             return None
-    if len(words) == 1:
-        return AuthorName(first=words[0], middle="", last=words[0])
     return AuthorName(first=words[0], middle=" ".join(words[1:-1]),
                       last=words[-1])
 
@@ -198,33 +186,10 @@ def extract_author_names(ctx: DocumentContext, title_span: list[Token],
     return names
 
 
-# E-mail group patterns.  Group-with-subdomains must run before the plain
-# bracket group, and both bracket/brace groups before the plain address.
 _P_SUBDOMAIN_GROUP = re.compile(r"\[([^\[\]]*@[^\[\]]*)\]\s*\.\s*([A-Za-z0-9.-]+)")
 _P_BRACE_GROUP = re.compile(r"\{([^{}@]*)\}\s*@\s*([A-Za-z0-9.-]+)")
 _P_BRACKET_GROUP = re.compile(r"\[([^\[\]@]*)\]\s*@\s*([A-Za-z0-9.-]+)")
 _P_PLAIN = re.compile(r"([A-Za-z0-9._%+-]+)@([A-Za-z0-9-]+(?:\.[A-Za-z0-9-]+)+)")
-
-
-def expand_email_group(text: str) -> list[EmailAddress]:
-    """Expand the four observed e-mail writing patterns into addresses."""
-    results: list[tuple[int, EmailAddress]] = []
-    remaining = text
-
-    def consume(pattern, builder):
-        nonlocal remaining
-        out = []
-        for m in pattern.finditer(remaining):
-            out.extend((m.start(), e) for e in builder(m))
-        remaining = pattern.sub(lambda m: " " * len(m.group(0)), remaining)
-        results.extend(out)
-
-    consume(_P_SUBDOMAIN_GROUP, _expand_subdomain_group)
-    consume(_P_BRACE_GROUP, _expand_plain_group)
-    consume(_P_BRACKET_GROUP, _expand_plain_group)
-    consume(_P_PLAIN, lambda m: [EmailAddress(m.group(1), m.group(2))])
-    results.sort(key=lambda pair: pair[0])
-    return [e for _, e in results]
 
 
 def _expand_plain_group(m) -> list[EmailAddress]:
@@ -248,6 +213,32 @@ def _expand_subdomain_group(m) -> list[EmailAddress]:
         domain = f"{sub.strip()}.{suffix}" if sub.strip() else suffix
         out.append(EmailAddress(user.strip(), domain))
     return out
+
+
+# The e-mail forms as (pattern, expander), in claim order: group-with-
+# subdomains before the plain bracket group, and both bracket/brace groups
+# before the plain address.
+_EMAIL_FORMS = (
+    (_P_SUBDOMAIN_GROUP, _expand_subdomain_group),
+    (_P_BRACE_GROUP, _expand_plain_group),
+    (_P_BRACKET_GROUP, _expand_plain_group),
+    (_P_PLAIN, lambda m: [EmailAddress(m.group(1), m.group(2))]),
+)
+
+
+def expand_email_group(text: str) -> list[EmailAddress]:
+    """Expand the four observed e-mail writing patterns into addresses.
+
+    The forms claim text in ``_EMAIL_FORMS`` order: each form's matches are
+    blanked before the next form scans.  Addresses come in text order.
+    """
+    found: list[tuple[int, EmailAddress]] = []
+    for pattern, expand in _EMAIL_FORMS:
+        found.extend((m.start(), e) for m in pattern.finditer(text)
+                     for e in expand(m))
+        text = pattern.sub(lambda m: " " * len(m.group(0)), text)
+    found.sort(key=lambda pair: pair[0])
+    return [e for _, e in found]
 
 
 def extract_emails(ctx: DocumentContext) -> list[EmailAddress]:
@@ -336,8 +327,5 @@ def map_authors_to_emails(names: list[AuthorName],
         clean(_initials(name)) + clean(name.last)})
 
     # Rule 3: leftovers paired by order of occurrence.
-    leftover_emails = [j for j in range(len(emails)) if j not in taken]
-    leftover_names = [k for k in range(len(names)) if given[k] is None]
-    for k, j in zip(leftover_names, leftover_emails):
-        given[k] = emails[j]
+    assign(lambda name, user: True)
     return [AuthorRecord(name, email) for name, email in zip(names, given)]

@@ -174,8 +174,7 @@ class _Writer:
         self.pages[self.page_index].append(_line(
             words, self._col_x() + indent, self.y, self.page_index + 1))
 
-    def flow(self, words: list[_Word], indent_continuation: float = 0.0,
-             no_digit_line_start: bool = False):
+    def flow(self, words: list[_Word], indent_continuation: float = 0.0):
         """Wrap words into lines within the current column."""
         limit = self._col_width()
         line: list[_Word] = []
@@ -185,19 +184,10 @@ class _Writer:
             w_width = _width(w)
             indent = 0.0 if first else indent_continuation
             if line and used + w_width > limit - indent:
-                if no_digit_line_start and w.text[0].isdigit() and len(line) > 1:
-                    # keep the previous word with the number so a wrapped
-                    # line never begins with a digit (reference splitting)
-                    carry = line.pop()
-                    self._emit_line(line, indent)
-                    first = False
-                    line = [carry]
-                    used = _width(carry) + carry.gap_after
-                else:
-                    self._emit_line(line, indent)
-                    first = False
-                    line = []
-                    used = 0.0
+                self._emit_line(line, indent)
+                first = False
+                line = []
+                used = 0.0
             line.append(w)
             used += w_width + w.gap_after
         if line:
@@ -344,11 +334,9 @@ def generate_synthetic_document(style: str, seed: int,
         for _ in range(n_paras):
             words = _sentence(rng, rng.randint(35, 55))
             insertions: list[tuple[int, list[str]]] = []
-            slots = list(range(2, max(3, len(words) - 8)))
+            slots = list(range(2, len(words) - 8))
             rng.shuffle(slots)
             for _ in range(rng.randint(0, 2)):
-                if not slots:
-                    break
                 style_id = rng.choice(cite_styles)
                 ref_i, surname, year, _entry = rng.choice(ref_entries)
                 ref2 = rng.choice([r for r in ref_entries if r[0] != ref_i])
@@ -364,7 +352,7 @@ def generate_synthetic_document(style: str, seed: int,
                 for o in ordinals:
                     gt.cite_ref.append((match, str(o)))
                 insertions.append((slots.pop(), rendered_cite.split()))
-            if rng.random() < 0.25 and slots:
+            if rng.random() < 0.25:
                 host = rng.choice(URL_HOSTS)
                 if name == "Datasets":
                     path = rng.choice(DATASET_URL_PATHS)
@@ -421,13 +409,12 @@ def generate_synthetic_document(style: str, seed: int,
     for i, _surname, _year, entry in ref_entries:
         if indexed:
             text = f"[{i}] {entry}"
-            writer.flow(_words(text.split()), no_digit_line_start=True)
+            writer.flow(_words(text.split()))
         elif hanging:
-            writer.flow(_words(entry.split()), indent_continuation=12.0,
-                        no_digit_line_start=True)
+            writer.flow(_words(entry.split()), indent_continuation=12.0)
         else:
             text = f"{i}. {entry}"
-            writer.flow(_words(text.split()), no_digit_line_start=True)
+            writer.flow(_words(text.split()))
 
     doc = writer.build(source_id)
     return document_to_xml(doc), gt

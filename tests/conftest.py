@@ -859,6 +859,130 @@ def reference_gold_field_strings(gt) -> dict[str, str]:
     return fields
 
 
+# --- author runs and e-mails ------------------------------------------------
+
+def reference_split_runs(tokens):
+    """Oracle for ``metadata._split_runs``: the splitter as it was written
+    with one pass for row changes, wide gaps and trailing commas, and a
+    second over every group for separator tokens."""
+    if not tokens:
+        return []
+    gaps = []
+    for a, b in zip(tokens, tokens[1:]):
+        if abs(a.baseline_y - b.baseline_y) < 1.0:
+            gaps.append(b.x - (a.x + a.width))
+    positive = sorted(g for g in gaps if g > 0)
+    word_gap = positive[len(positive) // 4] if positive else 0.0
+    runs = [[tokens[0]]]
+    for a, b in zip(tokens, tokens[1:]):
+        new_row = abs(a.baseline_y - b.baseline_y) >= 1.0
+        wide = word_gap > 0 and (b.x - (a.x + a.width)) > 2 * word_gap
+        if new_row or wide or a.text.endswith(","):
+            runs.append([b])
+        else:
+            runs[-1].append(b)
+    split_runs = []
+    for run in runs:
+        current = []
+        for tok in run:
+            if tok.text.strip(",").lower() in {"and", "&", ""}:
+                if current:
+                    split_runs.append(current)
+                current = []
+            else:
+                current.append(tok)
+        if current:
+            split_runs.append(current)
+    return split_runs
+
+
+_REFERENCE_SUBDOMAIN_GROUP = re.compile(
+    r"\[([^\[\]]*@[^\[\]]*)\]\s*\.\s*([A-Za-z0-9.-]+)")
+_REFERENCE_BRACE_GROUP = re.compile(r"\{([^{}@]*)\}\s*@\s*([A-Za-z0-9.-]+)")
+_REFERENCE_BRACKET_GROUP = re.compile(r"\[([^\[\]@]*)\]\s*@\s*([A-Za-z0-9.-]+)")
+_REFERENCE_PLAIN = re.compile(
+    r"([A-Za-z0-9._%+-]+)@([A-Za-z0-9-]+(?:\.[A-Za-z0-9-]+)+)")
+
+
+def _reference_plain_group(m):
+    domain = m.group(2).strip(".")
+    return [(user.strip(), domain) for user in m.group(1).split(",")
+            if user.strip()]
+
+
+def _reference_subdomain_group(m):
+    suffix = m.group(2).strip(".")
+    out = []
+    for entry in m.group(1).split(","):
+        entry = entry.strip()
+        if "@" not in entry:
+            continue
+        user, sub = entry.split("@", 1)
+        domain = f"{sub.strip()}.{suffix}" if sub.strip() else suffix
+        out.append((user.strip(), domain))
+    return out
+
+
+def reference_expand_email_group(text: str):
+    """Oracle for ``metadata.expand_email_group``, as (user, domain) pairs:
+    the expander as it was written with a closure that blanked each form's
+    matches through ``nonlocal`` state."""
+    results = []
+    remaining = text
+
+    def consume(pattern, builder):
+        nonlocal remaining
+        out = []
+        for m in pattern.finditer(remaining):
+            out.extend((m.start(), e) for e in builder(m))
+        remaining = pattern.sub(lambda m: " " * len(m.group(0)), remaining)
+        results.extend(out)
+
+    consume(_REFERENCE_SUBDOMAIN_GROUP, _reference_subdomain_group)
+    consume(_REFERENCE_BRACE_GROUP, _reference_plain_group)
+    consume(_REFERENCE_BRACKET_GROUP, _reference_plain_group)
+    consume(_REFERENCE_PLAIN, lambda m: [(m.group(1), m.group(2))])
+    results.sort(key=lambda pair: pair[0])
+    return [e for _, e in results]
+
+
+def reference_map_authors_to_emails(names, emails):
+    """Oracle for ``metadata.map_authors_to_emails``, as (name, e-mail)
+    pairs: the mapper as it was written with its own loop pairing the
+    leftover names and e-mails in order."""
+    given = [None] * len(names)
+    taken = set()
+
+    def clean(s):
+        return re.sub(r"[^a-z]", "", s.lower())
+
+    def initials(name):
+        parts = [name.first] + name.middle.split()
+        return "".join(p[0] for p in parts if p)
+
+    def assign(matches):
+        for k, name in enumerate(names):
+            if given[k] is not None:
+                continue
+            for j, email in enumerate(emails):
+                if j not in taken and matches(name, clean(email.user)):
+                    given[k] = email
+                    taken.add(j)
+                    break
+
+    assign(lambda name, user: any(
+        (len(part) >= 4 and part in user) or (len(user) >= 4 and user in part)
+        for part in (clean(name.first), clean(name.last))))
+    assign(lambda name, user: user in {
+        clean(name.first)[:1] + clean(name.last),
+        clean(initials(name)) + clean(name.last)})
+    leftover_emails = [j for j in range(len(emails)) if j not in taken]
+    leftover_names = [k for k in range(len(names)) if given[k] is None]
+    for k, j in zip(leftover_names, leftover_emails):
+        given[k] = emails[j]
+    return list(zip(names, given))
+
+
 # --- URLs --------------------------------------------------------------------
 
 _REFERENCE_URL_PATTERN = re.compile(

@@ -3,7 +3,10 @@
 import math
 
 import pytest
-from conftest import one_line
+from conftest import (one_line, reference_expand_email_group,
+                      reference_map_authors_to_emails, reference_split_runs)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scholarparse.context import build_context
 from scholarparse.metadata import (Affiliation, AuthorName, EmailAddress,
@@ -20,7 +23,26 @@ def tok(text, x, baseline=100.0, size=11.0, bold=True, sup=False, page_no=1):
                  bold=bold, sup_flag=sup)
 
 
+# The generator's four e-mail forms, over one to three users.
+GENERATOR_EMAILS = st.lists(st.sampled_from(["alice", "bob", "chen"]),
+                            min_size=1, max_size=3).flatmap(
+    lambda users: st.sampled_from([
+        " ".join(f"{u}@cse.example.org" for u in users),
+        "{" + ", ".join(users) + "}@cse.example.org",
+        "[" + ", ".join(users) + "]@cse.example.org",
+        "[" + ", ".join(f"{u}@{('cse', 'ee')[i % 2]}"
+                        for i, u in enumerate(users)) + "].example.org"]))
+EMAIL_TEXTS = st.lists(st.one_of(st.text("ab.@[]{},- xe", max_size=24),
+                                 GENERATOR_EMAILS), max_size=4).map(" ".join)
+
+
 class TestEmailPatterns:
+    @settings(max_examples=500)
+    @given(EMAIL_TEXTS)
+    def test_same_addresses_as_the_closure_expander(self, text):
+        assert (expand_email_group(text)
+                == reference_expand_email_group(text))
+
     def test_plain_address(self):
         out = expand_email_group("contact alice@cse.iitk.ac.in for data")
         assert [e.address for e in out] == ["alice@cse.iitk.ac.in"]
@@ -45,6 +67,11 @@ class TestEmailPatterns:
         assert out == [EmailAddress("alice", "b@cse.example.org"),
                        EmailAddress("bob", "ee.example.org")]
 
+    def test_dotted_subdomain_entry_is_not_read_again_as_an_address(self):
+        out = expand_email_group("[alice@cs.iit, bob@ee].example.org")
+        assert [e.address for e in out] == [
+            "alice@cs.iit.example.org", "bob@ee.example.org"]
+
     def test_group_spans_consumed_before_plain_scan(self):
         out = expand_email_group("{a, b}@x.org and carol@y.org")
         assert [e.address for e in out] == ["a@x.org", "b@x.org", "carol@y.org"]
@@ -61,7 +88,28 @@ class TestEmailPatterns:
             "a@x.org"]
 
 
+@st.composite
+def token_runs(draw):
+    """Tokens on rows that jump by 0 to 13 pt, with gaps of -3 to 30 pt."""
+    tokens, x, y = [], 0.0, 100.0
+    for _ in range(draw(st.integers(0, 10))):
+        text = draw(st.sampled_from(["Alice", "Smith", "Bob,", "Jones", "and",
+                                     "AND", "&", ",", "J."]))
+        y += draw(st.sampled_from([0.0, 0.5, 0.99, 1.0, 1.01, 13.0]))
+        width = draw(st.floats(0.0, 40.0))
+        tokens.append(Token(text, 1, x, y, width, 10.0, 10.0))
+        x += width + draw(st.floats(-3.0, 30.0))
+    return tokens
+
+
 class TestRunSplitting:
+    @settings(max_examples=500)
+    @given(token_runs())
+    def test_same_groups_as_the_two_pass_splitter(self, tokens):
+        def ids(runs):
+            return [[id(t) for t in run] for run in runs]
+        assert ids(_split_runs(tokens)) == ids(reference_split_runs(tokens))
+
     def test_wide_gap_splits_authors(self):
         # two authors separated by a 30pt gap; word gaps are 5pt
         toks = [tok("Alice", 0.0), tok("Smith", 30.0),
@@ -147,7 +195,21 @@ def name(first, last, middle=""):
     return AuthorName(first=first, middle=middle, last=last)
 
 
+NAMES = st.builds(AuthorName, st.sampled_from(["Alice", "Bo", "Chen", "Xq"]),
+                  st.sampled_from(["", "May", "J K"]),
+                  st.sampled_from(["Smith", "Li", "Okafor"]))
+EMAILS = st.builds(EmailAddress, st.sampled_from(
+    ["alice", "asmith", "amsmith", "ajksmith", "bli", "li", "chen.li", "okafor",
+     "q1", "xy"]), st.just("cse.example.org"))
+
+
 class TestAuthorEmailMapping:
+    @settings(max_examples=500)
+    @given(st.lists(NAMES, max_size=5), st.lists(EMAILS, max_size=5))
+    def test_same_pairs_as_the_leftover_loop(self, names, emails):
+        assert ([(r.name, r.email) for r in map_authors_to_emails(names, emails)]
+                == reference_map_authors_to_emails(names, emails))
+
     def test_substring_rule(self):
         records = map_authors_to_emails(
             [name("Mayank", "Singh"), name("Pawan", "Goyal")],

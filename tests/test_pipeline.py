@@ -237,6 +237,21 @@ class TestExtraction:
         assert export_tei(extract_document(doc, models)) == export_tei(
             extract_document(parse_rich_xml(xml)[0], models))
 
+    @pytest.mark.parametrize("style", STYLES)
+    def test_title_fallback_takes_the_largest_font_chunk(self, models,
+                                                        monkeypatch, style):
+        xml, gt = generate_synthetic_document(style, 901, source_id=style)
+        doc, _ = parse_rich_xml(xml, source_id=style)
+        labeled = extract_document(doc, models)
+        monkeypatch.setattr(pipeline, "extract_title", lambda ctx, model: [])
+        res = extract_document(doc, models)
+        first_page = build_context(doc).first_page_chunks
+        largest = max(first_page, key=lambda c: sum(
+            t.font_size for t in c.tokens) / len(c.tokens))
+        assert res.title == " ".join(t.text for t in largest.tokens)
+        assert res.title == gt.title
+        assert res.authors and res.authors == labeled.authors
+
     def test_empty_document(self, models):
         from scholarparse.model import Document
         res = extract_document(Document(source_id="empty"), models)

@@ -76,6 +76,18 @@ class TestExport:
         else:
             raise AssertionError("section div not found")
 
+    def test_citation_of_no_exported_section_gets_a_div_of_its_own(self):
+        result = sample_result()
+        orphan = result.citations[0]
+        orphan = orphan._replace(citation=orphan.citation._replace(
+            section_heading="9 Gone"))
+        root = ET.fromstring(export_tei(result._replace(citations=[orphan])))
+        divs = root.findall(".//tei:body/tei:div", NS)
+        assert [d.find("tei:head", NS) is not None for d in divs] == [
+            False, True, False]
+        assert [len(d.findall("tei:ref", NS)) for d in divs] == [0, 0, 1]
+        assert [r.text for r in root.iter(f"{{{NS['tei']}}}ref")] == ["[1]"]
+
     def test_footnote_and_caption_rendered(self):
         root = ET.fromstring(export_tei(sample_result()))
         note = root.find(".//tei:note[@place='foot']", NS)
