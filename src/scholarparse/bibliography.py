@@ -15,13 +15,13 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
-from .features import heading_key
+from .features import NAME_CAPITALS, NAME_LETTERS, heading_key
 from .structure import Section
 
 # An author name, and the leading author of an author-led style: a name
 # with no word character before it (see the module docstring).
-_AN = r"[A-Z][a-zA-Z]*"
-_LEAD = r"[A-Z](?<!\w[A-Z])[a-zA-Z]*"
+_AN = rf"[{NAME_CAPITALS}][{NAME_LETTERS}]*"
+_LEAD = rf"[{NAME_CAPITALS}](?<!\w[{NAME_CAPITALS}])[{NAME_LETTERS}]*"
 
 # (style_id, literal, pattern) in application order.  Every match of a
 # style contains its literal, so a text without the literal is not scanned
@@ -194,15 +194,13 @@ def extract_citations(body_text: str) -> list[CitationInstance]:
 
 def _instance(style_id: int, m) -> CitationInstance:
     text = m.group(0)
-    authors = tuple(w for w in re.findall(r"[A-Z][a-zA-Z]*", text)
+    authors = tuple(w for w in re.findall(_AN, text)
                     if w.lower() not in _NOT_AUTHOR_WORDS)
     year = None
     suffix = ""
     indices: tuple[int, ...] = ()
-    if style_id == 16:
+    if style_id in INDEXED_STYLES:
         indices = tuple(int(n) for n in re.findall(r"\d{1,3}", m.group(1)))
-    elif style_id in INDEXED_STYLES:
-        indices = (int(m.group(1)),)
     else:
         year = int(m.group(1))
         if m.lastindex and m.lastindex >= 2 and m.group(2):

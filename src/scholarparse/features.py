@@ -29,6 +29,11 @@ ALPHA_ENUM = re.compile(r"^[A-Z]\.(\d+)?$")
 # Unlike ALPHA_ENUM it does not accept "A.1".
 ENUM_PREFIX = re.compile(r"\d+(\.\d+)*\.?|[IVXLCDM]+\.?|[A-Z]\.")
 
+# Regex class bodies for a person's name: the capital it starts with, and
+# the letters it may hold.
+NAME_CAPITALS = "A-Z"
+NAME_LETTERS = "A-Za-z"
+
 # Footnote and affiliation markers: superscript digits, then symbols.
 MARKER_GLYPHS = "¹²³⁴⁵⁶⁷⁸⁹⁰*†‡§"
 SUPERSCRIPT_TO_ASCII = str.maketrans(MARKER_GLYPHS[:10], "1234567890")

@@ -10,8 +10,8 @@ from typing import NamedTuple
 
 from .context import DocumentContext
 from .crfmodel import CrfModel, viterbi_decode
-from .features import (LABELING_TASKS, SUPERSCRIPT_TO_ASCII, is_marker,
-                       token_features)
+from .features import (LABELING_TASKS, NAME_CAPITALS, NAME_LETTERS,
+                       SUPERSCRIPT_TO_ASCII, is_marker, token_features)
 from .model import Token
 
 OTHER_LABEL, TITLE_LABEL = LABELING_TASKS["title"].labels
@@ -29,7 +29,7 @@ a an and are at by for from in is of on or the to with university institute
 department college research laboratories corporation email abstract
 """.split())
 
-NAME_TOKEN = re.compile(r"^[A-Z][A-Za-z'\-]*$")
+NAME_TOKEN = re.compile(rf"^[{NAME_CAPITALS}][{NAME_LETTERS}'\-]*$")
 
 
 class AuthorName(NamedTuple):

@@ -133,32 +133,23 @@ def _line(words: list[_Word], x: float, base: float, page_no: int) -> Line:
 
 
 class _Writer:
-    """Greedy line-filling layout over single or double column pages."""
+    """Greedy line-filling layout over single or double column pages; each
+    page keeps its footnotes beside its lines."""
 
     def __init__(self, two_col: bool):
         self.two_col = two_col
+        self.width = COL_W if two_col else PAGE_W - 2 * MARGIN
         self.pages: list[list[Line]] = [[]]
+        self.notes: list[list[list[_Word]]] = [[]]
         self.col = 0
         self.y = MARGIN
-        self.footnotes: dict[int, list[list[_Word]]] = {}
-
-    @property
-    def page_index(self) -> int:
-        return len(self.pages) - 1
-
-    def _col_x(self) -> float:
-        if not self.two_col:
-            return MARGIN
-        return MARGIN if self.col == 0 else MARGIN + COL_W + COL_GAP
-
-    def _col_width(self) -> float:
-        return COL_W if self.two_col else PAGE_W - 2 * MARGIN
 
     def _advance_region(self):
         if self.two_col and self.col == 0:
             self.col = 1
         else:
             self.pages.append([])
+            self.notes.append([])
             self.col = 0
         self.y = MARGIN
 
@@ -171,41 +162,33 @@ class _Writer:
         if self.y + LEAD > BOTTOM:
             self._advance_region()
         self.y += LEAD
-        self.pages[self.page_index].append(_line(
-            words, self._col_x() + indent, self.y, self.page_index + 1))
+        x = MARGIN + self.col * (COL_W + COL_GAP)
+        self.pages[-1].append(_line(words, x + indent, self.y,
+                                    len(self.pages)))
 
     def flow(self, words: list[_Word], indent_continuation: float = 0.0):
-        """Wrap words into lines within the current column."""
-        limit = self._col_width()
+        """Wrap words into lines within the current column; every line but
+        the first starts indent_continuation right of the margin."""
         line: list[_Word] = []
-        used = 0.0
-        first = True
+        used = indent = 0.0
         for w in words:
-            w_width = _width(w)
-            indent = 0.0 if first else indent_continuation
-            if line and used + w_width > limit - indent:
+            if line and used + _width(w) > self.width - indent:
                 self._emit_line(line, indent)
-                first = False
-                line = []
-                used = 0.0
+                line, used, indent = [], 0.0, indent_continuation
             line.append(w)
-            used += w_width + w.gap_after
+            used += _width(w) + w.gap_after
         if line:
-            self._emit_line(line, 0.0 if first else indent_continuation)
-
-    def add_footnote(self, words: list[_Word]):
-        self.footnotes.setdefault(self.page_index, []).append(words)
+            self._emit_line(line, indent)
 
     def build(self, source_id: str) -> Document:
         pages = []
-        for i, lines in enumerate(self.pages):
-            lines = list(lines)
-            for k, fn_words in enumerate(self.footnotes.get(i, [])):
-                # wide spacing keeps consecutive notes in separate chunks
-                lines.append(_line(fn_words, MARGIN,
-                                   PAGE_H - 64.0 + 24.0 * k, i + 1))
+        for number, (lines, notes) in enumerate(zip(self.pages, self.notes),
+                                                1):
+            # wide spacing keeps consecutive notes in separate chunks
+            lines = lines + [_line(words, MARGIN, PAGE_H - 64.0 + 24.0 * k,
+                                   number) for k, words in enumerate(notes)]
             lines.sort(key=lambda l: l.baseline_y)
-            pages.append(Page(number=i + 1, width=PAGE_W, height=PAGE_H,
+            pages.append(Page(number=number, width=PAGE_W, height=PAGE_H,
                               lines=tuple(lines)))
         return Document(source_id=source_id, pages=tuple(pages))
 
@@ -218,75 +201,69 @@ def _sentence(rng: random.Random, n: int) -> list[str]:
     return [rng.choice(BODY_WORDS) for _ in range(n)]
 
 
-def _render_citation(style_id: int, surname: str, surname2: str, year: int,
-                     index: int):
-    """(rendered text, expected extractor match) for one citation style row."""
-    text = CITATION_FORMATS[style_id].format(
-        surname=surname, surname2=surname2, year=year, index=index)
-    return text, text[1:-1] if style_id == 13 else text
-
-
 def generate_synthetic_document(style: str, seed: int,
                                 source_id: str = "") -> tuple[bytes, GroundTruth]:
     """One rich-XML article and its exact ground truth, deterministic in seed."""
     if style not in STYLES:
         raise ValueError(f"unknown style {style!r}")
     rng = random.Random((STYLES.index(style) + 1) * 1_000_003 + seed)
-    two_col = style.startswith("two-col")
     indexed = style in ("single-col-numbered", "two-col-indexed")
     gt = GroundTruth()
-    writer = _Writer(two_col=two_col)
-    if not source_id:
-        source_id = f"{style}-{seed}"
+    writer = _Writer(two_col=style.startswith("two-col"))
+
+    def heading(text: str):
+        writer.vspace(14)
+        writer.flow(_words(text.split(), font=12.0, bold=True))
+        gt.section_headings.append(text)
+        writer.vspace(2)
+
+    def url(paths: list[str]) -> str:
+        text = (f"http://{rng.choice(URL_HOSTS)}/{rng.choice(paths)}"
+                f"{len(gt.urls)}")
+        gt.urls.append(text)
+        return text
 
     # --- references (prepared first so citations can point at them) ---
-    n_refs = rng.randint(5, 9)
-    surnames = rng.sample(REF_SURNAMES, n_refs)
     ref_entries = []
-    for i, surname in enumerate(surnames):
+    for i, surname in enumerate(
+            rng.sample(REF_SURNAMES, rng.randint(5, 9)), 1):
         year = rng.randint(1995, 2020)
         first = rng.choice(FIRST_NAMES)
         title_words = " ".join(_sentence(rng, rng.randint(4, 7)))
-        ref_entries.append((i + 1, surname, year,
+        ref_entries.append((i, surname, year,
                             f"{surname}, {first}. {year}. {title_words}."))
     gt.references = [entry for _, _, _, entry in ref_entries]
 
     # --- title ---
-    title = " ".join(rng.sample(TITLE_WORDS, rng.randint(4, 7)))
-    gt.title = title
-    writer.flow(_words(title.split(), font=17.0, bold=True))
+    gt.title = " ".join(rng.sample(TITLE_WORDS, rng.randint(4, 7)))
+    writer.flow(_words(gt.title.split(), font=17.0, bold=True))
 
     # --- authors ---
     n_authors = rng.randint(2, 4)
     firsts = rng.sample(FIRST_NAMES, n_authors)
     lasts = rng.sample(LAST_NAMES, n_authors)
-    authors = []
     for first, last in zip(firsts, lasts):
         middle = rng.choice(FIRST_NAMES) if rng.random() < 0.25 else ""
         while middle in (first, last) or middle in firsts:
             middle = rng.choice(FIRST_NAMES)
-        authors.append((first, middle, last))
-    gt.authors = list(authors)
+        gt.authors.append((first, middle, last))
+    names = [[part for part in author if part] for author in gt.authors]
     writer.vspace(4)
     author_words: list[_Word] = []
-    for first, middle, last in authors:
-        parts = [first] + ([middle] if middle else []) + [last]
-        for j, part in enumerate(parts):
-            gap = SPACE_W if j < len(parts) - 1 else 30.0
-            author_words.append(_Word(text=part, font=11.0, bold=True,
-                                      gap_after=gap))
+    for parts in names:
+        author_words += _words(parts, font=11.0, bold=True)
+        author_words[-1].gap_after = 30.0
     writer.flow(author_words)
 
     # --- affiliation ---
-    dept, inst = rng.choice(AFFILIATION_TEMPLATES)
+    gt.affiliations = list(rng.choice(AFFILIATION_TEMPLATES))
     writer.vspace(4)
-    writer.flow(_words(dept.split(), font=10.0, italic=True))
-    writer.flow(_words(inst.split(), font=10.0, italic=True))
-    gt.affiliations = [dept, inst]
+    for text in gt.affiliations:
+        writer.flow(_words(text.split(), font=10.0, italic=True))
 
     # --- e-mails (one of the four group patterns) ---
     pattern = rng.randint(1, 4)
-    users = [f.lower() for f, _, _ in authors]
+    users = [parts[0].lower() for parts in names]
     domain = "cse.example.org"
     if pattern < 4:
         gt.emails = [f"{u}@{domain}" for u in users]
@@ -300,38 +277,26 @@ def generate_synthetic_document(style: str, seed: int,
         rendered = ("[" + ", ".join(f"{u}@{s}" for u, s in zip(users, subs))
                     + "].example.org")
         gt.emails = [f"{u}@{s}.example.org" for u, s in zip(users, subs)]
-    for (first, middle, last), email in zip(authors, gt.emails):
-        full = " ".join(p for p in (first, middle, last) if p)
-        gt.author_email.append((full, email))
+    gt.author_email = [(" ".join(parts), email)
+                       for parts, email in zip(names, gt.emails)]
     writer.vspace(4)
     writer.flow(_words(rendered.split(), font=8.0))
 
     # --- abstract ---
-    writer.vspace(14)
-    writer.flow(_words(["Abstract"], font=12.0, bold=True))
-    gt.section_headings.append("Abstract")
-    writer.vspace(2)
+    heading("Abstract")
     writer.flow(_words(_sentence(rng, rng.randint(30, 45))))
 
     # --- sections with citations, URLs, captions, footnotes ---
-    n_sections = rng.randint(4, 7)
     datasets = SECTION_POOL.index(("Datasets", "Datasets"))
-    chosen = sorted(rng.sample(range(len(SECTION_POOL)), n_sections))
+    chosen = sorted(rng.sample(range(len(SECTION_POOL)), rng.randint(4, 7)))
     if rng.random() < 0.8 and datasets not in chosen:
         chosen = sorted(set(chosen) | {datasets})
-    sections = [SECTION_POOL[i] for i in chosen]
 
     cite_styles = INDEXED_CITE_STYLES if indexed else AUTHOR_YEAR_CITE_STYLES
-    fig_no, tab_no = 1, 1
-    url_no = 0
-    for s_i, (name, _generic) in enumerate(sections):
-        heading = f"{s_i + 1} {name}" if indexed else name
-        writer.vspace(14)
-        writer.flow(_words(heading.split(), font=12.0, bold=True))
-        gt.section_headings.append(heading)
-        writer.vspace(2)
-        n_paras = rng.randint(2, 4)
-        for _ in range(n_paras):
+    for s_i, pool_i in enumerate(chosen):
+        name = SECTION_POOL[pool_i][0]
+        heading(f"{s_i + 1} {name}" if indexed else name)
+        for _ in range(rng.randint(2, 4)):
             words = _sentence(rng, rng.randint(35, 55))
             insertions: list[tuple[int, list[str]]] = []
             slots = list(range(2, len(words) - 8))
@@ -340,28 +305,21 @@ def generate_synthetic_document(style: str, seed: int,
                 style_id = rng.choice(cite_styles)
                 ref_i, surname, year, _entry = rng.choice(ref_entries)
                 ref2 = rng.choice([r for r in ref_entries if r[0] != ref_i])
-                rendered_cite, match = _render_citation(
-                    style_id, surname, ref2[1], year, ref_i)
+                cite = CITATION_FORMATS[style_id].format(
+                    surname=surname, surname2=ref2[1], year=year, index=ref_i)
                 ordinals = [ref_i]
                 if style_id == 16 and rng.random() < 0.5:
-                    ref_j = ref2[0]
-                    rendered_cite = f"[{ref_i}, {ref_j}]"
-                    match = rendered_cite
-                    ordinals = [ref_i, ref_j]
+                    ordinals = [ref_i, ref2[0]]
+                    cite = f"[{ref_i}, {ref2[0]}]"
+                match = cite[1:-1] if style_id == 13 else cite
                 gt.citations.append(match)
-                for o in ordinals:
-                    gt.cite_ref.append((match, str(o)))
-                insertions.append((slots.pop(), rendered_cite.split()))
+                gt.cite_ref += [(match, str(o)) for o in ordinals]
+                insertions.append((slots.pop(), cite.split()))
             if rng.random() < 0.25:
-                host = rng.choice(URL_HOSTS)
-                if name == "Datasets":
-                    path = rng.choice(DATASET_URL_PATHS)
-                else:
-                    path = rng.choice(PLAIN_URL_PATHS)
-                url = f"http://{host}/{path}{url_no}"
-                url_no += 1
-                gt.urls.append(url)
-                insertions.append((slots.pop(), ["see", url, "for", "details"]))
+                paths = (DATASET_URL_PATHS if name == "Datasets"
+                         else PLAIN_URL_PATHS)
+                insertions.append((slots.pop(),
+                                   ["see", url(paths), "for", "details"]))
             for pos, extra in sorted(insertions, reverse=True):
                 words[pos:pos] = extra
             writer.flow(_words(words))
@@ -369,52 +327,32 @@ def generate_synthetic_document(style: str, seed: int,
         if rng.random() < 0.4:
             writer.vspace(13)
             caption = " ".join(_sentence(rng, rng.randint(5, 8)))
-            if rng.random() < 0.5:
-                text = f"Figure {fig_no}: {caption}."
-                gt.figure_headings.append(text)
-                writer.flow(_words(text.split(), font=9.0, bold=True))
-                fig_no += 1
-            else:
-                cap = f"Table {tab_no}: {caption}."
-                cells = _sentence(rng, 4)
-                gt.table_headings.append(cap)
-                row = _words(cap.split(), font=9.0, bold=True)
-                row += _words(cells, font=9.0)
-                writer.flow(row)
-                tab_no += 1
+            kind, heads = (("Figure", gt.figure_headings)
+                           if rng.random() < 0.5
+                           else ("Table", gt.table_headings))
+            heads.append(f"{kind} {len(heads) + 1}: {caption}.")
+            row = _words(heads[-1].split(), font=9.0, bold=True)
+            if kind == "Table":
+                row += _words(_sentence(rng, 4), font=9.0)
+            writer.flow(row)
             writer.vspace(13)
-        near_datasets = name == "Datasets" or (
-            s_i + 1 < len(sections) and sections[s_i + 1][0] == "Datasets")
-        if rng.random() < 0.3 and not near_datasets:
-            marker = str(len(gt.footnotes) + 1)
+        # no footnote in or just before the Datasets section
+        if rng.random() < 0.3 and datasets not in chosen[s_i:s_i + 2]:
             note_words = _sentence(rng, rng.randint(5, 8))
             if rng.random() < 0.6:
-                url = f"http://{rng.choice(URL_HOSTS)}/{rng.choice(PLAIN_URL_PATHS)}{url_no}"
-                url_no += 1
-                gt.urls.append(url)
-                note_words.append(url)
+                note_words.append(url(PLAIN_URL_PATHS))
             gt.footnotes.append(" ".join(note_words))
-            fn = [_Word(text=marker, font=6.0, raised=True, gap_after=2.0)]
-            fn += _words(note_words, font=8.0)
-            writer.add_footnote(fn)
+            writer.notes[-1].append(
+                [_Word(text=str(len(gt.footnotes)), font=6.0, raised=True,
+                       gap_after=2.0)] + _words(note_words, font=8.0))
 
     # --- reference section ---
-    ref_heading = (f"{len(sections) + 1} References"
-                   if indexed else "References")
-    writer.vspace(14)
-    writer.flow(_words(ref_heading.split(), font=12.0, bold=True))
-    gt.section_headings.append(ref_heading)
-    writer.vspace(2)
+    heading(f"{len(chosen) + 1} References" if indexed else "References")
     hanging = style == "single-col-unnumbered"
     for i, _surname, _year, entry in ref_entries:
-        if indexed:
-            text = f"[{i}] {entry}"
-            writer.flow(_words(text.split()))
-        elif hanging:
-            writer.flow(_words(entry.split()), indent_continuation=12.0)
-        else:
-            text = f"{i}. {entry}"
-            writer.flow(_words(text.split()))
+        lead = f"[{i}] " if indexed else "" if hanging else f"{i}. "
+        writer.flow(_words((lead + entry).split()),
+                    indent_continuation=12.0 if hanging else 0.0)
 
-    doc = writer.build(source_id)
+    doc = writer.build(source_id or f"{style}-{seed}")
     return document_to_xml(doc), gt

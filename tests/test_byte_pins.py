@@ -22,7 +22,8 @@ from scholarparse.crfmodel import save_model
 from scholarparse.evaluate import TrainingPair, ground_truth_to_text
 from scholarparse.ingest import parse_rich_xml
 from scholarparse.pipeline import extract_document, load_default_models
-from scholarparse.synth import STYLES, generate_synthetic_document
+from scholarparse.synth import (DATASET_URL_PATHS, STYLES,
+                                generate_synthetic_document)
 from scholarparse.tei import export_tei
 from scholarparse.training import (build_author_sequences,
                                    build_footnote_sequences,
@@ -72,6 +73,25 @@ CITATION_MATCH = {
 # The e-mail group pattern of an article, told from its XML tokens:
 # {a, b}@host, [a, b]@host, [a@sub, b@sub].host, else one address per user.
 EMAIL_PATTERN = [(2, b"}@"), (3, b"]@"), (4, b"].example.org")]
+
+# The generator's other branches, each told from an article's XML and ground
+# truth.  A two-column style starts its second column at x = 315.
+GENERATOR_BRANCHES = {
+    "figure caption": lambda xml, truth: truth.figure_headings,
+    "table caption": lambda xml, truth: truth.table_headings,
+    "footnote with a URL":
+        lambda xml, truth: any("http://" in n for n in truth.footnotes),
+    "footnote without a URL":
+        lambda xml, truth: any("http://" not in n for n in truth.footnotes),
+    "two-index citation": lambda xml, truth: any(
+        re.fullmatch(r"\[\d+, \d+\]", c) for c in truth.citations),
+    "middle name": lambda xml, truth: any(m for _, m, _ in truth.authors),
+    "dataset-path URL": lambda xml, truth: any(
+        path in url for url in truth.urls for path in DATASET_URL_PATHS),
+    "no Datasets section": lambda xml, truth: not any(
+        h.endswith("Datasets") for h in truth.section_headings),
+    "second-column line": lambda xml, truth: b'<TEXT><TOKEN x="315.0"' in xml,
+}
 
 TEI_SHA256 = {
     "single-col-numbered":
@@ -170,8 +190,8 @@ def test_generator_bytes(generated, style):
     assert digest.hexdigest() == GENERATOR_SHA256[style]
 
 
-def test_pinned_seeds_cover_every_citation_style_and_email_pattern(generated):
-    cite_styles, email_patterns = set(), set()
+def test_pinned_seeds_cover_every_generator_branch(generated):
+    cite_styles, email_patterns, branches = set(), set(), set()
     for articles in generated.values():
         for xml, truth in articles:
             for match in truth.citations:
@@ -181,8 +201,11 @@ def test_pinned_seeds_cover_every_citation_style_and_email_pattern(generated):
                 cite_styles.update(rows)
             email_patterns.add(next((n for n, mark in EMAIL_PATTERN
                                      if mark in xml), 1))
+            branches.update(name for name, seen in GENERATOR_BRANCHES.items()
+                            if seen(xml, truth))
     assert cite_styles == set(range(1, 17))
     assert email_patterns == {1, 2, 3, 4}
+    assert branches == set(GENERATOR_BRANCHES)
 
 
 @pytest.fixture(scope="module")

@@ -28,7 +28,8 @@ from scholarparse.model import Line, Token
 from scholarparse.pipeline import (PipelineModels, extract_document,
                                    load_default_models, load_models_from_dir)
 from scholarparse.structure import SectionHeading, label_headings
-from scholarparse.synth import STYLES, generate_synthetic_document
+from scholarparse.synth import (BOTTOM, LEAD, STYLES,
+                                generate_synthetic_document)
 from scholarparse.tei import TEI_NS, export_tei
 from scholarparse.training import TASKS
 
@@ -389,6 +390,39 @@ class TestReferenceRun:
         assert not any(self.APPENDIX_BODY in ref.raw_text
                        or self.APPENDIX in ref.raw_text
                        for ref in result.references)
+
+
+
+class TestWrappedReference:
+    """The generator never wraps a reference.  A single-col-unnumbered
+    article whose last reference line is cut in two, the second half on
+    the next baseline and 12 pt right of the margin, gives the same
+    references: the splitter's hanging-indent rule joins the halves."""
+
+    @staticmethod
+    def wrapped(doc):
+        last = doc.pages[-1]
+        cut = max((line for line in last.lines if line.baseline_y <= BOTTOM),
+                  key=lambda line: line.baseline_y)
+        half = len(cut.tokens) // 2
+        shift = cut.x + 12.0 - cut.tokens[half].x
+        tail = Line(tuple(t._replace(x=t.x + shift, y=t.y + LEAD)
+                          for t in cut.tokens[half:]), cut.baseline_y + LEAD)
+        lines = [line for line in last.lines if line is not cut]
+        lines += [cut._replace(tokens=cut.tokens[:half]), tail]
+        lines.sort(key=lambda line: line.baseline_y)
+        page = last._replace(lines=tuple(lines))
+        return doc._replace(pages=doc.pages[:-1] + (page,))
+
+    def test_wrapped_last_reference_gives_the_same_references(self, models):
+        for seed in range(9000, 9060):
+            xml, _ = generate_synthetic_document("single-col-unnumbered",
+                                                 seed)
+            doc, _ = parse_rich_xml(xml)
+            references = extract_document(doc, models).references
+            assert references, seed
+            assert extract_document(self.wrapped(doc),
+                                    models).references == references, seed
 
 
 # --- extraction and export over mutated XML ---------------------------------
