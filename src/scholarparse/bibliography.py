@@ -8,6 +8,19 @@ An author-led style starts with a capital that no word character precedes.
 That is ``\b[A-Z]``, but it is written ``[A-Z](?<!\w[A-Z])``: ``re`` can
 jump straight to the capitals of a text only when a pattern starts with a
 character class, and tries every position when it starts with ``\b``.
+
+Fifteen styles are author-led: ``_LEAD``, then a tail that starts with one
+of ``_TAIL_STARTS``.  A text is scanned once for ``_CANDIDATE``, a leading
+name followed by one of those starts, and each author-led style tries
+``pattern.match`` only at the candidates, from its own last match end on.
+That gives the matches ``finditer`` gives, because a style can match only
+where ``_CANDIDATE`` matches, and the one scan passes over a start only
+inside a name it has taken.  While every name letter is a word character
+there is no such start.  Were one not (an apostrophe), a style that matches
+at a start inside a name would also match at the name's first capital,
+which comes first; and no earlier match of the style ends inside a name,
+since each ends at a bracket, a parenthesis, a digit or a letter after a
+digit.  Style 16 starts with a bracket and keeps its own ``finditer``.
 """
 
 from __future__ import annotations
@@ -55,6 +68,17 @@ CITATION_STYLES: list[tuple[int, str, re.Pattern]] = [
 ]
 
 INDEXED_STYLES = {1, 2, 3, 16}
+
+# Where the tail of an author-led style can start.  A style whose tail
+# starts otherwise would never be tried, so each entry of the table above
+# is checked against these by the tests.
+_TAIL_STARTS = (r" et al\.", r" \[", r",? ?\(", r" and ", r" & ", r", \d",
+                r" \d")
+_CANDIDATE = re.compile(rf"{_LEAD}(?={'|'.join(_TAIL_STARTS)})")
+_AUTHOR_LED = frozenset(style_id for style_id, _, pattern in CITATION_STYLES
+                        if pattern.pattern.startswith(_LEAD))
+_AN_PATTERN = re.compile(_AN)
+_INDEX = re.compile(r"\d{1,3}")
 
 _NOT_AUTHOR_WORDS = {"et", "al", "and"}
 
@@ -179,10 +203,18 @@ def extract_citations(body_text: str) -> list[CitationInstance]:
     """All citation instances in a text, non-overlapping, sorted by span."""
     claimed: list[tuple[int, int]] = []
     found: list[CitationInstance] = []
+    candidates = None
     for style_id, literal, pattern in CITATION_STYLES:
         if literal not in body_text:
             continue
-        for m in pattern.finditer(body_text):
+        if style_id in _AUTHOR_LED:
+            if candidates is None:
+                candidates = [m.start()
+                              for m in _CANDIDATE.finditer(body_text)]
+            matches = _matches_at(pattern, body_text, candidates)
+        else:
+            matches = pattern.finditer(body_text)
+        for m in matches:
             span = m.span()
             if any(span[0] < e and s < span[1] for s, e in claimed):
                 continue
@@ -192,15 +224,26 @@ def extract_citations(body_text: str) -> list[CitationInstance]:
     return found
 
 
+def _matches_at(pattern: re.Pattern, text: str, starts):
+    """The leftmost non-overlapping matches of ``pattern`` that start at
+    one of ``starts`` (ascending), as ``finditer`` gives them when every
+    match starts at one of them."""
+    end = 0
+    for start in starts:
+        if start >= end and (m := pattern.match(text, start)):
+            end = m.end()
+            yield m
+
+
 def _instance(style_id: int, m) -> CitationInstance:
     text = m.group(0)
-    authors = tuple(w for w in re.findall(_AN, text)
+    authors = tuple(w for w in _AN_PATTERN.findall(text)
                     if w.lower() not in _NOT_AUTHOR_WORDS)
     year = None
     suffix = ""
     indices: tuple[int, ...] = ()
     if style_id in INDEXED_STYLES:
-        indices = tuple(int(n) for n in re.findall(r"\d{1,3}", m.group(1)))
+        indices = tuple(int(n) for n in _INDEX.findall(m.group(1)))
     else:
         year = int(m.group(1))
         if m.lastindex and m.lastindex >= 2 and m.group(2):
@@ -238,8 +281,8 @@ def _author_year_link(cit: CitationInstance,
     for ref in references:
         if ref.year != cit.year:
             continue
-        m = re.search(str(cit.year), ref.raw_text)
-        prefix = ref.raw_text[: m.start()] if m else ref.raw_text
+        at = ref.raw_text.find(str(cit.year))
+        prefix = ref.raw_text[:at] if at >= 0 else ref.raw_text
         if any(re.search(rf"\b{re.escape(a)}\b", prefix, re.IGNORECASE)
                for a in cit.authors):
             matches.append(ref)

@@ -4,9 +4,10 @@ A new chunk starts when the vertical gap to the previous line exceeds
 ``GAP_FACTOR`` times the column's median inter-line gap, when the relative
 font size changes by more than ``FONT_JUMP``, or when line boldness flips.
 A line's font is its tokens' mean font size and its boldness their
-majority.  Two-column pages are detected from the distribution of line
-x-origins and chunked per column, left column first.  A chunk keeps the
-page's ``Line``s it was cut from, which the reference splitter reads.
+majority, each one pass over a column of the tokens.  Two-column pages are
+detected from the distribution of line x-origins and chunked per column,
+left column first.  A chunk keeps the page's ``Line``s it was cut from,
+which the reference splitter reads.
 
 The thresholds are constants, as every other layout rule is: the bundled
 models were trained on the chunks they give, and a model file does not
@@ -15,6 +16,9 @@ never saw.
 """
 
 from __future__ import annotations
+
+from itertools import repeat
+from operator import attrgetter, itemgetter, sub
 
 from .model import Chunk, Document, Line, Page, make_chunk
 
@@ -28,12 +32,21 @@ GAP_FACTOR = 1.5
 FONT_JUMP = 0.15
 
 
+# Readers of one field, for passes over a line's tokens or a page's lines
+# that ``map`` runs in C.
+_FONT_SIZE, _BOLD, _X, _TOKENS, _BASELINE = map(
+    attrgetter, ("font_size", "bold", "x", "tokens", "baseline_y"))
+_FIRST = itemgetter(0)
+
+
 def _line_font(line: Line) -> float:
-    return sum(t.font_size for t in line.tokens) / len(line.tokens)
+    tokens = line.tokens
+    return sum(map(_FONT_SIZE, tokens)) / len(tokens)
 
 
 def _line_bold(line: Line) -> bool:
-    return sum(1 for t in line.tokens if t.bold) > len(line.tokens) / 2
+    tokens = line.tokens
+    return sum(map(bool, map(_BOLD, tokens))) > len(tokens) / 2
 
 
 def _split_columns(page: Page) -> list[list[Line]]:
@@ -41,16 +54,17 @@ def _split_columns(page: Page) -> list[list[Line]]:
     lines = list(page.lines)
     if len(lines) < 2 * MIN_COLUMN_LINES:
         return [lines]
-    xs = sorted(set(round(l.x, 1) for l in lines))
+    # Each line's x-origin: its first token's x.
+    origins = list(map(_X, map(_FIRST, map(_TOKENS, lines))))
+    xs = sorted(set(map(round, origins, repeat(1))))
     if len(xs) < 2:
         return [lines]
-    gaps = [(xs[i + 1] - xs[i], i) for i in range(len(xs) - 1)]
-    widest, idx = max(gaps)
+    widest, idx = max(zip(map(sub, xs[1:], xs), range(len(xs) - 1)))
     if widest < COLUMN_GAP_FRACTION * page.width:
         return [lines]
     boundary = (xs[idx] + xs[idx + 1]) / 2
-    left = [l for l in lines if l.x < boundary]
-    right = [l for l in lines if l.x >= boundary]
+    left = [l for l, x in zip(lines, origins) if x < boundary]
+    right = [l for l, x in zip(lines, origins) if x >= boundary]
     if len(left) < MIN_COLUMN_LINES or len(right) < MIN_COLUMN_LINES:
         return [lines]
     return [left, right]
@@ -87,8 +101,8 @@ def chunk_page(page: Page) -> list[Chunk]:
     columns = _split_columns(page)
     chunks: list[Chunk] = []
     for column in columns:
-        gaps = [b.baseline_y - a.baseline_y for a, b in zip(column, column[1:])]
-        gaps = sorted(g for g in gaps if g > 0)
+        baselines = list(map(_BASELINE, column))
+        gaps = sorted(g for g in map(sub, baselines[1:], baselines) if g > 0)
         median_gap = gaps[len(gaps) // 2] if gaps else 0.0
         chunks.extend(_chunk_lines(column, median_gap))
     return chunks

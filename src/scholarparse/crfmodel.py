@@ -114,26 +114,40 @@ def viterbi_decode(model: CrfModel, sequence_features) -> list[str]:
     later label replaces the best only when strictly greater and the last
     position takes its first maximum, so on finite weights the path is the
     one ``np.argmax`` (lowest index wins ties) would give.
+
+    Each distinct feature row is summed once and its sums shared by every
+    position that repeats it: an author sequence holds about four times as
+    many positions as distinct rows.  A row is keyed by ``tuple(row)``, so
+    any iterable of hashable features serves, and a tuple is its own key.
+    The transitions into each label are read as one column per call.
     """
     if not sequence_features:
         raise CrfError("empty sequence")
-    T = model.transitions
     weights = model.label_weights
-    labels = range(len(T))
     zeros = repeat(0.0)
-    delta = [reduce(add, map(get, sequence_features[0], zeros), 0.0)
-             for get in weights]
+    sums: dict[tuple, list[float]] = {}
+    emissions = []
+    for row in map(tuple, sequence_features):
+        emission = sums.get(row)
+        if emission is None:
+            emission = sums[row] = [reduce(add, map(get, row, zeros), 0.0)
+                                    for get in weights]
+        emissions.append(emission)
+    # ``columns[j][i]`` weighs label i followed by label j.
+    columns = list(zip(*model.transitions))
+    rest = range(1, len(columns))
+    delta = emissions[0]
     back = []
-    for feats in islice(sequence_features, 1, None):
+    for emission in islice(emissions, 1, None):
         ptr, nxt = [], []
-        for j, get in zip(labels, weights):
-            best, arg = delta[0] + T[0][j], 0
-            for i in labels[1:]:
-                s = delta[i] + T[i][j]
+        for column, e in zip(columns, emission):
+            best, arg = delta[0] + column[0], 0
+            for i in rest:
+                s = delta[i] + column[i]
                 if s > best:
                     best, arg = s, i
             ptr.append(arg)
-            nxt.append(best + reduce(add, map(get, feats, zeros), 0.0))
+            nxt.append(best + e)
         back.append(ptr)
         delta = nxt
     j = delta.index(max(delta))

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import re
 from collections import Counter
+from itertools import chain
+from operator import attrgetter
 from typing import Callable, NamedTuple
 
 from .model import Chunk, Page, Token
@@ -85,8 +87,11 @@ def heading_key(text: str) -> str:
     return strip_enumeration(text).lower()
 
 
+_NON_WORD = re.compile(r"\W+")
+
+
 def _word_feature(text: str) -> str:
-    return re.sub(r"\W+", "", text.lower()) or "_"
+    return _NON_WORD.sub("", text.lower()) or "_"
 
 
 def is_marker(tok: Token) -> bool:
@@ -237,9 +242,13 @@ def footnote_chunk_features(chunks: list[Chunk], page: Page,
     return _rows(_FOOTNOTE_ROW, _Sequence(chunks, body_font, page))
 
 
+_FONT_SIZE, _TOKENS = attrgetter("font_size"), attrgetter("tokens")
+
+
 def font_counts(page: Page) -> Counter:
     """How many tokens of ``page`` have each font size."""
-    return Counter([tok.font_size for line in page.lines for tok in line.tokens])
+    return Counter(map(_FONT_SIZE, chain.from_iterable(map(_TOKENS,
+                                                          page.lines))))
 
 
 def modal_font(counts: Counter) -> float:

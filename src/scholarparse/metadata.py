@@ -295,6 +295,10 @@ def _initials(name: AuthorName) -> str:
     return "".join(p[0] for p in parts if p)
 
 
+# What ``map_authors_to_emails`` drops from a lowercased name or user.
+_NOT_LOWER = re.compile(r"[^a-z]")
+
+
 def map_authors_to_emails(names: list[AuthorName],
                           emails: list[EmailAddress]) -> list[AuthorRecord]:
     """Pair authors with e-mails: substring, abbreviation, then position."""
@@ -303,7 +307,7 @@ def map_authors_to_emails(names: list[AuthorName],
     taken: set[int] = set()
 
     def clean(s: str) -> str:
-        return re.sub(r"[^a-z]", "", s.lower())
+        return _NOT_LOWER.sub("", s.lower())
 
     def assign(matches) -> None:
         """Give each author without an e-mail the first untaken e-mail

@@ -12,6 +12,8 @@ processed documents.
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import attrgetter
 from typing import NamedTuple
 
 
@@ -130,25 +132,31 @@ class Chunk(NamedTuple):
     lines: tuple[Line, ...]
 
 
+# Readers of one field, for passes over a column of records that ``map``
+# runs in C, where a generator would run bytecode per record.
+_TEXT, _Y, _FONT_SIZE, _BOLD, _TOKENS = map(
+    attrgetter, ("text", "y", "font_size", "bold", "tokens"))
+
+
 def chunk_stats(tokens) -> tuple[float, float, float]:
     """Mean font size, bold fraction and top (smallest y) of a token group.
 
-    The tokens are read once, as columns; each sum runs over its column in
-    token order, as a sum over the tokens would.
+    Each statistic is one pass over its column of the tokens; each sum runs
+    in token order, as a sum over the tokens would.
     """
-    columns = tuple(zip(*tokens))
-    if not columns:
+    tokens = tuple(tokens)
+    if not tokens:
         raise EmptyChunkError("empty chunk")
-    ys, fonts, bolds = columns[3], columns[6], columns[7]
-    n = len(ys)
-    return sum(fonts) / n, sum(map(bool, bolds)) / n, min(ys)
+    n = len(tokens)
+    return (sum(map(_FONT_SIZE, tokens)) / n,
+            sum(map(bool, map(_BOLD, tokens))) / n, min(map(_Y, tokens)))
 
 
 def make_chunk(lines) -> Chunk:
     """Build a Chunk, its tokens, statistics and text from a non-empty
     sequence of lines."""
     lines = tuple(lines)
-    tokens = tuple([t for line in lines for t in line.tokens])
+    tokens = tuple(chain.from_iterable(map(_TOKENS, lines)))
     avg_font, avg_bold, top = chunk_stats(tokens)
     return Chunk(tokens, tokens[0].page_no, avg_font, avg_bold, top,
-                 " ".join([t.text for t in tokens]), lines)
+                 " ".join(map(_TEXT, tokens)), lines)

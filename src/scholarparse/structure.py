@@ -164,6 +164,10 @@ def _split_footnote_chunk(chunk: Chunk, page_no: int) -> list[Footnote]:
             for marker, body in groups if body]
 
 
+# A caption label's number: "3", "3." or "3:".
+_CAPTION_NUMBER = re.compile(r"^\d+[.:]?$")
+
+
 def extract_caption_headings(chunks: list[Chunk]) -> list[CaptionHeading]:
     """Chunks starting with a figure/table keyword, classified by kind."""
     out = []
@@ -178,7 +182,7 @@ def extract_caption_headings(chunks: list[Chunk]) -> list[CaptionHeading]:
         tokens = list(chunk.tokens)
         label_toks = [tokens[0]]
         rest = tokens[1:]
-        if rest and re.match(r"^\d+[.:]?$", rest[0].text):
+        if rest and _CAPTION_NUMBER.match(rest[0].text):
             label_toks.append(rest[0])
             rest = rest[1:]
         if kind == "table" and any(t.bold for t in rest) and not all(t.bold for t in rest):

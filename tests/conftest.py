@@ -3,7 +3,11 @@ import math
 import random
 import re
 import statistics
+from collections import Counter
+from functools import reduce
 from importlib import resources
+from itertools import islice, repeat
+from operator import add
 from typing import NamedTuple
 from xml.etree import ElementTree as ET
 
@@ -12,9 +16,12 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from scholarparse.bibliography import (_BRACKET_START, _NUMBER_START, _finish,
-                                       _instance, reference_number)
-from scholarparse.chunker import _split_columns
+from scholarparse.bibliography import _AN as _NAME
+from scholarparse.bibliography import (_BRACKET_START, _NUMBER_START,
+                                       _NOT_AUTHOR_WORDS, CITATION_STYLES,
+                                       INDEXED_STYLES, CitationInstance,
+                                       _finish, _instance, reference_number)
+from scholarparse.chunker import COLUMN_GAP_FRACTION, MIN_COLUMN_LINES
 from scholarparse.context import DocumentContext
 from scholarparse.crf import CrfError, CrfModel, CrfNumericError, _split
 from scholarparse.features import (_case, _decile, _size_bucket,
@@ -26,8 +33,12 @@ from scholarparse.metadata import AUTHOR_WINDOW
 from scholarparse.model import (Chunk, Document, EmptyChunkError, Line, Page,
                                Token)
 
-# Every property test draws the same examples on every run.
+# Every property test draws the same examples on every run.  The
+# ``thorough`` profile draws ten times as many for the properties that set
+# no count of their own: ``--hypothesis-profile=thorough``.
 settings.register_profile("tier1", derandomize=True, deadline=None)
+settings.register_profile("thorough", derandomize=True, deadline=None,
+                          max_examples=1000)
 settings.load_profile("tier1")
 
 
@@ -247,6 +258,39 @@ def reference_viterbi_decode(model: CrfModel, feats):
     return [model.labels[i] for i in path]
 
 
+def parent_viterbi_decode(model: CrfModel, sequence_features) -> list[str]:
+    """Oracle for ``crfmodel.viterbi_decode``: the decoder as it was written
+    before equal rows shared their sums, summing every position's row."""
+    if not sequence_features:
+        raise CrfError("empty sequence")
+    T = model.transitions
+    weights = model.label_weights
+    labels = range(len(T))
+    zeros = repeat(0.0)
+    delta = [reduce(add, map(get, sequence_features[0], zeros), 0.0)
+             for get in weights]
+    back = []
+    for feats in islice(sequence_features, 1, None):
+        ptr, nxt = [], []
+        for j, get in zip(labels, weights):
+            best, arg = delta[0] + T[0][j], 0
+            for i in labels[1:]:
+                s = delta[i] + T[i][j]
+                if s > best:
+                    best, arg = s, i
+            ptr.append(arg)
+            nxt.append(best + reduce(add, map(get, feats, zeros), 0.0))
+        back.append(ptr)
+        delta = nxt
+    j = delta.index(max(delta))
+    path = [j]
+    for ptr in reversed(back):
+        j = ptr[j]
+        path.append(j)
+    path.reverse()
+    return [model.labels[i] for i in path]
+
+
 def reference_logsumexp(a: np.ndarray, axis: int):
     """Oracle for ``crf._fold`` over two terms: log(sum(exp(a))) along an
     axis as scipy.special.logsumexp computes it, log1p(s / m) + log(m) +
@@ -374,6 +418,42 @@ def per_sequence_objective(model: CrfModel, dataset):
         return ll - penalty
 
     return objective
+
+
+def _parent_instance(style_id: int, m) -> CitationInstance:
+    text = m.group(0)
+    authors = tuple(w for w in re.findall(_NAME, text)
+                    if w.lower() not in _NOT_AUTHOR_WORDS)
+    year = None
+    suffix = ""
+    indices: tuple[int, ...] = ()
+    if style_id in INDEXED_STYLES:
+        indices = tuple(int(n) for n in re.findall(r"\d{1,3}", m.group(1)))
+    else:
+        year = int(m.group(1))
+        if m.lastindex and m.lastindex >= 2 and m.group(2):
+            suffix = m.group(2)
+    return CitationInstance(style_id=style_id, matched_text=text,
+                            authors=authors, year=year, indices=indices,
+                            char_span=m.span(), year_suffix=suffix)
+
+
+def parent_extract_citations(body_text: str):
+    """Oracle for ``bibliography.extract_citations``: the extraction as it
+    was written before the candidate scan, one ``finditer`` per style."""
+    claimed: list[tuple[int, int]] = []
+    found = []
+    for style_id, literal, pattern in CITATION_STYLES:
+        if literal not in body_text:
+            continue
+        for m in pattern.finditer(body_text):
+            span = m.span()
+            if any(span[0] < e and s < span[1] for s, e in claimed):
+                continue
+            claimed.append(span)
+            found.append(_parent_instance(style_id, m))
+    found.sort(key=lambda c: c.char_span)
+    return found
 
 
 # Oracle for ``bibliography.CITATION_STYLES``: the table as it was written
@@ -639,15 +719,35 @@ def _reference_line_bold(line):
     return sum(1 for t in line.tokens if t.bold) > len(line.tokens) / 2
 
 
+def _reference_split_columns(page: Page) -> list[list[Line]]:
+    lines = list(page.lines)
+    if len(lines) < 2 * MIN_COLUMN_LINES:
+        return [lines]
+    xs = sorted(set(round(l.x, 1) for l in lines))
+    if len(xs) < 2:
+        return [lines]
+    gaps = [(xs[i + 1] - xs[i], i) for i in range(len(xs) - 1)]
+    widest, idx = max(gaps)
+    if widest < COLUMN_GAP_FRACTION * page.width:
+        return [lines]
+    boundary = (xs[idx] + xs[idx + 1]) / 2
+    left = [l for l in lines if l.x < boundary]
+    right = [l for l in lines if l.x >= boundary]
+    if len(left) < MIN_COLUMN_LINES or len(right) < MIN_COLUMN_LINES:
+        return [lines]
+    return [left, right]
+
+
 def reference_chunk_page(page: Page):
-    """Oracle for ``chunker.chunk_page``: chunk statistics taken token by
-    token through generators, and each adjacent pair of lines compared by
-    recomputing both lines' mean font and bold majority.  The thresholds
-    are written out, so the oracle does not follow a changed constant."""
+    """Oracle for ``chunker.chunk_page``: line origins and chunk statistics
+    taken token by token through generators, and each adjacent pair of
+    lines compared by recomputing both lines' mean font and bold majority.
+    The gap and font thresholds are written out, so the oracle does not
+    follow a changed constant."""
     if not page.lines:
         return []
     chunks = []
-    for column in _split_columns(page):
+    for column in _reference_split_columns(page):
         gaps = [b.baseline_y - a.baseline_y for a, b in zip(column, column[1:])]
         gaps = sorted(g for g in gaps if g > 0)
         median_gap = gaps[len(gaps) // 2] if gaps else 0.0
@@ -669,6 +769,17 @@ def reference_chunk_page(page: Page):
         if current:
             chunks.append(_reference_chunk(current))
     return chunks
+
+
+def reference_chunk_document(doc: Document):
+    """Oracle for ``chunker.chunk_document``: every page's
+    ``reference_chunk_page`` in page order."""
+    return [chunk for page in doc.pages for chunk in reference_chunk_page(page)]
+
+
+def reference_font_counts(page: Page) -> Counter:
+    """Oracle for ``features.font_counts``, token by token."""
+    return Counter([tok.font_size for line in page.lines for tok in line.tokens])
 
 
 def reference_baseline_lines(chunk) -> tuple[Line, ...]:
@@ -981,6 +1092,113 @@ def reference_map_authors_to_emails(names, emails):
     for k, j in zip(leftover_names, leftover_emails):
         given[k] = emails[j]
     return list(zip(names, given))
+
+
+# --- TEI ---------------------------------------------------------------------
+# Oracle for ``tei.export_tei``: the writer as it was before it wrote its
+# lines directly, an element tree indented by ``ET.indent`` and serialized
+# by ``ET.tostring``.
+
+def parent_export_tei(result) -> str:
+    tei = ET.Element("TEI", {"xmlns": "http://www.tei-c.org/ns/1.0"})
+    _parent_header(tei, result)
+    text = ET.SubElement(tei, "text")
+    ids = _parent_ref_ids(result)
+    _parent_body(ET.SubElement(text, "body"), result, ids)
+    _parent_back(ET.SubElement(text, "back"), result, ids)
+    ET.indent(tei, space="  ")
+    xml = ET.tostring(tei, encoding="unicode")
+    return '<?xml version="1.0" encoding="UTF-8"?>\n' + xml + "\n"
+
+
+def _parent_header(tei, result):
+    header = ET.SubElement(tei, "teiHeader")
+    file_desc = ET.SubElement(header, "fileDesc")
+    title_stmt = ET.SubElement(file_desc, "titleStmt")
+    title = ET.SubElement(title_stmt, "title")
+    if result.title:
+        title.text = result.title
+    source = ET.SubElement(file_desc, "sourceDesc")
+    bibl = ET.SubElement(source, "biblStruct")
+    analytic = ET.SubElement(bibl, "analytic")
+    for record in result.authors:
+        author = ET.SubElement(analytic, "author")
+        pers = ET.SubElement(author, "persName")
+        fore = ET.SubElement(pers, "forename", {"type": "first"})
+        fore.text = record.name.first
+        if record.name.middle:
+            mid = ET.SubElement(pers, "forename", {"type": "middle"})
+            mid.text = record.name.middle
+        surname = ET.SubElement(pers, "surname")
+        surname.text = record.name.last
+        if record.email is not None:
+            email = ET.SubElement(author, "email")
+            email.text = record.email.address
+        if record.affiliation is not None:
+            aff = ET.SubElement(author, "affiliation")
+            aff.text = record.affiliation.text
+
+
+def _parent_ref_ids(result) -> dict[int, str]:
+    ids: dict[int, str] = {}
+    used: set[str] = set()
+    for i, ref in enumerate(result.references):
+        rid = f"ref-{reference_number(ref, i)}"
+        if rid in used:
+            rid = f"ref-p{i + 1}"
+        used.add(rid)
+        ids[id(ref)] = rid
+    return ids
+
+
+def _parent_body(body, result, ids):
+    links_by_heading = {}
+    for link in result.citations:
+        links_by_heading.setdefault(link.citation.section_heading, []).append(link)
+
+    for section in result.sections:
+        div = ET.SubElement(body, "div")
+        heading_text = None
+        if section.heading is not None:
+            head = ET.SubElement(div, "head")
+            head.text = section.heading.text
+            heading_text = section.heading.text
+        for paragraph in section.paragraphs:
+            p = ET.SubElement(div, "p")
+            p.text = paragraph
+        for link in links_by_heading.pop(heading_text, []):
+            _parent_ref_elem(div, link, ids)
+    for links in links_by_heading.values():
+        div = ET.SubElement(body, "div")
+        for link in links:
+            _parent_ref_elem(div, link, ids)
+
+    for caption in result.captions:
+        figure = ET.SubElement(body, "figure", {"type": caption.kind})
+        head = ET.SubElement(figure, "head")
+        head.text = caption.text
+    for note in result.footnotes:
+        attrs = {"place": "foot"}
+        if note.marker:
+            attrs["n"] = note.marker
+        elem = ET.SubElement(body, "note", attrs)
+        elem.text = note.text
+
+
+def _parent_ref_elem(div, link, ids):
+    attrs = {"type": "bibr"}
+    if link.reference is not None:
+        attrs["target"] = "#" + ids[id(link.reference)]
+    ref = ET.SubElement(div, "ref", attrs)
+    ref.text = link.citation.matched_text
+
+
+def _parent_back(back, result, ids):
+    div = ET.SubElement(back, "div", {"type": "references"})
+    list_bibl = ET.SubElement(div, "listBibl")
+    for ref in result.references:
+        bibl = ET.SubElement(list_bibl, "bibl", {"xml:id": ids[id(ref)]})
+        bibl.text = ref.raw_text
 
 
 # --- URLs --------------------------------------------------------------------

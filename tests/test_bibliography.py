@@ -1,11 +1,15 @@
 """Unit tests for reference splitting, citation styles and linking."""
 
+import re
+
 import pytest
-from conftest import reference_extract_citations, reference_split_references
+from conftest import (parent_extract_citations, reference_extract_citations,
+                      reference_split_references)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scholarparse.bibliography import (CITATION_STYLES,
+from scholarparse.bibliography import (_AUTHOR_LED, _LEAD, _TAIL_STARTS,
+                                       CITATION_STYLES,
                                        NoReferenceSectionError, Reference,
                                        extract_citations,
                                        locate_reference_section,
@@ -176,6 +180,46 @@ class TestAgainstWordBoundaryOracle:
         for _style_id, literal, pattern in CITATION_STYLES:
             for m in pattern.finditer(text):
                 assert literal in m.group(0)
+
+
+# Citations side by side: names with inner capitals (McX, DeVries), names
+# split by an apostrophe or a hyphen, or after a word character; each
+# style's tail as written, with its spacing changed and cut short; and
+# joins that put one citation right after another or inside one.
+SCAN_NAME = st.sampled_from(["Singh", "McX", "O'Brien", "DeVries", "G",
+                             "Smith-Jones", "al", "éS", "É", "Goyal"])
+SCAN_TAIL = st.sampled_from([
+    " et al. [4]", " et al.[4]", " et al.\n[12]", " et al. [1000]",
+    " et al., 2001a", " et al.,2001", " et al.,2001b", " et al., (2001)",
+    " et al., 2001", " et al. 2001", " et al. (2001)", " et al. (2001a)",
+    " and Goyal (2001)", " & McX (2001)", " and O'Brien, 2001",
+    " & Goyal, 2001", ", 2001", ", 2001a", ", 20011", " 2001", " 2001b",
+    " (2001b)", "(2001)", ",(2001)", ", (2001)", " [3]", " [1, 2]", " [",
+    " et al", " and ", ""])
+SCAN_JOIN = st.sampled_from(["", " ", ", ", "; ", " and ", " & ", "(", ")",
+                             "[2] ", "[1, 3]", "a", "_", ".", "\n"])
+CITATION_RUN = st.lists(st.tuples(SCAN_JOIN, SCAN_NAME, SCAN_TAIL)
+                        .map("".join), max_size=6).map("".join)
+
+
+class TestCandidateScan:
+    def test_every_author_led_style_starts_at_a_candidate(self):
+        """Each author-led style is ``_LEAD`` and a tail that starts, once
+        its capturing groups are opened, with one of ``_TAIL_STARTS``.  A
+        style the table gains must be checked here, and added to the ids."""
+        for style_id, _literal, pattern in CITATION_STYLES:
+            if style_id in _AUTHOR_LED:
+                assert pattern.pattern.startswith(_LEAD)
+                tail = re.sub(r"(?<!\\)\(", "", pattern.pattern[len(_LEAD):])
+                assert tail.startswith(_TAIL_STARTS), style_id
+        assert sorted(_AUTHOR_LED) == list(range(1, 16))
+        assert sorted(i for i, _, _ in CITATION_STYLES) == list(range(1, 17))
+
+    @given(st.one_of(CITATION_RUN, CITATION_TEXT))
+    @example("Singh(2001) McX et al.,2001a O'Brien [3] Smith-Jones, 2002")
+    @example("Singh and Goyal (2001) Goyal (2002)Singh et al. [4][5]")
+    def test_citations_match_parent_code(self, text):
+        assert extract_citations(text) == parent_extract_citations(text)
 
 
 # Reference-section lines that mix bracketed, numbered (in and out of order),

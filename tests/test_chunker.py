@@ -5,12 +5,15 @@ import pickle
 from collections import Counter
 
 import pytest
-from conftest import mutate_xml, reference_chunk_page, xml_mutations
+from conftest import (mutate_xml, reference_chunk_document,
+                      reference_chunk_page, reference_font_counts,
+                      xml_mutations)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scholarparse.chunker import (FONT_JUMP, GAP_FACTOR, chunk_document,
                                   chunk_page)
+from scholarparse.features import font_counts
 from scholarparse.ingest import parse_rich_xml
 from scholarparse.model import Document, Line, Page, Token
 from scholarparse.synth import STYLES, generate_synthetic_document
@@ -192,3 +195,19 @@ class TestChunksKeepTheirLines:
                 assert chunk.tokens == tuple(t for l in chunk.lines
                                              for t in l.tokens)
                 assert " ".join(l.text for l in chunk.lines) == chunk.text
+
+
+class TestColumnPasses:
+    @given(st.sampled_from(STYLES), st.integers(0, 10_000),
+           st.lists(xml_mutations(["x-", "*", "1", "References", "[3]"]),
+                    max_size=4))
+    def test_chunks_match_parent_code(self, style, seed, mutations):
+        """Chunks, their statistics to the bit, and page font counts in
+        order, on generator articles and mutated ones."""
+        xml = mutate_xml(generate_synthetic_document(style, seed)[0],
+                         mutations)
+        doc, _ = parse_rich_xml(xml)
+        assert repr(chunk_document(doc)) == repr(reference_chunk_document(doc))
+        for pg in doc.pages:
+            assert list(font_counts(pg).items()) == \
+                list(reference_font_counts(pg).items())

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import (brute_force_decode, enumerate_paths,
-                      per_sequence_objective, random_instance,
+                      parent_viterbi_decode, per_sequence_objective,
+                      random_instance,
                       reference_compile_dataset, reference_emissions,
                       reference_forward, reference_forward_backward,
                       reference_logsumexp, reference_score,
@@ -149,6 +150,22 @@ class TestViterbi:
     def test_empty_sequence_raises(self):
         with pytest.raises(CrfError):
             viterbi_decode(tiny_model(), [])
+
+
+class TestViterbiSharedRows:
+    @given(st.integers(0, 2**32 - 1), st.booleans(),
+           st.lists(st.tuples(st.integers(0, 10), st.booleans()), min_size=1,
+                    max_size=40))
+    def test_viterbi_matches_parent_code(self, seed, integer_weights, picks):
+        """Rows repeat, as tuples and as lists, with unknown features and
+        with none; integer weights make ties."""
+        model, rows = random_instance(random.Random(seed),
+                                      integer_weights=integer_weights)
+        rows += [(), ("unknown",), ("unknown", *rows[0])]
+        feats = [list(rows[i % len(rows)]) if as_list else rows[i % len(rows)]
+                 for i, as_list in picks]
+        assert viterbi_decode(model, feats) == parent_viterbi_decode(model,
+                                                                     feats)
 
 
 class TestForwardBackward:

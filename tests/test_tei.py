@@ -2,8 +2,12 @@
 
 from xml.etree import ElementTree as ET
 
-from scholarparse.bibliography import (CitationLink, Reference,
-                                       extract_citations)
+from conftest import parent_export_tei
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from scholarparse.bibliography import (CitationInstance, CitationLink,
+                                       Reference, extract_citations)
 from scholarparse.metadata import (Affiliation, AuthorName, AuthorRecord,
                                    EmailAddress)
 from scholarparse.structure import (CaptionHeading, Footnote, Section,
@@ -127,3 +131,48 @@ class TestReferenceIds:
         ids = [b.get("{http://www.w3.org/XML/1998/namespace}id")
                for b in root.findall(".//tei:listBibl/tei:bibl", NS)]
         assert ids == ["ref-1", "ref-2", "ref-p3"]
+
+
+# Text with every character either escape touches, line breaks, non-ASCII
+# letters and a character outside the BMP; empty strings included.
+TEXT = st.text(st.sampled_from(list("aZ &<>\"'\r\n\t é中😀;#")), max_size=8)
+
+
+@st.composite
+def results(draw):
+    """Results with any number of each part, none included, and citations
+    in exported sections, in no section and in a section not exported."""
+    headings = draw(st.lists(st.none() | st.builds(SectionHeading, TEXT,
+                                                   st.integers(0, 9)),
+                             max_size=3))
+    sections = [Section(h, tuple(draw(st.lists(TEXT, max_size=3))))
+                for h in headings]
+    references = draw(st.lists(st.builds(Reference, st.none()
+                                         | st.integers(0, 4), TEXT),
+                               max_size=4))
+    owners = st.sampled_from([h.text for h in headings if h] + [None, "gone"])
+    citations = [CitationLink(
+        citation=CitationInstance(16, draw(TEXT), (), None, (1,), (0, 3),
+                                  section_heading=draw(owners)),
+        reference=draw(st.sampled_from(references)) if references
+        and draw(st.booleans()) else None, method="index")
+        for _ in range(draw(st.integers(0, 4)))]
+    authors = draw(st.lists(st.builds(
+        AuthorRecord, st.builds(AuthorName, TEXT, TEXT, TEXT),
+        st.none() | st.builds(EmailAddress, TEXT, TEXT),
+        st.none() | st.builds(Affiliation, TEXT)), max_size=3))
+    return ExtractionResult(
+        title=draw(TEXT), authors=authors, sections=sections,
+        footnotes=draw(st.lists(st.builds(Footnote, st.none() | TEXT, TEXT,
+                                          st.integers(1, 3)), max_size=2)),
+        captions=draw(st.lists(st.builds(CaptionHeading, TEXT, TEXT),
+                               max_size=2)),
+        references=references, citations=citations)
+
+
+class TestDirectWriter:
+    @given(results())
+    @example(ExtractionResult())
+    @example(sample_result())
+    def test_tei_matches_parent_code(self, result):
+        assert export_tei(result) == parent_export_tei(result)
